@@ -18,15 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .gates import conditional_gate, hom_scan
-from .netlist import (
-    VARIANTS,
-    NetlistError,
-    NetlistValidationError,
-    builtin_variant,
-    parse,
-    validate,
-)
+from .gates import CompiledCircuit, hom_scan, sweep_phi
+from .netlist import VARIANTS, NetlistError, NetlistValidationError, builtin_variant, parse
 from .oracle import branch_table
 
 _DEFAULT_TV = 1.0 / math.sqrt(3.0)
@@ -36,17 +29,27 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser, phase_grid: bool) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
     sub.add_argument("--meta", action="store_true", help="include run configuration metadata")
-    sub.add_argument("--from", dest="grid_from", type=float, default=None, metavar="X")
-    sub.add_argument("--to", dest="grid_to", type=float, default=None, metavar="X")
+    sub.add_argument("--from", dest="grid_from", type=_finite, default=None, metavar="X")
+    sub.add_argument("--to", dest="grid_to", type=_finite, default=None, metavar="X")
     sub.add_argument("--steps", type=int, default=None, metavar="N")
     if phase_grid:
         sub.add_argument("--variant", choices=sorted(VARIANTS), default="basic")
         sub.add_argument("--netlist", metavar="FILE", help="run this netlist file instead")
-        sub.add_argument("--phi", type=float, default=None, help="single phase value")
+        sub.add_argument("--phi", type=_finite, default=None, help="single phase value")
         sub.add_argument(
             "--degrees", action="store_true", help="interpret --phi/--from/--to in degrees"
         )
@@ -64,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="check the gate against the scalar oracle over a phase grid"
     )
     _add_common(verify, phase_grid=True)
-    verify.add_argument("--tol", type=float, default=1e-10, help="pass/fail tolerance")
+    verify.add_argument("--tol", type=_finite, default=1e-10, help="pass/fail tolerance")
     verify.set_defaults(func=cmd_verify)
 
     sweep = commands.add_parser("sweep", help="tabulate probabilities over a phase grid")
@@ -75,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
         "hom", help="two-photon interference scan against wavepacket overlap"
     )
     _add_common(hom, phase_grid=False)
-    hom.add_argument("--tv", type=float, default=_DEFAULT_TV, help="splitter transmissivity")
+    hom.add_argument("--tv", type=_finite, default=_DEFAULT_TV, help="splitter transmissivity")
     hom.set_defaults(func=cmd_hom)
     return parser
 
@@ -100,13 +103,9 @@ def _grid(args, lo: float, hi: float, default_steps: int = 21) -> list[float]:
 
 
 def _load_netlist(args):
+    """The netlist named on the command line, parsed but not yet validated."""
     if args.netlist:
-        text = Path(args.netlist).read_text(encoding="utf-8")
-        circuit = parse(text)
-        diagnostics = validate(circuit)
-        if diagnostics:
-            raise NetlistValidationError(diagnostics)
-        return circuit
+        return parse(Path(args.netlist).read_text(encoding="utf-8"))
     return builtin_variant(args.variant)
 
 
@@ -136,7 +135,7 @@ def _emit(args, command: str, header: list[str], rows: list[list]) -> None:
         payload = [dict(zip(header, row)) for row in rows]
         if args.meta:
             payload = {"meta": dict(_meta_pairs(args, command)), "rows": payload}
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -151,25 +150,43 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _labels(keys) -> str:
+    return ", ".join(sorted(f"{outcome}:{port}" for outcome, port in keys))
+
+
+def _check_oracle_shape(circuit: CompiledCircuit, variant: str) -> None:
+    """The netlist must have exactly the branches of the oracle it is checked against."""
+    found = set(circuit.branch_keys)
+    expected = set(branch_table(0.0, variant))
+    if found == expected:
+        return
+    matching = [v for v in sorted(VARIANTS) if set(branch_table(0.0, v)) == found]
+    hint = (
+        f"rerun with --variant {matching[0]}"
+        if matching
+        else "no built-in oracle variant has these branches"
+    )
+    raise ValueError(
+        f"netlist branches [{_labels(found)}] differ from the {variant!r} oracle's "
+        f"[{_labels(expected)}]; {hint}"
+    )
+
+
 def cmd_verify(args) -> int:
-    circuit = _load_netlist(args)
+    circuit = CompiledCircuit(_load_netlist(args))
     phis = _grid(args, 0.0, math.pi)
+    _check_oracle_shape(circuit, args.variant)
     tol = float(args.tol)
     header = ["phi_rad", "p_success", "fidelity", "max_amp_err", "ok"]
     rows = []
     all_ok = True
-    for phi in phis:
-        report = conditional_gate(circuit, phi)
+    for phi, report in zip(phis, circuit.evaluate(phis)):
         expected = branch_table(phi, args.variant)
         nominal = len(expected) / 48.0
         err = 0.0
-        keys = {(b.outcome, b.port) for b in report.branches}
-        if keys != set(expected):
-            err = math.inf
-        else:
-            for branch in report.branches:
-                target = np.diag(expected[(branch.outcome, branch.port)]).astype(complex)
-                err = max(err, float(np.max(np.abs(branch.operator - target))))
+        for branch in report.branches:
+            target = np.diag(expected[(branch.outcome, branch.port)]).astype(complex)
+            err = max(err, float(np.max(np.abs(branch.operator - target))))
         ok = (
             err <= tol
             and abs(report.p_success - nominal) <= tol
@@ -187,11 +204,11 @@ def cmd_sweep(args) -> int:
     circuit = _load_netlist(args)
     phis = sorted(_grid(args, 0.0, math.pi))
     header = ["phi_rad", "p_success", "fidelity", "branch", "branch_prob"]
-    rows = []
-    for phi in phis:
-        report = conditional_gate(circuit, phi)
-        for label, prob in sorted((b.label, b.probability) for b in report.branches):
-            rows.append([phi, report.p_success, report.fidelity, label, prob])
+    rows = [
+        [row.phi, row.p_success, row.fidelity, label, prob]
+        for row in sweep_phi(circuit, phis)
+        for label, prob in sorted(row.branch_probs)
+    ]
     _emit(args, "sweep", header, rows)
     return 0
 

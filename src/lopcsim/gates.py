@@ -4,12 +4,18 @@ Feed-forward is simulated by exhaustive branch enumeration: every detector
 outcome is kept with its exact amplitude, no sampling anywhere.  A branch is
 one (detector outcome, accepted target output port) combination together
 with the conditional two-qubit state it leaves behind.
+
+A ``CompiledCircuit`` validates a netlist and builds its elements once.  A
+phase grid then costs eight evolutions in total, not four per phase: the
+program photon enters as (|H> - e^{i phi}|V>)/sqrt(2) and everything after
+it is linear, so each branch operator is (G_H - e^{i phi} G_V)/sqrt(2).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -35,9 +41,16 @@ _SQ2 = math.sqrt(2.0)
 BASIS_KETS = ((1.0 + 0j, 0j), (0j, 1.0 + 0j))
 
 
-def ideal_cphase(phi: float) -> np.ndarray:
-    """The target two-qubit operation: phase e^{i phi} on |11> only."""
-    return np.diag([1.0, 1.0, 1.0, np.exp(1j * phi)]).astype(complex)
+def ideal_cphase(phi) -> np.ndarray:
+    """The target two-qubit operation: phase e^{i phi} on |11> only.
+
+    An array of phases gives a stack of operators, shape (..., 4, 4).
+    """
+    phi = np.asarray(phi, dtype=float)
+    ops = np.zeros(phi.shape + (4, 4), dtype=complex)
+    ops[..., [0, 1, 2], [0, 1, 2]] = 1.0
+    ops[..., 3, 3] = np.exp(1j * phi)
+    return ops
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,6 +101,37 @@ class ConditionalGateReport:
     diagonal: bool
 
 
+def _check_phases(phis) -> np.ndarray:
+    values = np.asarray(phis, dtype=float).reshape(-1)
+    if values.size == 0:
+        raise ValueError("phase grid must not be empty")
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise ValueError(f"phase must be a finite number, got {float(bad[0])!r}")
+    return values
+
+
+def _product_input(
+    netlist: CircuitNetlist,
+    target_ket: Sequence[complex],
+    control_ket: Sequence[complex],
+    program_ket: Sequence[complex],
+) -> FockState:
+    for name, ket in (("target", target_ket), ("control", control_ket)):
+        if len(ket) != 2 or abs(sum(abs(c) ** 2 for c in ket) - 1.0) > 1e-12:
+            raise ValueError(f"{name} ket must be a normalized 2-component vector")
+    ports = netlist.ports
+    photons = [
+        [(ModeLabel(path, pol), complex(amp)) for pol, amp in zip((H, V), ket)]
+        for path, ket in (
+            (ports.target_in, target_ket),
+            (ports.control_in, control_ket),
+            (ports.program_in, program_ket),
+        )
+    ]
+    return make_photon_state(netlist.registry(), photons)
+
+
 def prepare_inputs(
     netlist: CircuitNetlist,
     target_ket: Sequence[complex],
@@ -96,83 +140,164 @@ def prepare_inputs(
 ) -> FockState:
     """Three-photon product input: target and control qubits plus the
     phase-programming photon (|H> - e^{i phi}|V>)/sqrt(2)."""
-    for name, ket in (("target", target_ket), ("control", control_ket)):
-        if len(ket) != 2 or abs(sum(abs(c) ** 2 for c in ket) - 1.0) > 1e-12:
-            raise ValueError(f"{name} ket must be a normalized 2-component vector")
-    reg = netlist.registry()
-    ports = netlist.ports
-    photons = [
-        [
-            (ModeLabel(ports.target_in, H), complex(target_ket[0])),
-            (ModeLabel(ports.target_in, V), complex(target_ket[1])),
-        ],
-        [
-            (ModeLabel(ports.control_in, H), complex(control_ket[0])),
-            (ModeLabel(ports.control_in, V), complex(control_ket[1])),
-        ],
-        [
-            (ModeLabel(ports.program_in, H), 1.0 / _SQ2 + 0j),
-            (ModeLabel(ports.program_in, V), -np.exp(1j * phi) / _SQ2),
-        ],
-    ]
-    return make_photon_state(reg, photons)
+    (phi,) = _check_phases([phi])
+    program = (1.0 / _SQ2 + 0j, -np.exp(1j * phi) / _SQ2)
+    return _product_input(netlist, target_ket, control_ket, program)
+
+
+class CompiledCircuit:
+    """A netlist validated once, with every element built once.
+
+    Holds the built stages on either side of the measurement point, the
+    correction of each detector outcome and the post-selection pattern of
+    each target output port, so any number of inputs and phases can run
+    without repeating that work.  Keep the object to reuse it; nothing is
+    cached anywhere else.
+    """
+
+    def __init__(self, netlist: CircuitNetlist):
+        diagnostics = validate(netlist)
+        if diagnostics:
+            raise NetlistValidationError(diagnostics)
+        self.netlist = netlist
+        built = [spec.build() for spec in netlist.stages]
+        self.before = tuple(built[: netlist.measure_after])
+        self.after = tuple(built[netlist.measure_after:])
+        self.outcomes = tuple(
+            (outcome, netlist.correction(outcome.correct).build() if outcome.correct else None)
+            for outcome in netlist.measurement.outcomes
+        )
+        target_ports = netlist.ports.target_out
+        base = [(p, n) for p, n in netlist.postselect if p not in target_ports]
+        self.patterns = tuple((port, dict(base + [(port, 1)])) for port in target_ports)
+        #: (outcome label, port) of every branch, in the order run() emits them.
+        self.branch_keys = tuple(
+            (outcome.label, port) for outcome, _ in self.outcomes for port in target_ports
+        )
+
+    def run(self, state: FockState) -> list[Branch]:
+        """Evolve one prepared input and enumerate all branches.
+
+        Stages run in order up to the measurement point; each detector
+        outcome forks there, applies its feed-forward correction (if any),
+        runs the remaining stages, then post-selects one photon on each
+        accepted output port, projects the detector photon onto the outcome
+        ket and reads off the conditional two-qubit amplitudes.
+        Probabilities are exact.
+        """
+        nl = self.netlist
+        if state.photon_number != nl.postselect_total():
+            raise ValueError(
+                f"input holds {state.photon_number} photons, "
+                f"post-selection expects {nl.postselect_total()}"
+            )
+        mid = state
+        for element in self.before:
+            mid = apply_element(mid, element)
+        branches: list[Branch] = []
+        for outcome, correction in self.outcomes:
+            branch_state = mid if correction is None else apply_element(mid, correction)
+            for element in self.after:
+                branch_state = apply_element(branch_state, element)
+            for port, pattern in self.patterns:
+                selected, _ = post_select(branch_state, pattern)
+                detected, _ = project_detector(selected, nl.measurement.path, outcome.ket)
+                amps = two_qubit_amplitudes(detected, port, nl.ports.control_out)
+                probability = float(np.sum(np.abs(amps) ** 2))
+                branches.append(Branch(outcome.label, port, amps, probability))
+        return branches
+
+    @cached_property
+    def program_operators(self) -> np.ndarray:
+        """Branch operators with the program photon in |H> and in |V>.
+
+        Shape (2, branches, 4, 4): eight evolutions, the four basis inputs
+        with each program polarization.  Everything after the program photon
+        is prepared is linear in it, so the operator of every branch at
+        phase phi is (G_H - e^{i phi} G_V)/sqrt(2).
+        """
+        ops = np.zeros((2, len(self.branch_keys), 4, 4), dtype=complex)
+        for p, program in enumerate(BASIS_KETS):
+            for t_bit in (0, 1):
+                for c_bit in (0, 1):
+                    state = _product_input(
+                        self.netlist, BASIS_KETS[t_bit], BASIS_KETS[c_bit], program
+                    )
+                    for b, branch in enumerate(self.run(state)):
+                        ops[p, b, :, 2 * t_bit + c_bit] = branch.amplitudes
+        return ops
+
+    def evaluate(
+        self,
+        phi_grid: Sequence[float],
+        branch_tol: float = 1e-10,
+        diag_tol: float = 1e-12,
+    ) -> list[ConditionalGateReport]:
+        """Assemble and score the conditional gate at every phase of the grid.
+
+        One report per phase, in grid order.  Every branch operator of the
+        grid comes from one broadcast over ``program_operators``; the scores
+        and tolerances are those documented on ``ConditionalGateReport``.
+        """
+        phis = _check_phases(phi_grid)
+        g_h, g_v = self.program_operators
+        ops = (g_h - np.exp(1j * phis)[:, None, None, None] * g_v) / _SQ2
+        probs = np.sum(np.abs(ops[..., 0]) ** 2, axis=-1)  # |00> column, (phase, branch)
+        p_success = np.sum(probs, axis=1)
+        primary = ops[:, 0]
+        fidelities = fidelity(primary, phis)
+
+        flat = ops.reshape(len(phis), len(self.branch_keys), 16)
+        ref_idx = np.argmax(np.abs(flat[:, 0]), axis=1)
+        at_ref = np.take_along_axis(flat, ref_idx[:, None, None], axis=2)[..., 0]
+        # global phase taking the primary operator onto each branch
+        ratio = at_ref * at_ref[:, :1].conj()
+        mag = np.abs(ratio)
+        phase = np.divide(ratio, mag, out=np.ones_like(ratio), where=mag > 0)
+        deviation = np.max(np.abs(flat - phase[..., None] * flat[:, :1]), axis=2)
+        consistent = np.all(deviation <= branch_tol, axis=1)
+        off_diagonal = np.max(np.abs(ops[..., ~np.eye(4, dtype=bool)]), axis=2)
+        diagonal = np.all(off_diagonal <= diag_tol, axis=1)
+
+        reports = []
+        for k, phi in enumerate(phis):
+            branches = tuple(
+                GateBranch(o, p, ops[k, b], float(probs[k, b]))
+                for b, (o, p) in enumerate(self.branch_keys)
+            )
+            reports.append(
+                ConditionalGateReport(
+                    phi=float(phi),
+                    gate=branches[0].operator,
+                    p_success=float(p_success[k]),
+                    fidelity=float(fidelities[k]),
+                    branches=branches,
+                    branch_consistent=bool(consistent[k]),
+                    diagonal=bool(diagonal[k]),
+                )
+            )
+        return reports
 
 
 def run(netlist: CircuitNetlist, state: FockState) -> list[Branch]:
-    """Execute a netlist on a prepared input and enumerate all branches.
-
-    Stages run in order up to the measurement point; each detector outcome
-    forks there, applies its feed-forward correction (if any), runs the
-    remaining stages, then post-selects one photon on each accepted output
-    port, projects the detector photon onto the outcome ket and reads off
-    the conditional two-qubit amplitudes.  Probabilities are exact.
-    """
-    diagnostics = validate(netlist)
-    if diagnostics:
-        raise NetlistValidationError(diagnostics)
-    if state.photon_number != netlist.postselect_total():
-        raise ValueError(
-            f"input holds {state.photon_number} photons, "
-            f"post-selection expects {netlist.postselect_total()}"
-        )
-    built = [spec.build() for spec in netlist.stages]
-    mid = state
-    for element in built[: netlist.measure_after]:
-        mid = apply_element(mid, element)
-
-    target_ports = netlist.ports.target_out
-    base_pattern = [(p, n) for p, n in netlist.postselect if p not in set(target_ports)]
-    branches: list[Branch] = []
-    for outcome in netlist.measurement.outcomes:
-        branch_state = mid
-        if outcome.correct is not None:
-            branch_state = apply_element(
-                branch_state, netlist.correction(outcome.correct).build()
-            )
-        for element in built[netlist.measure_after:]:
-            branch_state = apply_element(branch_state, element)
-        for port in target_ports:
-            pattern = dict(base_pattern)
-            pattern[port] = 1
-            selected, _ = post_select(branch_state, pattern)
-            detected, _ = project_detector(selected, netlist.measurement.path, outcome.ket)
-            amps = two_qubit_amplitudes(detected, port, netlist.ports.control_out)
-            probability = float(np.sum(np.abs(amps) ** 2))
-            branches.append(Branch(outcome.label, port, amps, probability))
-    return branches
+    """Execute a netlist on a prepared input and enumerate all branches
+    (see ``CompiledCircuit.run``)."""
+    return CompiledCircuit(netlist).run(state)
 
 
-def fidelity(gate: np.ndarray, phi: float) -> float:
+def fidelity(gate: np.ndarray, phi):
     """Overlap |Tr(G† U)|^2 / (4 Tr(G† G)) with U = diag(1, 1, 1, e^{i phi}).
 
-    Equals 1 exactly when G is proportional to the ideal operation.
+    Equals 1 exactly when G is proportional to the ideal operation.  A stack
+    of gates (..., 4, 4) with matching phases gives an array of overlaps.
     """
     g = np.asarray(gate, dtype=complex)
-    denom = float(np.sum(np.abs(g) ** 2))
-    if denom == 0.0:
+    denom = np.sum(np.abs(g) ** 2, axis=(-2, -1))
+    if np.any(denom == 0.0):
         raise ValueError("fidelity of the zero operator is undefined")
-    overlap = np.trace(g.conj().T @ ideal_cphase(phi))
-    return float(abs(overlap) ** 2 / (4.0 * denom))
+    overlap = np.sum(g.conj() * ideal_cphase(phi), axis=(-2, -1))
+    result = np.abs(overlap) ** 2 / (4.0 * denom)
+    return float(result) if result.ndim == 0 else result
 
 
 def conditional_gate(
@@ -181,47 +306,8 @@ def conditional_gate(
     branch_tol: float = 1e-10,
     diag_tol: float = 1e-12,
 ) -> ConditionalGateReport:
-    """Run the four basis inputs and assemble the conditional operator per branch."""
-    operators: dict[tuple[str, str], np.ndarray] = {}
-    order: list[tuple[str, str]] = []
-    for t_bit in (0, 1):
-        for c_bit in (0, 1):
-            state = prepare_inputs(netlist, BASIS_KETS[t_bit], BASIS_KETS[c_bit], phi)
-            for branch in run(netlist, state):
-                key = (branch.outcome, branch.port)
-                if key not in operators:
-                    operators[key] = np.zeros((4, 4), dtype=complex)
-                    order.append(key)
-                operators[key][:, 2 * t_bit + c_bit] = branch.amplitudes
-
-    branches = tuple(
-        GateBranch(o, p, operators[(o, p)], float(np.sum(np.abs(operators[(o, p)][:, 0]) ** 2)))
-        for o, p in order
-    )
-    primary = branches[0].operator
-    p_success = float(sum(b.probability for b in branches))
-
-    ref_flat = primary.ravel()
-    ref_idx = int(np.argmax(np.abs(ref_flat)))
-    consistent = True
-    for branch in branches:
-        ratio = branch.operator.ravel()[ref_idx]
-        phase = ratio / abs(ratio) if abs(ratio) > 0 else 1.0
-        if np.max(np.abs(branch.operator - phase * primary)) > branch_tol:
-            consistent = False
-    diagonal = all(
-        float(np.max(np.abs(b.operator - np.diag(np.diag(b.operator))))) <= diag_tol
-        for b in branches
-    )
-    return ConditionalGateReport(
-        phi=float(phi),
-        gate=primary,
-        p_success=p_success,
-        fidelity=fidelity(primary, phi),
-        branches=branches,
-        branch_consistent=consistent,
-        diagonal=diagonal,
-    )
+    """Assemble the conditional operator per branch at one phase and score it."""
+    return CompiledCircuit(netlist).evaluate([phi], branch_tol, diag_tol)[0]
 
 
 def success_probability(
@@ -245,20 +331,15 @@ class SweepRow:
 
 def sweep_phi(netlist: CircuitNetlist, phi_grid: Sequence[float]) -> list[SweepRow]:
     """Evaluate the gate over a phase grid; one row per phase, deterministic."""
-    if len(phi_grid) == 0:
-        raise ValueError("phase grid must not be empty")
-    rows = []
-    for phi in phi_grid:
-        report = conditional_gate(netlist, float(phi))
-        rows.append(
-            SweepRow(
-                phi=float(phi),
-                p_success=report.p_success,
-                fidelity=report.fidelity,
-                branch_probs=tuple((b.label, b.probability) for b in report.branches),
-            )
+    return [
+        SweepRow(
+            phi=report.phi,
+            p_success=report.p_success,
+            fidelity=report.fidelity,
+            branch_probs=tuple((b.label, b.probability) for b in report.branches),
         )
-    return rows
+        for report in CompiledCircuit(netlist).evaluate(phi_grid)
+    ]
 
 
 def hom_scan(t_v: float, overlap_grid: Sequence[float]) -> list[tuple[float, float]]:

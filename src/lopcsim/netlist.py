@@ -551,6 +551,10 @@ def validate(netlist: CircuitNetlist) -> list[str]:
     ):
         if path not in declared:
             diags.append(f"ports reference undeclared path {path!r}")
+    if len({ports.target_in, ports.control_in, ports.program_in}) != 3:
+        diags.append(
+            "ports target_in, control_in and program_in must name three distinct paths"
+        )
 
     if not 0 <= netlist.measure_after <= len(netlist.stages):
         diags.append("measurement position outside the stage list")

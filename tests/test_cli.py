@@ -1,10 +1,12 @@
+import argparse
 import json
 import math
+import warnings
 
 import pytest
 
 from lopcsim import builtin_basic, builtin_variant, render
-from lopcsim.cli import main
+from lopcsim.cli import _emit, main
 
 
 def read_csv(path):
@@ -166,3 +168,49 @@ def test_json_verify_shape(tmp_path):
     assert payload["meta"]["command"] == "verify"
     assert len(payload["rows"]) == 2
     assert payload["rows"][0]["ok"] is True
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command,flag",
+    [("verify", "--phi"), ("verify", "--tol"), ("sweep", "--from"), ("sweep", "--to"), ("hom", "--from")],
+)
+def test_non_finite_numbers_exit_2(command, flag, bad, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, f"{flag}={bad}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "finite" in err
+    assert not out.exists()
+
+
+def test_overflowing_grid_exits_2(tmp_path, capsys):
+    # finite ends whose difference overflows give non-finite phases
+    out = tmp_path / "out.csv"
+    argv = ["sweep", "--from=-1e308", "--to=1e308", "--steps", "3", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert "phase must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_json_output_refuses_non_finite_numbers(tmp_path):
+    args = argparse.Namespace(format="json", meta=False, out=str(tmp_path / "out.json"))
+    with pytest.raises(ValueError):
+        _emit(args, "sweep", ["phi_rad"], [[math.nan]])
+
+
+def test_verify_oracle_shape_mismatch_exits_2(tmp_path, capsys):
+    # a full-layout file checked against the default basic oracle
+    full = tmp_path / "full.lopc"
+    full.write_text(render(builtin_variant("full")), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert main(["verify", "--netlist", str(full), "--steps", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "[A:T_OUT, A:T_OUT2, D:T_OUT, D:T_OUT2]" in err  # found
+    assert "'basic' oracle's [D:T_OUT]" in err  # expected
+    assert "--variant full" in err
+    assert not out.exists()
