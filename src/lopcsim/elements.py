@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,18 +38,16 @@ TARGET_SPLIT_MATRIX = np.array(
     [[-math.sqrt(3.0) / 2.0, 0.5], [0.5, math.sqrt(3.0) / 2.0]], dtype=complex
 )
 
-ELEMENT_KINDS = ("pbs", "ppbs", "hwp", "jones", "filter", "phaseflip")
-
 
 @dataclass(frozen=True)
 class ElementSpec:
     """Declarative description of one element: kind, wiring and parameters.
 
-    ``paths`` carries the port wiring (inputs then outputs for beam
-    splitters, the single acted-on path otherwise).  ``params`` holds the
-    kind-specific numbers: tv for ppbs, the angle for hwp, the row-major
-    matrix entries for jones, (th, tv) for filter.  ``line`` remembers the
-    source line when the element came from a parsed netlist.
+    ``paths`` (inputs then outputs for beam splitters, the acted-on path
+    otherwise) and ``params`` (tv for ppbs, the angle for hwp, row-major
+    entries for jones, (th, tv) for filter) are flattened in the order of
+    the kind's ``KINDS`` entry.  ``line`` remembers the source line when
+    the element came from a parsed netlist.
     """
 
     kind: str
@@ -58,25 +57,68 @@ class ElementSpec:
     line: int | None = field(default=None, compare=False)
 
     def build(self) -> LinearElement:
-        if self.kind == "pbs":
-            return pbs(*self.paths, name=self.name)
-        if self.kind == "ppbs":
-            return ppbs(*self.paths, float(self.params[0].real), name=self.name)
-        if self.kind == "hwp":
-            return hwp(self.paths[0], float(self.params[0].real), name=self.name)
-        if self.kind == "jones":
-            m = np.array(self.params, dtype=complex).reshape(2, 2)
-            return jones(self.paths[0], m, name=self.name)
-        if self.kind == "filter":
-            return pol_filter(
-                self.paths[0],
-                float(self.params[0].real),
-                float(self.params[1].real),
-                name=self.name,
-            )
-        if self.kind == "phaseflip":
-            return phase_flip(self.paths[0], name=self.name)
-        raise ValueError(f"unknown element kind {self.kind!r}")
+        kind = KINDS.get(self.kind)
+        if kind is None:
+            raise ValueError(f"unknown element kind {self.kind!r}")
+        paths = sum(n for _, n in kind.ports)
+        if len(self.paths) != paths:
+            raise ValueError(f"{self.kind} takes {paths} paths, got {len(self.paths)}")
+        flags = [f.is_complex for f in kind.fields for _ in range(f.count)]
+        if len(self.params) != len(flags):
+            raise ValueError(f"{self.kind} takes {len(flags)} parameters, got {len(self.params)}")
+        values = [p if is_complex else float(p.real) for p, is_complex in zip(self.params, flags)]
+        return kind.builder(self.name, self.paths, values)
+
+
+class NumericField(NamedTuple):
+    """A numeric statement field ``key=<v1>,...``: entry count, type and usage text."""
+
+    key: str
+    count: int = 1
+    is_complex: bool = False
+    usage: str = "<float>"
+
+
+class ElementKind(NamedTuple):
+    """One element kind: (key, path count) of each port field, the numeric
+    fields after them, and ``builder(name, paths, values)``, which gets the
+    flattened paths and the field values as floats or complex numbers."""
+
+    ports: tuple[tuple[str, int], ...]
+    fields: tuple[NumericField, ...]
+    builder: Callable[..., LinearElement]
+
+    def port_paths(self, paths: Sequence[str]) -> list[tuple[str, tuple[str, ...]]]:
+        """(key, paths) of each port field, cut from the flattened ``paths``."""
+        groups, at = [], 0
+        for key, count in self.ports:
+            groups.append((key, tuple(paths[at:at + count])))
+            at += count
+        return groups
+
+
+_SPLITTER = (("in", 2), ("out", 2))
+_PATH = (("path", 1),)
+
+#: Every element kind a netlist can name.  The parser, the renderer, the
+#: validator and ``ElementSpec.build`` all read this table; the builders
+#: look up the module-level functions when they run.
+KINDS: dict[str, ElementKind] = {
+    "pbs": ElementKind(_SPLITTER, (), lambda n, p, v: pbs(*p, name=n)),
+    "ppbs": ElementKind(_SPLITTER, (NumericField("tv"),), lambda n, p, v: ppbs(*p, *v, name=n)),
+    "hwp": ElementKind(
+        _PATH, (NumericField("angle", usage="<deg>"),), lambda n, p, v: hwp(*p, *v, name=n)
+    ),
+    "jones": ElementKind(
+        _PATH,
+        (NumericField("m", 4, True, "<a>,<b>,<c>,<d>"),),
+        lambda n, p, v: jones(*p, np.reshape(v, (2, 2)), name=n),
+    ),
+    "filter": ElementKind(
+        _PATH, (NumericField("th"), NumericField("tv")), lambda n, p, v: pol_filter(*p, *v, name=n)
+    ),
+    "phaseflip": ElementKind(_PATH, (), lambda n, p, v: phase_flip(*p, name=n)),
+}
 
 
 def pbs(in_a: str, in_b: str, out_t: str, out_r: str, name: str = "PBS") -> LinearElement:
@@ -87,19 +129,10 @@ def pbs(in_a: str, in_b: str, out_t: str, out_r: str, name: str = "PBS") -> Line
     Input paths may coincide with output paths (a beam continuing on the
     same line), but the two inputs and the two outputs must each differ.
     """
-    if in_a == in_b:
-        raise ValueError("pbs input paths must differ")
-    if out_t == out_r:
-        raise ValueError("pbs output paths must differ")
     matrix = np.zeros((4, 4), dtype=complex)
     matrix[0, 0] = matrix[1, 1] = 1.0  # H block: straight through
     matrix[2, 3] = matrix[3, 2] = 1.0  # V block: positive swap
-    return linear_element(
-        name,
-        ((in_a, H), (in_b, H), (in_a, V), (in_b, V)),
-        ((out_t, H), (out_r, H), (out_t, V), (out_r, V)),
-        matrix,
-    )
+    return _two_path("pbs", name, (in_a, in_b), (out_t, out_r), matrix)
 
 
 def ppbs(
@@ -108,19 +141,10 @@ def ppbs(
     """Partially polarizing beam splitter: H passes, V splits with amplitude t_v."""
     if not 0.0 < t_v < 1.0:
         raise ValueError(f"ppbs transmissivity must lie in (0, 1), got {t_v}")
-    if in_a == in_b:
-        raise ValueError("ppbs input paths must differ")
-    if out_a == out_b:
-        raise ValueError("ppbs output paths must differ")
     r_v = math.sqrt(1.0 - t_v * t_v)
     matrix = np.eye(4, dtype=complex)
     matrix[2:, 2:] = np.array([[t_v, -r_v], [r_v, t_v]])
-    return linear_element(
-        name,
-        ((in_a, H), (in_b, H), (in_a, V), (in_b, V)),
-        ((out_a, H), (out_b, H), (out_a, V), (out_b, V)),
-        matrix,
-    )
+    return _two_path("ppbs", name, (in_a, in_b), (out_a, out_b), matrix)
 
 
 def hwp(path: str, angle_deg: float, name: str = "HWP") -> LinearElement:
@@ -132,7 +156,7 @@ def hwp(path: str, angle_deg: float, name: str = "HWP") -> LinearElement:
     theta = math.radians(angle_deg)
     c, s = math.cos(2.0 * theta), math.sin(2.0 * theta)
     matrix = np.array([[c, s], [s, -c]], dtype=complex)
-    return linear_element(name, ((path, H), (path, V)), ((path, H), (path, V)), matrix)
+    return _one_path(name, path, matrix)
 
 
 def jones(path: str, matrix: np.ndarray, name: str = "JONES") -> LinearElement:
@@ -140,7 +164,7 @@ def jones(path: str, matrix: np.ndarray, name: str = "JONES") -> LinearElement:
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"jones matrix must be 2x2, got shape {m.shape}")
-    return linear_element(name, ((path, H), (path, V)), ((path, H), (path, V)), m)
+    return _one_path(name, path, m)
 
 
 def pol_filter(path: str, t_h: float, t_v: float, name: str = "FILTER") -> LinearElement:
@@ -148,19 +172,27 @@ def pol_filter(path: str, t_h: float, t_v: float, name: str = "FILTER") -> Linea
     for value in (t_h, t_v):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"filter transmissivity must lie in [0, 1], got {value}")
-    return linear_element(
-        name,
-        ((path, H), (path, V)),
-        ((path, H), (path, V)),
-        np.diag([t_h, t_v]).astype(complex),
-    )
+    return _one_path(name, path, np.diag([t_h, t_v]).astype(complex))
 
 
 def phase_flip(path: str, name: str = "PLM") -> LinearElement:
     """Feed-forward corrector |V> -> -|V> (diag(1, -1)) on one path."""
-    return linear_element(
-        name,
-        ((path, H), (path, V)),
-        ((path, H), (path, V)),
-        np.diag([1.0, -1.0]).astype(complex),
-    )
+    return _one_path(name, path, np.diag([1.0, -1.0]).astype(complex))
+
+
+def _two_path(
+    kind: str, name: str, ins: tuple[str, str], outs: tuple[str, str], matrix: np.ndarray
+) -> LinearElement:
+    """Beam splitter on channels (a H, b H, a V, b V) of two distinct inputs and outputs."""
+    if ins[0] == ins[1]:
+        raise ValueError(f"{kind} input paths must differ")
+    if outs[0] == outs[1]:
+        raise ValueError(f"{kind} output paths must differ")
+    channels_in = [(p, pol) for pol in (H, V) for p in ins]
+    channels_out = [(p, pol) for pol in (H, V) for p in outs]
+    return linear_element(name, channels_in, channels_out, matrix)
+
+
+def _one_path(name: str, path: str, matrix: np.ndarray) -> LinearElement:
+    channels = ((path, H), (path, V))
+    return linear_element(name, channels, channels, matrix)

@@ -126,7 +126,10 @@ class FockState:
         return self.amplitudes.get(occ, 0j)
 
     def pruned(self, tol: float = PRUNE_TOL) -> "FockState":
-        kept = {occ: a for occ, a in self.amplitudes.items() if abs(a) > tol}
+        """Copy without the amplitudes at or below ``tol``; a non-finite one raises."""
+        kept = {occ: a for occ, a in self.amplitudes.items() if not abs(a) <= tol}
+        if not math.isfinite(abs(sum(kept.values(), 0j))):
+            raise ValueError("state holds a non-finite amplitude")
         return FockState(self.registry, self.photon_number, kept)
 
     def __add__(self, other: "FockState") -> "FockState":
@@ -186,6 +189,8 @@ def linear_element(
     k = len(channels_in)
     if m.shape != (k, k) or len(channels_out) != k:
         raise ValueError(f"{name}: matrix shape {m.shape} does not match {k} channels")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name}: matrix has non-finite entries")
     if len(set(channels_in)) != k or len(set(channels_out)) != k:
         raise ValueError(f"{name}: duplicate channels")
     if k:
@@ -228,7 +233,7 @@ def make_photon_state(
     amps: dict[Occupation, complex] = {(): 1.0 + 0j}
     for i, photon in enumerate(photons):
         total = sum(abs(a) ** 2 for _, a in photon)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"photon {i}: amplitudes have squared norm {total:.6g}, expected 1")
         new: dict[Occupation, complex] = {}
         for occ, amp in amps.items():
@@ -350,7 +355,7 @@ def project_detector(
     probability of the detection record so far.
     """
     ket = [complex(c) for c in ket]
-    if len(ket) != 2 or abs(sum(abs(c) ** 2 for c in ket) - 1.0) > 1e-12:
+    if len(ket) != 2 or not abs(sum(abs(c) ** 2 for c in ket) - 1.0) <= 1e-12:
         raise ValueError("detector ket must be a normalized 2-component polarization vector")
     reg = state.registry
     if path not in reg.paths:

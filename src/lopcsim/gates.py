@@ -118,7 +118,7 @@ def _product_input(
     program_ket: Sequence[complex],
 ) -> FockState:
     for name, ket in (("target", target_ket), ("control", control_ket)):
-        if len(ket) != 2 or abs(sum(abs(c) ** 2 for c in ket) - 1.0) > 1e-12:
+        if len(ket) != 2 or not abs(sum(abs(c) ** 2 for c in ket) - 1.0) <= 1e-12:
             raise ValueError(f"{name} ket must be a normalized 2-component vector")
     ports = netlist.ports
     photons = [

@@ -23,17 +23,21 @@ conditional correction and is excluded from the unconditional stage flow.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
-from .elements import T_F2H, T_V, TARGET_SPLIT_MATRIX, ElementSpec
+from .elements import KINDS, T_F2H, T_V, TARGET_SPLIT_MATRIX, ElementKind, ElementSpec
 from .fock import ModeRegistry
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _SQ2 = math.sqrt(2.0)
+#: Photons every gate netlist carries: one per input port.
+PHOTON_BUDGET = 3
 
 VARIANTS = {
     "basic": (False, False),
@@ -119,16 +123,22 @@ class CircuitNetlist:
 
 def _parse_complex(token: str, line: int, col: int) -> complex:
     try:
-        return complex(token)
+        value = complex(token)
     except ValueError:
         raise NetlistError(f"invalid complex literal {token!r}", line, col) from None
+    if not cmath.isfinite(value):
+        raise NetlistError(f"non-finite complex literal {token!r}", line, col)
+    return value
 
 
 def _parse_float(token: str, line: int, col: int) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise NetlistError(f"invalid number {token!r}", line, col) from None
+    if not math.isfinite(value):
+        raise NetlistError(f"non-finite number {token!r}", line, col)
+    return value
 
 
 def _parse_int(token: str, line: int, col: int) -> int:
@@ -136,6 +146,47 @@ def _parse_int(token: str, line: int, col: int) -> int:
         return int(token)
     except ValueError:
         raise NetlistError(f"invalid integer {token!r}", line, col) from None
+
+
+def _usage(name: str, kind: ElementKind) -> str:
+    """Statement template of an element kind, e.g. ``hwp <name> path=<p> angle=<deg>``."""
+    count = sum(n for _, n in kind.ports)
+    marks = [f"<p{i}>" for i in range(1, count + 1)] if count > 1 else ["<p>"]
+    ports = [f"{key}={','.join(group)}" for key, group in kind.port_paths(marks)]
+    return " ".join([name, "<name>", *ports, *(f"{f.key}={f.usage}" for f in kind.fields)])
+
+
+def _split(value: str, count: int, what: str, line: int, col: int) -> list[str]:
+    parts = value.split(",") if count > 1 else [value]
+    if len(parts) != count:
+        raise NetlistError(f"expected {count} comma-separated {what}", line, col)
+    return parts
+
+
+def _rule_problems(
+    outcomes: Sequence[MeasurementOutcome], photons: int
+) -> list[tuple[int | None, str]]:
+    """Photon-budget and outcome-ket problems, the budget first.
+
+    Each problem carries the index of the outcome it concerns, or None for
+    the budget.  The kets must be normalized and pairwise orthogonal; every
+    test fails on NaN.
+    """
+    problems: list[tuple[int | None, str]] = []
+    if photons != PHOTON_BUDGET:
+        text = f"postselect totals {photons} photons, expected budget {PHOTON_BUDGET}"
+        problems.append((None, text))
+    kets = [np.array(o.ket, dtype=complex) for o in outcomes]
+    labels = [repr(o.label) for o in outcomes]
+    for i, ket in enumerate(kets):
+        if not abs(np.vdot(ket, ket).real - 1.0) <= 1e-12:
+            problems.append((i, f"outcome {labels[i]}: ket is not normalized"))
+        problems += [
+            (i, f"outcome kets {labels[j]} and {labels[i]} are not orthogonal")
+            for j in range(i)
+            if not abs(np.vdot(kets[j], ket)) <= 1e-12
+        ]
+    return problems
 
 
 class _Parser:
@@ -183,12 +234,6 @@ class _Parser:
         self.names[name] = line
         return name
 
-    def _path_list(self, value: str, line: int, col: int, count: int) -> tuple[str, ...]:
-        parts = value.split(",")
-        if len(parts) != count:
-            raise NetlistError(f"expected {count} comma-separated paths", line, col)
-        return tuple(self._known_path(p, line, col) for p in parts)
-
     # -- statement handlers -------------------------------------------------
 
     def stmt_path(self, toks, line: int) -> None:
@@ -198,68 +243,24 @@ class _Parser:
             raise NetlistError(f"duplicate path {name!r}", line, toks[1][1])
         self.paths.append(name)
 
-    def _stmt_splitter(self, kind: str, toks, line: int) -> None:
-        usage = f"{kind} <name> in=<p1>,<p2> out=<p3>,<p4>" + (
-            " tv=<float>" if kind == "ppbs" else ""
-        )
-        self._arity(toks, line, 5 if kind == "ppbs" else 4, usage)
+    def stmt_element(self, toks, line: int) -> None:
+        kind_name, kind_col = toks[0]
+        kind = KINDS[kind_name]
+        keys = [key for key, _ in kind.ports] + [f.key for f in kind.fields]
+        if len(toks) != 2 + len(keys):
+            raise NetlistError(f"expected {_usage(kind_name, kind)}", line, kind_col)
         name = self._new_name(toks[1], line)
-        ins_val, ins_col = self._kv(toks[2], line, "in")
-        outs_val, outs_col = self._kv(toks[3], line, "out")
-        ins = self._path_list(ins_val, line, ins_col, 2)
-        outs = self._path_list(outs_val, line, outs_col, 2)
-        params: tuple[complex, ...] = ()
-        if kind == "ppbs":
-            tv_val, tv_col = self._kv(toks[4], line, "tv")
-            params = (complex(_parse_float(tv_val, line, tv_col)),)
-        self.elements.append(ElementSpec(kind, name, ins + outs, params, line=line))
-
-    def stmt_pbs(self, toks, line: int) -> None:
-        self._stmt_splitter("pbs", toks, line)
-
-    def stmt_ppbs(self, toks, line: int) -> None:
-        self._stmt_splitter("ppbs", toks, line)
-
-    def stmt_hwp(self, toks, line: int) -> None:
-        self._arity(toks, line, 4, "hwp <name> path=<p> angle=<deg>")
-        name = self._new_name(toks[1], line)
-        path_val, path_col = self._kv(toks[2], line, "path")
-        angle_val, angle_col = self._kv(toks[3], line, "angle")
-        path = self._known_path(path_val, line, path_col)
-        angle = _parse_float(angle_val, line, angle_col)
-        self.elements.append(ElementSpec("hwp", name, (path,), (complex(angle),), line=line))
-
-    def stmt_jones(self, toks, line: int) -> None:
-        self._arity(toks, line, 4, "jones <name> path=<p> m=<a>,<b>,<c>,<d>")
-        name = self._new_name(toks[1], line)
-        path_val, path_col = self._kv(toks[2], line, "path")
-        m_val, m_col = self._kv(toks[3], line, "m")
-        path = self._known_path(path_val, line, path_col)
-        entries = m_val.split(",")
-        if len(entries) != 4:
-            raise NetlistError("jones matrix needs 4 row-major entries", line, m_col)
-        params = tuple(_parse_complex(e, line, m_col) for e in entries)
-        self.elements.append(ElementSpec("jones", name, (path,), params, line=line))
-
-    def stmt_filter(self, toks, line: int) -> None:
-        self._arity(toks, line, 5, "filter <name> path=<p> th=<float> tv=<float>")
-        name = self._new_name(toks[1], line)
-        path_val, path_col = self._kv(toks[2], line, "path")
-        th_val, th_col = self._kv(toks[3], line, "th")
-        tv_val, tv_col = self._kv(toks[4], line, "tv")
-        path = self._known_path(path_val, line, path_col)
-        th = _parse_float(th_val, line, th_col)
-        tv = _parse_float(tv_val, line, tv_col)
-        self.elements.append(
-            ElementSpec("filter", name, (path,), (complex(th), complex(tv)), line=line)
-        )
-
-    def stmt_phaseflip(self, toks, line: int) -> None:
-        self._arity(toks, line, 3, "phaseflip <name> path=<p>")
-        name = self._new_name(toks[1], line)
-        path_val, path_col = self._kv(toks[2], line, "path")
-        path = self._known_path(path_val, line, path_col)
-        self.elements.append(ElementSpec("phaseflip", name, (path,), (), line=line))
+        values = [self._kv(tok, line, key) for tok, key in zip(toks[2:], keys)]
+        paths: list[str] = []
+        for (_, count), (value, col) in zip(kind.ports, values):
+            parts = _split(value, count, "paths", line, col)
+            paths.extend(self._known_path(p, line, col) for p in parts)
+        params: list[complex] = []
+        for f, (value, col) in zip(kind.fields, values[len(kind.ports):]):
+            parse_entry = _parse_complex if f.is_complex else _parse_float
+            entries = _split(value, f.count, f"{f.key}= entries", line, col)
+            params.extend(complex(parse_entry(e, line, col)) for e in entries)
+        self.elements.append(ElementSpec(kind_name, name, tuple(paths), tuple(params), line=line))
 
     def stmt_measure(self, toks, line: int) -> None:
         if len(toks) not in (5, 6):
@@ -274,9 +275,7 @@ class _Parser:
             raise NetlistError(f"expected 'outcome', got {toks[2][0]!r}", line, toks[2][1])
         label = self._ident(toks[3], line, "outcome label")
         ket_val, ket_col = self._kv(toks[4], line, "ket")
-        entries = ket_val.split(",")
-        if len(entries) != 2:
-            raise NetlistError("measurement ket needs 2 components", line, ket_col)
+        entries = _split(ket_val, 2, "ket components", line, ket_col)
         ket = tuple(_parse_complex(e, line, ket_col) for e in entries)
         correct: str | None = None
         if len(toks) == 6:
@@ -348,27 +347,11 @@ class _Parser:
             raise NetlistError("no ports declared", eol)
         if self.measure_path is None:
             raise NetlistError("no measurement declared", eol)
-        budget = 3  # one photon per declared input port
-        total = sum(n for _, n in self.postselect)
-        if total != budget:
-            raise NetlistError(
-                f"postselect totals {total} photons, expected budget {budget}",
-                self.postselect_line,
-            )
-        kets = [np.array(o.ket, dtype=complex) for o in self.outcomes]
-        for i, k in enumerate(kets):
-            if abs(np.vdot(k, k).real - 1.0) > 1e-12:
-                raise NetlistError(
-                    f"outcome {self.outcomes[i].label!r} ket is not normalized",
-                    self.measure_lines[i],
-                )
-            for j in range(i):
-                if abs(np.vdot(kets[j], k)) > 1e-12:
-                    raise NetlistError(
-                        f"outcome kets {self.outcomes[j].label!r} and "
-                        f"{self.outcomes[i].label!r} are not orthogonal",
-                        self.measure_lines[i],
-                    )
+        problems = _rule_problems(self.outcomes, sum(n for _, n in self.postselect))
+        if problems:
+            index, message = problems[0]
+            line = self.postselect_line if index is None else self.measure_lines[index]
+            raise NetlistError(message, line)
         conditional = {o.correct for o in self.outcomes if o.correct is not None}
         for name in sorted(conditional):
             if name not in self.names:
@@ -390,12 +373,7 @@ class _Parser:
 
 _HANDLERS = {
     "path": _Parser.stmt_path,
-    "pbs": _Parser.stmt_pbs,
-    "ppbs": _Parser.stmt_ppbs,
-    "hwp": _Parser.stmt_hwp,
-    "jones": _Parser.stmt_jones,
-    "filter": _Parser.stmt_filter,
-    "phaseflip": _Parser.stmt_phaseflip,
+    **{kind: _Parser.stmt_element for kind in KINDS},
     "measure": _Parser.stmt_measure,
     "postselect": _Parser.stmt_postselect,
     "ports": _Parser.stmt_ports,
@@ -423,8 +401,8 @@ def parse(text: str) -> CircuitNetlist:
 # rendering
 
 
-def _fmt_float(value: float) -> str:
-    return repr(float(value))
+def _fmt_float(value: complex) -> str:
+    return repr(float(value.real))
 
 
 def _fmt_complex(value: complex) -> str:
@@ -437,22 +415,14 @@ def _fmt_complex(value: complex) -> str:
 
 
 def _render_element(spec: ElementSpec) -> str:
-    if spec.kind in ("pbs", "ppbs"):
-        ins = ",".join(spec.paths[:2])
-        outs = ",".join(spec.paths[2:])
-        tail = f" tv={_fmt_float(spec.params[0].real)}" if spec.kind == "ppbs" else ""
-        return f"{spec.kind} {spec.name} in={ins} out={outs}{tail}"
-    if spec.kind == "hwp":
-        return f"hwp {spec.name} path={spec.paths[0]} angle={_fmt_float(spec.params[0].real)}"
-    if spec.kind == "jones":
-        entries = ",".join(_fmt_complex(p) for p in spec.params)
-        return f"jones {spec.name} path={spec.paths[0]} m={entries}"
-    if spec.kind == "filter":
-        th, tv = (_fmt_float(p.real) for p in spec.params)
-        return f"filter {spec.name} path={spec.paths[0]} th={th} tv={tv}"
-    if spec.kind == "phaseflip":
-        return f"phaseflip {spec.name} path={spec.paths[0]}"
-    raise ValueError(f"unknown element kind {spec.kind!r}")
+    kind = KINDS[spec.kind]
+    words = [spec.kind, spec.name]
+    words += [f"{key}={','.join(group)}" for key, group in kind.port_paths(spec.paths)]
+    params = iter(spec.params)
+    for f in kind.fields:
+        fmt = _fmt_complex if f.is_complex else _fmt_float
+        words.append(f"{f.key}=" + ",".join(fmt(next(params)) for _ in range(f.count)))
+    return " ".join(words)
 
 
 def render(netlist: CircuitNetlist) -> str:
@@ -509,16 +479,7 @@ def validate(netlist: CircuitNetlist) -> list[str]:
     rule = netlist.measurement
     if rule.path not in declared:
         diags.append(f"measurement on undeclared path {rule.path!r}")
-    kets = [np.array(o.ket, dtype=complex) for o in rule.outcomes]
-    for i, ket in enumerate(kets):
-        if abs(np.vdot(ket, ket).real - 1.0) > 1e-12:
-            diags.append(f"outcome {rule.outcomes[i].label!r}: ket is not normalized")
-        for j in range(i):
-            if abs(np.vdot(kets[j], ket)) > 1e-12:
-                diags.append(
-                    f"outcome kets {rule.outcomes[j].label!r} and "
-                    f"{rule.outcomes[i].label!r} are not orthogonal"
-                )
+    diags.extend(m for _, m in _rule_problems(rule.outcomes, netlist.postselect_total()))
     correction_names = {c.name for c in netlist.corrections}
     for outcome in rule.outcomes:
         if outcome.correct is not None and outcome.correct not in correction_names:
@@ -528,10 +489,6 @@ def validate(netlist: CircuitNetlist) -> list[str]:
     for path in pattern:
         if path not in declared:
             diags.append(f"postselect references undeclared path {path!r}")
-    if netlist.postselect_total() != 3:
-        diags.append(
-            f"postselect totals {netlist.postselect_total()} photons, expected 3"
-        )
     if pattern.get(rule.path) != 1:
         diags.append("postselect must require exactly one photon on the measurement path")
     ports = netlist.ports
@@ -566,13 +523,18 @@ def validate(netlist: CircuitNetlist) -> list[str]:
                     "after the measurement point"
                 )
 
+    splitters = []  # (input paths, output paths) of each beam splitter stage
+    for spec in netlist.stages:
+        kind = KINDS.get(spec.kind)
+        groups = dict(kind.port_paths(spec.paths)) if kind else {}
+        if "in" in groups:
+            splitters.append((set(groups["in"]), set(groups["out"])))
+
     def reaches(start: str, goals: set[str]) -> bool:
         reached = {start}
-        for spec in netlist.stages:
-            if spec.kind in ("pbs", "ppbs"):
-                ins, outs = set(spec.paths[:2]), set(spec.paths[2:])
-                if reached & ins:
-                    reached = (reached - ins) | outs
+        for ins, outs in splitters:
+            if reached & ins:
+                reached = (reached - ins) | outs
         return bool(reached & goals)
 
     if not reaches(ports.target_in, set(ports.target_out)):

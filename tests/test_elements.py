@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lopcsim import hwp, jones, pbs, phase_flip, pol_filter, ppbs
-from lopcsim.elements import TARGET_SPLIT_MATRIX, ElementSpec
+from lopcsim.elements import KINDS, TARGET_SPLIT_MATRIX, ElementSpec
 
 SQ2 = math.sqrt(2.0)
 T = 1.0 / math.sqrt(3.0)
@@ -124,15 +125,69 @@ def test_singular_values_match_transmissivities():
     assert np.allclose(sorted(sv), [0.3, 0.9], atol=1e-12, rtol=0)
 
 
+def _sample_spec(kind_name, name="X"):
+    """A legal spec of every kind: distinct paths and 0.5 for each numeric entry."""
+    kind = KINDS[kind_name]
+    paths = tuple(f"p{i}" for i in range(sum(n for _, n in kind.ports)))
+    params = (complex(0.5),) * sum(f.count for f in kind.fields)
+    return ElementSpec(kind_name, name, paths, params)
+
+
 def test_element_spec_build_round_trips_kinds():
-    specs = [
-        ElementSpec("pbs", "P", ("a", "b", "t", "r")),
-        ElementSpec("ppbs", "Q", ("a", "b", "a", "b"), (complex(T),)),
-        ElementSpec("hwp", "W", ("a",), (complex(22.5),)),
-        ElementSpec("jones", "J", ("a",), tuple(map(complex, TARGET_SPLIT_MATRIX.ravel()))),
-        ElementSpec("filter", "F", ("a",), (complex(0.5), complex(0.5))),
-        ElementSpec("phaseflip", "Z", ("a",)),
-    ]
-    for spec in specs:
+    for kind_name in KINDS:
+        spec = _sample_spec(kind_name)
         el = spec.build()
         assert el.name == spec.name
+        assert {path for path, _ in el.channels_in + el.channels_out} == set(spec.paths)
+
+
+@pytest.mark.parametrize("kind_name", sorted(KINDS))
+def test_element_spec_build_checks_path_and_parameter_counts(kind_name):
+    spec = _sample_spec(kind_name)
+    bad = [
+        replace(spec, paths=spec.paths + ("extra",)),
+        replace(spec, paths=spec.paths[:-1]),
+        replace(spec, params=spec.params + (complex(0.5),)),
+    ]
+    if spec.params:
+        bad.append(replace(spec, params=spec.params[:-1]))
+    for wrong in bad:
+        with pytest.raises(ValueError, match=f"{kind_name} takes"):
+            wrong.build()
+    with pytest.raises(ValueError, match="unknown element kind"):
+        replace(spec, kind="mirror").build()
+
+
+def test_element_spec_builds_same_matrices_as_builders():
+    split = tuple(map(complex, TARGET_SPLIT_MATRIX.ravel()))
+    pairs = [
+        (ElementSpec("pbs", "P", ("a", "b", "t", "r")), pbs("a", "b", "t", "r")),
+        (ElementSpec("ppbs", "Q", ("a", "b", "a", "c"), (T,)), ppbs("a", "b", "a", "c", T)),
+        (ElementSpec("hwp", "W", ("a",), (22.5,)), hwp("a", 22.5)),
+        (ElementSpec("jones", "J", ("a",), split), jones("a", TARGET_SPLIT_MATRIX)),
+        (ElementSpec("filter", "F", ("a",), (0.5, 0.25)), pol_filter("a", 0.5, 0.25)),
+        (ElementSpec("phaseflip", "Z", ("a",)), phase_flip("a")),
+    ]
+    for spec, element in pairs:
+        built = spec.build()
+        assert built.channels_in == element.channels_in
+        assert built.channels_out == element.channels_out
+        assert np.array_equal(built.matrix, element.matrix)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_elements_reject_non_finite_parameters(bad):
+    for make in (
+        lambda: hwp("t", bad),
+        lambda: jones("t", np.array([[bad, 0.0], [0.0, 0.5]])),
+        lambda: jones("t", np.array([[0.5, 0.0], [0.0, complex(0.0, bad)]])),
+        lambda: ppbs("a", "b", "a", "b", bad),
+        lambda: pol_filter("t", bad, 0.5),
+        lambda: pol_filter("t", 0.5, bad),
+    ):
+        with pytest.raises(ValueError):
+            make()
+    with pytest.raises(ValueError, match="non-finite"):
+        hwp("t", float("nan"))
+    with pytest.raises(ValueError, match="non-finite"):
+        jones("t", np.array([[0.5, bad], [0.0, 0.5]]))

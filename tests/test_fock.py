@@ -323,3 +323,50 @@ def test_fock_state_occupation_invariant():
     reg1 = ModeRegistry(("a",))
     with pytest.raises(ValueError):
         FockState(reg1, 2, {((0, 1),): 1.0})
+
+
+NON_FINITE = [float("nan"), float("inf"), complex(0.0, float("nan"))]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_make_photon_state_rejects_non_finite_amplitudes(reg, bad):
+    with pytest.raises(ValueError, match="squared norm"):
+        make_photon_state(reg, [[(ModeLabel("t", "H"), bad)]])
+    with pytest.raises(ValueError, match="squared norm"):
+        make_photon_state(reg, [[(ModeLabel("t", "H"), 1.0), (ModeLabel("t", "V"), bad)]])
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_pruning_raises_on_non_finite_amplitudes(reg, bad):
+    kept = occ(reg, ModeLabel("t", "H"))
+    state = FockState(reg, 1, {kept: 1.0, occ(reg, ModeLabel("t", "V")): bad})
+    with pytest.raises(ValueError, match="non-finite"):
+        state.pruned()
+    tiny = FockState(reg, 1, {kept: 1.0, occ(reg, ModeLabel("q", "V")): 1e-20})
+    assert tiny.pruned().amplitudes == {kept: 1.0 + 0j}
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_project_detector_rejects_non_finite_ket(reg, bad):
+    state = make_photon_state(reg, [[(ModeLabel("p", "H"), 1.0)]])
+    with pytest.raises(ValueError, match="normalized"):
+        project_detector(state, "p", (bad, 0.0))
+    with pytest.raises(ValueError, match="normalized"):
+        project_detector(state, "p", (1.0, bad))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_gate_input_kets_reject_non_finite_amplitudes(bad):
+    from lopcsim import builtin_basic, prepare_inputs
+
+    nl = builtin_basic()
+    with pytest.raises(ValueError, match="target ket"):
+        prepare_inputs(nl, (bad, 0.0), (1.0, 0.0), 0.3)
+    with pytest.raises(ValueError, match="control ket"):
+        prepare_inputs(nl, (1.0, 0.0), (1.0, bad), 0.3)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_linear_element_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        linear_element("BAD", (("a", "H"),), (("a", "H"),), np.array([[bad]]))

@@ -72,8 +72,9 @@ def test_render_parse_round_trip(variant):
 
 @pytest.mark.parametrize("variant", ["basic", "ff", "dual", "full"])
 def test_shipped_fixture_matches_builder(variant):
-    text = resources.files("lopcsim").joinpath(f"circuits/{variant}.lopc").read_text()
-    assert parse(text) == builtin_variant(variant)
+    shipped = resources.files("lopcsim").joinpath(f"circuits/{variant}.lopc").read_bytes()
+    assert parse(shipped.decode("utf-8")) == builtin_variant(variant)
+    assert render(builtin_variant(variant)).encode("utf-8") == shipped
 
 
 def test_parse_single_hwp_line():
@@ -159,6 +160,44 @@ def test_validate_flags_stage_touching_detector_after_measure():
     stages.append(ElementSpec("hwp", "LATE", ("d",), (complex(10.0),)))
     diags = validate(replace(nl, stages=tuple(stages)))
     assert any("measurement path" in d for d in diags)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ElementSpec("pbs", "X", ("t_in", "t_in2", "t_up")),
+        ElementSpec("hwp", "X", ("t_up",), ()),
+        ElementSpec("hwp", "X", ("t_up", "t_low"), (22.5,)),
+    ],
+)
+def test_validate_reports_malformed_specs(spec):
+    nl = builtin_basic()
+    diags = validate(replace(nl, stages=nl.stages + (spec,)))
+    assert any(d.startswith(f"X: {spec.kind} takes") for d in diags), diags
+
+
+@pytest.mark.parametrize(
+    "ket",
+    [(math.nan, math.nan), (math.inf, 0.0), (complex(0.0, math.nan), 1.0)],
+)
+def test_validate_reports_non_finite_outcome_kets(ket):
+    nl = builtin_variant("ff")
+    outcomes = (nl.measurement.outcomes[0], replace(nl.measurement.outcomes[1], ket=ket))
+    diags = validate(replace(nl, measurement=replace(nl.measurement, outcomes=outcomes)))
+    assert "outcome 'A': ket is not normalized" in diags
+
+
+def test_validate_lists_every_rule_problem():
+    nl = builtin_variant("ff")
+    d, a = nl.measurement.outcomes
+    bad = replace(
+        nl,
+        measurement=replace(nl.measurement, outcomes=(d, replace(a, ket=d.ket))),
+        postselect=nl.postselect + (("t_up", 1),),
+    )
+    diags = validate(bad)
+    assert "postselect totals 4 photons, expected budget 3" in diags
+    assert "outcome kets 'D' and 'A' are not orthogonal" in diags
 
 
 def test_disjoint_stages_commute():
@@ -249,14 +288,64 @@ def make_mutations():
         swap(25, "postselect T_OUT=1 C_OUT=1 d=x"),  # bad count
         swap(26, "ports target_in=t_in control_in=c_in program_in=p_in target_out=T_OUT,T_OUT2"),  # missing field
         "\n".join(base[:24] + [base[25]]) + "\n",  # postselect removed entirely
+        # non-finite literals, one per numeric field
+        swap(15, "ppbs PPBS in=t_low,c_in out=t_low,C_OUT tv=nan"),
+        swap(13, "hwp HWP4 path=t_up angle=inf"),
+        swap(12, "filter F1 path=t_up th=-inf tv=0.7071067811865475"),
+        swap(16, "filter F2 path=C_OUT th=0.5773502691896258 tv=nan"),
+        swap(14, "jones HWP1 path=t_low m=-0.8660254037844386,0.5,0.5,inf"),
+        swap(14, "jones HWP1 path=t_low m=-0.8660254037844386,0.5+nanj,0.5,0.8660254037844386"),
+        swap(20, "measure path=d outcome D ket=nan,nan"),
+        swap(21, "measure path=d outcome A ket=inf,0 correct=PLM"),
     ]
     return mutations
 
 
+#: Line each fixture of make_mutations() is rejected at, in fixture order.  A
+#: dangling correct= and a missing postselect are only detectable, and so
+#: reported, at the last line of the input.
+MUTATION_LINES = [1, 1, 2, 11, 11, 11, 12, 12, 13, 14, 14, 15, 16, 18, 19, 20, 20, 21, 21, 26, 21,
+                  25, 25, 25, 26, 25] + [15, 13, 12, 16, 14, 14, 20, 21]
+
+
 def test_mutation_corpus_rejected_with_location():
     mutations = make_mutations()
-    assert len(mutations) >= 20
-    for i, text in enumerate(mutations):
+    assert len(mutations) == len(MUTATION_LINES)
+    lines = []
+    for text in mutations:
         with pytest.raises(NetlistError) as err:
             parse(text)
-        assert err.value.line > 0, f"mutation {i} missing location"
+        lines.append(err.value.line)
+    assert lines == MUTATION_LINES
+
+
+NUMERIC_FIELDS = [
+    # (line, text before the literal, text after it, message)
+    (15, "ppbs PPBS in=t_low,c_in out=t_low,C_OUT tv=", "", "non-finite number"),
+    (13, "hwp HWP4 path=t_up angle=", "", "non-finite number"),
+    (12, "filter F1 path=t_up th=", " tv=0.7071067811865475", "non-finite number"),
+    (14, "jones HWP1 path=t_low m=0.5,0.5,0.5,", "", "non-finite complex literal"),
+    (20, "measure path=d outcome D ket=0.7071067811865475,", "", "non-finite complex literal"),
+]
+
+
+@pytest.mark.parametrize("field", NUMERIC_FIELDS, ids=lambda f: f[1].split()[0])
+@pytest.mark.parametrize("literal", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_non_finite_literals_are_rejected_at_their_value(field, literal):
+    lineno, before, after, message = field
+    lines = render(builtin_variant("full")).splitlines()
+    lines[lineno - 1] = before + literal + after
+    with pytest.raises(NetlistError, match=message) as err:
+        parse("\n".join(lines) + "\n")
+    value_col = before.rindex("=") + 2
+    assert (err.value.line, err.value.col) == (lineno, value_col)
+
+
+@pytest.mark.parametrize("literal", ["1+nanj", "infj", "nan-1j"])
+def test_non_finite_complex_parts_are_rejected(literal):
+    text = render(builtin_variant("full")).replace(
+        "m=-0.8660254037844386,0.5,", f"m=-0.8660254037844386,{literal},"
+    )
+    with pytest.raises(NetlistError, match="non-finite complex literal") as err:
+        parse(text)
+    assert err.value.line == 14

@@ -1,0 +1,122 @@
+"""Property tests of the netlist text form over random element chains.
+
+Every element kind of ``lopcsim.elements.KINDS`` appears in each generated
+netlist, so a kind added to the table is covered without touching this file.
+"""
+
+import itertools
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lopcsim import NetlistError, parse, render
+from lopcsim.elements import KINDS, ElementSpec
+from lopcsim.netlist import (
+    PHOTON_BUDGET,
+    CircuitNetlist,
+    MeasurementOutcome,
+    MeasurementRule,
+    Ports,
+)
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+_FIRST = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
+NAMES = st.builds(str.__add__, st.sampled_from(_FIRST), st.text(_FIRST + "0123456789", max_size=7))
+#: Open unit interval: a legal ppbs tv, filter th/tv and hwp angle alike.
+UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+#: Each part at most 0.35, so a 2x2 matrix of them has Frobenius norm below
+#: one and is subunitary: a legal jones matrix.
+PART = st.floats(-0.35, 0.35)
+
+
+def _entry(is_complex):
+    return st.builds(complex, PART, PART) if is_complex else UNIT.map(complex)
+
+
+@st.composite
+def elements(draw, kind_name, paths, name):
+    kind = KINDS[kind_name]
+    wiring = []
+    for _, count in kind.ports:
+        distinct = st.lists(st.sampled_from(paths), min_size=count, max_size=count, unique=True)
+        wiring += draw(distinct)
+    params = [draw(_entry(f.is_complex)) for f in kind.fields for _ in range(f.count)]
+    return ElementSpec(kind_name, name, tuple(wiring), tuple(params))
+
+
+#: Photon counts of one to three post-selected paths that meet the budget.
+COUNTS = [
+    c
+    for n in (1, 2, 3)
+    for c in itertools.product(range(PHOTON_BUDGET + 1), repeat=n)
+    if sum(c) == PHOTON_BUDGET
+]
+
+
+@st.composite
+def netlists(draw):
+    """One to two elements of every kind in random order, then a measurement
+    with one or two orthonormal outcome kets, a post-selection and ports."""
+    paths = draw(st.lists(NAMES, min_size=4, max_size=8, unique=True))
+    pick = st.sampled_from(paths)
+    repeats = [(k, draw(st.integers(1, 2))) for k in sorted(KINDS)]
+    kinds = draw(st.permutations([k for k, n in repeats for _ in range(n)]))
+    names = draw(st.lists(NAMES, min_size=len(kinds), max_size=len(kinds), unique=True))
+    chain = [draw(elements(k, paths, n)) for k, n in zip(kinds, names)]
+
+    a = draw(st.floats(-math.pi, math.pi))
+    c, s = complex(math.cos(a)), complex(math.sin(a))
+    kets = [(c, s), (-s, c)]
+    labels = draw(st.lists(NAMES, min_size=1, max_size=2, unique=True))
+    size = len(labels)
+    corrects = draw(
+        st.lists(st.sampled_from([None, *names]), min_size=size, max_size=size, unique=True)
+    )
+    outcomes = tuple(MeasurementOutcome(*o) for o in zip(labels, kets, corrects))
+    stages = tuple(e for e in chain if e.name not in corrects)
+
+    counts = draw(st.sampled_from(COUNTS))
+    selected = draw(st.lists(pick, min_size=len(counts), max_size=len(counts), unique=True))
+    target_out = tuple(draw(st.lists(pick, min_size=1, max_size=2, unique=True)))
+    return CircuitNetlist(
+        paths=tuple(paths),
+        stages=stages,
+        corrections=tuple(e for e in chain if e.name in corrects),
+        measurement=MeasurementRule(draw(pick), outcomes),
+        measure_after=draw(st.integers(0, len(stages))),
+        postselect=tuple(zip(selected, counts)),
+        ports=Ports(draw(pick), draw(pick), draw(pick), target_out, draw(pick)),
+    )
+
+
+@SETTINGS
+@given(netlists())
+def test_render_parse_round_trip_of_random_chains(nl):
+    for spec in nl.stages + nl.corrections:
+        spec.build()  # every generated parameter is legal
+    assert parse(render(nl)) == nl
+
+
+@SETTINGS
+@given(netlists(), st.data())
+def test_corrupted_element_token_is_rejected_at_its_line(nl, data):
+    lines = render(nl).splitlines()
+    element_lines = [i for i, text in enumerate(lines) if text.split()[0] in KINDS]
+    index = data.draw(st.sampled_from(element_lines))
+    tokens = lines[index].split()
+    at = data.draw(st.integers(0, len(tokens) - 1))
+    numeric = at >= 2 + len(KINDS[tokens[0]].ports)
+    how = data.draw(st.sampled_from(["drop", "junk", "value"] if at >= 2 else ["drop", "junk"]))
+    if how == "drop":
+        del tokens[at]
+    elif how == "junk":
+        tokens[at] = "?" + tokens[at]
+    else:
+        bad = ["", "?", "1,2,3,4,5"] + (["nan", "inf", "-inf"] if numeric else [])
+        tokens[at] = tokens[at].split("=", 1)[0] + "=" + data.draw(st.sampled_from(bad))
+    lines[index] = " ".join(tokens)
+    with pytest.raises(NetlistError) as err:
+        parse("\n".join(lines) + "\n")
+    assert err.value.line == index + 1
