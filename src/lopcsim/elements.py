@@ -56,16 +56,23 @@ class ElementSpec:
     params: tuple[complex, ...] = ()
     line: int | None = field(default=None, compare=False)
 
-    def build(self) -> LinearElement:
+    def checked_kind(self) -> ElementKind:
+        """This spec's ``KINDS`` entry; ValueError on an unknown kind or on a
+        path or parameter count the kind does not take."""
         kind = KINDS.get(self.kind)
         if kind is None:
             raise ValueError(f"unknown element kind {self.kind!r}")
         paths = sum(n for _, n in kind.ports)
         if len(self.paths) != paths:
             raise ValueError(f"{self.kind} takes {paths} paths, got {len(self.paths)}")
+        params = sum(f.count for f in kind.fields)
+        if len(self.params) != params:
+            raise ValueError(f"{self.kind} takes {params} parameters, got {len(self.params)}")
+        return kind
+
+    def build(self) -> LinearElement:
+        kind = self.checked_kind()
         flags = [f.is_complex for f in kind.fields for _ in range(f.count)]
-        if len(self.params) != len(flags):
-            raise ValueError(f"{self.kind} takes {len(flags)} parameters, got {len(self.params)}")
         values = [p if is_complex else float(p.real) for p, is_complex in zip(self.params, flags)]
         return kind.builder(self.name, self.paths, values)
 

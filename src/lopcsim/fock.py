@@ -193,11 +193,13 @@ def linear_element(
         raise ValueError(f"{name}: matrix has non-finite entries")
     if len(set(channels_in)) != k or len(set(channels_out)) != k:
         raise ValueError(f"{name}: duplicate channels")
+    unitary = True
     if k:
         top = float(np.linalg.svd(m, compute_uv=False)[0])
         if top > 1.0 + 1e-12:
             raise ValueError(f"{name}: matrix is not subunitary (max singular value {top:.6g})")
-    unitary = bool(np.allclose(m.conj().T @ m, np.eye(k), atol=1e-12, rtol=0.0))
+        # every entry of M†M - 1 within 1e-12, as np.allclose(atol=1e-12, rtol=0) tests
+        unitary = float(np.max(np.abs(m.conj().T @ m - np.eye(k)))) <= 1e-12
     return LinearElement(name, tuple(channels_in), tuple(channels_out), m, unitary)
 
 

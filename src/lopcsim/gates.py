@@ -349,26 +349,33 @@ def hom_scan(t_v: float, overlap_grid: Sequence[float]) -> list[tuple[float, flo
     polarizing splitter; the second photon carries amplitude sqrt(v) in the
     shared wavepacket and sqrt(1-v) in an orthogonal one.  Returns the
     coincidence probability (one photon per output path, summed over
-    wavepacket indices) for each overlap v:
+    wavepacket indices) for each overlap v, in grid order:
     P(v) = v (t^2 - r^2)^2 + (1 - v)(t^4 + r^4).
+
+    A scan costs two evolutions whatever its length.  The input is linear in
+    the second photon's amplitudes, and the splitter and the post-selection
+    are linear too, so only the two basis inputs (second photon in wavepacket
+    0, or in 1) are evolved and post-selected.  Every point is then one row
+    of [sqrt(v), sqrt(1-v)] @ A, with A their post-selected amplitudes over
+    the union of occupations; the cross terms are kept.
     """
     if not 0.0 < t_v < 1.0:
         raise ValueError(f"transmissivity must lie in (0, 1), got {t_v}")
-    registry = ModeRegistry(("a", "b"), internal_count=2)
-    splitter = ppbs("a", "b", "a", "b", t_v)
-    rows = []
-    for v in overlap_grid:
-        v = float(v)
+    overlaps = [float(v) for v in overlap_grid]
+    for v in overlaps:
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"overlap must lie in [0, 1], got {v}")
-        photons = [
-            [(ModeLabel("a", V, 0), 1.0 + 0j)],
-            [
-                (ModeLabel("b", V, 0), complex(math.sqrt(v))),
-                (ModeLabel("b", V, 1), complex(math.sqrt(1.0 - v))),
-            ],
-        ]
+    registry = ModeRegistry(("a", "b"), internal_count=2)
+    splitter = ppbs("a", "b", "a", "b", t_v)
+    selected = []
+    for internal in (0, 1):
+        photons = [[(ModeLabel("a", V, 0), 1.0 + 0j)], [(ModeLabel("b", V, internal), 1.0 + 0j)]]
         state = make_photon_state(registry, photons)
-        _, probability = post_select(apply_element(state, splitter), {"a": 1, "b": 1})
-        rows.append((v, float(probability)))
-    return rows
+        kept, _ = post_select(apply_element(state, splitter), {"a": 1, "b": 1})
+        selected.append(kept)
+    keys = sorted(set().union(*(s.amplitudes for s in selected)))
+    basis = np.array([[s.amplitude(key) for key in keys] for s in selected], dtype=complex)
+    grid = np.array(overlaps, dtype=float)
+    amps = np.stack([np.sqrt(grid), np.sqrt(1.0 - grid)], axis=1) @ basis
+    probabilities = np.sum(np.abs(amps) ** 2, axis=1)
+    return [(v, float(p)) for v, p in zip(overlaps, probabilities)]

@@ -169,23 +169,28 @@ def _rule_problems(
     """Photon-budget and outcome-ket problems, the budget first.
 
     Each problem carries the index of the outcome it concerns, or None for
-    the budget.  The kets must be normalized and pairwise orthogonal; every
-    test fails on NaN.
+    the budget.  The kets must have 2 components, be normalized and be
+    pairwise orthogonal; a ket of another length is reported and left out
+    of the other tests, and every test fails on NaN.
     """
     problems: list[tuple[int | None, str]] = []
     if photons != PHOTON_BUDGET:
         text = f"postselect totals {photons} photons, expected budget {PHOTON_BUDGET}"
         problems.append((None, text))
-    kets = [np.array(o.ket, dtype=complex) for o in outcomes]
-    labels = [repr(o.label) for o in outcomes]
-    for i, ket in enumerate(kets):
+    checked: list[tuple[str, np.ndarray]] = []  # (label, ket) of the 2-component kets
+    for i, outcome in enumerate(outcomes):
+        label, ket = repr(outcome.label), np.array(outcome.ket, dtype=complex)
+        if ket.size != 2:
+            problems.append((i, f"outcome {label}: ket needs 2 components, got {ket.size}"))
+            continue
         if not abs(np.vdot(ket, ket).real - 1.0) <= 1e-12:
-            problems.append((i, f"outcome {labels[i]}: ket is not normalized"))
+            problems.append((i, f"outcome {label}: ket is not normalized"))
         problems += [
-            (i, f"outcome kets {labels[j]} and {labels[i]} are not orthogonal")
-            for j in range(i)
-            if not abs(np.vdot(kets[j], ket)) <= 1e-12
+            (i, f"outcome kets {other} and {label} are not orthogonal")
+            for other, earlier in checked
+            if not abs(np.vdot(earlier, ket)) <= 1e-12
         ]
+        checked.append((label, ket))
     return problems
 
 
@@ -415,7 +420,7 @@ def _fmt_complex(value: complex) -> str:
 
 
 def _render_element(spec: ElementSpec) -> str:
-    kind = KINDS[spec.kind]
+    kind = spec.checked_kind()
     words = [spec.kind, spec.name]
     words += [f"{key}={','.join(group)}" for key, group in kind.port_paths(spec.paths)]
     params = iter(spec.params)

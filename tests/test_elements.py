@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lopcsim import hwp, jones, pbs, phase_flip, pol_filter, ppbs
+from lopcsim import hwp, jones, linear_element, pbs, phase_flip, pol_filter, ppbs
 from lopcsim.elements import KINDS, TARGET_SPLIT_MATRIX, ElementSpec
 
 SQ2 = math.sqrt(2.0)
@@ -191,3 +191,40 @@ def test_elements_reject_non_finite_parameters(bad):
         hwp("t", float("nan"))
     with pytest.raises(ValueError, match="non-finite"):
         jones("t", np.array([[0.5, bad], [0.0, 0.5]]))
+
+
+def _allclose_unitary(element):
+    m = element.matrix
+    return bool(np.allclose(m.conj().T @ m, np.eye(len(m)), atol=1e-12, rtol=0.0))
+
+
+def test_unitary_flag_agrees_with_allclose():
+    rng = np.random.default_rng(11)
+    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    q, r = np.linalg.qr(z)
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    chans = [(p, pol) for p in ("a", "b") for pol in ("H", "V")]
+
+    def perturbed(d):
+        # M†M = diag(1 - d, 1, 1, 1): residual |d|, largest singular value <= 1 + 1e-12
+        m = u @ np.diag(np.sqrt([1.0 - d, 1.0, 1.0, 1.0]))
+        return linear_element(f"U{d:+.1e}", chans, chans, m)
+
+    cases = [(_sample_spec(kind_name).build(), None) for kind_name in KINDS] + [
+        (pbs("a", "b", "t", "r"), True),
+        (ppbs("a", "b", "a", "c", T), True),
+        (hwp("a", 22.5), True),
+        (jones("a", TARGET_SPLIT_MATRIX), True),
+        (phase_flip("a"), True),
+        (pol_filter("a", 1.0, 1.0), True),
+        (pol_filter("a", 1.0, 0.5), False),
+        (linear_element("U", chans, chans, u), True),
+        (perturbed(0.5e-12), True),
+        (perturbed(-0.5e-12), True),
+        (perturbed(2e-12), False),
+        (linear_element("EMPTY", (), (), np.zeros((0, 0))), True),
+    ]
+    for element, unitary in cases:
+        assert element.unitary == _allclose_unitary(element), element.name
+        if unitary is not None:
+            assert element.unitary == unitary, element.name

@@ -187,6 +187,22 @@ def test_validate_reports_non_finite_outcome_kets(ket):
     assert "outcome 'A': ket is not normalized" in diags
 
 
+@pytest.mark.parametrize("ket", [(1.0, 0.0, 0.0), (1.0,)])
+def test_validate_reports_ket_of_wrong_length(ket):
+    nl = builtin_variant("ff")
+    d, a = nl.measurement.outcomes
+    outcomes = (replace(d, ket=ket), a)
+    diags = validate(replace(nl, measurement=replace(nl.measurement, outcomes=outcomes)))
+    assert diags == [f"outcome 'D': ket needs 2 components, got {len(ket)}"]
+
+
+def test_render_checks_parameter_count():
+    nl = builtin_variant("basic")
+    stages = tuple(replace(s, params=()) if s.kind == "ppbs" else s for s in nl.stages)
+    with pytest.raises(ValueError, match="ppbs takes 1 parameters, got 0"):
+        render(replace(nl, stages=stages))
+
+
 def test_validate_lists_every_rule_problem():
     nl = builtin_variant("ff")
     d, a = nl.measurement.outcomes
