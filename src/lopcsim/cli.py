@@ -186,7 +186,7 @@ def cmd_verify(args) -> int:
         err = 0.0
         for branch in report.branches:
             target = np.diag(expected[(branch.outcome, branch.port)]).astype(complex)
-            err = max(err, float(np.max(np.abs(branch.operator - target))))
+            err = max(err, float(np.max(np.abs(branch.amplitudes - target))))
         ok = (
             err <= tol
             and abs(report.p_success - nominal) <= tol
@@ -205,9 +205,9 @@ def cmd_sweep(args) -> int:
     phis = sorted(_grid(args, 0.0, math.pi))
     header = ["phi_rad", "p_success", "fidelity", "branch", "branch_prob"]
     rows = [
-        [row.phi, row.p_success, row.fidelity, label, prob]
-        for row in sweep_phi(circuit, phis)
-        for label, prob in sorted(row.branch_probs)
+        [report.phi, report.p_success, report.fidelity, label, prob]
+        for report in sweep_phi(circuit, phis)
+        for label, prob in sorted((b.label, b.probability) for b in report.branches)
     ]
     _emit(args, "sweep", header, rows)
     return 0

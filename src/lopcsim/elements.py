@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -56,25 +57,39 @@ class ElementSpec:
     params: tuple[complex, ...] = ()
     line: int | None = field(default=None, compare=False)
 
-    def checked_kind(self) -> ElementKind:
-        """This spec's ``KINDS`` entry; ValueError on an unknown kind or on a
-        path or parameter count the kind does not take."""
+    def checked_kind(self) -> tuple[ElementKind, list[float | complex]]:
+        """This spec's ``KINDS`` entry and its parameters as the builder takes
+        them, floats for the real fields; ValueError on an unknown kind, on a
+        path or parameter count the kind does not take, or on an imaginary
+        part in a real field."""
         kind = KINDS.get(self.kind)
         if kind is None:
             raise ValueError(f"unknown element kind {self.kind!r}")
         paths = sum(n for _, n in kind.ports)
         if len(self.paths) != paths:
             raise ValueError(f"{self.kind} takes {paths} paths, got {len(self.paths)}")
-        params = sum(f.count for f in kind.fields)
-        if len(self.params) != params:
-            raise ValueError(f"{self.kind} takes {params} parameters, got {len(self.params)}")
-        return kind
+        fields = [f for f in kind.fields for _ in range(f.count)]
+        if len(self.params) != len(fields):
+            raise ValueError(f"{self.kind} takes {len(fields)} parameters, got {len(self.params)}")
+        values: list[float | complex] = []
+        for f, p in zip(fields, self.params):
+            if f.is_complex:
+                values.append(p)
+            elif p.imag:
+                raise ValueError(f"{self.kind} {f.key} must be real, got {p}")
+            else:
+                values.append(float(p.real))
+        return kind, values
 
     def build(self) -> LinearElement:
-        kind = self.checked_kind()
-        flags = [f.is_complex for f in kind.fields for _ in range(f.count)]
-        values = [p if is_complex else float(p.real) for p, is_complex in zip(self.params, flags)]
+        kind, values = self.checked_kind()
         return kind.builder(self.name, self.paths, values)
+
+    @cached_property
+    def element(self) -> LinearElement:
+        """The built element, from the first ``build`` of this spec; a spec
+        that fails to build raises again on every access."""
+        return self.build()
 
 
 class NumericField(NamedTuple):

@@ -125,9 +125,9 @@ class FockState:
     def amplitude(self, occ: Occupation) -> complex:
         return self.amplitudes.get(occ, 0j)
 
-    def pruned(self, tol: float = PRUNE_TOL) -> "FockState":
-        """Copy without the amplitudes at or below ``tol``; a non-finite one raises."""
-        kept = {occ: a for occ, a in self.amplitudes.items() if not abs(a) <= tol}
+    def pruned(self) -> "FockState":
+        """Copy without the amplitudes at or below ``PRUNE_TOL``; a non-finite one raises."""
+        kept = {occ: a for occ, a in self.amplitudes.items() if not abs(a) <= PRUNE_TOL}
         if not math.isfinite(abs(sum(kept.values(), 0j))):
             raise ValueError("state holds a non-finite amplitude")
         return FockState(self.registry, self.photon_number, kept)
@@ -255,9 +255,7 @@ def make_photon_state(
     return (1.0 / norm * state).pruned()
 
 
-def apply_element(
-    state: FockState, element: LinearElement, prune_tol: float = PRUNE_TOL
-) -> FockState:
+def apply_element(state: FockState, element: LinearElement) -> FockState:
     """Apply a linear element to a state.
 
     Every occupation basis ket is rewritten as a monomial of creation
@@ -304,7 +302,7 @@ def apply_element(
         for pocc, coeff in partial.items():
             new_amps[pocc] = new_amps.get(pocc, 0j) + coeff * _factorial_weight(pocc)
 
-    result = FockState(reg, state.photon_number, new_amps).pruned(prune_tol)
+    result = FockState(reg, state.photon_number, new_amps).pruned()
     before, after = state.norm_sq(), result.norm_sq()
     if element.unitary:
         if abs(after - before) > 1e-9:
@@ -383,13 +381,11 @@ def project_detector(
     return reduced, reduced.norm_sq()
 
 
-def two_qubit_amplitudes(
-    state: FockState, target_path: str, control_path: str, tol: float = 1e-12
-) -> np.ndarray:
+def two_qubit_amplitudes(state: FockState, target_path: str, control_path: str) -> np.ndarray:
     """Read off the four two-qubit amplitudes of a one-photon-per-path state.
 
     Index order is |00>, |01>, |10>, |11> over (target, control) with
-    H -> 0 and V -> 1.  Any amplitude above ``tol`` outside the two paths,
+    H -> 0 and V -> 1.  Any amplitude above 1e-12 outside the two paths,
     or on a nonzero internal index, is an error.
     """
     reg = state.registry
@@ -407,7 +403,7 @@ def two_qubit_amplitudes(
             t_bit = 0 if pols[target_path] == H else 1
             c_bit = 0 if pols[control_path] == H else 1
             amps[2 * t_bit + c_bit] = amp
-        elif abs(amp) > tol:
+        elif abs(amp) > 1e-12:
             raise ValueError(
                 f"residual amplitude {abs(amp):.3g} outside the qubit ports in term {occ}"
             )

@@ -39,6 +39,11 @@ _SQ2 = math.sqrt(2.0)
 
 #: Polarization kets for the logical basis: |0> = H, |1> = V.
 BASIS_KETS = ((1.0 + 0j, 0j), (0j, 1.0 + 0j))
+#: Largest entry-wise deviation of a branch operator from the primary one
+#: (after removing the global phase between them) that still counts as equal.
+BRANCH_TOL = 1e-10
+#: Largest off-diagonal magnitude of a branch operator that counts as zero.
+DIAG_TOL = 1e-12
 
 
 def ideal_cphase(phi) -> np.ndarray:
@@ -55,25 +60,19 @@ def ideal_cphase(phi) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Branch:
-    """One accepted (outcome, output port) result for a single input state."""
+    """One accepted (detector outcome, target output port) branch.
+
+    From ``CompiledCircuit.run``, ``amplitudes`` is the conditional state of
+    one input, shape (4,) over |00>, |01>, |10>, |11> (target, control), and
+    ``probability`` its squared norm.  In ``ConditionalGateReport.branches``
+    it is the conditional operator, shape (4, 4), whose column 2t+c is what
+    ``run`` gives for the basis input |tc>; ``probability`` is then the one
+    for input |00>.
+    """
 
     outcome: str
     port: str
-    amplitudes: np.ndarray  # over |00>, |01>, |10>, |11>
-    probability: float
-
-    @property
-    def label(self) -> str:
-        return f"{self.outcome}:{self.port}"
-
-
-@dataclass(frozen=True, eq=False)
-class GateBranch:
-    """Conditional operator of one branch, assembled over the four basis inputs."""
-
-    outcome: str
-    port: str
-    operator: np.ndarray  # 4x4
+    amplitudes: np.ndarray
     probability: float
 
     @property
@@ -88,15 +87,17 @@ class ConditionalGateReport:
     ``gate`` is the raw conditional operator of the primary branch (first
     declared outcome on the first target output port).  ``branch_consistent``
     records whether every accepted branch equals the primary one up to a
-    global phase within 1e-10; the dual-output layouts legitimately fail
-    this because the second port carries an extra pi on |11>.
+    global phase within ``BRANCH_TOL``; the dual-output layouts legitimately
+    fail this because the second port carries an extra pi on |11>.
+    ``diagonal`` records whether every off-diagonal entry of every branch
+    operator is within ``DIAG_TOL`` of zero.
     """
 
     phi: float
     gate: np.ndarray
     p_success: float
     fidelity: float
-    branches: tuple[GateBranch, ...]
+    branches: tuple[Branch, ...]
     branch_consistent: bool
     diagonal: bool
 
@@ -148,6 +149,9 @@ def prepare_inputs(
 class CompiledCircuit:
     """A netlist validated once, with every element built once.
 
+    ``validate`` builds each element through ``ElementSpec.element``, which
+    keeps the built element on the spec, so compiling reuses those builds.
+
     Holds the built stages on either side of the measurement point, the
     correction of each detector outcome and the post-selection pattern of
     each target output port, so any number of inputs and phases can run
@@ -160,11 +164,11 @@ class CompiledCircuit:
         if diagnostics:
             raise NetlistValidationError(diagnostics)
         self.netlist = netlist
-        built = [spec.build() for spec in netlist.stages]
+        built = [spec.element for spec in netlist.stages]
         self.before = tuple(built[: netlist.measure_after])
         self.after = tuple(built[netlist.measure_after:])
         self.outcomes = tuple(
-            (outcome, netlist.correction(outcome.correct).build() if outcome.correct else None)
+            (outcome, netlist.correction(outcome.correct).element if outcome.correct else None)
             for outcome in netlist.measurement.outcomes
         )
         target_ports = netlist.ports.target_out
@@ -227,12 +231,7 @@ class CompiledCircuit:
                         ops[p, b, :, 2 * t_bit + c_bit] = branch.amplitudes
         return ops
 
-    def evaluate(
-        self,
-        phi_grid: Sequence[float],
-        branch_tol: float = 1e-10,
-        diag_tol: float = 1e-12,
-    ) -> list[ConditionalGateReport]:
+    def evaluate(self, phi_grid: Sequence[float]) -> list[ConditionalGateReport]:
         """Assemble and score the conditional gate at every phase of the grid.
 
         One report per phase, in grid order.  Every branch operator of the
@@ -255,20 +254,20 @@ class CompiledCircuit:
         mag = np.abs(ratio)
         phase = np.divide(ratio, mag, out=np.ones_like(ratio), where=mag > 0)
         deviation = np.max(np.abs(flat - phase[..., None] * flat[:, :1]), axis=2)
-        consistent = np.all(deviation <= branch_tol, axis=1)
+        consistent = np.all(deviation <= BRANCH_TOL, axis=1)
         off_diagonal = np.max(np.abs(ops[..., ~np.eye(4, dtype=bool)]), axis=2)
-        diagonal = np.all(off_diagonal <= diag_tol, axis=1)
+        diagonal = np.all(off_diagonal <= DIAG_TOL, axis=1)
 
         reports = []
         for k, phi in enumerate(phis):
             branches = tuple(
-                GateBranch(o, p, ops[k, b], float(probs[k, b]))
+                Branch(o, p, ops[k, b], float(probs[k, b]))
                 for b, (o, p) in enumerate(self.branch_keys)
             )
             reports.append(
                 ConditionalGateReport(
                     phi=float(phi),
-                    gate=branches[0].operator,
+                    gate=branches[0].amplitudes,
                     p_success=float(p_success[k]),
                     fidelity=float(fidelities[k]),
                     branches=branches,
@@ -300,14 +299,9 @@ def fidelity(gate: np.ndarray, phi):
     return float(result) if result.ndim == 0 else result
 
 
-def conditional_gate(
-    netlist: CircuitNetlist,
-    phi: float,
-    branch_tol: float = 1e-10,
-    diag_tol: float = 1e-12,
-) -> ConditionalGateReport:
+def conditional_gate(netlist: CircuitNetlist, phi: float) -> ConditionalGateReport:
     """Assemble the conditional operator per branch at one phase and score it."""
-    return CompiledCircuit(netlist).evaluate([phi], branch_tol, diag_tol)[0]
+    return CompiledCircuit(netlist).evaluate([phi])[0]
 
 
 def success_probability(
@@ -321,25 +315,9 @@ def success_probability(
     return float(sum(branch.probability for branch in run(netlist, state)))
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    phi: float
-    p_success: float
-    fidelity: float
-    branch_probs: tuple[tuple[str, float], ...]
-
-
-def sweep_phi(netlist: CircuitNetlist, phi_grid: Sequence[float]) -> list[SweepRow]:
-    """Evaluate the gate over a phase grid; one row per phase, deterministic."""
-    return [
-        SweepRow(
-            phi=report.phi,
-            p_success=report.p_success,
-            fidelity=report.fidelity,
-            branch_probs=tuple((b.label, b.probability) for b in report.branches),
-        )
-        for report in CompiledCircuit(netlist).evaluate(phi_grid)
-    ]
+def sweep_phi(netlist: CircuitNetlist, phi_grid: Sequence[float]) -> list[ConditionalGateReport]:
+    """Evaluate the gate over a phase grid; one report per phase, in grid order."""
+    return CompiledCircuit(netlist).evaluate(phi_grid)
 
 
 def hom_scan(t_v: float, overlap_grid: Sequence[float]) -> list[tuple[float, float]]:

@@ -104,8 +104,8 @@ class CircuitNetlist:
     postselect: tuple[tuple[str, int], ...]
     ports: Ports
 
-    def registry(self, internal_count: int = 1) -> ModeRegistry:
-        return ModeRegistry(self.paths, internal_count)
+    def registry(self) -> ModeRegistry:
+        return ModeRegistry(self.paths)
 
     def correction(self, name: str) -> ElementSpec:
         for spec in self.corrections:
@@ -420,10 +420,10 @@ def _fmt_complex(value: complex) -> str:
 
 
 def _render_element(spec: ElementSpec) -> str:
-    kind = spec.checked_kind()
+    kind, values = spec.checked_kind()
     words = [spec.kind, spec.name]
     words += [f"{key}={','.join(group)}" for key, group in kind.port_paths(spec.paths)]
-    params = iter(spec.params)
+    params = iter(values)
     for f in kind.fields:
         fmt = _fmt_complex if f.is_complex else _fmt_float
         words.append(f"{f.key}=" + ",".join(fmt(next(params)) for _ in range(f.count)))
@@ -477,7 +477,7 @@ def validate(netlist: CircuitNetlist) -> list[str]:
             if path not in declared:
                 diags.append(f"{_where(spec)}{spec.name}: undeclared path {path!r}")
         try:
-            spec.build()
+            spec.element  # built here once; CompiledCircuit reuses it
         except ValueError as err:
             diags.append(f"{_where(spec)}{spec.name}: {err}")
 
@@ -490,10 +490,15 @@ def validate(netlist: CircuitNetlist) -> list[str]:
         if outcome.correct is not None and outcome.correct not in correction_names:
             diags.append(f"outcome {outcome.label!r}: unknown correction {outcome.correct!r}")
 
-    pattern = dict(netlist.postselect)
-    for path in pattern:
-        if path not in declared:
+    pattern: dict[str, int] = {}
+    for path, count in netlist.postselect:
+        if path in pattern:
+            diags.append(f"duplicate path {path!r} in postselect")
+        elif path not in declared:
             diags.append(f"postselect references undeclared path {path!r}")
+        if count < 0:
+            diags.append("postselect counts must be non-negative")
+        pattern[path] = count
     if pattern.get(rule.path) != 1:
         diags.append("postselect must require exactly one photon on the measurement path")
     ports = netlist.ports

@@ -167,14 +167,14 @@ def test_criterion_7_feed_forward_branches():
     worst = 0.0
     for phi in PHI_GRID:
         rep = conditional_gate(nl, phi)
-        ops = {b.outcome: b.operator for b in rep.branches}
+        ops = {b.outcome: b.amplitudes for b in rep.branches}
         ref = ops["D"][0, 0]
         phase = ops["A"][0, 0] / ref
         phase /= abs(phase)
         worst = max(worst, float(np.max(np.abs(ops["A"] - phase * ops["D"]))))
     uncorrected = conditional_gate(strip_corrections(nl), 0.0)
     a_branch = next(b for b in uncorrected.branches if b.outcome == "A")
-    fid_err = abs(fidelity(a_branch.operator, 0.0) - 0.25)
+    fid_err = abs(fidelity(a_branch.amplitudes, 0.0) - 0.25)
     ok = worst <= 1e-10 and fid_err <= 1e-12
     report(7, ok, f"feed-forward branch equality (max deviation {worst:.2e}); "
                   f"uncorrected branch fidelity 1/4 (error {fid_err:.2e})")

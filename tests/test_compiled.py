@@ -23,6 +23,7 @@ from lopcsim import (
     sweep_phi,
     validate,
 )
+from lopcsim.elements import ElementSpec
 from lopcsim.gates import BASIS_KETS
 
 
@@ -79,13 +80,13 @@ def test_phase_affine_operators_match_direct_evolution(name):
         keys, ops, probs, p_success, fid, consistent, diagonal = reference_gate(netlist, phi)
         assert [(b.outcome, b.port) for b in report.branches] == keys
         for branch, op, prob in zip(report.branches, ops, probs):
-            assert np.max(np.abs(branch.operator - op)) <= 1e-12
+            assert np.max(np.abs(branch.amplitudes - op)) <= 1e-12
             assert abs(branch.probability - prob) <= 1e-12
         assert abs(report.p_success - p_success) <= 1e-12
         assert abs(report.fidelity - fid) <= 1e-12
         assert report.branch_consistent == consistent
         assert report.diagonal == diagonal
-        assert report.gate is report.branches[0].operator
+        assert report.gate is report.branches[0].amplitudes
 
 
 def test_detuned_netlists_depart_from_ideal():
@@ -136,6 +137,23 @@ def test_compiled_circuit_validates_once_and_rejects_invalid_netlists(monkeypatc
     again = circuit.evaluate([0.3, 1.0])[0]
     assert np.array_equal(first.gate, again.gate)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("variant, specs", [("basic", 9), ("ff", 10), ("dual", 11), ("full", 12)])
+def test_compiling_builds_each_element_spec_once(monkeypatch, variant, specs):
+    built = []
+    build = ElementSpec.build
+
+    def counting(spec):
+        built.append(spec.name)
+        return build(spec)
+
+    monkeypatch.setattr(ElementSpec, "build", counting)
+    circuit = CompiledCircuit(builtin_variant(variant))  # validate included
+    assert len(built) == len(set(built)) == specs
+    circuit.evaluate([0.3])
+    circuit.evaluate([0.3, 1.0])
+    assert len(built) == specs
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -158,6 +158,32 @@ def test_element_spec_build_checks_path_and_parameter_counts(kind_name):
         replace(spec, kind="mirror").build()
 
 
+def test_element_spec_rejects_imaginary_part_in_real_fields():
+    spec = ElementSpec("ppbs", "P", ("a", "b", "a", "b"), (complex(0.5, 0.3),))
+    with pytest.raises(ValueError, match=r"ppbs tv must be real, got \(0\.5\+0\.3j\)"):
+        spec.build()
+    for kind_name, kind in KINDS.items():
+        spec = _sample_spec(kind_name)
+        for at, f in enumerate(f for f in kind.fields for _ in range(f.count)):
+            params = spec.params[:at] + (complex(0.5, 1e-9),) + spec.params[at + 1:]
+            wrong = replace(spec, params=params)
+            if f.is_complex:
+                wrong.build()
+            else:
+                with pytest.raises(ValueError, match=f"{kind_name} {f.key} must be real"):
+                    wrong.build()
+
+
+def test_element_is_built_once_per_spec():
+    spec = _sample_spec("ppbs")
+    assert spec.element is spec.element
+    assert np.array_equal(spec.element.matrix, spec.build().matrix)
+    bad = replace(spec, params=(complex(1.5),))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="transmissivity"):
+            bad.element
+
+
 def test_element_spec_builds_same_matrices_as_builders():
     split = tuple(map(complex, TARGET_SPLIT_MATRIX.ravel()))
     pairs = [

@@ -124,8 +124,8 @@ def test_ff_branches_agree_after_correction():
     nl = builtin_variant("ff")
     report = conditional_gate(nl, phi)
     assert len(report.branches) == 2
-    d_op = report.branches[0].operator
-    a_op = report.branches[1].operator
+    d_op = report.branches[0].amplitudes
+    a_op = report.branches[1].amplitudes
     assert np.max(np.abs(d_op - a_op)) < 1e-12
     for branch in report.branches:
         assert abs(branch.probability - 1.0 / 48.0) < 1e-12
@@ -136,7 +136,7 @@ def test_uncorrected_a_branch_differs():
     nl = strip_corrections(builtin_variant("ff"))
     report = conditional_gate(nl, 0.0)
     a_branch = next(b for b in report.branches if b.outcome == "A")
-    assert abs(fidelity(a_branch.operator, 0.0) - 0.25) < 1e-12
+    assert abs(fidelity(a_branch.amplitudes, 0.0) - 0.25) < 1e-12
     assert not report.branch_consistent
 
 
@@ -148,7 +148,7 @@ def test_full_variant_branch_structure():
     assert abs(report.p_success - 1.0 / 12.0) < 1e-12
     # Branches on the primary port agree; the swap port carries an extra pi
     # on |11>, so cross-port consistency fails by design.
-    ops = {(b.outcome, b.port): b.operator for b in report.branches}
+    ops = {(b.outcome, b.port): b.amplitudes for b in report.branches}
     assert np.max(np.abs(ops[("D", "T_OUT")] - ops[("A", "T_OUT")])) < 1e-12
     assert np.max(np.abs(ops[("D", "T_OUT2")] - ops[("A", "T_OUT2")])) < 1e-12
     ratio = ops[("D", "T_OUT2")][3, 3] / ops[("D", "T_OUT")][3, 3]
@@ -237,7 +237,8 @@ def test_sweep_phi_rows():
     for row in rows:
         assert abs(row.p_success - 1 / 48) < 1e-12
         assert abs(row.fidelity - 1.0) < 1e-12
-        assert row.branch_probs == (("D:T_OUT", pytest.approx(1 / 48, abs=1e-12)),)
+        branch_probs = tuple((b.label, b.probability) for b in row.branches)
+        assert branch_probs == (("D:T_OUT", pytest.approx(1 / 48, abs=1e-12)),)
     with pytest.raises(ValueError):
         sweep_phi(nl, [])
 

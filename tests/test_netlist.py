@@ -203,6 +203,32 @@ def test_render_checks_parameter_count():
         render(replace(nl, stages=stages))
 
 
+def test_imaginary_part_of_a_real_field_is_rejected():
+    nl = parse(render(builtin_variant("basic")))
+    hwp2 = nl.stages[5]
+    assert hwp2.name == "HWP2" and hwp2.line
+    tilted = replace(hwp2, params=(complex(22.5, 7.0),))
+    bad = replace(nl, stages=tuple(tilted if s is hwp2 else s for s in nl.stages))
+    assert validate(bad) == [f"line {hwp2.line}: HWP2: hwp angle must be real, got (22.5+7j)"]
+    with pytest.raises(ValueError, match=r"hwp angle must be real, got \(22\.5\+7j\)"):
+        render(bad)
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ((("t_in", -1), ("t_in2", 1)), "postselect counts must be non-negative"),
+        ((("t_in", 0), ("t_in", 0)), "duplicate path 't_in' in postselect"),
+    ],
+)
+def test_validate_rejects_what_the_postselect_parser_rejects(extra, message):
+    nl = builtin_basic()
+    bad = replace(nl, postselect=nl.postselect + extra)
+    assert validate(bad) == [message]
+    with pytest.raises(NetlistError, match=message):
+        parse(render(bad))
+
+
 def test_validate_lists_every_rule_problem():
     nl = builtin_variant("ff")
     d, a = nl.measurement.outcomes
