@@ -23,6 +23,9 @@ from .netlist import VARIANTS, NetlistError, NetlistValidationError, builtin_var
 from .oracle import branch_table
 
 _DEFAULT_TV = 1.0 / math.sqrt(3.0)
+#: Most points a --steps grid may have; larger requests are rejected before
+#: any grid is built (the benchmark's longest grid has about 1100 points).
+MAX_STEPS = 100_000
 
 
 def _fmt(value: float) -> str:
@@ -39,13 +42,28 @@ def _finite(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = _finite(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative tolerance, got {text!r}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser, phase_grid: bool) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
     sub.add_argument("--meta", action="store_true", help="include run configuration metadata")
-    sub.add_argument("--from", dest="grid_from", type=_finite, default=None, metavar="X")
-    sub.add_argument("--to", dest="grid_to", type=_finite, default=None, metavar="X")
-    sub.add_argument("--steps", type=int, default=None, metavar="N")
+    sub.add_argument(
+        "--from", dest="grid_from", type=_finite, default=None, metavar="X",
+        help="grid start; write a negative value as --from=-1e-3",
+    )
+    sub.add_argument(
+        "--to", dest="grid_to", type=_finite, default=None, metavar="X",
+        help="grid end; write a negative value as --to=-1e-3",
+    )
+    sub.add_argument(
+        "--steps", type=int, default=None, metavar="N", help=f"grid points, 1 to {MAX_STEPS}"
+    )
     if phase_grid:
         sub.add_argument("--variant", choices=sorted(VARIANTS), default="basic")
         sub.add_argument("--netlist", metavar="FILE", help="run this netlist file instead")
@@ -67,7 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="check the gate against the scalar oracle over a phase grid"
     )
     _add_common(verify, phase_grid=True)
-    verify.add_argument("--tol", type=_finite, default=1e-10, help="pass/fail tolerance")
+    verify.add_argument(
+        "--tol", type=_tolerance, default=1e-10, help="pass/fail tolerance, at least 0"
+    )
     verify.set_defaults(func=cmd_verify)
 
     sweep = commands.add_parser("sweep", help="tabulate probabilities over a phase grid")
@@ -91,8 +111,8 @@ def _grid(args, lo: float, hi: float, default_steps: int = 21) -> list[float]:
         start = lo if args.grid_from is None else float(args.grid_from)
         stop = hi if args.grid_to is None else float(args.grid_to)
         steps = default_steps if args.steps is None else int(args.steps)
-        if steps < 1:
-            raise ValueError(f"grid needs at least one point, got steps={steps}")
+        if not 1 <= steps <= MAX_STEPS:
+            raise ValueError(f"grid needs 1 to {MAX_STEPS} points, got steps={steps}")
         if steps == 1:
             values = [start]
         else:

@@ -5,10 +5,12 @@ outcome is kept with its exact amplitude, no sampling anywhere.  A branch is
 one (detector outcome, accepted target output port) combination together
 with the conditional two-qubit state it leaves behind.
 
-A ``CompiledCircuit`` validates a netlist and builds its elements once.  A
-phase grid then costs eight evolutions in total, not four per phase: the
-program photon enters as (|H> - e^{i phi}|V>)/sqrt(2) and everything after
-it is linear, so each branch operator is (G_H - e^{i phi} G_V)/sqrt(2).
+A ``CompiledCircuit`` validates a netlist, builds its elements once and
+composes them into one mode transfer matrix per detector outcome; a
+branch amplitude is then one 3×3 permanent per input term.  A phase grid
+costs eight runs in total, not four per phase: the program photon enters
+as (|H> - e^{i phi}|V>)/sqrt(2) and everything after it is linear, so each
+branch operator is (G_H - e^{i phi} G_V)/sqrt(2).
 """
 
 from __future__ import annotations
@@ -20,18 +22,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .elements import ppbs
+from .elements import ElementSpec, ppbs
 from .fock import (
-    H,
-    V,
+    POLS,
     FockState,
     ModeLabel,
-    ModeRegistry,
-    apply_element,
+    coincidence_amplitudes,
+    embed,
     make_photon_state,
-    post_select,
-    project_detector,
-    two_qubit_amplitudes,
+    permanents,
 )
 from .netlist import CircuitNetlist, NetlistValidationError, validate
 
@@ -44,6 +43,9 @@ BASIS_KETS = ((1.0 + 0j, 0j), (0j, 1.0 + 0j))
 BRANCH_TOL = 1e-10
 #: Largest off-diagonal magnitude of a branch operator that counts as zero.
 DIAG_TOL = 1e-12
+#: Largest magnitude a stage prefix may put from any input mode onto a mode
+#: that still counts as dark.
+DARK_TOL = 1e-12
 
 
 def ideal_cphase(phi) -> np.ndarray:
@@ -123,7 +125,7 @@ def _product_input(
             raise ValueError(f"{name} ket must be a normalized 2-component vector")
     ports = netlist.ports
     photons = [
-        [(ModeLabel(path, pol), complex(amp)) for pol, amp in zip((H, V), ket)]
+        [(ModeLabel(path, pol), complex(amp)) for pol, amp in zip(POLS, ket)]
         for path, ket in (
             (ports.target_in, target_ket),
             (ports.control_in, control_ket),
@@ -147,16 +149,27 @@ def prepare_inputs(
 
 
 class CompiledCircuit:
-    """A netlist validated once, with every element built once.
+    """A netlist validated once and reduced to one transfer matrix per outcome.
 
     ``validate`` builds each element through ``ElementSpec.element``, which
     keeps the built element on the spec, so compiling reuses those builds.
 
-    Holds the built stages on either side of the measurement point, the
-    correction of each detector outcome and the post-selection pattern of
-    each target output port, so any number of inputs and phases can run
-    without repeating that work.  Keep the object to reuse it; nothing is
-    cached anywhere else.
+    Each element is embedded in the mode space of the netlist's paths and
+    the stages are composed: those before the measurement point, then each
+    detector outcome's feed-forward correction (if any), then the rest.  A
+    branch (outcome, target output port) keeps three rows of its outcome's
+    matrix for each of the four two-qubit outputs: the target port row of
+    the target polarization, the control output row of the control
+    polarization, and the detector rows contracted with the conjugated
+    outcome ket.  Post-selection is implicit: only these coincidences are
+    ever computed.
+
+    Compiling also checks every stage prefix of every branch: the paths an
+    element sends light onto but does not take as input must be dark (no
+    amplitude above ``DARK_TOL`` from any of the six input modes), or the
+    netlist merges light onto a path that is already lit and the first such
+    element is reported.  Keep the object to reuse it; nothing is cached
+    anywhere else.
     """
 
     def __init__(self, netlist: CircuitNetlist):
@@ -164,29 +177,57 @@ class CompiledCircuit:
         if diagnostics:
             raise NetlistValidationError(diagnostics)
         self.netlist = netlist
-        built = [spec.element for spec in netlist.stages]
-        self.before = tuple(built[: netlist.measure_after])
-        self.after = tuple(built[netlist.measure_after:])
-        self.outcomes = tuple(
-            (outcome, netlist.correction(outcome.correct).element if outcome.correct else None)
-            for outcome in netlist.measurement.outcomes
-        )
-        target_ports = netlist.ports.target_out
-        base = [(p, n) for p, n in netlist.postselect if p not in target_ports]
-        self.patterns = tuple((port, dict(base + [(port, 1)])) for port in target_ports)
+        self.registry = netlist.registry()
+        ports = netlist.ports
+        inputs = self._modes(ports.target_in, ports.control_in, ports.program_in)
+
+        def compose(chain: Sequence[ElementSpec], transfer: np.ndarray) -> np.ndarray:
+            for spec in chain:
+                element = spec.element
+                onto = [c for c in element.channels_out if c not in element.channels_in]
+                modes = [self.registry.index(ModeLabel(path, pol)) for path, pol in onto]
+                lit = np.max(np.abs(transfer[np.ix_(modes, inputs)]), axis=1, initial=0.0)
+                if np.any(lit > DARK_TOL):
+                    path = onto[int(np.argmax(lit))][0]
+                    where = f"line {spec.line}: " if spec.line else ""
+                    raise NetlistValidationError(
+                        [f"{where}{spec.name}: sends light onto an already-lit path ({path})"]
+                    )
+                transfer = embed(element, self.registry) @ transfer
+            return transfer
+
+        before = compose(netlist.stages[: netlist.measure_after], np.eye(len(self.registry)))
+        after = netlist.stages[netlist.measure_after:]
+        rows = []
+        for outcome in netlist.measurement.outcomes:
+            correction = (netlist.correction(outcome.correct),) if outcome.correct else ()
+            transfer = compose(correction + after, before)
+            detector = np.conj(outcome.ket) @ transfer[self._modes(netlist.measurement.path)]
+            control = transfer[self._modes(ports.control_out)]
+            for port in ports.target_out:
+                target = transfer[self._modes(port)]
+                # (target pol, control pol, 3 rows) -> (4 outputs |tc>, 3 rows)
+                triples = np.broadcast_arrays(target[:, None], control[None, :], detector)
+                rows.append(np.stack(triples, axis=2).reshape(4, 3, -1))
+        #: (branches, 4, 3, modes): the three output rows of each branch and output.
+        self.rows = np.stack(rows)
         #: (outcome label, port) of every branch, in the order run() emits them.
         self.branch_keys = tuple(
-            (outcome.label, port) for outcome, _ in self.outcomes for port in target_ports
+            (outcome.label, port)
+            for outcome in netlist.measurement.outcomes
+            for port in ports.target_out
         )
 
-    def run(self, state: FockState) -> list[Branch]:
-        """Evolve one prepared input and enumerate all branches.
+    def _modes(self, *paths: str) -> list[int]:
+        return [self.registry.index(ModeLabel(p, pol)) for p in paths for pol in POLS]
 
-        Stages run in order up to the measurement point; each detector
-        outcome forks there, applies its feed-forward correction (if any),
-        runs the remaining stages, then post-selects one photon on each
-        accepted output port, projects the detector photon onto the outcome
-        ket and reads off the conditional two-qubit amplitudes.
+    def run(self, state: FockState) -> list[Branch]:
+        """Enumerate all branches for one prepared input.
+
+        Each branch amplitude is the coincidence amplitude of the target
+        port, the control output and the detector in the outcome's
+        polarization: one 3×3 permanent per input term.  Entangled inputs and
+        inputs with several photons in one mode are covered alike.
         Probabilities are exact.
         """
         nl = self.netlist
@@ -195,27 +236,19 @@ class CompiledCircuit:
                 f"input holds {state.photon_number} photons, "
                 f"post-selection expects {nl.postselect_total()}"
             )
-        mid = state
-        for element in self.before:
-            mid = apply_element(mid, element)
-        branches: list[Branch] = []
-        for outcome, correction in self.outcomes:
-            branch_state = mid if correction is None else apply_element(mid, correction)
-            for element in self.after:
-                branch_state = apply_element(branch_state, element)
-            for port, pattern in self.patterns:
-                selected, _ = post_select(branch_state, pattern)
-                detected, _ = project_detector(selected, nl.measurement.path, outcome.ket)
-                amps = two_qubit_amplitudes(detected, port, nl.ports.control_out)
-                probability = float(np.sum(np.abs(amps) ** 2))
-                branches.append(Branch(outcome.label, port, amps, probability))
-        return branches
+        if state.registry != self.registry:
+            raise ValueError(f"input is over {state.registry!r}, not the netlist's paths")
+        amplitudes = coincidence_amplitudes(state, self.rows)
+        return [
+            Branch(outcome, port, amps, float(np.sum(np.abs(amps) ** 2)))
+            for (outcome, port), amps in zip(self.branch_keys, amplitudes)
+        ]
 
     @cached_property
     def program_operators(self) -> np.ndarray:
         """Branch operators with the program photon in |H> and in |V>.
 
-        Shape (2, branches, 4, 4): eight evolutions, the four basis inputs
+        Shape (2, branches, 4, 4): eight runs, the four basis inputs
         with each program polarization.  Everything after the program photon
         is prepared is linear in it, so the operator of every branch at
         phase phi is (G_H - e^{i phi} G_V)/sqrt(2).
@@ -324,18 +357,11 @@ def hom_scan(t_v: float, overlap_grid: Sequence[float]) -> list[tuple[float, flo
     """Two-photon interference scan against wavepacket overlap.
 
     Two vertically polarized photons enter the two ports of a partially
-    polarizing splitter; the second photon carries amplitude sqrt(v) in the
-    shared wavepacket and sqrt(1-v) in an orthogonal one.  Returns the
-    coincidence probability (one photon per output path, summed over
-    wavepacket indices) for each overlap v, in grid order:
-    P(v) = v (t^2 - r^2)^2 + (1 - v)(t^4 + r^4).
-
-    A scan costs two evolutions whatever its length.  The input is linear in
-    the second photon's amplitudes, and the splitter and the post-selection
-    are linear too, so only the two basis inputs (second photon in wavepacket
-    0, or in 1) are evolved and post-selected.  Every point is then one row
-    of [sqrt(v), sqrt(1-v)] @ A, with A their post-selected amplitudes over
-    the union of occupations; the cross terms are kept.
+    polarizing splitter with wavepacket overlap v.  Returns the coincidence
+    probability (one photon per output path) for each overlap, in grid
+    order: with M the splitter's vertical block,
+    P(v) = v |perm M|^2 + (1 - v) perm(|M|^2) = v (t^2 - r^2)^2 + (1 - v)(t^4 + r^4)
+    (Tichy, arXiv:1410.7687).  The splitter is built once per scan.
     """
     if not 0.0 < t_v < 1.0:
         raise ValueError(f"transmissivity must lie in (0, 1), got {t_v}")
@@ -343,17 +369,9 @@ def hom_scan(t_v: float, overlap_grid: Sequence[float]) -> list[tuple[float, flo
     for v in overlaps:
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"overlap must lie in [0, 1], got {v}")
-    registry = ModeRegistry(("a", "b"), internal_count=2)
-    splitter = ppbs("a", "b", "a", "b", t_v)
-    selected = []
-    for internal in (0, 1):
-        photons = [[(ModeLabel("a", V, 0), 1.0 + 0j)], [(ModeLabel("b", V, internal), 1.0 + 0j)]]
-        state = make_photon_state(registry, photons)
-        kept, _ = post_select(apply_element(state, splitter), {"a": 1, "b": 1})
-        selected.append(kept)
-    keys = sorted(set().union(*(s.amplitudes for s in selected)))
-    basis = np.array([[s.amplitude(key) for key in keys] for s in selected], dtype=complex)
+    block = ppbs("a", "b", "a", "b", t_v).matrix[2:, 2:]
+    together = abs(permanents(block)) ** 2
+    apart = permanents(abs(block) ** 2).real
     grid = np.array(overlaps, dtype=float)
-    amps = np.stack([np.sqrt(grid), np.sqrt(1.0 - grid)], axis=1) @ basis
-    probabilities = np.sum(np.abs(amps) ** 2, axis=1)
+    probabilities = grid * together + (1.0 - grid) * apart
     return [(v, float(p)) for v, p in zip(overlaps, probabilities)]

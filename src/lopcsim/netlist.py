@@ -522,6 +522,11 @@ def validate(netlist: CircuitNetlist) -> list[str]:
         diags.append(
             "ports target_in, control_in and program_in must name three distinct paths"
         )
+    outputs = [*ports.target_out, ports.control_out, rule.path]
+    if len(set(outputs)) != len(outputs):
+        diags.append(
+            "ports target_out, control_out and the measurement path must name distinct paths"
+        )
 
     if not 0 <= netlist.measure_after <= len(netlist.stages):
         diags.append("measurement position outside the stage list")

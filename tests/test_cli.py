@@ -5,8 +5,10 @@ import warnings
 
 import pytest
 
-from lopcsim import builtin_basic, builtin_variant, render
+from lopcsim import builtin_basic, builtin_variant, cli, render
 from lopcsim.cli import _emit, main
+
+from .test_compiled import MERGED_CASES
 
 
 def read_csv(path):
@@ -213,4 +215,51 @@ def test_verify_oracle_shape_mismatch_exits_2(tmp_path, capsys):
     assert "[A:T_OUT, A:T_OUT2, D:T_OUT, D:T_OUT2]" in err  # found
     assert "'basic' oracle's [D:T_OUT]" in err  # expected
     assert "--variant full" in err
+    assert not out.exists()
+
+
+def test_steps_are_bounded(tmp_path, capsys, monkeypatch):
+    assert cli.MAX_STEPS == 100_000
+    out = tmp_path / "out.csv"
+    for command in ("verify", "sweep", "hom"):
+        assert main([command, "--steps", "200000000", "--out", str(out)]) == 2
+        assert f"error: grid needs 1 to {cli.MAX_STEPS} points, got steps=200000000" in (
+            capsys.readouterr().err
+        )
+    assert not out.exists()
+    monkeypatch.setattr(cli, "MAX_STEPS", 4)
+    assert main(["hom", "--steps", "4", "--out", str(out)]) == 0
+    assert len(read_csv(out)) == 4
+    assert main(["hom", "--steps", "5", "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("argv", [["--tol", "-1"], ["--tol=-1e-3"]])
+def test_negative_tolerance_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["verify", *argv, "--out", str(out)]) == 2
+    assert "non-negative tolerance" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["verify", "--tol", "0", "--phi", "0.5", "--out", str(out)]) in (0, 1)
+
+
+def test_negative_grid_ends_use_the_equals_form(tmp_path, capsys):
+    for command in ("verify", "sweep", "hom"):
+        assert main([command, "--help"]) == 0
+        help_text = capsys.readouterr().out
+        assert "--from=-1e-3" in help_text and "--to=-1e-3" in help_text
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--from=-1e-3", "--to=1e-3", "--steps", "3", "--out", str(out)]) == 0
+    assert sorted({float(r["phi_rad"]) for r in read_csv(out)}) == [-1e-3, 0.0, 1e-3]
+    assert main(["sweep", "--to", "-1e-3", "--out", str(out)]) == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, line", MERGED_CASES)
+def test_light_merged_onto_a_lit_path_exits_2(tmp_path, capsys, text, line):
+    merged = tmp_path / "merged.lopc"
+    merged.write_text(text, encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert main(["verify", "--variant", "basic", "--netlist", str(merged), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: PX: sends light onto an already-lit path (C_OUT)")
     assert not out.exists()

@@ -1,6 +1,6 @@
-"""The compiled circuit's phase-affine operators against direct evolution.
+"""The compiled circuit's phase-affine operators against per-phase runs.
 
-``reference_gate`` is the per-phase assembly: it evolves the four basis
+``reference_gate`` is the per-phase assembly: it runs the four basis
 inputs with the program photon (|H> - e^{i phi}|V>)/sqrt(2) through ``run``
 and scores the operators with plain loops.  The compiled circuit must agree
 with it on every operator to 1e-12 and on every flag exactly.
@@ -17,6 +17,7 @@ from lopcsim import (
     CompiledCircuit,
     NetlistValidationError,
     builtin_variant,
+    parse,
     prepare_inputs,
     run,
     strip_corrections,
@@ -106,22 +107,21 @@ def test_detuned_netlists_depart_from_ideal():
 
 def test_sweep_cost_does_not_grow_with_grid_length(monkeypatch):
     calls = []
-    apply_element = lopcsim.gates.apply_element
+    run = CompiledCircuit.run
 
-    def counting(state, element, *args):
-        calls.append(element.name)
-        return apply_element(state, element, *args)
+    def counting(self, state):
+        calls.append(state)
+        return run(self, state)
 
-    monkeypatch.setattr(lopcsim.gates, "apply_element", counting)
+    monkeypatch.setattr(CompiledCircuit, "run", counting)
     netlist = builtin_variant("full")
     sweep_phi(netlist, np.linspace(0.0, math.pi, 3))
     short = len(calls)
     calls.clear()
     sweep_phi(netlist, np.linspace(0.0, math.pi, 51))
     assert len(calls) == short
-    # eight evolutions (four basis inputs, program photon H or V) of the
-    # 8 stages before the measurement and 3 + 4 after it (outcome A adds PLM)
-    assert short == 8 * (8 + 3 + 4)
+    # eight runs: four basis inputs, program photon H or V
+    assert short == 8
 
 
 def test_compiled_circuit_validates_once_and_rejects_invalid_netlists(monkeypatch):
@@ -165,6 +165,63 @@ def test_non_finite_phase_raises(bad):
         prepare_inputs(circuit.netlist, BASIS_KETS[0], BASIS_KETS[0], bad)
     with pytest.raises(ValueError, match="empty"):
         circuit.evaluate([])
+
+
+#: basic.lopc with HX and PX inserted after F2: PX reflects light from t_up
+#: onto C_OUT, which the control photon already lights.  ``validate``
+#: accepts it; compiling must not.
+MERGED_LOPC = """\
+path t_in
+path t_in2
+path t_up
+path t_low
+path c_in
+path C_OUT
+path p_in
+path d
+path T_OUT
+path T_OUT2
+pbs PBS1 in=t_in,t_in2 out=t_up,t_low
+filter F1 path=t_up th=0.5 tv=0.5
+jones HWP1 path=t_low m=-0.8660254037844386,0.5,0.5,0.8660254037844386
+ppbs PPBS in=t_low,c_in out=t_low,C_OUT tv=0.5773502691896258
+filter F2 path=C_OUT th=0.5773502691896258 tv=1.0
+hwp HX path=t_up angle=22.5
+pbs PX in=t_up,t_in2 out=t_up,C_OUT
+hwp HWP2 path=t_low angle=22.5
+pbs PBS3 in=t_low,p_in out=t_low,d
+measure path=d outcome D ket=0.7071067811865475,0.7071067811865475
+hwp HWP3 path=t_low angle=22.5
+pbs PBS2 in=t_up,t_low out=T_OUT,T_OUT2
+postselect T_OUT=1 C_OUT=1 d=1
+ports target_in=t_in control_in=c_in program_in=p_in target_out=T_OUT control_out=C_OUT
+"""
+
+
+#: basic.lopc with only PX inserted after F2, reflecting t_up onto C_OUT.
+#: Both columns that meet on C_OUT are attenuated (by F1 and by PPBS and F2),
+#: so the merged light has no more than unit norm, yet it still merges.
+ATTENUATED_MERGE_LOPC = MERGED_LOPC.replace("hwp HX path=t_up angle=22.5\n", "").replace(
+    "pbs PX in=t_up,t_in2 out=t_up,C_OUT", "pbs PX in=t_up,t_in2 out=C_OUT,t_up"
+)
+#: (netlist text, line of PX) of each merged-path case.
+MERGED_CASES = [
+    pytest.param(MERGED_LOPC, 17, id="rotated"),
+    pytest.param(ATTENUATED_MERGE_LOPC, 16, id="attenuated"),
+]
+
+
+@pytest.mark.parametrize("text, line", MERGED_CASES)
+def test_light_merged_onto_a_lit_path_is_a_located_error(text, line):
+    netlist = parse(text)
+    assert validate(netlist) == []
+    with pytest.raises(NetlistValidationError) as caught:
+        CompiledCircuit(netlist)
+    (diagnostic,) = caught.value.diagnostics
+    assert diagnostic == f"line {line}: PX: sends light onto an already-lit path (C_OUT)"
+    # the same elements in code carry no line
+    with pytest.raises(NetlistValidationError, match=r"^PX: sends light"):
+        CompiledCircuit(replace(netlist, stages=tuple(replace(s, line=None) for s in netlist.stages)))
 
 
 def test_input_ports_must_be_distinct():

@@ -1,21 +1,37 @@
+"""States, elements and the permanent engine on small hand-checked cases.
+
+Output amplitudes come from ``coincidence_amplitudes`` over transfer
+matrices built by ``embed``; post-selection is a sum over the output
+occupations it keeps, and detection a row contracted with the conjugated
+outcome ket.
+"""
+
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lopcsim import (
+    CompiledCircuit,
     FockState,
     ModeLabel,
     ModeRegistry,
-    apply_element,
+    NetlistValidationError,
+    builtin_variant,
+    coincidence_amplitudes,
+    embed,
     linear_element,
     make_photon_state,
-    post_select,
-    project_detector,
-    two_qubit_amplitudes,
+    prepare_inputs,
+    validate,
 )
 from lopcsim.elements import ppbs
+from lopcsim.gates import BASIS_KETS
+
+from . import dense_reference
+from .test_fock_properties import engine_output
 
 SQ2 = math.sqrt(2.0)
 T = 1.0 / math.sqrt(3.0)
@@ -42,6 +58,31 @@ def occ(reg, *labels):
         idx = reg.index(label)
         counts[idx] = counts.get(idx, 0) + 1
     return tuple(sorted(counts.items()))
+
+
+def amplitude(state, transfer, *labels):
+    """Engine amplitude of the output occupation with one photon per label."""
+    reg = state.registry
+    modes = [reg.index(label) for label in labels]
+    bunching = math.prod(math.factorial(modes.count(m)) for m in set(modes))
+    return coincidence_amplitudes(state, transfer[modes]) / math.sqrt(bunching)
+
+
+def kept_probability(state, transfer, pattern):
+    """Probability of the output occupations whose per-path photon totals are ``pattern``."""
+    reg = state.registry
+    total = 0.0
+    for modes, amp in engine_output(state, transfer).items():
+        paths = [reg.label(m).path for m in modes]
+        if all(paths.count(p) == pattern.get(p, 0) for p in reg.paths):
+            total += abs(amp) ** 2
+    return total
+
+
+def detector_row(reg, path, ket):
+    """The detector rows of ``path`` contracted with the conjugated ``ket``."""
+    rows = np.eye(len(reg), dtype=complex)[[reg.index(ModeLabel(path, pol)) for pol in "HV"]]
+    return np.conj(ket) @ rows
 
 
 @pytest.fixture
@@ -80,20 +121,21 @@ def test_make_photon_state_rejects_bad_input(reg):
 
 
 def test_ppbs_single_photon_split(reg):
-    el = ppbs("p", "q", "p", "q", T)
+    u = embed(ppbs("p", "q", "p", "q", T), reg)
     state = make_photon_state(reg, [[(ModeLabel("p", "V"), 1.0)]])
-    out = apply_element(state, el)
-    assert abs(out.amplitude(occ(reg, ModeLabel("p", "V"))) - T) < 1e-15
-    assert abs(abs(out.amplitude(occ(reg, ModeLabel("q", "V")))) - R) < 1e-15
+    assert abs(amplitude(state, u, ModeLabel("p", "V")) - T) < 1e-15
+    assert abs(abs(amplitude(state, u, ModeLabel("q", "V"))) - R) < 1e-15
 
 
 def test_identity_element_is_noop(reg):
     el = linear_element("ID", (("p", "H"), ("p", "V")), (("p", "H"), ("p", "V")), np.eye(2))
+    assert np.array_equal(embed(el, reg), np.eye(len(reg)))
     state = make_photon_state(
         reg, [[(ModeLabel("p", "H"), 0.6), (ModeLabel("p", "V"), 0.8)]]
     )
-    out = apply_element(state, el)
-    assert out.amplitudes == pytest.approx(state.amplitudes)
+    out = engine_output(state, embed(el, reg))
+    expected = {tuple(m for m, n in occ for _ in range(n)): a for occ, a in state.terms()}
+    assert {k: a for k, a in out.items() if abs(a) > 1e-15} == pytest.approx(expected)
 
 
 def test_two_photon_coincidence_is_permanent(reg):
@@ -101,8 +143,7 @@ def test_two_photon_coincidence_is_permanent(reg):
     state = make_photon_state(
         reg, [[(ModeLabel("p", "V"), 1.0)], [(ModeLabel("q", "V"), 1.0)]]
     )
-    out = apply_element(state, el)
-    coincidence = out.amplitude(occ(reg, ModeLabel("p", "V"), ModeLabel("q", "V")))
+    coincidence = amplitude(state, embed(el, reg), ModeLabel("p", "V"), ModeLabel("q", "V"))
     v_block = el.matrix[2:, 2:]
     assert abs(coincidence - brute_permanent(v_block)) < 1e-15
     assert abs(coincidence + 1.0 / 3.0) < 1e-15
@@ -111,17 +152,18 @@ def test_two_photon_coincidence_is_permanent(reg):
 def test_permanent_and_bunching_amplitudes_random():
     rng = np.random.default_rng(7)
     reg2 = ModeRegistry(("a", "b"))
+    a_v, b_v = ModeLabel("a", "V"), ModeLabel("b", "V")
     for _ in range(20):
         m = random_unitary(rng, 2)
         el = linear_element("U", (("a", "V"), ("b", "V")), (("a", "V"), ("b", "V")), m)
-        state = make_photon_state(
-            reg2, [[(ModeLabel("a", "V"), 1.0)], [(ModeLabel("b", "V"), 1.0)]]
-        )
-        out = apply_element(state, el)
-        one_each = out.amplitude(occ(reg2, ModeLabel("a", "V"), ModeLabel("b", "V")))
-        both_a = out.amplitude(occ(reg2, ModeLabel("a", "V"), ModeLabel("a", "V")))
+        u = embed(el, reg2)
+        state = make_photon_state(reg2, [[(a_v, 1.0)], [(b_v, 1.0)]])
+        one_each = amplitude(state, u, a_v, b_v)
+        both_a = amplitude(state, u, a_v, a_v)
         assert abs(one_each - brute_permanent(m)) < 1e-12
         assert abs(both_a - SQ2 * m[0, 0] * m[0, 1]) < 1e-12
+        evolved = dense_reference.evolve(dense_reference.tensor(state), u)
+        assert abs(both_a - dense_reference.amplitude(evolved, [reg2.index(a_v)] * 2)) < 1e-12
 
 
 def test_unitary_preserves_norm_on_random_three_photon_states():
@@ -142,8 +184,8 @@ def test_unitary_preserves_norm_on_random_three_photon_states():
             (("a", "H"), ("a", "V"), ("b", "H"), ("b", "V")),
             m,
         )
-        out = apply_element(state, el)
-        assert abs(out.norm_sq() - state.norm_sq()) < 1e-12
+        out = engine_output(state, embed(el, reg3))
+        assert abs(sum(abs(a) ** 2 for a in out.values()) - state.norm_sq()) < 1e-12
 
 
 def test_element_composition_matches_matrix_product():
@@ -161,11 +203,12 @@ def test_element_composition_matches_matrix_product():
             [(ModeLabel("b", "V"), 1.0)],
         ],
     )
-    seq = apply_element(apply_element(state, e1), e2)
-    combined = apply_element(state, e21)
-    keys = set(seq.amplitudes) | set(combined.amplitudes)
-    for key in keys:
-        assert abs(seq.amplitude(key) - combined.amplitude(key)) < 1e-12
+    # one element after the other in the dense reference, the product in the engine
+    t = dense_reference.tensor(state)
+    for e in (e1, e2):
+        t = dense_reference.evolve(t, dense_reference.transfer(reg2, [e]))
+    for modes, amp in engine_output(state, embed(e21, reg2)).items():
+        assert abs(amp - dense_reference.amplitude(t, modes)) < 1e-12
 
 
 def test_post_select_basic_counts(reg):
@@ -176,14 +219,10 @@ def test_post_select_basic_counts(reg):
             [(ModeLabel("t", "V"), 1.0)],
         ],
     )
-    kept, prob = post_select(state, {"p": 1, "t": 1})
-    assert abs(prob - 0.5) < 1e-12
-    assert len(kept.amplitudes) == 1
-    full, prob_full = post_select(
-        make_photon_state(reg, [[(ModeLabel("t", "V"), 1.0)]]), {"t": 1}
-    )
-    assert abs(prob_full - 1.0) < 1e-12
-    assert len(full.amplitudes) == 1
+    identity = np.eye(len(reg), dtype=complex)
+    assert abs(kept_probability(state, identity, {"p": 1, "t": 1}) - 0.5) < 1e-12
+    single = make_photon_state(reg, [[(ModeLabel("t", "V"), 1.0)]])
+    assert abs(kept_probability(single, identity, {"t": 1}) - 1.0) < 1e-12
 
 
 def test_post_select_probabilities_sum_to_norm():
@@ -196,21 +235,24 @@ def test_post_select_probabilities_sum_to_norm():
         amps /= np.linalg.norm(amps)
         photons.append(list(zip(labels, amps)))
     state = make_photon_state(reg3, photons)
+    u = embed(ppbs("a", "b", "b", "a", 0.4), reg3)
     total = 0.0
     for na in range(4):
         for nb in range(4 - na):
             nc = 3 - na - nb
-            _, p = post_select(state, {"a": na, "b": nb, "c": nc})
-            total += p
+            total += kept_probability(state, u, {"a": na, "b": nb, "c": nc})
     assert abs(total - state.norm_sq()) < 1e-12
 
 
 def test_post_select_rejects_bad_patterns(reg):
+    # a selection of output modes must account for every photon, and an
+    # element on an unknown path cannot be embedded
     state = make_photon_state(reg, [[(ModeLabel("t", "H"), 1.0)]])
-    with pytest.raises(ValueError):
-        post_select(state, {"nope": 1})
-    with pytest.raises(ValueError):
-        post_select(state, {"t": 2})
+    identity = np.eye(len(reg), dtype=complex)
+    with pytest.raises(ValueError, match="2 output modes for a state of 1 photons"):
+        coincidence_amplitudes(state, identity[[0, 1]])
+    with pytest.raises(ValueError, match="unknown mode"):
+        embed(ppbs("nope", "q", "p", "q", T), reg)
 
 
 def test_project_detector_program_factor(reg):
@@ -219,46 +261,56 @@ def test_project_detector_program_factor(reg):
         reg,
         [[(ModeLabel("p", "H"), 1 / SQ2), (ModeLabel("p", "V"), -np.exp(1j * phi) / SQ2)]],
     )
-    reduced, prob = project_detector(state, "p", (1 / SQ2, 1 / SQ2))
+    amp = coincidence_amplitudes(state, detector_row(reg, "p", (1 / SQ2, 1 / SQ2))[None])
     factor = (1 - np.exp(1j * phi)) / 2
-    assert abs(reduced.amplitude(()) - factor) < 1e-12
-    assert abs(prob - abs(factor) ** 2) < 1e-12
+    assert abs(amp - factor) < 1e-12
 
 
 def test_project_detector_aligned_and_orthogonal(reg):
     pure_h = make_photon_state(reg, [[(ModeLabel("p", "H"), 1.0)]])
-    reduced, prob = project_detector(pure_h, "p", (1.0, 0.0))
-    assert abs(reduced.amplitude(()) - 1.0) < 1e-15
-    assert abs(prob - 1.0) < 1e-12
+    aligned = coincidence_amplitudes(pure_h, detector_row(reg, "p", (1.0, 0.0))[None])
+    assert abs(aligned - 1.0) < 1e-15
     diag = make_photon_state(
         reg, [[(ModeLabel("p", "H"), 1 / SQ2), (ModeLabel("p", "V"), 1 / SQ2)]]
     )
-    _, prob_perp = project_detector(diag, "p", (1 / SQ2, -1 / SQ2))
-    assert prob_perp < 1e-24
+    perp = coincidence_amplitudes(diag, detector_row(reg, "p", (1 / SQ2, -1 / SQ2))[None])
+    assert abs(perp) ** 2 < 1e-24
 
 
 def test_project_detector_requires_single_photon(reg):
+    # the detector row takes exactly one photon: two photons on its path
+    # give no coincidence with any other mode, and one row alone does not
+    # account for both
     label = ModeLabel("p", "V")
     state = make_photon_state(reg, [[(label, 1.0)], [(label, 1.0)]])
-    with pytest.raises(ValueError):
-        project_detector(state, "p", (1.0, 0.0))
+    det = detector_row(reg, "p", (0.0, 1.0))
+    others = np.eye(len(reg), dtype=complex)[[reg.index(ModeLabel("q", "V"))]]
+    assert coincidence_amplitudes(state, np.stack([det, others[0]])) == 0
+    with pytest.raises(ValueError, match="output modes"):
+        coincidence_amplitudes(state, det[None])
 
 
-def test_two_qubit_amplitudes_reads_single_term(reg):
-    amp = 0.3 - 0.4j
-    state = amp * make_photon_state(
-        reg, [[(ModeLabel("t", "H"), 1.0)], [(ModeLabel("c", "H"), 1.0)]]
-    )
-    vec = two_qubit_amplitudes(state, "t", "c")
-    assert np.allclose(vec, [amp, 0, 0, 0], atol=1e-15, rtol=0)
+def test_two_qubit_amplitudes_reads_single_term():
+    # each basis input |tc> of the diagonal gate lands on amplitude 2t+c only
+    circuit = CompiledCircuit(builtin_variant("full"))
+    for t in (0, 1):
+        for c in (0, 1):
+            state = prepare_inputs(circuit.netlist, BASIS_KETS[t], BASIS_KETS[c], 0.7)
+            for branch in circuit.run(state):
+                others = np.delete(branch.amplitudes, 2 * t + c)
+                assert abs(abs(branch.amplitudes[2 * t + c]) - 1 / (4 * math.sqrt(3))) < 1e-12
+                assert np.max(np.abs(others)) < 1e-15
 
 
-def test_two_qubit_amplitudes_rejects_residual(reg):
-    state = make_photon_state(
-        reg, [[(ModeLabel("t", "H"), 1.0)], [(ModeLabel("q", "H"), 1.0)]]
-    )
-    with pytest.raises(ValueError):
-        two_qubit_amplitudes(state, "t", "c")
+def test_two_qubit_amplitudes_rejects_residual():
+    # a target output on the control or detector path would read a photon
+    # outside the qubit ports as a qubit amplitude
+    nl = builtin_variant("basic")
+    for clash in ("C_OUT", "d"):
+        bad = replace(nl, ports=replace(nl.ports, target_out=(clash,)))
+        assert any("distinct paths" in d for d in validate(bad))
+        with pytest.raises(NetlistValidationError):
+            CompiledCircuit(bad)
 
 
 def test_operations_are_linear():
@@ -267,7 +319,7 @@ def test_operations_are_linear():
     chans = (("a", "H"), ("a", "V"), ("b", "H"), ("b", "V"))
     labels = [ModeLabel(p, pol) for p in ("a", "b") for pol in ("H", "V")]
     m = random_unitary(rng, 4)
-    el = linear_element("U", chans, chans, m)
+    u = embed(linear_element("U", chans, chans, m), reg2)
     for _ in range(5):
         states = []
         for _ in range(2):
@@ -276,12 +328,10 @@ def test_operations_are_linear():
             photons = [list(zip(labels, amps)), [(ModeLabel("b", "V"), 1.0)]]
             states.append(make_photon_state(reg2, photons))
         alpha, beta = 0.6 + 0.1j, -0.3 + 0.7j
-        combo = alpha * states[0] + beta * states[1]
-        out_combo = apply_element(combo, el)
-        out_parts = alpha * apply_element(states[0], el) + beta * apply_element(states[1], el)
-        keys = set(out_combo.amplitudes) | set(out_parts.amplitudes)
-        for key in keys:
-            assert abs(out_combo.amplitude(key) - out_parts.amplitude(key)) < 1e-12
+        out_combo = engine_output(alpha * states[0] + beta * states[1], u)
+        parts = [engine_output(s, u) for s in states]
+        for key, amp in out_combo.items():
+            assert abs(amp - (alpha * parts[0][key] + beta * parts[1][key])) < 1e-12
 
 
 def test_projection_operations_are_linear():
@@ -300,18 +350,13 @@ def test_projection_operations_are_linear():
     s1, s2 = random_state(), random_state()
     alpha, beta = 0.4 - 0.3j, 0.2 + 0.6j
     combo = alpha * s1 + beta * s2
-    sel_combo, _ = post_select(combo, {"a": 1, "b": 1})
-    sel_parts = alpha * post_select(s1, {"a": 1, "b": 1})[0] + beta * post_select(s2, {"a": 1, "b": 1})[0]
-    for key in set(sel_combo.amplitudes) | set(sel_parts.amplitudes):
-        assert abs(sel_combo.amplitude(key) - sel_parts.amplitude(key)) < 1e-12
-    ket = (1 / SQ2, 1 / SQ2)
-    det_combo, _ = project_detector(sel_combo, "a", ket)
-    det_parts = (
-        alpha * project_detector(post_select(s1, {"a": 1, "b": 1})[0], "a", ket)[0]
-        + beta * project_detector(post_select(s2, {"a": 1, "b": 1})[0], "a", ket)[0]
-    )
-    for key in set(det_combo.amplitudes) | set(det_parts.amplitudes):
-        assert abs(det_combo.amplitude(key) - det_parts.amplitude(key)) < 1e-12
+    # one photon detected on a in the diagonal ket, the other kept on b
+    det = detector_row(reg2, "a", (1 / SQ2, 1 / SQ2))
+    b_rows = np.eye(len(reg2), dtype=complex)[[reg2.index(ModeLabel("b", pol)) for pol in "HV"]]
+    rows = np.stack([np.stack([det, b]) for b in b_rows])
+    detected = coincidence_amplitudes(combo, rows)
+    parts = alpha * coincidence_amplitudes(s1, rows) + beta * coincidence_amplitudes(s2, rows)
+    assert np.max(np.abs(detected - parts)) < 1e-12
 
 
 def test_subunitary_element_rejected():
@@ -347,12 +392,13 @@ def test_pruning_raises_on_non_finite_amplitudes(reg, bad):
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
-def test_project_detector_rejects_non_finite_ket(reg, bad):
-    state = make_photon_state(reg, [[(ModeLabel("p", "H"), 1.0)]])
-    with pytest.raises(ValueError, match="normalized"):
-        project_detector(state, "p", (bad, 0.0))
-    with pytest.raises(ValueError, match="normalized"):
-        project_detector(state, "p", (1.0, bad))
+def test_project_detector_rejects_non_finite_ket(bad):
+    nl = builtin_variant("basic")
+    for ket in ((bad, 0.0), (1.0, bad)):
+        outcome = replace(nl.measurement.outcomes[0], ket=ket)
+        broken = replace(nl, measurement=replace(nl.measurement, outcomes=(outcome,)))
+        with pytest.raises(NetlistValidationError, match="normalized"):
+            CompiledCircuit(broken)
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)

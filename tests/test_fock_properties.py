@@ -1,21 +1,27 @@
-"""Property tests of state evolution over random element chains.
+"""Property tests of the permanent engine over random element chains.
 
 Chains of one to four elements are built through ``ElementSpec`` from the
 kinds of ``lopcsim.elements.KINDS`` and applied to random one- to
-three-photon states over three paths.  A beam splitter's output paths are a
+three-photon states over three paths.  The engine's amplitude of every
+output occupation must agree with the dense reference of
+``tests/dense_reference.py``.  A beam splitter's output paths are a
 permutation of its input paths, so every element acts on the whole mode
 space as its matrix says: unitary elements must keep the squared norm, and
 filters (and subunitary Jones maps) may only lower it.
 """
 
 import cmath
+import itertools
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lopcsim.elements import KINDS, ElementSpec
-from lopcsim.fock import ModeRegistry, apply_element, make_photon_state
+from lopcsim.fock import ModeRegistry, coincidence_amplitudes, embed, make_photon_state
+
+from . import dense_reference
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 REGISTRY = ModeRegistry(("a", "b", "c"))
@@ -89,15 +95,49 @@ def states(draw):
 KIND_LISTS = st.lists(st.sampled_from(sorted(KINDS)), min_size=1, max_size=4)
 
 
+def engine_output(state, transfer):
+    """Engine amplitude of every output occupation, keyed by its sorted modes.
+
+    One ``coincidence_amplitudes`` call over all multisets of output modes,
+    divided by sqrt(prod m!) for the repeated ones.
+    """
+    keys = list(itertools.combinations_with_replacement(range(len(state.registry)),
+                                                        state.photon_number))
+    amps = coincidence_amplitudes(state, transfer[np.array(keys)])
+    bunching = [math.prod(math.factorial(key.count(m)) for m in set(key)) for key in keys]
+    return dict(zip(keys, amps / np.sqrt(bunching)))
+
+
+def norm_sq(state, transfer):
+    return float(sum(abs(a) ** 2 for a in engine_output(state, transfer).values()))
+
+
+def composed(chain):
+    """Engine transfer matrix of each prefix of ``chain``, shortest first."""
+    u = np.eye(len(REGISTRY), dtype=complex)
+    prefixes = []
+    for element in chain:
+        u = embed(element, REGISTRY) @ u
+        prefixes.append(u)
+    return prefixes
+
+
+@SETTINGS
+@given(states(), st.data())
+def test_engine_matches_dense_reference(state, data):
+    chain = data.draw(chains(LOSSY_PARAMS, data.draw(KIND_LISTS)))
+    u = dense_reference.transfer(REGISTRY, chain)
+    evolved = dense_reference.evolve(dense_reference.tensor(state), u)
+    for modes, amp in engine_output(state, composed(chain)[-1]).items():
+        assert abs(amp - dense_reference.amplitude(evolved, modes)) <= 1e-12
+
+
 @SETTINGS
 @given(states(), st.data())
 def test_unitary_chains_keep_the_norm(state, data):
     chain = data.draw(chains(UNITARY_PARAMS, data.draw(KIND_LISTS)))
-    before = state.norm_sq()
-    for element in chain:
-        assert element.unitary
-        state = apply_element(state, element)
-    assert abs(state.norm_sq() - before) <= 1e-12
+    assert all(element.unitary for element in chain)
+    assert abs(norm_sq(state, composed(chain)[-1]) - state.norm_sq()) <= 1e-12
 
 
 @SETTINGS
@@ -105,8 +145,8 @@ def test_unitary_chains_keep_the_norm(state, data):
 def test_chains_with_a_filter_never_raise_the_norm(state, data):
     others = data.draw(st.lists(st.sampled_from(sorted(KINDS)), max_size=3))
     kinds = data.draw(st.permutations(others + ["filter"]))
-    chain = data.draw(chains(LOSSY_PARAMS, kinds))
-    for element in chain:
-        before = state.norm_sq()
-        state = apply_element(state, element)
-        assert state.norm_sq() <= before + 1e-12
+    before = state.norm_sq()
+    for transfer in composed(data.draw(chains(LOSSY_PARAMS, kinds))):
+        after = norm_sq(state, transfer)
+        assert after <= before + 1e-12
+        before = after

@@ -84,16 +84,20 @@ def test_superposed_target_amplitudes():
 
 def test_post_select_after_detector_basis_projector():
     # Running all stages, projecting the detector path onto the diagonal
-    # basis (photon kept) and then post-selecting leaves probability 1/48.
-    from lopcsim import apply_element, jones, post_select
+    # basis (photon kept) and then post-selecting one photon on each of
+    # T_OUT, C_OUT and d, in either polarization, leaves probability 1/48.
+    from lopcsim import coincidence_amplitudes, embed, jones
 
     nl = builtin_basic()
+    reg = nl.registry()
     state = prepare_inputs(nl, KET0, KET0, 0.6)
+    u = np.eye(len(reg), dtype=complex)
     for spec in nl.stages:
-        state = apply_element(state, spec.build())
-    projector = jones("d", 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]]))
-    state = apply_element(state, projector)
-    _, prob = post_select(state, {"T_OUT": 1, "C_OUT": 1, "d": 1})
+        u = embed(spec.build(), reg) @ u
+    u = embed(jones("d", 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]])), reg) @ u
+    rows = [u[[reg.index(ModeLabel(p, pol)) for pol in (H, V)]] for p in ("T_OUT", "C_OUT", "d")]
+    triples = np.array([[t, c, d] for t in rows[0] for c in rows[1] for d in rows[2]])
+    prob = float(np.sum(np.abs(coincidence_amplitudes(state, triples)) ** 2))
     assert abs(prob - 1.0 / 48.0) < 1e-12
 
 

@@ -1,9 +1,13 @@
-"""The overlap scan against a per-point reference evolution.
+"""The overlap scan against a per-point dense reference.
 
-``reference_scan`` prepares the two-photon input of every overlap point on
-its own and evolves and post-selects it through the splitter.  ``hom_scan``
-must agree with it, and with the closed form, to 1e-12 while evolving only
-the two basis inputs.
+``reference_scan`` models the photons' wavepackets as separate paths: the
+first photon enters on ``a0``, the second on ``b0`` with amplitude sqrt(v)
+and on ``b1`` with sqrt(1-v), and one splitter acts on each wavepacket
+pair.  The coincidence probability sums every output with one photon on
+path a and one on path b, whatever their wavepackets, from the dense
+first-quantized evolution of ``tests/dense_reference.py``.  ``hom_scan``
+must agree with it, and with the closed form, to 1e-12 while building one
+splitter per scan.
 """
 
 import math
@@ -12,24 +16,32 @@ import numpy as np
 import pytest
 
 import lopcsim.gates
-from lopcsim import ModeLabel, ModeRegistry, apply_element, hom_scan, make_photon_state, post_select
+from lopcsim import ModeLabel, ModeRegistry, hom_scan, make_photon_state
 from lopcsim.elements import ppbs
+
+from . import dense_reference
 
 
 def reference_scan(t_v, overlaps):
-    registry = ModeRegistry(("a", "b"), internal_count=2)
-    splitter = ppbs("a", "b", "a", "b", t_v)
+    registry = ModeRegistry(("a0", "b0", "a1", "b1"))
+    per_wavepacket = [ppbs(f"a{w}", f"b{w}", f"a{w}", f"b{w}", t_v) for w in (0, 1)]
+    u = dense_reference.transfer(registry, per_wavepacket)
+    a_modes, b_modes = (
+        [registry.index(ModeLabel(f"{p}{w}", "V")) for w in (0, 1)] for p in "ab"
+    )
     rows = []
     for v in overlaps:
         photons = [
-            [(ModeLabel("a", "V", 0), 1.0 + 0j)],
+            [(ModeLabel("a0", "V"), 1.0 + 0j)],
             [
-                (ModeLabel("b", "V", 0), complex(math.sqrt(v))),
-                (ModeLabel("b", "V", 1), complex(math.sqrt(1.0 - v))),
+                (ModeLabel("b0", "V"), complex(math.sqrt(v))),
+                (ModeLabel("b1", "V"), complex(math.sqrt(1.0 - v))),
             ],
         ]
-        state = make_photon_state(registry, photons)
-        _, probability = post_select(apply_element(state, splitter), {"a": 1, "b": 1})
+        t = dense_reference.evolve(dense_reference.tensor(make_photon_state(registry, photons)), u)
+        probability = sum(
+            abs(dense_reference.amplitude(t, [i, j])) ** 2 for i in a_modes for j in b_modes
+        )
         rows.append((v, probability))
     return rows
 
@@ -55,22 +67,24 @@ def test_scan_matches_per_point_reference_and_closed_form():
 
 
 @pytest.fixture
-def evolutions(monkeypatch):
+def splitters(monkeypatch):
+    """Names of the splitters ``hom_scan`` builds."""
     calls = []
-    apply_element = lopcsim.gates.apply_element
+    build = lopcsim.gates.ppbs
 
-    def counting(state, element, *args):
+    def counting(*args, **kwargs):
+        element = build(*args, **kwargs)
         calls.append(element.name)
-        return apply_element(state, element, *args)
+        return element
 
-    monkeypatch.setattr(lopcsim.gates, "apply_element", counting)
+    monkeypatch.setattr(lopcsim.gates, "ppbs", counting)
     return calls
 
 
 @pytest.mark.parametrize("points", [3, 1001])
-def test_scan_costs_two_evolutions_whatever_its_length(evolutions, points):
+def test_scan_builds_one_splitter_whatever_its_length(splitters, points):
     hom_scan(1 / math.sqrt(3), np.linspace(0.0, 1.0, points))
-    assert len(evolutions) == 2
+    assert len(splitters) == 1
 
 
 def test_empty_grid_gives_no_rows():
@@ -78,17 +92,17 @@ def test_empty_grid_gives_no_rows():
 
 
 @pytest.mark.parametrize("t_v", [0.0, 1.0, -0.5, math.nan, math.inf])
-def test_bad_transmissivity_is_rejected(evolutions, t_v):
+def test_bad_transmissivity_is_rejected(splitters, t_v):
     with pytest.raises(ValueError, match=r"^transmissivity must lie in \(0, 1\), got "):
         hom_scan(t_v, [0.5])
-    assert evolutions == []
+    assert splitters == []
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan, math.inf])
 @pytest.mark.parametrize("at", [0, 2])
-def test_bad_overlap_anywhere_is_rejected_before_any_evolution(evolutions, bad, at):
+def test_bad_overlap_anywhere_is_rejected_before_any_evolution(splitters, bad, at):
     grid = [0.5, 0.25, 1.0]
     grid[at] = bad
     with pytest.raises(ValueError, match=rf"^overlap must lie in \[0, 1\], got {bad}$"):
         hom_scan(0.5, grid)
-    assert evolutions == []
+    assert splitters == []
