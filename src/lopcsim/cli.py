@@ -10,26 +10,22 @@ Exit codes: 0 success, 1 verification failure, 2 usage or netlist errors.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .gates import CompiledCircuit, hom_scan, sweep_phi
-from .netlist import VARIANTS, NetlistError, NetlistValidationError, builtin_variant, parse
+from .netlist import VARIANTS, NetlistValidationError, builtin_variant, parse
 from .oracle import branch_table
 
 _DEFAULT_TV = 1.0 / math.sqrt(3.0)
 #: Most points a --steps grid may have; larger requests are rejected before
 #: any grid is built (the benchmark's longest grid has about 1100 points).
 MAX_STEPS = 100_000
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 def _finite(text: str) -> float:
@@ -67,7 +63,7 @@ def _add_common(sub: argparse.ArgumentParser, phase_grid: bool) -> None:
     if phase_grid:
         sub.add_argument("--variant", choices=sorted(VARIANTS), default="basic")
         sub.add_argument("--netlist", metavar="FILE", help="run this netlist file instead")
-        sub.add_argument("--phi", type=_finite, default=None, help="single phase value")
+        sub.add_argument("--phi", type=_finite, help="single phase, instead of --from/--to/--steps")
         sub.add_argument(
             "--degrees", action="store_true", help="interpret --phi/--from/--to in degrees"
         )
@@ -106,6 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _grid(args, lo: float, hi: float, default_steps: int = 21) -> list[float]:
     single = getattr(args, "phi", None)
     if single is not None:
+        if (args.grid_from, args.grid_to, args.steps) != (None, None, None):
+            raise ValueError("--phi cannot be combined with --from/--to/--steps")
         values = [float(single)]
     else:
         start = lo if args.grid_from is None else float(args.grid_from)
@@ -135,39 +133,49 @@ def _meta_pairs(args, command: str) -> list[tuple[str, str]]:
         pairs.append(("variant", args.variant))
         if args.netlist:
             pairs.append(("netlist", args.netlist))
-    if hasattr(args, "tv"):
-        pairs.append(("tv", _fmt(args.tv)))
-    if hasattr(args, "tol"):
-        pairs.append(("tol", _fmt(args.tol)))
-    return pairs
+    return pairs + [(k, "%.17g" % getattr(args, k)) for k in ("tv", "tol") if hasattr(args, k)]
 
 
-def _emit(args, command: str, header: list[str], rows: list[list]) -> None:
-    if args.format == "csv":
-        lines = []
-        if args.meta:
-            lines.extend(f"# {key}={value}" for key, value in _meta_pairs(args, command))
-        lines.append(",".join(header))
-        for row in rows:
-            lines.append(",".join(_cell(value) for value in row))
-        text = "\n".join(lines) + "\n"
+def _emit(args, command: str, header: list[str], columns) -> None:
+    """Write equal-length columns as rows, one column per header field.
+
+    Each column (floats or bools that numpy reads, or str) is formatted once
+    and the rows are joined from one template.  CSV prints floats as
+    ``%.17g``; JSON is ``json.dumps(rows, indent=2, sort_keys=True,
+    allow_nan=False)`` of the row dicts, byte for byte.
+    """
+    as_json = args.format == "json"
+    cells = [_cells(column, as_json) for column in columns]
+    meta = _meta_pairs(args, command) if args.meta else []
+    if as_json:
+        pad = "    " if meta else "  "
+        keys = sorted(range(len(header)), key=header.__getitem__)
+        fields = ",\n".join(f"{pad}  {_quote(header[i]).replace('%', '%%')}: %s" for i in keys)
+        template = "{\n" + fields + "\n" + pad + "}"
+        rows = f",\n{pad}".join([template % row for row in zip(*(cells[i] for i in keys))])
+        text = f"[\n{pad}{rows}\n{pad[2:]}]" if rows else "[]"
+        if meta:
+            pairs = ",\n".join(f"    {_quote(k)}: {_quote(v)}" for k, v in sorted(meta))
+            text = f'{{\n  "meta": {{\n{pairs}\n  }},\n  "rows": {text}\n}}'
     else:
-        payload = [dict(zip(header, row)) for row in rows]
-        if args.meta:
-            payload = {"meta": dict(_meta_pairs(args, command)), "rows": payload}
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        lines = [*(f"# {key}={value}" for key, value in meta), ",".join(header)]
+        text = "\n".join(lines + list(map(",".join, zip(*cells))))
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        Path(args.out).write_text(text + "\n", encoding="utf-8")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(text + "\n")
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _fmt(value)
-    return str(value)
+def _cells(column, as_json: bool) -> list[str]:
+    if len(column) and isinstance(column[0], str):
+        return list(map(_quote, column)) if as_json else list(column)
+    values = np.asarray(column)
+    if values.dtype == bool:
+        return np.where(values, "true", "false").tolist()
+    bad = values[~np.isfinite(values)] if as_json else ()
+    if len(bad):
+        raise ValueError(f"Out of range float values are not JSON compliant: {float(bad[0])!r}")
+    return list(map(float.__repr__ if as_json else "%.17g".__mod__, values.tolist()))
 
 
 def _labels(keys) -> str:
@@ -197,46 +205,31 @@ def cmd_verify(args) -> int:
     phis = _grid(args, 0.0, math.pi)
     _check_oracle_shape(circuit, args.variant)
     tol = float(args.tol)
+    grid = circuit.evaluate(phis)
+    tables = [branch_table(phi, args.variant) for phi in phis]
+    expected = np.array([[np.diag(t[key]) for key in grid.branch_keys] for t in tables])
+    nominal = np.array([len(t) for t in tables]) / 48.0
+    err = np.max(np.abs(grid.ops - expected), axis=(1, 2, 3))
+    ok = (err <= tol) & (abs(grid.p_success - nominal) <= tol) & (abs(grid.fidelity - 1.0) <= tol)
     header = ["phi_rad", "p_success", "fidelity", "max_amp_err", "ok"]
-    rows = []
-    all_ok = True
-    for phi, report in zip(phis, circuit.evaluate(phis)):
-        expected = branch_table(phi, args.variant)
-        nominal = len(expected) / 48.0
-        err = 0.0
-        for branch in report.branches:
-            target = np.diag(expected[(branch.outcome, branch.port)]).astype(complex)
-            err = max(err, float(np.max(np.abs(branch.amplitudes - target))))
-        ok = (
-            err <= tol
-            and abs(report.p_success - nominal) <= tol
-            and abs(report.fidelity - 1.0) <= tol
-        )
-        all_ok = all_ok and ok
-        rows.append([phi, report.p_success, report.fidelity, err, ok])
-    _emit(args, "verify", header, rows)
-    status = "PASS" if all_ok else "FAIL"
+    _emit(args, "verify", header, [phis, grid.p_success, grid.fidelity, err, ok])
+    status = "PASS" if ok.all() else "FAIL"
     print(f"verify {args.variant}: {status} over {len(phis)} phase values", file=sys.stderr)
-    return 0 if all_ok else 1
+    return 0 if ok.all() else 1
 
 
 def cmd_sweep(args) -> int:
-    circuit = _load_netlist(args)
-    phis = sorted(_grid(args, 0.0, math.pi))
-    header = ["phi_rad", "p_success", "fidelity", "branch", "branch_prob"]
-    rows = [
-        [report.phi, report.p_success, report.fidelity, label, prob]
-        for report in sweep_phi(circuit, phis)
-        for label, prob in sorted((b.label, b.probability) for b in report.branches)
-    ]
-    _emit(args, "sweep", header, rows)
+    grid = sweep_phi(_load_netlist(args), sorted(_grid(args, 0.0, math.pi)))
+    labels, order = zip(*sorted((f"{o}:{p}", b) for b, (o, p) in enumerate(grid.branch_keys)))
+    columns = [np.repeat(c, len(order)) for c in (grid.phis, grid.p_success, grid.fidelity)]
+    columns += [list(labels) * len(grid), grid.probabilities[:, order].ravel()]
+    _emit(args, "sweep", ["phi_rad", "p_success", "fidelity", "branch", "branch_prob"], columns)
     return 0
 
 
 def cmd_hom(args) -> int:
-    overlaps = _grid(args, 0.0, 1.0)
-    rows = [[v, p] for v, p in hom_scan(float(args.tv), overlaps)]
-    _emit(args, "hom", ["v", "coincidence"], rows)
+    pairs = hom_scan(float(args.tv), _grid(args, 0.0, 1.0))
+    _emit(args, "hom", ["v", "coincidence"], zip(*pairs))
     return 0
 
 
@@ -248,14 +241,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except NetlistError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NetlistValidationError as exc:
         for diagnostic in exc.diagnostics:
             print(f"error: {diagnostic}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # NetlistError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

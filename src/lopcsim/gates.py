@@ -16,9 +16,9 @@ branch operator is (G_H - e^{i phi} G_V)/sqrt(2).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .fock import (
     POLS,
     FockState,
     ModeLabel,
+    ModeRegistry,
     coincidence_amplitudes,
     embed,
     make_photon_state,
@@ -104,6 +105,42 @@ class ConditionalGateReport:
     diagonal: bool
 
 
+@dataclass(frozen=True, eq=False)
+class GateGrid(Sequence):
+    """The conditional gate scored over a phase grid, one array per field.
+
+    ``ops`` is (phases, branches, 4, 4) and ``probabilities`` (phases,
+    branches), branches in ``branch_keys`` order; the other arrays hold one
+    entry per phase.  Indexing or iterating builds the per-phase reports.
+    """
+
+    phis: np.ndarray
+    ops: np.ndarray
+    probabilities: np.ndarray
+    p_success: np.ndarray
+    fidelity: np.ndarray
+    branch_consistent: np.ndarray
+    diagonal: np.ndarray
+    branch_keys: tuple[tuple[str, str], ...]
+
+    def __len__(self) -> int:
+        return len(self.phis)
+
+    def __getitem__(self, k):
+        k = range(len(self))[k]
+        if isinstance(k, range):  # a slice: a list of reports, as for a list
+            return [self[i] for i in k]
+        branches = tuple(
+            Branch(o, p, self.ops[k, b], float(self.probabilities[k, b]))
+            for b, (o, p) in enumerate(self.branch_keys)
+        )
+        return ConditionalGateReport(
+            float(self.phis[k]), branches[0].amplitudes, float(self.p_success[k]),
+            float(self.fidelity[k]), branches, bool(self.branch_consistent[k]),
+            bool(self.diagonal[k]),
+        )
+
+
 def _check_phases(phis) -> np.ndarray:
     values = np.asarray(phis, dtype=float).reshape(-1)
     if values.size == 0:
@@ -116,6 +153,7 @@ def _check_phases(phis) -> np.ndarray:
 
 def _product_input(
     netlist: CircuitNetlist,
+    registry: ModeRegistry,
     target_ket: Sequence[complex],
     control_ket: Sequence[complex],
     program_ket: Sequence[complex],
@@ -132,7 +170,7 @@ def _product_input(
             (ports.program_in, program_ket),
         )
     ]
-    return make_photon_state(netlist.registry(), photons)
+    return make_photon_state(registry, photons)
 
 
 def prepare_inputs(
@@ -145,7 +183,7 @@ def prepare_inputs(
     phase-programming photon (|H> - e^{i phi}|V>)/sqrt(2)."""
     (phi,) = _check_phases([phi])
     program = (1.0 / _SQ2 + 0j, -np.exp(1j * phi) / _SQ2)
-    return _product_input(netlist, target_ket, control_ket, program)
+    return _product_input(netlist, netlist.registry(), target_ket, control_ket, program)
 
 
 class CompiledCircuit:
@@ -254,31 +292,19 @@ class CompiledCircuit:
         phase phi is (G_H - e^{i phi} G_V)/sqrt(2).
         """
         ops = np.zeros((2, len(self.branch_keys), 4, 4), dtype=complex)
-        for p, program in enumerate(BASIS_KETS):
-            for t_bit in (0, 1):
-                for c_bit in (0, 1):
-                    state = _product_input(
-                        self.netlist, BASIS_KETS[t_bit], BASIS_KETS[c_bit], program
-                    )
-                    for b, branch in enumerate(self.run(state)):
-                        ops[p, b, :, 2 * t_bit + c_bit] = branch.amplitudes
+        for p, t_bit, c_bit in np.ndindex(2, 2, 2):
+            kets = (BASIS_KETS[t_bit], BASIS_KETS[c_bit], BASIS_KETS[p])
+            state = _product_input(self.netlist, self.registry, *kets)
+            ops[p, :, :, 2 * t_bit + c_bit] = [branch.amplitudes for branch in self.run(state)]
         return ops
 
-    def evaluate(self, phi_grid: Sequence[float]) -> list[ConditionalGateReport]:
-        """Assemble and score the conditional gate at every phase of the grid.
-
-        One report per phase, in grid order.  Every branch operator of the
-        grid comes from one broadcast over ``program_operators``; the scores
-        and tolerances are those documented on ``ConditionalGateReport``.
-        """
+    def evaluate(self, phi_grid: Sequence[float]) -> GateGrid:
+        """Assemble and score the conditional gate at every phase of the grid,
+        as arrays from one broadcast over ``program_operators``; the scores
+        and tolerances are those documented on ``ConditionalGateReport``."""
         phis = _check_phases(phi_grid)
         g_h, g_v = self.program_operators
         ops = (g_h - np.exp(1j * phis)[:, None, None, None] * g_v) / _SQ2
-        probs = np.sum(np.abs(ops[..., 0]) ** 2, axis=-1)  # |00> column, (phase, branch)
-        p_success = np.sum(probs, axis=1)
-        primary = ops[:, 0]
-        fidelities = fidelity(primary, phis)
-
         flat = ops.reshape(len(phis), len(self.branch_keys), 16)
         ref_idx = np.argmax(np.abs(flat[:, 0]), axis=1)
         at_ref = np.take_along_axis(flat, ref_idx[:, None, None], axis=2)[..., 0]
@@ -287,28 +313,14 @@ class CompiledCircuit:
         mag = np.abs(ratio)
         phase = np.divide(ratio, mag, out=np.ones_like(ratio), where=mag > 0)
         deviation = np.max(np.abs(flat - phase[..., None] * flat[:, :1]), axis=2)
-        consistent = np.all(deviation <= BRANCH_TOL, axis=1)
         off_diagonal = np.max(np.abs(ops[..., ~np.eye(4, dtype=bool)]), axis=2)
-        diagonal = np.all(off_diagonal <= DIAG_TOL, axis=1)
-
-        reports = []
-        for k, phi in enumerate(phis):
-            branches = tuple(
-                Branch(o, p, ops[k, b], float(probs[k, b]))
-                for b, (o, p) in enumerate(self.branch_keys)
-            )
-            reports.append(
-                ConditionalGateReport(
-                    phi=float(phi),
-                    gate=branches[0].amplitudes,
-                    p_success=float(p_success[k]),
-                    fidelity=float(fidelities[k]),
-                    branches=branches,
-                    branch_consistent=bool(consistent[k]),
-                    diagonal=bool(diagonal[k]),
-                )
-            )
-        return reports
+        probs = np.sum(np.abs(ops[..., 0]) ** 2, axis=-1)  # |00> column, (phase, branch)
+        return GateGrid(
+            phis=phis, ops=ops, probabilities=probs, p_success=np.sum(probs, axis=1),
+            fidelity=fidelity(ops[:, 0], phis),
+            branch_consistent=np.all(deviation <= BRANCH_TOL, axis=1),
+            diagonal=np.all(off_diagonal <= DIAG_TOL, axis=1), branch_keys=self.branch_keys,
+        )
 
 
 def run(netlist: CircuitNetlist, state: FockState) -> list[Branch]:
@@ -348,8 +360,8 @@ def success_probability(
     return float(sum(branch.probability for branch in run(netlist, state)))
 
 
-def sweep_phi(netlist: CircuitNetlist, phi_grid: Sequence[float]) -> list[ConditionalGateReport]:
-    """Evaluate the gate over a phase grid; one report per phase, in grid order."""
+def sweep_phi(netlist: CircuitNetlist, phi_grid: Sequence[float]) -> GateGrid:
+    """Evaluate the gate over a phase grid: a ``GateGrid``, phases in grid order."""
     return CompiledCircuit(netlist).evaluate(phi_grid)
 
 
@@ -365,13 +377,11 @@ def hom_scan(t_v: float, overlap_grid: Sequence[float]) -> list[tuple[float, flo
     """
     if not 0.0 < t_v < 1.0:
         raise ValueError(f"transmissivity must lie in (0, 1), got {t_v}")
-    overlaps = [float(v) for v in overlap_grid]
-    for v in overlaps:
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"overlap must lie in [0, 1], got {v}")
+    grid = np.array(overlap_grid, dtype=float)
+    outside = grid[~((0.0 <= grid) & (grid <= 1.0))]
+    if outside.size:
+        raise ValueError(f"overlap must lie in [0, 1], got {float(outside[0])}")
     block = ppbs("a", "b", "a", "b", t_v).matrix[2:, 2:]
     together = abs(permanents(block)) ** 2
     apart = permanents(abs(block) ** 2).real
-    grid = np.array(overlaps, dtype=float)
-    probabilities = grid * together + (1.0 - grid) * apart
-    return [(v, float(p)) for v, p in zip(overlaps, probabilities)]
+    return list(zip(grid.tolist(), (grid * together + (1.0 - grid) * apart).tolist()))

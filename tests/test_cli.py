@@ -263,3 +263,15 @@ def test_light_merged_onto_a_lit_path_exits_2(tmp_path, capsys, text, line):
     err = capsys.readouterr().err
     assert err.startswith(f"error: line {line}: PX: sends light onto an already-lit path (C_OUT)")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "grid", [["--steps", "0"], ["--steps", "200000000"], ["--from=0.1"], ["--to", "1"]]
+)
+def test_single_phi_rejects_grid_flags(grid, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["verify", "--phi", "0.5", *grid, "--out", str(out)]) == 2
+    assert "error: --phi cannot be combined with --from/--to/--steps" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["sweep", *grid, "--phi", "0.5", "--degrees", "--out", str(out)]) == 2
+    assert main(["verify", "--phi", "0.5", "--degrees", "--out", str(out)]) == 0

@@ -14,7 +14,10 @@ import pytest
 
 import lopcsim.gates
 from lopcsim import (
+    Branch,
+    CircuitNetlist,
     CompiledCircuit,
+    ConditionalGateReport,
     NetlistValidationError,
     builtin_variant,
     parse,
@@ -24,8 +27,9 @@ from lopcsim import (
     sweep_phi,
     validate,
 )
+from lopcsim import cli
 from lopcsim.elements import ElementSpec
-from lopcsim.gates import BASIS_KETS
+from lopcsim.gates import BASIS_KETS, GateGrid
 
 
 def detuned(variant, plate, angle):
@@ -122,6 +126,75 @@ def test_sweep_cost_does_not_grow_with_grid_length(monkeypatch):
     assert len(calls) == short
     # eight runs: four basis inputs, program photon H or V
     assert short == 8
+
+
+@pytest.mark.parametrize("steps", [3, 401])
+def test_sweep_builds_no_per_phase_objects(monkeypatch, tmp_path, steps):
+    built = {Branch: 0, ConditionalGateReport: 0}
+    for cls in built:
+        init = cls.__init__
+
+        def counting(self, *args, _cls=cls, _init=init, **kwargs):
+            built[_cls] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--variant", "full", "--steps", str(steps), "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + 4 * steps
+    assert built[ConditionalGateReport] == 0
+    # only the compile's eight basis runs, one Branch per branch each
+    assert built[Branch] == 8 * 4
+
+
+def test_grid_arrays_and_per_phase_views():
+    circuit = CompiledCircuit(builtin_variant("full"))
+    phis = [0.0, 0.4, math.pi]
+    grid = circuit.evaluate(phis)
+    assert isinstance(grid, GateGrid) and len(grid) == 3
+    assert grid.ops.shape == (3, 4, 4, 4) and grid.probabilities.shape == (3, 4)
+    for field in ("phis", "p_success", "fidelity", "branch_consistent", "diagonal"):
+        assert getattr(grid, field).shape == (3,)
+    assert grid.branch_keys == circuit.branch_keys
+    assert np.allclose(grid.p_success, 1 / 12, rtol=0, atol=1e-12)
+    for k, report in enumerate(grid):
+        assert isinstance(report, ConditionalGateReport)
+        assert report.phi == phis[k] == grid.phis[k]
+        assert report.p_success == float(grid.p_success[k])
+        assert report.diagonal is bool(grid.diagonal[k])
+        assert np.array_equal(report.gate, grid.ops[k, 0])
+    assert grid[-1].phi == math.pi
+    assert [r.phi for r in grid[1:]] == phis[1:]
+    with pytest.raises(IndexError):
+        grid[3]
+
+
+def test_one_mode_registry_per_compile(monkeypatch):
+    calls = []
+    registry = CircuitNetlist.registry
+
+    def counting(netlist):
+        calls.append(netlist)
+        return registry(netlist)
+
+    monkeypatch.setattr(CircuitNetlist, "registry", counting)
+    circuit = CompiledCircuit(builtin_variant("full"))
+    circuit.program_operators
+    assert len(calls) == 1
+    circuit.evaluate([0.1, 0.2])
+    circuit.evaluate([0.3])
+    assert len(calls) == 1
+
+
+def test_run_rejects_a_state_over_other_paths():
+    nl = builtin_variant("basic")
+    circuit = CompiledCircuit(nl)
+    wider = replace(nl, paths=nl.paths + ("spare",))
+    state = prepare_inputs(wider, BASIS_KETS[0], BASIS_KETS[1], 0.3)
+    with pytest.raises(ValueError, match="not the netlist's paths"):
+        circuit.run(state)
+    assert len(circuit.run(prepare_inputs(nl, BASIS_KETS[0], BASIS_KETS[1], 0.3))) == 1
 
 
 def test_compiled_circuit_validates_once_and_rejects_invalid_netlists(monkeypatch):

@@ -1,0 +1,100 @@
+"""Differential property tests of the CLI's column emitter.
+
+``cli._emit`` formats each column once and joins rows from a fixed
+template.  Its output must equal, byte for byte, what the row-wise rules
+give: ``json.dumps`` of the row dicts (indent 2, sorted keys, no NaN) for
+JSON, and for CSV ``%.17g`` floats, ``true``/``false`` bools and strings as
+they are.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lopcsim import cli
+
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1.0, 1e-7, 1.7976931348623157e308, -1e-300, 0.1]
+FINITE = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+ANY_FLOAT = st.one_of(FINITE, st.sampled_from([math.nan, math.inf, -math.inf]))
+#: Quotes, backslashes, control characters, '%' and non-ASCII text among any characters.
+TEXT = st.text(
+    st.one_of(st.sampled_from('"\\\x00\x01\n\r\t\x1f\x7f%,é☃ 𝄞'), st.characters())
+)
+
+
+@st.composite
+def table(draw, floats=FINITE):
+    """(header, columns, rows): distinct keys, one column per key, as the
+    emitter takes them and as the row-wise rules take them."""
+    header = draw(st.lists(TEXT, min_size=1, max_size=5, unique=True))
+    n = draw(st.integers(0, 6))
+    columns, plain = [], []
+    for _ in header:
+        kind = draw(st.sampled_from(["float", "float-list", "bool", "str"]))
+        if kind == "bool":
+            values = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            columns.append(np.array(values, dtype=bool))
+        elif kind == "str":
+            values = draw(st.lists(TEXT, min_size=n, max_size=n))
+            columns.append(values)
+        else:
+            values = draw(st.lists(floats, min_size=n, max_size=n))
+            columns.append(np.array(values, dtype=float) if kind == "float" else values)
+        plain.append(values)
+    return header, columns, list(zip(*plain)) if plain else []
+
+
+def emitted(fmt, header, columns, meta=False, netlist=""):
+    args = argparse.Namespace(format=fmt, meta=meta, out=None, variant="basic", netlist=netlist)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli._emit(args, "sweep", header, columns)
+    return out.getvalue(), args
+
+
+def old_cell(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(float(value), ".17g")
+    return str(value)
+
+
+@SETTINGS
+@given(table(), st.booleans(), TEXT)
+def test_json_equals_json_dumps(data, meta, netlist):
+    header, columns, rows = data
+    text, args = emitted("json", header, columns, meta, netlist)
+    payload = [dict(zip(header, row)) for row in rows]
+    if meta:
+        payload = {"meta": dict(cli._meta_pairs(args, "sweep")), "rows": payload}
+    assert text == json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+@SETTINGS
+@given(table(ANY_FLOAT), st.booleans(), TEXT)
+def test_csv_equals_the_row_rule(data, meta, netlist):
+    header, columns, rows = data
+    text, args = emitted("csv", header, columns, meta, netlist)
+    lines = [f"# {key}={value}" for key, value in cli._meta_pairs(args, "sweep")] if meta else []
+    lines.append(",".join(header))
+    lines.extend(",".join(old_cell(value) for value in row) for row in rows)
+    assert text == "\n".join(lines) + "\n"
+
+
+@SETTINGS
+@given(st.lists(FINITE, max_size=5), st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
+def test_json_rejects_non_finite_floats(values, bad, data):
+    values.insert(data.draw(st.integers(0, len(values))), bad)
+    for column in (values, np.array(values)):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            emitted("json", ["x"], [column])
+        with pytest.raises(ValueError):
+            json.dumps([{"x": v} for v in values], allow_nan=False)

@@ -1,0 +1,78 @@
+"""Digest every output of a fixed matrix of lopcsim commands.
+
+Prints one line per command: the blake2b digest of its exit code, standard
+error and output file, two spaces, then the argv.  Run it against two
+checkouts and diff the listings to check that a change leaves every byte
+of ``verify``, ``sweep`` and ``hom`` output (and every exit code) as it was:
+
+    python3 tools/cli_digests.py > after.txt
+    git archive HEAD~1 | (mkdir -p /tmp/parent && tar -x -C /tmp/parent)
+    python3 tools/cli_digests.py /tmp/parent > before.txt
+    diff before.txt after.txt
+
+The optional argument is the checkout whose ``src/lopcsim`` is run (default:
+the one holding this script).  Commands run in-process from the checkout
+root, so the ``--netlist`` paths in the argv, and in ``--meta`` output, are
+the same relative paths for every checkout.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import itertools
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+VARIANTS = ("basic", "ff", "dual", "full")
+GRIDS = (
+    *(["--steps", str(n)] for n in (1, 7, 33, 401)),
+    ["--phi", "0.5"],
+    ["--from=-90", "--to", "270", "--steps", "33", "--degrees"],
+)
+#: Failing and rejected runs: a 1e-16 tolerance fails some phases (exit 1), a
+#: netlist checked against another variant's oracle is a usage error (exit 2).
+OTHER = (
+    *(["verify", "--variant", v, "--steps", "7", "--tol", "1e-16"] for v in VARIANTS),
+    ["verify", "--variant", "basic", "--netlist", "src/lopcsim/circuits/full.lopc"],
+)
+HOM = (["hom", "--steps", "41"], ["hom", "--steps", "41", "--tv", "0.3", "--meta"])
+
+
+def commands():
+    """The fixed argv matrix, without ``--out``."""
+    for command, variant, builtin, grid, meta, fmt in itertools.product(
+        ("verify", "sweep"), VARIANTS, (True, False), GRIDS, (False, True), ("csv", "json")
+    ):
+        source = [] if builtin else ["--netlist", f"src/lopcsim/circuits/{variant}.lopc"]
+        yield [command, "--variant", variant, *source, *grid, *(["--meta"] * meta),
+               "--format", fmt]
+    for argv, meta, fmt in itertools.product(OTHER, (False, True), ("csv", "json")):
+        yield [*argv, *(["--meta"] * meta), "--format", fmt]
+    for argv, fmt in itertools.product(HOM, ("csv", "json")):
+        yield [*argv, "--format", fmt]
+
+
+def main(argv: list[str]) -> int:
+    root = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
+    os.chdir(root)
+    sys.path.insert(0, str(root / "src"))
+    from lopcsim.cli import main as lopcsim
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        for args in commands():
+            out.unlink(missing_ok=True)
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = lopcsim([*args, "--out", str(out)])
+            digest = hashlib.blake2b(f"{code}\n{err.getvalue()}\0".encode(), digest_size=16)
+            digest.update(out.read_bytes() if out.exists() else b"")
+            print(f"{digest.hexdigest()}  {' '.join(args)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
