@@ -136,16 +136,19 @@ def _meta_pairs(args, command: str) -> list[tuple[str, str]]:
     return pairs + [(k, "%.17g" % getattr(args, k)) for k in ("tv", "tol") if hasattr(args, k)]
 
 
-def _emit(args, command: str, header: list[str], columns) -> None:
+def _emit(args, command: str, header: list[str], columns, repeats=()) -> None:
     """Write equal-length columns as rows, one column per header field.
 
     Each column (floats or bools that numpy reads, or str) is formatted once
-    and the rows are joined from one template.  CSV prints floats as
-    ``%.17g``; JSON is ``json.dumps(rows, indent=2, sort_keys=True,
-    allow_nan=False)`` of the row dicts, byte for byte.
+    and the rows are joined from one template; ``repeats[i]``, if given,
+    writes each cell of column i on that many consecutive rows.  CSV prints
+    floats as ``%.17g``; JSON is ``json.dumps(rows, indent=2,
+    sort_keys=True, allow_nan=False)`` of the row dicts, byte for byte.
     """
     as_json = args.format == "json"
     cells = [_cells(column, as_json) for column in columns]
+    for i, n in enumerate(repeats):
+        cells[i] = [cell for cell in cells[i] for _ in range(n)]
     meta = _meta_pairs(args, command) if args.meta else []
     if as_json:
         pad = "    " if meta else "  "
@@ -182,10 +185,10 @@ def _labels(keys) -> str:
     return ", ".join(sorted(f"{outcome}:{port}" for outcome, port in keys))
 
 
-def _check_oracle_shape(circuit: CompiledCircuit, variant: str) -> None:
-    """The netlist must have exactly the branches of the oracle it is checked against."""
+def _check_oracle_shape(circuit: CompiledCircuit, variant: str, table: dict) -> None:
+    """The netlist must have exactly the branches of the oracle's ``table`` (of any phase)."""
     found = set(circuit.branch_keys)
-    expected = set(branch_table(0.0, variant))
+    expected = set(table)
     if found == expected:
         return
     matching = [v for v in sorted(VARIANTS) if set(branch_table(0.0, v)) == found]
@@ -203,10 +206,11 @@ def _check_oracle_shape(circuit: CompiledCircuit, variant: str) -> None:
 def cmd_verify(args) -> int:
     circuit = CompiledCircuit(_load_netlist(args))
     phis = _grid(args, 0.0, math.pi)
-    _check_oracle_shape(circuit, args.variant)
+    tables = [branch_table(phis[0], args.variant)]
+    _check_oracle_shape(circuit, args.variant, tables[0])
+    tables += [branch_table(phi, args.variant) for phi in phis[1:]]
     tol = float(args.tol)
     grid = circuit.evaluate(phis)
-    tables = [branch_table(phi, args.variant) for phi in phis]
     expected = np.array([[np.diag(t[key]) for key in grid.branch_keys] for t in tables])
     nominal = np.array([len(t) for t in tables]) / 48.0
     err = np.max(np.abs(grid.ops - expected), axis=(1, 2, 3))
@@ -221,9 +225,9 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     grid = sweep_phi(_load_netlist(args), sorted(_grid(args, 0.0, math.pi)))
     labels, order = zip(*sorted((f"{o}:{p}", b) for b, (o, p) in enumerate(grid.branch_keys)))
-    columns = [np.repeat(c, len(order)) for c in (grid.phis, grid.p_success, grid.fidelity)]
-    columns += [list(labels) * len(grid), grid.probabilities[:, order].ravel()]
-    _emit(args, "sweep", ["phi_rad", "p_success", "fidelity", "branch", "branch_prob"], columns)
+    columns = [grid.phis, grid.p_success, grid.fidelity, list(labels) * len(grid)]
+    _emit(args, "sweep", ["phi_rad", "p_success", "fidelity", "branch", "branch_prob"],
+          columns + [grid.probabilities[:, order].ravel()], repeats=[len(order)] * 3)
     return 0
 
 

@@ -53,7 +53,7 @@ class ModeLabel:
 
 
 class ModeRegistry:
-    """Ordered mode set with a stable label -> dense index map."""
+    """Ordered mode set with stable label and (path, pol) channel -> dense index maps."""
 
     def __init__(self, paths: Iterable[str]):
         paths = tuple(paths)
@@ -61,11 +61,11 @@ class ModeRegistry:
             raise ValueError("duplicate path names in registry")
         self.paths = paths
         self.labels = tuple(ModeLabel(path, pol) for path in paths for pol in POLS)
-        self._index = {label: i for i, label in enumerate(self.labels)}
+        self.channel_index = {(m.path, m.pol): i for i, m in enumerate(self.labels)}
 
     def index(self, label: ModeLabel) -> int:
         try:
-            return self._index[label]
+            return self.channel_index[label.path, label.pol]
         except KeyError:
             raise ValueError(f"unknown mode {label}") from None
 

@@ -8,8 +8,9 @@ with the conditional two-qubit state it leaves behind.
 A ``CompiledCircuit`` validates a netlist, builds its elements once and
 composes them into one mode transfer matrix per detector outcome; a
 branch amplitude is then one 3×3 permanent per input term.  A phase grid
-costs eight runs in total, not four per phase: the program photon enters
-as (|H> - e^{i phi}|V>)/sqrt(2) and everything after it is linear, so each
+costs one batch of permanents in total, over the eight basis inputs (four
+two-qubit inputs, program photon H or V): the program photon enters as
+(|H> - e^{i phi}|V>)/sqrt(2) and everything after it is linear, so each
 branch operator is (G_H - e^{i phi} G_V)/sqrt(2).
 """
 
@@ -27,9 +28,7 @@ from .fock import (
     POLS,
     FockState,
     ModeLabel,
-    ModeRegistry,
     coincidence_amplitudes,
-    embed,
     make_photon_state,
     permanents,
 )
@@ -151,28 +150,6 @@ def _check_phases(phis) -> np.ndarray:
     return values
 
 
-def _product_input(
-    netlist: CircuitNetlist,
-    registry: ModeRegistry,
-    target_ket: Sequence[complex],
-    control_ket: Sequence[complex],
-    program_ket: Sequence[complex],
-) -> FockState:
-    for name, ket in (("target", target_ket), ("control", control_ket)):
-        if len(ket) != 2 or not abs(sum(abs(c) ** 2 for c in ket) - 1.0) <= 1e-12:
-            raise ValueError(f"{name} ket must be a normalized 2-component vector")
-    ports = netlist.ports
-    photons = [
-        [(ModeLabel(path, pol), complex(amp)) for pol, amp in zip(POLS, ket)]
-        for path, ket in (
-            (ports.target_in, target_ket),
-            (ports.control_in, control_ket),
-            (ports.program_in, program_ket),
-        )
-    ]
-    return make_photon_state(registry, photons)
-
-
 def prepare_inputs(
     netlist: CircuitNetlist,
     target_ket: Sequence[complex],
@@ -182,8 +159,16 @@ def prepare_inputs(
     """Three-photon product input: target and control qubits plus the
     phase-programming photon (|H> - e^{i phi}|V>)/sqrt(2)."""
     (phi,) = _check_phases([phi])
-    program = (1.0 / _SQ2 + 0j, -np.exp(1j * phi) / _SQ2)
-    return _product_input(netlist, netlist.registry(), target_ket, control_ket, program)
+    for name, ket in (("target", target_ket), ("control", control_ket)):
+        if len(ket) != 2 or not abs(sum(abs(c) ** 2 for c in ket) - 1.0) <= 1e-12:
+            raise ValueError(f"{name} ket must be a normalized 2-component vector")
+    ports = netlist.ports
+    kets = (target_ket, control_ket, (1.0 / _SQ2 + 0j, -np.exp(1j * phi) / _SQ2))
+    photons = [
+        [(ModeLabel(path, pol), complex(amp)) for pol, amp in zip(POLS, ket)]
+        for path, ket in zip((ports.target_in, ports.control_in, ports.program_in), kets)
+    ]
+    return make_photon_state(netlist.registry(), photons)
 
 
 class CompiledCircuit:
@@ -192,15 +177,17 @@ class CompiledCircuit:
     ``validate`` builds each element through ``ElementSpec.element``, which
     keeps the built element on the spec, so compiling reuses those builds.
 
-    Each element is embedded in the mode space of the netlist's paths and
-    the stages are composed: those before the measurement point, then each
-    detector outcome's feed-forward correction (if any), then the rest.  A
-    branch (outcome, target output port) keeps three rows of its outcome's
-    matrix for each of the four two-qubit outputs: the target port row of
-    the target polarization, the control output row of the control
-    polarization, and the detector rows contracted with the conjugated
-    outcome ket.  Post-selection is implicit: only these coincidences are
-    ever computed.
+    The stages act on the rows of a transfer matrix over the mode space of
+    the netlist's paths: those before the measurement point, then each
+    detector outcome's feed-forward correction (if any), then the rest.  An
+    element's input rows, times its matrix, replace them and are added onto
+    its output rows: the product with ``fock.embed`` of the element, without
+    the embedding.  A branch (outcome, target output port) keeps three rows
+    of its outcome's matrix for each of the four two-qubit outputs: the
+    target port row of the target polarization, the control output row of
+    the control polarization, and the detector rows contracted with the
+    conjugated outcome ket.  Post-selection is implicit: only these
+    coincidences are ever computed.
 
     Compiling also checks every stage prefix of every branch: the paths an
     element sends light onto but does not take as input must be dark (no
@@ -217,38 +204,45 @@ class CompiledCircuit:
         self.netlist = netlist
         self.registry = netlist.registry()
         ports = netlist.ports
+        index = self.registry.channel_index
         inputs = self._modes(ports.target_in, ports.control_in, ports.program_in)
 
         def compose(chain: Sequence[ElementSpec], transfer: np.ndarray) -> np.ndarray:
+            transfer = transfer.astype(complex)  # a copy
             for spec in chain:
                 element = spec.element
                 onto = [c for c in element.channels_out if c not in element.channels_in]
-                modes = [self.registry.index(ModeLabel(path, pol)) for path, pol in onto]
-                lit = np.max(np.abs(transfer[np.ix_(modes, inputs)]), axis=1, initial=0.0)
-                if np.any(lit > DARK_TOL):
-                    path = onto[int(np.argmax(lit))][0]
-                    where = f"line {spec.line}: " if spec.line else ""
-                    raise NetlistValidationError(
-                        [f"{where}{spec.name}: sends light onto an already-lit path ({path})"]
-                    )
-                transfer = embed(element, self.registry) @ transfer
+                if onto:
+                    lit = np.abs(transfer[[index[c] for c in onto]][:, inputs]).max(axis=1)
+                    if lit.max() > DARK_TOL:
+                        path = onto[int(np.argmax(lit))][0]
+                        where = f"line {spec.line}: " if spec.line else ""
+                        raise NetlistValidationError(
+                            [f"{where}{spec.name}: sends light onto an already-lit path ({path})"]
+                        )
+                ins = [index[c] for c in element.channels_in]
+                moved = element.matrix @ transfer[ins]
+                transfer[ins] = 0.0
+                transfer[[index[c] for c in element.channels_out]] += moved
             return transfer
 
         before = compose(netlist.stages[: netlist.measure_after], np.eye(len(self.registry)))
         after = netlist.stages[netlist.measure_after:]
+        control = self._modes(ports.control_out)
+        # per target port and output |tc>: target row t, control row c and
+        # the detector row, appended after the transfer matrix's last row
+        picks = [
+            [(target[t], control[c], len(self.registry)) for t, c in np.ndindex(2, 2)]
+            for target in map(self._modes, ports.target_out)
+        ]
         rows = []
         for outcome in netlist.measurement.outcomes:
             correction = (netlist.correction(outcome.correct),) if outcome.correct else ()
             transfer = compose(correction + after, before)
             detector = np.conj(outcome.ket) @ transfer[self._modes(netlist.measurement.path)]
-            control = transfer[self._modes(ports.control_out)]
-            for port in ports.target_out:
-                target = transfer[self._modes(port)]
-                # (target pol, control pol, 3 rows) -> (4 outputs |tc>, 3 rows)
-                triples = np.broadcast_arrays(target[:, None], control[None, :], detector)
-                rows.append(np.stack(triples, axis=2).reshape(4, 3, -1))
+            rows.append(np.vstack([transfer, detector])[picks])
         #: (branches, 4, 3, modes): the three output rows of each branch and output.
-        self.rows = np.stack(rows)
+        self.rows = np.concatenate(rows)
         #: (outcome label, port) of every branch, in the order run() emits them.
         self.branch_keys = tuple(
             (outcome.label, port)
@@ -257,7 +251,7 @@ class CompiledCircuit:
         )
 
     def _modes(self, *paths: str) -> list[int]:
-        return [self.registry.index(ModeLabel(p, pol)) for p in paths for pol in POLS]
+        return [self.registry.channel_index[p, pol] for p in paths for pol in POLS]
 
     def run(self, state: FockState) -> list[Branch]:
         """Enumerate all branches for one prepared input.
@@ -286,17 +280,20 @@ class CompiledCircuit:
     def program_operators(self) -> np.ndarray:
         """Branch operators with the program photon in |H> and in |V>.
 
-        Shape (2, branches, 4, 4): eight runs, the four basis inputs
-        with each program polarization.  Everything after the program photon
-        is prepared is linear in it, so the operator of every branch at
-        phase phi is (G_H - e^{i phi} G_V)/sqrt(2).
+        Shape (2, branches, 4, 4): column 2t+c of [p, b] is what ``run``
+        gives on branch b for the basis input |tc> with program polarization
+        p, the permanents of ``rows`` on the three occupied columns (ascending,
+        as ``run`` takes them), all eight inputs in one batch.  Everything
+        after the program photon is prepared is linear in it, so the operator
+        of every branch at phase phi is (G_H - e^{i phi} G_V)/sqrt(2).
         """
-        ops = np.zeros((2, len(self.branch_keys), 4, 4), dtype=complex)
-        for p, t_bit, c_bit in np.ndindex(2, 2, 2):
-            kets = (BASIS_KETS[t_bit], BASIS_KETS[c_bit], BASIS_KETS[p])
-            state = _product_input(self.netlist, self.registry, *kets)
-            ops[p, :, :, 2 * t_bit + c_bit] = [branch.amplitudes for branch in self.run(state)]
-        return ops
+        ports = self.netlist.ports
+        t, c, p = np.reshape(self._modes(ports.target_in, ports.control_in, ports.program_in),
+                             (3, 2))
+        columns = np.sort([(t[i], c[j], p[k]) for k, i, j in np.ndindex(2, 2, 2)], axis=1)
+        # rows[..., columns] is (branches, 4, 3, 8, 3): move the input axis out
+        amplitudes = permanents(np.moveaxis(self.rows[..., columns], -2, -3))
+        return np.moveaxis(amplitudes.reshape(len(self.branch_keys), 4, 2, 4), 2, 0)
 
     def evaluate(self, phi_grid: Sequence[float]) -> GateGrid:
         """Assemble and score the conditional gate at every phase of the grid,

@@ -110,22 +110,27 @@ def test_detuned_netlists_depart_from_ideal():
 
 
 def test_sweep_cost_does_not_grow_with_grid_length(monkeypatch):
-    calls = []
-    run = CompiledCircuit.run
+    calls = {"run": 0, "permanents": 0}
+    run, permanents = CompiledCircuit.run, lopcsim.gates.permanents
 
-    def counting(self, state):
-        calls.append(state)
+    def counting_run(self, state):
+        calls["run"] += 1
         return run(self, state)
 
-    monkeypatch.setattr(CompiledCircuit, "run", counting)
+    def counting_permanents(m):
+        calls["permanents"] += 1
+        return permanents(m)
+
+    monkeypatch.setattr(CompiledCircuit, "run", counting_run)
+    monkeypatch.setattr(lopcsim.gates, "permanents", counting_permanents)
     netlist = builtin_variant("full")
     sweep_phi(netlist, np.linspace(0.0, math.pi, 3))
-    short = len(calls)
-    calls.clear()
+    short = dict(calls)
+    calls.update(run=0, permanents=0)
     sweep_phi(netlist, np.linspace(0.0, math.pi, 51))
-    assert len(calls) == short
-    # eight runs: four basis inputs, program photon H or V
-    assert short == 8
+    assert calls == short
+    # one batch of permanents over the eight basis inputs, and no run
+    assert short == {"run": 0, "permanents": 1}
 
 
 @pytest.mark.parametrize("steps", [3, 401])
@@ -144,8 +149,7 @@ def test_sweep_builds_no_per_phase_objects(monkeypatch, tmp_path, steps):
     assert cli.main(argv) == 0
     assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + 4 * steps
     assert built[ConditionalGateReport] == 0
-    # only the compile's eight basis runs, one Branch per branch each
-    assert built[Branch] == 8 * 4
+    assert built[Branch] == 0
 
 
 def test_grid_arrays_and_per_phase_views():

@@ -98,3 +98,22 @@ def test_json_rejects_non_finite_floats(values, bad, data):
             emitted("json", ["x"], [column])
         with pytest.raises(ValueError):
             json.dumps([{"x": v} for v in values], allow_nan=False)
+
+
+@SETTINGS
+@given(table(), st.integers(1, 4), st.sampled_from(["csv", "json"]), st.data())
+def test_repeated_cells_equal_repeated_values(data, k, fmt, draw):
+    """Columns given with ``repeats`` print as the same columns repeated."""
+    header, columns, _ = data
+    m = draw.draw(st.integers(0, len(columns)))
+    repeated = [
+        np.repeat(c, k) if isinstance(c, np.ndarray) else [v for v in c for _ in range(k)]
+        for c in columns
+    ]
+    args = argparse.Namespace(format=fmt, meta=False, out=None)
+    texts = []
+    for given_columns, repeats in ((columns[:m] + repeated[m:], [k] * m), (repeated, ())):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            cli._emit(args, "sweep", header, given_columns, repeats)
+        texts.append(out.getvalue())
+    assert texts[0] == texts[1]
