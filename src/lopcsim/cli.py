@@ -61,7 +61,7 @@ def _add_common(sub: argparse.ArgumentParser, phase_grid: bool) -> None:
         "--steps", type=int, default=None, metavar="N", help=f"grid points, 1 to {MAX_STEPS}"
     )
     if phase_grid:
-        sub.add_argument("--variant", choices=sorted(VARIANTS), default="basic")
+        sub.add_argument("--variant", choices=VARIANTS, default="basic")
         sub.add_argument("--netlist", metavar="FILE", help="run this netlist file instead")
         sub.add_argument("--phi", type=_finite, help="single phase, instead of --from/--to/--steps")
         sub.add_argument(
@@ -191,7 +191,7 @@ def _check_oracle_shape(circuit: CompiledCircuit, variant: str, table: dict) -> 
     expected = set(table)
     if found == expected:
         return
-    matching = [v for v in sorted(VARIANTS) if set(branch_table(0.0, v)) == found]
+    matching = [v for v in VARIANTS if set(branch_table(0.0, v)) == found]
     hint = (
         f"rerun with --variant {matching[0]}"
         if matching

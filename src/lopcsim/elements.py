@@ -27,18 +27,6 @@ import numpy as np
 
 from .fock import H, V, LinearElement, linear_element
 
-#: PPBS vertical-polarization amplitude transmissivity used by the gate.
-T_V = 1.0 / math.sqrt(3.0)
-#: Horizontal transmissivity of the polarization-sensitive output filter.
-T_F2H = 1.0 / math.sqrt(3.0)
-
-#: Polarization map applied on the lower target arm before the two-photon
-#: interference: |V> -> (1/2)|H> + (sqrt(3)/2)|V>.  Equals a half-wave plate
-#: at 75 degrees.
-TARGET_SPLIT_MATRIX = np.array(
-    [[-math.sqrt(3.0) / 2.0, 0.5], [0.5, math.sqrt(3.0) / 2.0]], dtype=complex
-)
-
 
 @dataclass(frozen=True)
 class ElementSpec:

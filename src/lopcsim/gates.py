@@ -193,8 +193,9 @@ class CompiledCircuit:
     element sends light onto but does not take as input must be dark (no
     amplitude above ``DARK_TOL`` from any of the six input modes), or the
     netlist merges light onto a path that is already lit and the first such
-    element is reported.  Keep the object to reuse it; nothing is cached
-    anywhere else.
+    element is reported.  Keep the object to reuse it: apart from each
+    ``ElementSpec``'s own build (and so the built-in layouts, which
+    ``builtin_variant`` parses once), nothing is cached anywhere else.
     """
 
     def __init__(self, netlist: CircuitNetlist):

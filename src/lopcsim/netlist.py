@@ -1,5 +1,6 @@
-"""Textual circuit descriptions: parser, renderer, validator and the
-built-in gate layouts.
+"""Textual circuit descriptions: parser, renderer and validator, and the
+built-in gate layouts, which are the netlists shipped as package data in
+``circuits/<variant>.lopc`` (see ``builtin_variant``).
 
 A netlist is line based, one statement per line, ``#`` starts a comment:
 
@@ -27,24 +28,21 @@ import cmath
 import math
 import re
 from dataclasses import dataclass, replace
+from functools import cache
+from importlib import resources
 from typing import Sequence
 
 import numpy as np
 
-from .elements import KINDS, T_F2H, T_V, TARGET_SPLIT_MATRIX, ElementKind, ElementSpec
+from .elements import KINDS, ElementKind, ElementSpec
 from .fock import ModeRegistry
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_SQ2 = math.sqrt(2.0)
 #: Photons every gate netlist carries: one per input port.
 PHOTON_BUDGET = 3
 
-VARIANTS = {
-    "basic": (False, False),
-    "ff": (True, False),
-    "dual": (False, True),
-    "full": (True, True),
-}
+#: The built-in layouts, one shipped ``circuits/<name>.lopc`` each.
+VARIANTS = ("basic", "dual", "ff", "full")
 
 
 class NetlistError(ValueError):
@@ -565,70 +563,28 @@ def validate(netlist: CircuitNetlist) -> list[str]:
 # built-in layouts
 
 
-def builtin_optimized(feedforward: bool, dual_output: bool) -> CircuitNetlist:
-    """Gate layout with the two success-probability upgrades toggled.
-
-    ``feedforward`` keeps the anti-diagonal detector outcome and corrects it
-    with a phase flip on the lower target arm right behind the beam splitter
-    that mixes target and program photons.  ``dual_output`` halves the
-    neutral filter loss, splits the upper arm 50/50 with an extra half-wave
-    plate and accepts both final beam splitter outputs, the second one
-    through a polarization swap.
-    """
-    f1 = 1.0 / _SQ2 if dual_output else 0.5
-    stages = [ElementSpec("pbs", "PBS1", ("t_in", "t_in2", "t_up", "t_low"))]
-    stages.append(ElementSpec("filter", "F1", ("t_up",), (complex(f1), complex(f1))))
-    if dual_output:
-        stages.append(ElementSpec("hwp", "HWP4", ("t_up",), (complex(22.5),)))
-    stages.append(
-        ElementSpec("jones", "HWP1", ("t_low",), tuple(map(complex, TARGET_SPLIT_MATRIX.ravel())))
-    )
-    stages.append(ElementSpec("ppbs", "PPBS", ("t_low", "c_in", "t_low", "C_OUT"), (complex(T_V),)))
-    stages.append(ElementSpec("filter", "F2", ("C_OUT",), (complex(T_F2H), complex(1.0))))
-    stages.append(ElementSpec("hwp", "HWP2", ("t_low",), (complex(22.5),)))
-    stages.append(ElementSpec("pbs", "PBS3", ("t_low", "p_in", "t_low", "d")))
-    measure_after = len(stages)
-    stages.append(ElementSpec("hwp", "HWP3", ("t_low",), (complex(22.5),)))
-    stages.append(ElementSpec("pbs", "PBS2", ("t_up", "t_low", "T_OUT", "T_OUT2")))
-    if dual_output:
-        stages.append(ElementSpec("hwp", "HWP5", ("T_OUT2",), (complex(45.0),)))
-
-    d_ket = (complex(1.0 / _SQ2), complex(1.0 / _SQ2))
-    outcomes = [MeasurementOutcome("D", d_ket, None)]
-    corrections: tuple[ElementSpec, ...] = ()
-    if feedforward:
-        a_ket = (complex(1.0 / _SQ2), complex(-1.0 / _SQ2))
-        outcomes.append(MeasurementOutcome("A", a_ket, "PLM"))
-        corrections = (ElementSpec("phaseflip", "PLM", ("t_low",)),)
-
-    return CircuitNetlist(
-        paths=("t_in", "t_in2", "t_up", "t_low", "c_in", "C_OUT", "p_in", "d", "T_OUT", "T_OUT2"),
-        stages=tuple(stages),
-        corrections=corrections,
-        measurement=MeasurementRule("d", tuple(outcomes)),
-        measure_after=measure_after,
-        postselect=(("T_OUT", 1), ("C_OUT", 1), ("d", 1)),
-        ports=Ports(
-            "t_in",
-            "c_in",
-            "p_in",
-            ("T_OUT", "T_OUT2") if dual_output else ("T_OUT",),
-            "C_OUT",
-        ),
-    )
-
-
-def builtin_basic() -> CircuitNetlist:
-    """The unoptimized gate layout: single detector outcome, single output port."""
-    return builtin_optimized(False, False)
+@cache
+def _shipped(name: str) -> CircuitNetlist:
+    text = resources.files(__package__).joinpath(f"circuits/{name}.lopc").read_text("utf-8")
+    return parse(text)
 
 
 def builtin_variant(name: str) -> CircuitNetlist:
-    try:
-        feedforward, dual_output = VARIANTS[name]
-    except KeyError:
-        raise ValueError(f"unknown variant {name!r}; choose from {sorted(VARIANTS)}") from None
-    return builtin_optimized(feedforward, dual_output)
+    """The shipped layout ``circuits/<name>.lopc``, parsed once per process.
+
+    ``ff`` adds to ``basic`` the anti-diagonal detector outcome, corrected by
+    a phase flip on the lower target arm right behind the beam splitter that
+    mixes target and program photons.  ``dual`` halves the neutral filter
+    loss, splits the upper arm 50/50 with an extra half-wave plate and
+    accepts both final beam splitter outputs, the second one through a
+    polarization swap.  ``full`` has both.
+
+    Every call with the same name returns the same netlist, so its element
+    builds are kept for later compiles.
+    """
+    if name not in VARIANTS:
+        raise ValueError(f"unknown variant {name!r}; choose from {list(VARIANTS)}")
+    return _shipped(name)
 
 
 def strip_corrections(netlist: CircuitNetlist) -> CircuitNetlist:

@@ -12,7 +12,6 @@ import pytest
 
 from lopcsim import (
     branch_table,
-    builtin_basic,
     builtin_variant,
     conditional_gate,
     fidelity,
@@ -47,7 +46,7 @@ def random_ket(rng):
 
 def test_criterion_1_gate_correctness():
     worst_offdiag = worst_mag = worst_phase = worst_fid = 0.0
-    nl = builtin_basic()
+    nl = builtin_variant("basic")
     for phi in PHI_GRID:
         rep = conditional_gate(nl, phi)
         g = rep.gate

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from lopcsim import builtin_basic, builtin_variant, cli, render
+from lopcsim import builtin_variant, cli, render
 from lopcsim.cli import _emit, main
 
 from .test_compiled import MERGED_CASES
@@ -55,7 +55,7 @@ def test_verify_missing_file_exits_2(tmp_path):
 
 def test_verify_semantically_invalid_netlist_exits_2(tmp_path, capsys):
     # parses fine but fails validation: splitter transmissivity out of range
-    text = render(builtin_basic()).replace("tv=0.5773502691896258", "tv=1.5")
+    text = render(builtin_variant("basic")).replace("tv=0.5773502691896258", "tv=1.5")
     bad = tmp_path / "range.lopc"
     bad.write_text(text, encoding="utf-8")
     assert main(["verify", "--netlist", str(bad)]) == 2
@@ -64,7 +64,7 @@ def test_verify_semantically_invalid_netlist_exits_2(tmp_path, capsys):
 
 def test_verify_detuned_netlist_fails(tmp_path, capsys):
     # a parseable netlist that is not the gate: HWP2 detuned by 10 degrees
-    text = render(builtin_basic()).replace("hwp HWP2 path=t_low angle=22.5", "hwp HWP2 path=t_low angle=32.5")
+    text = render(builtin_variant("basic")).replace("hwp HWP2 path=t_low angle=22.5", "hwp HWP2 path=t_low angle=32.5")
     bad = tmp_path / "detuned.lopc"
     bad.write_text(text, encoding="utf-8")
     out = tmp_path / "out.csv"

@@ -8,6 +8,7 @@ with it on every operator to 1e-12 and on every flag exactly.
 
 import math
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -225,11 +226,15 @@ def test_compiling_builds_each_element_spec_once(monkeypatch, variant, specs):
         built.append(spec.name)
         return build(spec)
 
+    shipped = resources.files("lopcsim").joinpath(f"circuits/{variant}.lopc").read_text("utf-8")
+    CompiledCircuit(builtin_variant(variant))  # the shared layout may be built already
     monkeypatch.setattr(ElementSpec, "build", counting)
-    circuit = CompiledCircuit(builtin_variant(variant))  # validate included
+    circuit = CompiledCircuit(parse(shipped))  # a fresh parse; validate included
     assert len(built) == len(set(built)) == specs
     circuit.evaluate([0.3])
     circuit.evaluate([0.3, 1.0])
+    assert len(built) == specs
+    CompiledCircuit(builtin_variant(variant))  # the shared layout keeps its builds
     assert len(built) == specs
 
 

@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 
 from lopcsim import hwp, jones, linear_element, pbs, phase_flip, pol_filter, ppbs
-from lopcsim.elements import KINDS, TARGET_SPLIT_MATRIX, ElementSpec
+from lopcsim.elements import KINDS, ElementSpec
 
 SQ2 = math.sqrt(2.0)
 T = 1.0 / math.sqrt(3.0)
+#: The layouts' lower-target-arm polarization map, |V> -> (1/2)|H> + (sqrt(3)/2)|V>.
+TARGET_SPLIT_MATRIX = np.array(
+    [[-math.sqrt(3.0) / 2.0, 0.5], [0.5, math.sqrt(3.0) / 2.0]], dtype=complex
+)
 
 
 def test_hwp_225_is_hadamard():

@@ -403,9 +403,7 @@ def test_project_detector_rejects_non_finite_ket(bad):
 
 @pytest.mark.parametrize("bad", NON_FINITE)
 def test_gate_input_kets_reject_non_finite_amplitudes(bad):
-    from lopcsim import builtin_basic, prepare_inputs
-
-    nl = builtin_basic()
+    nl = builtin_variant("basic")
     with pytest.raises(ValueError, match="target ket"):
         prepare_inputs(nl, (bad, 0.0), (1.0, 0.0), 0.3)
     with pytest.raises(ValueError, match="control ket"):

@@ -6,7 +6,6 @@ import pytest
 
 from lopcsim import (
     NetlistValidationError,
-    builtin_basic,
     builtin_variant,
     conditional_gate,
     fidelity,
@@ -27,7 +26,7 @@ KET0, KET1 = BASIS_KETS
 
 
 def test_prepare_inputs_program_photon():
-    nl = builtin_basic()
+    nl = builtin_variant("basic")
     reg = nl.registry()
     for phi, expected_v in ((0.0, -1 / SQ2), (math.pi, 1 / SQ2)):
         state = prepare_inputs(nl, KET0, KET0, phi)
@@ -49,12 +48,12 @@ def test_prepare_inputs_program_photon():
 
 def test_prepare_inputs_rejects_unnormalized_kets():
     with pytest.raises(ValueError):
-        prepare_inputs(builtin_basic(), (0.5, 0.5), KET0, 0.0)
+        prepare_inputs(builtin_variant("basic"), (0.5, 0.5), KET0, 0.0)
 
 
 def test_basic_run_on_11_input():
     phi = 1.3
-    nl = builtin_basic()
+    nl = builtin_variant("basic")
     branches = run(nl, prepare_inputs(nl, KET1, KET1, phi))
     assert len(branches) == 1
     br = branches[0]
@@ -65,7 +64,7 @@ def test_basic_run_on_11_input():
 
 
 def test_basic_run_on_00_input():
-    nl = builtin_basic()
+    nl = builtin_variant("basic")
     branches = run(nl, prepare_inputs(nl, KET0, KET0, 0.4))
     assert np.max(np.abs(branches[0].amplitudes - np.array([K, 0, 0, 0]))) < 1e-12
 
@@ -74,7 +73,7 @@ def test_superposed_target_amplitudes():
     # target (|0>+|1>)/sqrt(2) with control |1>: amplitudes split over
     # |01> and |11> with 1/(4*sqrt(6)) magnitude each.
     phi = 0.77
-    nl = builtin_basic()
+    nl = builtin_variant("basic")
     target = (1 / SQ2, 1 / SQ2)
     branches = run(nl, prepare_inputs(nl, target, KET1, phi))
     expected = np.array([0, K / SQ2, 0, K / SQ2 * cmath.exp(1j * phi)])
@@ -88,7 +87,7 @@ def test_post_select_after_detector_basis_projector():
     # T_OUT, C_OUT and d, in either polarization, leaves probability 1/48.
     from lopcsim import coincidence_amplitudes, embed, jones
 
-    nl = builtin_basic()
+    nl = builtin_variant("basic")
     reg = nl.registry()
     state = prepare_inputs(nl, KET0, KET0, 0.6)
     u = np.eye(len(reg), dtype=complex)
@@ -102,7 +101,7 @@ def test_post_select_after_detector_basis_projector():
 
 
 def test_run_rejects_wrong_photon_count():
-    nl = builtin_basic()
+    nl = builtin_variant("basic")
     reg = nl.registry()
     from lopcsim import make_photon_state
 
@@ -116,7 +115,7 @@ def test_run_rejects_wrong_photon_count():
 def test_run_rejects_invalid_netlist():
     from dataclasses import replace
 
-    nl = builtin_basic()
+    nl = builtin_variant("basic")
     bad = replace(nl, postselect=(("T_OUT", 1), ("C_OUT", 1), ("d", 0), ("p_in", 1)))
     state = prepare_inputs(nl, KET0, KET0, 0.0)
     with pytest.raises(NetlistValidationError):
@@ -162,7 +161,7 @@ def test_full_variant_branch_structure():
 
 def test_basic_gate_matches_ideal():
     for phi in (0.0, 0.9, math.pi):
-        report = conditional_gate(builtin_basic(), phi)
+        report = conditional_gate(builtin_variant("basic"), phi)
         expected = K * ideal_cphase(phi)
         assert np.max(np.abs(report.gate - expected)) < 1e-12
         assert abs(report.fidelity - 1.0) < 1e-12
@@ -192,7 +191,7 @@ def test_success_probability_nominal(variant, expected):
 
 def test_success_probability_state_independent_sample():
     rng = np.random.default_rng(31)
-    nl = builtin_basic()
+    nl = builtin_variant("basic")
     values = []
     for _ in range(10):
         kets = []
@@ -206,7 +205,7 @@ def test_success_probability_state_independent_sample():
 
 def test_amplitude_linearity():
     phi = 0.31
-    nl = builtin_basic()
+    nl = builtin_variant("basic")
     alpha, beta = 0.6 + 0.2j, -0.5 + 0.35j
     norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
     alpha, beta = alpha / norm, beta / norm
@@ -235,7 +234,7 @@ def test_probability_law_branch_count():
 
 
 def test_sweep_phi_rows():
-    nl = builtin_basic()
+    nl = builtin_variant("basic")
     rows = sweep_phi(nl, [0.0, 0.5, 1.0])
     assert [r.phi for r in rows] == [0.0, 0.5, 1.0]
     for row in rows:

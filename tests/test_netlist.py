@@ -7,19 +7,20 @@ import pytest
 
 from lopcsim import (
     NetlistError,
-    builtin_basic,
-    builtin_optimized,
     builtin_variant,
     conditional_gate,
+    hwp,
     parse,
     render,
     validate,
 )
+from lopcsim import oracle
 from lopcsim.elements import ElementSpec
+from lopcsim.netlist import VARIANTS
 
 
 def test_basic_stage_order_matches_layout():
-    nl = builtin_basic()
+    nl = builtin_variant("basic")
     assert [s.name for s in nl.stages] == [
         "PBS1",
         "F1",
@@ -43,42 +44,71 @@ def test_basic_stage_order_matches_layout():
 
 
 def test_builtin_flags():
-    assert builtin_optimized(False, False) == builtin_basic()
-    ff = builtin_optimized(True, False)
+    assert [o.label for o in builtin_variant("basic").measurement.outcomes] == ["D"]
+    ff = builtin_variant("ff")
     assert [o.label for o in ff.measurement.outcomes] == ["D", "A"]
     assert ff.measurement.outcomes[1].correct == "PLM"
     assert [c.name for c in ff.corrections] == ["PLM"]
-    dual = builtin_optimized(False, True)
+    dual = builtin_variant("dual")
     names = [s.name for s in dual.stages]
     assert "HWP4" in names and "HWP5" in names
     assert dual.ports.target_out == ("T_OUT", "T_OUT2")
     f1 = next(s for s in dual.stages if s.name == "F1")
     assert abs(f1.params[0].real - 1 / math.sqrt(2)) < 1e-15
-    full = builtin_optimized(True, True)
+    full = builtin_variant("full")
     assert len(full.measurement.outcomes) == 2
     assert full.ports.target_out == ("T_OUT", "T_OUT2")
 
 
-@pytest.mark.parametrize("variant", ["basic", "ff", "dual", "full"])
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_builtins_validate_clean(variant):
     assert validate(builtin_variant(variant)) == []
 
 
-@pytest.mark.parametrize("variant", ["basic", "ff", "dual", "full"])
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_render_parse_round_trip(variant):
     nl = builtin_variant(variant)
     assert parse(render(nl)) == nl
 
 
-@pytest.mark.parametrize("variant", ["basic", "ff", "dual", "full"])
+def shipped(variant: str) -> bytes:
+    return resources.files("lopcsim").joinpath(f"circuits/{variant}.lopc").read_bytes()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_shipped_fixture_matches_builder(variant):
-    shipped = resources.files("lopcsim").joinpath(f"circuits/{variant}.lopc").read_bytes()
-    assert parse(shipped.decode("utf-8")) == builtin_variant(variant)
-    assert render(builtin_variant(variant)).encode("utf-8") == shipped
+    text = shipped(variant)
+    assert parse(text.decode("utf-8")) == builtin_variant(variant)
+    assert builtin_variant(variant) is builtin_variant(variant)
+    assert render(builtin_variant(variant)).encode("utf-8") == text
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_shipped_layouts_carry_the_gate_constants(variant):
+    nl = parse(shipped(variant).decode("utf-8"))
+    specs = {s.name: s for s in nl.stages}
+    split = np.array(specs["HWP1"].params).reshape(2, 2)
+    assert np.max(np.abs(split - hwp("t", 75.0).matrix)) <= 1e-15
+    assert abs(specs["PPBS"].params[0] - 1 / math.sqrt(3)) <= 1e-15
+    assert abs(specs["F2"].params[0] - 1 / math.sqrt(3)) <= 1e-15
+    f1 = 1 / math.sqrt(2) if variant in ("dual", "full") else 0.5
+    assert max(abs(p - f1) for p in specs["F1"].params) <= 1e-15
+
+
+@pytest.mark.parametrize("name", ["../full", "full.lopc", "FULL", ""])
+def test_builtin_variant_rejects_other_names(name):
+    with pytest.raises(ValueError, match=r"choose from \['basic', 'dual', 'ff', 'full'\]"):
+        builtin_variant(name)
+
+
+def test_variant_lists_name_the_shipped_files():
+    files = resources.files("lopcsim").joinpath("circuits").iterdir()
+    stems = sorted(f.name.removesuffix(".lopc") for f in files if f.name.endswith(".lopc"))
+    assert stems == list(VARIANTS) == sorted(oracle.VARIANTS)
 
 
 def test_parse_single_hwp_line():
-    text = render(builtin_basic())
+    text = render(builtin_variant("basic"))
     nl = parse(text)
     hwp2 = next(s for s in nl.stages if s.name == "HWP2")
     assert hwp2.kind == "hwp"
@@ -92,12 +122,12 @@ def test_empty_input_reports_missing_postselect():
 
 
 def test_comments_and_blank_lines_ignored():
-    text = "# a comment\n\n" + render(builtin_basic()) + "\n# trailing\n"
-    assert parse(text) == builtin_basic()
+    text = "# a comment\n\n" + render(builtin_variant("basic")) + "\n# trailing\n"
+    assert parse(text) == builtin_variant("basic")
 
 
 def test_parse_errors_are_located():
-    base = render(builtin_basic()).splitlines()
+    base = render(builtin_variant("basic")).splitlines()
 
     def corrupt(lineno, new_line):
         lines = list(base)
@@ -132,7 +162,7 @@ def test_parse_rejects_non_orthogonal_kets():
 
 
 def test_parse_rejects_wrong_photon_budget():
-    text = render(builtin_basic()).replace(
+    text = render(builtin_variant("basic")).replace(
         "postselect T_OUT=1 C_OUT=1 d=1", "postselect T_OUT=1 d=1"
     )
     with pytest.raises(NetlistError, match="budget"):
@@ -140,7 +170,7 @@ def test_parse_rejects_wrong_photon_budget():
 
 
 def test_validate_flags_subunitary_filter():
-    nl = builtin_basic()
+    nl = builtin_variant("basic")
     stages = list(nl.stages)
     stages[1] = ElementSpec("filter", "F1", ("t_up",), (complex(1.5), complex(0.5)))
     diags = validate(replace(nl, stages=tuple(stages)))
@@ -148,14 +178,14 @@ def test_validate_flags_subunitary_filter():
 
 
 def test_validate_flags_undeclared_measure_path():
-    nl = builtin_basic()
+    nl = builtin_variant("basic")
     bad = replace(nl, measurement=replace(nl.measurement, path="ghost"))
     diags = validate(bad)
     assert any("undeclared" in d for d in diags)
 
 
 def test_validate_flags_stage_touching_detector_after_measure():
-    nl = builtin_basic()
+    nl = builtin_variant("basic")
     stages = list(nl.stages)
     stages.append(ElementSpec("hwp", "LATE", ("d",), (complex(10.0),)))
     diags = validate(replace(nl, stages=tuple(stages)))
@@ -171,7 +201,7 @@ def test_validate_flags_stage_touching_detector_after_measure():
     ],
 )
 def test_validate_reports_malformed_specs(spec):
-    nl = builtin_basic()
+    nl = builtin_variant("basic")
     diags = validate(replace(nl, stages=nl.stages + (spec,)))
     assert any(d.startswith(f"X: {spec.kind} takes") for d in diags), diags
 
@@ -222,7 +252,7 @@ def test_imaginary_part_of_a_real_field_is_rejected():
     ],
 )
 def test_validate_rejects_what_the_postselect_parser_rejects(extra, message):
-    nl = builtin_basic()
+    nl = builtin_variant("basic")
     bad = replace(nl, postselect=nl.postselect + extra)
     assert validate(bad) == [message]
     with pytest.raises(NetlistError, match=message):
@@ -245,7 +275,7 @@ def test_validate_lists_every_rule_problem():
 def test_disjoint_stages_commute():
     # F1 acts on the upper arm, HWP1 on the lower one; swapping them must
     # not change any branch amplitude.
-    nl = builtin_basic()
+    nl = builtin_variant("basic")
     stages = list(nl.stages)
     assert stages[1].name == "F1" and stages[2].name == "HWP1"
     stages[1], stages[2] = stages[2], stages[1]
@@ -260,7 +290,7 @@ def test_disjoint_stages_commute():
 def test_measure_at_end_round_trips():
     # Without corrections the measurement point is physically irrelevant,
     # but its position must still survive the textual round trip.
-    nl = builtin_basic()
+    nl = builtin_variant("basic")
     moved = replace(nl, measure_after=len(nl.stages))
     assert validate(moved) == []
     assert parse(render(moved)) == moved
