@@ -1,9 +1,11 @@
-"""Few-photon bosonic states over labelled optical modes, and how linear
+"""Few-photon bosonic states over (path, polarization) modes, and how linear
 optics acts on them.
 
-States live in a sparse occupation-number representation: a map from
-occupation vectors to complex amplitudes, with the standard (a†)^n/√(n!)
-basis normalization.  Subnormalized states are legal throughout.
+A mode is a ``(path, pol)`` channel tuple; a ``ModeRegistry`` gives each
+one a dense index.  States live in a sparse occupation-number
+representation: a map from occupation vectors to complex amplitudes, with
+the standard (a†)^n/√(n!) basis normalization.  Subnormalized states are
+legal throughout.
 
 A linear network acts through its mode transfer matrix U (column i is the
 image of input mode i).  The amplitude of finding N photons in N distinct
@@ -18,6 +20,7 @@ simulations can safely run in parallel.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -36,57 +39,46 @@ POLS = (H, V)
 #: Sparse occupation vector: sorted tuple of (mode index, photon count > 0).
 Occupation = tuple[tuple[int, int], ...]
 
-#: A (path, polarization) pair; linear elements act on these.
+#: A mode: (path, polarization); states and linear elements act on these.
 Channel = tuple[str, str]
 
 
-@dataclass(frozen=True)
-class ModeLabel:
-    """One bosonic mode: spatial path and polarization."""
-
-    path: str
-    pol: str
-
-    def __post_init__(self) -> None:
-        if self.pol not in POLS:
-            raise ValueError(f"polarization must be one of {POLS}, got {self.pol!r}")
-
-
 class ModeRegistry:
-    """Ordered mode set with stable label and (path, pol) channel -> dense index maps."""
+    """Ordered mode set, H and V of each path in turn, with a (path, pol) -> index map."""
 
     def __init__(self, paths: Iterable[str]):
         paths = tuple(paths)
         if len(set(paths)) != len(paths):
             raise ValueError("duplicate path names in registry")
         self.paths = paths
-        self.labels = tuple(ModeLabel(path, pol) for path in paths for pol in POLS)
-        self.channel_index = {(m.path, m.pol): i for i, m in enumerate(self.labels)}
+        self.channel_index = {ch: i for i, ch in enumerate(itertools.product(paths, POLS))}
 
-    def index(self, label: ModeLabel) -> int:
+    def index(self, channel: Channel) -> int:
         try:
-            return self.channel_index[label.path, label.pol]
+            return self.channel_index[channel]
         except KeyError:
-            raise ValueError(f"unknown mode {label}") from None
-
-    def label(self, index: int) -> ModeLabel:
-        return self.labels[index]
+            raise ValueError(f"unknown mode {channel}") from None
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.channel_index)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, ModeRegistry) and self.labels == other.labels
+        return isinstance(other, ModeRegistry) and self.paths == other.paths
 
     def __hash__(self) -> int:
-        return hash(self.labels)
+        return hash(self.paths)
 
     def __repr__(self) -> str:
         return f"ModeRegistry(paths={self.paths!r})"
 
 
 class FockState:
-    """Sparse N-photon state: occupation vector -> complex amplitude."""
+    """Sparse N-photon state: occupation vector -> complex amplitude.
+
+    Each occupation lists strictly ascending modes of ``registry``, each with
+    a count of at least one, the counts summing to ``photon_number``; every
+    amplitude is finite.  Anything else raises ValueError.
+    """
 
     __slots__ = ("registry", "photon_number", "amplitudes")
 
@@ -97,14 +89,16 @@ class FockState:
         amplitudes: Mapping[Occupation, complex] | None = None,
     ):
         self.registry = registry
-        self.photon_number = int(photon_number)
+        self.photon_number = n = int(photon_number)
         amps: dict[Occupation, complex] = {}
         for occ, amp in (amplitudes or {}).items():
-            if sum(n for _, n in occ) != self.photon_number:
-                raise ValueError(
-                    f"occupation {occ} does not hold {self.photon_number} photons"
-                )
+            modes, counts = [m for m, _ in occ], [c for _, c in occ]
+            ordered = all(m in range(len(registry)) for m in modes) and modes == sorted(set(modes))
+            if not ordered or sum(counts) != n or not all(c in range(1, n + 1) for c in counts):
+                raise ValueError(f"occupation {occ} is not {n} photons on ascending registry modes")
             amps[occ] = complex(amp)
+            if not cmath.isfinite(amps[occ]):
+                raise ValueError(f"occupation {occ} has a non-finite amplitude {amp!r}")
         self.amplitudes = amps
 
     def norm_sq(self) -> float:
@@ -112,16 +106,6 @@ class FockState:
 
     def terms(self):
         return self.amplitudes.items()
-
-    def amplitude(self, occ: Occupation) -> complex:
-        return self.amplitudes.get(occ, 0j)
-
-    def pruned(self) -> "FockState":
-        """Copy without the amplitudes at or below ``PRUNE_TOL``; a non-finite one raises."""
-        kept = {occ: a for occ, a in self.amplitudes.items() if not abs(a) <= PRUNE_TOL}
-        if not math.isfinite(abs(sum(kept.values(), 0j))):
-            raise ValueError("state holds a non-finite amplitude")
-        return FockState(self.registry, self.photon_number, kept)
 
     def __add__(self, other: "FockState") -> "FockState":
         if not isinstance(other, FockState):
@@ -165,7 +149,6 @@ class LinearElement:
     channels_in: tuple[Channel, ...]
     channels_out: tuple[Channel, ...]
     matrix: np.ndarray
-    unitary: bool
 
 
 def linear_element(
@@ -174,8 +157,9 @@ def linear_element(
     channels_out: Sequence[Channel],
     matrix: np.ndarray,
 ) -> LinearElement:
-    """Build a LinearElement, enforcing subunitarity of the matrix."""
+    """Build a LinearElement: distinct H/V channels and a subunitary matrix."""
     m = np.asarray(matrix, dtype=complex)
+    channels_in, channels_out = tuple(channels_in), tuple(channels_out)
     k = len(channels_in)
     if m.shape != (k, k) or len(channels_out) != k:
         raise ValueError(f"{name}: matrix shape {m.shape} does not match {k} channels")
@@ -183,27 +167,28 @@ def linear_element(
         raise ValueError(f"{name}: matrix has non-finite entries")
     if len(set(channels_in)) != k or len(set(channels_out)) != k:
         raise ValueError(f"{name}: duplicate channels")
-    unitary = True
+    for channel in channels_in + channels_out:
+        if channel[1] not in POLS:
+            raise ValueError(f"{name}: channel {channel} has a polarization not in {POLS}")
     if k:
         top = float(np.linalg.svd(m, compute_uv=False)[0])
         if top > 1.0 + 1e-12:
             raise ValueError(f"{name}: matrix is not subunitary (max singular value {top:.6g})")
-        # every entry of M†M - 1 within 1e-12, as np.allclose(atol=1e-12, rtol=0) tests
-        unitary = float(np.max(np.abs(m.conj().T @ m - np.eye(k)))) <= 1e-12
-    return LinearElement(name, tuple(channels_in), tuple(channels_out), m, unitary)
+    return LinearElement(name, channels_in, channels_out, m)
 
 
 def make_photon_state(
     registry: ModeRegistry,
-    photons: Sequence[Sequence[tuple[ModeLabel, complex]]],
+    photons: Sequence[Sequence[tuple[Channel, complex]]],
 ) -> FockState:
     """Assemble an N-photon state from one superposed creation operator per photon.
 
-    Each entry of ``photons`` lists (mode label, amplitude) pairs whose squared
-    amplitudes must sum to one.  The resulting state is renormalized, which
+    Each entry of ``photons`` lists ((path, pol) channel, amplitude) pairs
+    whose squared amplitudes must sum to one; a channel outside ``registry``
+    raises ``unknown mode``.  The resulting state is renormalized, which
     supplies the bosonic normalization factors whenever photons overlap in the
     same mode (two photons placed in one mode give occupation 2 with
-    amplitude 1).
+    amplitude 1), and amplitudes at or below ``PRUNE_TOL`` are dropped.
     """
     amps: dict[Occupation, complex] = {(): 1.0 + 0j}
     for i, photon in enumerate(photons):
@@ -212,39 +197,22 @@ def make_photon_state(
             raise ValueError(f"photon {i}: amplitudes have squared norm {total:.6g}, expected 1")
         new: dict[Occupation, complex] = {}
         for occ, amp in amps.items():
-            for label, a in photon:
+            for channel, a in photon:
                 if a == 0:
                     continue
                 counts = dict(occ)
-                idx = registry.index(label)
+                idx = registry.index(channel)
                 n = counts.get(idx, 0)
                 counts[idx] = n + 1
                 key = tuple(sorted(counts.items()))
                 new[key] = new.get(key, 0j) + amp * a * math.sqrt(n + 1)
         amps = new
-    state = FockState(registry, len(photons), amps)
-    norm = math.sqrt(state.norm_sq())
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
     if norm == 0.0:
         raise ValueError("assembled state has zero norm")
-    return (1.0 / norm * state).pruned()
-
-
-def embed(element: LinearElement, registry: ModeRegistry) -> np.ndarray:
-    """The element as a transfer matrix over every mode of ``registry``.
-
-    Column i is the image of mode i.  The element's matrix fills the block of
-    its input columns and output rows; the columns of modes it does not take
-    as input stay identity, so light already on one of its output paths
-    passes on untouched.
-    """
-    index = [
-        [registry.index(ModeLabel(path, pol)) for path, pol in channels]
-        for channels in (element.channels_in, element.channels_out)
-    ]
-    transfer = np.eye(len(registry), dtype=complex)
-    transfer[:, index[0]] = 0.0
-    transfer[np.ix_(index[1], index[0])] = element.matrix
-    return transfer
+    amps = {occ: complex(1.0 / norm) * a for occ, a in amps.items()}
+    kept = {occ: a for occ, a in amps.items() if not abs(a) <= PRUNE_TOL}
+    return FockState(registry, len(photons), kept)
 
 
 def permanents(m: np.ndarray) -> np.ndarray:

@@ -27,7 +27,6 @@ from .elements import ElementSpec, ppbs
 from .fock import (
     POLS,
     FockState,
-    ModeLabel,
     coincidence_amplitudes,
     make_photon_state,
     permanents,
@@ -165,7 +164,7 @@ def prepare_inputs(
     ports = netlist.ports
     kets = (target_ket, control_ket, (1.0 / _SQ2 + 0j, -np.exp(1j * phi) / _SQ2))
     photons = [
-        [(ModeLabel(path, pol), complex(amp)) for pol, amp in zip(POLS, ket)]
+        [((path, pol), complex(amp)) for pol, amp in zip(POLS, ket)]
         for path, ket in zip((ports.target_in, ports.control_in, ports.program_in), kets)
     ]
     return make_photon_state(netlist.registry(), photons)
@@ -181,8 +180,10 @@ class CompiledCircuit:
     the netlist's paths: those before the measurement point, then each
     detector outcome's feed-forward correction (if any), then the rest.  An
     element's input rows, times its matrix, replace them and are added onto
-    its output rows: the product with ``fock.embed`` of the element, without
-    the embedding.  A branch (outcome, target output port) keeps three rows
+    its output rows: the product with the element embedded in the whole mode
+    space (identity on the columns it does not take as input), without
+    building that embedding; ``tests/dense_reference.transfer`` builds it as
+    the reference.  A branch (outcome, target output port) keeps three rows
     of its outcome's matrix for each of the four two-qubit outputs: the
     target port row of the target polarization, the control output row of
     the control polarization, and the detector rows contracted with the

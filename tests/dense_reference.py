@@ -6,23 +6,31 @@ normalized sum of e_{m_s(1)} ⊗ .. ⊗ e_{m_s(N)} over all orderings s.  A
 linear network acts with its transfer matrix on every index (``np.einsum``),
 and the amplitude of an output occupation is the overlap with its ket.  No
 permanent appears and nothing is shared with ``lopcsim.fock`` beyond the
-state and element types: elements are embedded here on their own.
+state, registry and element types.
+
+``transfer`` is also the reference for the compile path: each element is
+embedded here on its own as a full mode-space matrix, and the products
+must equal ``CompiledCircuit.rows`` bit for bit (``tests/test_compose.py``).
 """
 
 import itertools
 
 import numpy as np
 
-from lopcsim.fock import ModeLabel
-
 
 def transfer(registry, elements):
-    """Transfer matrix of ``elements`` applied in order; other columns stay identity."""
+    """Transfer matrix of ``elements`` applied in order.
+
+    Each element is embedded as a matrix over every mode of ``registry``:
+    its matrix fills the block of its input columns and output rows, and the
+    columns of modes it does not take as input stay identity, so light
+    already on one of its output paths passes on untouched.
+    """
     u = np.eye(len(registry), dtype=complex)
     for element in elements:
         step = np.eye(len(registry), dtype=complex)
-        ins = [registry.index(ModeLabel(*ch)) for ch in element.channels_in]
-        outs = [registry.index(ModeLabel(*ch)) for ch in element.channels_out]
+        ins = [registry.index(ch) for ch in element.channels_in]
+        outs = [registry.index(ch) for ch in element.channels_out]
         step[:, ins] = 0.0
         for i, col in enumerate(ins):
             step[outs, col] = element.matrix[:, i]

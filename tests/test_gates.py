@@ -17,8 +17,10 @@ from lopcsim import (
     success_probability,
     sweep_phi,
 )
-from lopcsim.fock import H, ModeLabel, V
+from lopcsim.fock import H, V
 from lopcsim.gates import BASIS_KETS
+
+from . import dense_reference
 
 SQ2 = math.sqrt(2.0)
 K = 1.0 / (4.0 * math.sqrt(3.0))
@@ -30,20 +32,12 @@ def test_prepare_inputs_program_photon():
     reg = nl.registry()
     for phi, expected_v in ((0.0, -1 / SQ2), (math.pi, 1 / SQ2)):
         state = prepare_inputs(nl, KET0, KET0, phi)
-        occ_h = tuple(
-            sorted(
-                (reg.index(m), 1)
-                for m in (ModeLabel("t_in", H), ModeLabel("c_in", H), ModeLabel("p_in", H))
-            )
+        occ_h, occ_v = (
+            tuple(sorted((reg.index(m), 1) for m in (("t_in", H), ("c_in", H), ("p_in", pol))))
+            for pol in (H, V)
         )
-        occ_v = tuple(
-            sorted(
-                (reg.index(m), 1)
-                for m in (ModeLabel("t_in", H), ModeLabel("c_in", H), ModeLabel("p_in", V))
-            )
-        )
-        assert abs(state.amplitude(occ_h) - 1 / SQ2) < 1e-12
-        assert abs(state.amplitude(occ_v) - expected_v) < 1e-12
+        assert abs(state.amplitudes.get(occ_h, 0j) - 1 / SQ2) < 1e-12
+        assert abs(state.amplitudes.get(occ_v, 0j) - expected_v) < 1e-12
 
 
 def test_prepare_inputs_rejects_unnormalized_kets():
@@ -85,16 +79,14 @@ def test_post_select_after_detector_basis_projector():
     # Running all stages, projecting the detector path onto the diagonal
     # basis (photon kept) and then post-selecting one photon on each of
     # T_OUT, C_OUT and d, in either polarization, leaves probability 1/48.
-    from lopcsim import coincidence_amplitudes, embed, jones
+    from lopcsim import coincidence_amplitudes, jones
 
     nl = builtin_variant("basic")
     reg = nl.registry()
     state = prepare_inputs(nl, KET0, KET0, 0.6)
-    u = np.eye(len(reg), dtype=complex)
-    for spec in nl.stages:
-        u = embed(spec.build(), reg) @ u
-    u = embed(jones("d", 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]])), reg) @ u
-    rows = [u[[reg.index(ModeLabel(p, pol)) for pol in (H, V)]] for p in ("T_OUT", "C_OUT", "d")]
+    projector = jones("d", 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]]))
+    u = dense_reference.transfer(reg, [spec.build() for spec in nl.stages] + [projector])
+    rows = [u[[reg.index((p, pol)) for pol in (H, V)]] for p in ("T_OUT", "C_OUT", "d")]
     triples = np.array([[t, c, d] for t in rows[0] for c in rows[1] for d in rows[2]])
     prob = float(np.sum(np.abs(coincidence_amplitudes(state, triples)) ** 2))
     assert abs(prob - 1.0 / 48.0) < 1e-12
@@ -105,9 +97,7 @@ def test_run_rejects_wrong_photon_count():
     reg = nl.registry()
     from lopcsim import make_photon_state
 
-    two = make_photon_state(
-        reg, [[(ModeLabel("t_in", H), 1.0)], [(ModeLabel("c_in", H), 1.0)]]
-    )
+    two = make_photon_state(reg, [[(("t_in", H), 1.0)], [(("c_in", H), 1.0)]])
     with pytest.raises(ValueError):
         run(nl, two)
 

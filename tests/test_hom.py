@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import lopcsim.gates
-from lopcsim import ModeLabel, ModeRegistry, hom_scan, make_photon_state
+from lopcsim import ModeRegistry, hom_scan, make_photon_state
 from lopcsim.elements import ppbs
 
 from . import dense_reference
@@ -27,15 +27,15 @@ def reference_scan(t_v, overlaps):
     per_wavepacket = [ppbs(f"a{w}", f"b{w}", f"a{w}", f"b{w}", t_v) for w in (0, 1)]
     u = dense_reference.transfer(registry, per_wavepacket)
     a_modes, b_modes = (
-        [registry.index(ModeLabel(f"{p}{w}", "V")) for w in (0, 1)] for p in "ab"
+        [registry.index((f"{p}{w}", "V")) for w in (0, 1)] for p in "ab"
     )
     rows = []
     for v in overlaps:
         photons = [
-            [(ModeLabel("a0", "V"), 1.0 + 0j)],
+            [(("a0", "V"), 1.0 + 0j)],
             [
-                (ModeLabel("b0", "V"), complex(math.sqrt(v))),
-                (ModeLabel("b1", "V"), complex(math.sqrt(1.0 - v))),
+                (("b0", "V"), complex(math.sqrt(v))),
+                (("b1", "V"), complex(math.sqrt(1.0 - v))),
             ],
         ]
         t = dense_reference.evolve(dense_reference.tensor(make_photon_state(registry, photons)), u)
