@@ -56,7 +56,7 @@ class ModeRegistry:
     def index(self, channel: Channel) -> int:
         try:
             return self.channel_index[channel]
-        except KeyError:
+        except (KeyError, TypeError):
             raise ValueError(f"unknown mode {channel}") from None
 
     def __len__(self) -> int:
@@ -88,6 +88,10 @@ class FockState:
         photon_number: int,
         amplitudes: Mapping[Occupation, complex] | None = None,
     ):
+        if not isinstance(photon_number, (int, np.integer)) or photon_number < 0:
+            raise ValueError(
+                f"occupations need a non-negative integer photon number, got {photon_number!r}"
+            )
         self.registry = registry
         self.photon_number = n = int(photon_number)
         amps: dict[Occupation, complex] = {}
@@ -173,7 +177,7 @@ def linear_element(
     if k:
         top = float(np.linalg.svd(m, compute_uv=False)[0])
         if top > 1.0 + 1e-12:
-            raise ValueError(f"{name}: matrix is not subunitary (max singular value {top:.6g})")
+            raise ValueError(f"{name}: matrix is not subunitary (max singular value {top!r})")
     return LinearElement(name, channels_in, channels_out, m)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cache
 from importlib import resources
 from typing import Sequence
@@ -86,6 +86,20 @@ class Ports:
     control_out: str
 
 
+#: Keys of the ``ports`` statement, in ``Ports`` field order; only
+#: ``target_out`` takes more than one path.
+_PORTS = tuple(f.name for f in fields(Ports))
+_MULTI_PORT = "target_out"
+_PORTS_USAGE = " ".join(
+    ["ports", *(f"{k}=<p>[,<p>]" if k == _MULTI_PORT else f"{k}=<p>" for k in _PORTS)]
+)
+
+
+def _port_groups(ports: Ports) -> list[tuple[str, tuple[str, ...]]]:
+    """(key, paths) of each ``ports`` field, in statement order."""
+    return [(k, getattr(ports, k) if k == _MULTI_PORT else (getattr(ports, k),)) for k in _PORTS]
+
+
 @dataclass(frozen=True)
 class CircuitNetlist:
     """Validated circuit description: ordered stages plus measurement rules.
@@ -119,31 +133,24 @@ class CircuitNetlist:
 # parsing
 
 
-def _parse_complex(token: str, line: int, col: int) -> complex:
+#: Literal kinds of a netlist field: the word its messages use and its finiteness test.
+_LITERALS = {
+    complex: ("complex literal", cmath.isfinite),
+    float: ("number", math.isfinite),
+    int: ("integer", lambda value: True),
+}
+
+
+def _literal(kind: type, token: str, line: int, col: int):
+    """``token`` read as a finite ``kind`` (complex, float or int), or a located error."""
+    what, isfinite = _LITERALS[kind]
     try:
-        value = complex(token)
+        value = kind(token)
     except ValueError:
-        raise NetlistError(f"invalid complex literal {token!r}", line, col) from None
-    if not cmath.isfinite(value):
-        raise NetlistError(f"non-finite complex literal {token!r}", line, col)
+        raise NetlistError(f"invalid {what} {token!r}", line, col) from None
+    if not isfinite(value):
+        raise NetlistError(f"non-finite {what} {token!r}", line, col)
     return value
-
-
-def _parse_float(token: str, line: int, col: int) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise NetlistError(f"invalid number {token!r}", line, col) from None
-    if not math.isfinite(value):
-        raise NetlistError(f"non-finite number {token!r}", line, col)
-    return value
-
-
-def _parse_int(token: str, line: int, col: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise NetlistError(f"invalid integer {token!r}", line, col) from None
 
 
 def _usage(name: str, kind: ElementKind) -> str:
@@ -154,9 +161,10 @@ def _usage(name: str, kind: ElementKind) -> str:
     return " ".join([name, "<name>", *ports, *(f"{f.key}={f.usage}" for f in kind.fields)])
 
 
-def _split(value: str, count: int, what: str, line: int, col: int) -> list[str]:
-    parts = value.split(",") if count > 1 else [value]
-    if len(parts) != count:
+def _split(value: str, count: int | None, what: str, line: int, col: int) -> list[str]:
+    """``count`` comma-separated parts of ``value``, or any number when ``count`` is None."""
+    parts = [value] if count == 1 else value.split(",")
+    if count is not None and len(parts) != count:
         raise NetlistError(f"expected {count} comma-separated {what}", line, col)
     return parts
 
@@ -214,17 +222,26 @@ class _Parser:
             raise NetlistError(f"invalid {what} {word!r}", line, col)
         return word
 
-    def _known_path(self, name: str, line: int, col: int) -> str:
-        if name not in self.paths:
-            raise NetlistError(f"undeclared path {name!r}", line, col)
-        return name
-
     def _kv(self, tok: tuple[str, int], line: int, key: str) -> tuple[str, int]:
         word, col = tok
         prefix = key + "="
         if not word.startswith(prefix):
             raise NetlistError(f"expected {key}=..., got {word!r}", line, col)
         return word[len(prefix):], col + len(prefix)
+
+    def _paths(self, tok, line: int, key: str, count: int | None) -> list[str]:
+        """The declared paths of a ``key=<p>,...`` field: ``count`` of them, or any number."""
+        value, col = self._kv(tok, line, key)
+        parts = _split(value, count, "paths", line, col)
+        for name in parts:
+            if name not in self.paths:
+                raise NetlistError(f"undeclared path {name!r}", line, col)
+        return parts
+
+    def _numbers(self, tok, line: int, key: str, count: int, kind: type, what: str) -> list:
+        """The ``count`` literals of ``kind`` in a ``key=<v>,...`` field."""
+        value, col = self._kv(tok, line, key)
+        return [_literal(kind, e, line, col) for e in _split(value, count, what, line, col)]
 
     def _arity(self, toks, line: int, n: int, usage: str) -> None:
         if len(toks) != n:
@@ -249,41 +266,31 @@ class _Parser:
     def stmt_element(self, toks, line: int) -> None:
         kind_name, kind_col = toks[0]
         kind = KINDS[kind_name]
-        keys = [key for key, _ in kind.ports] + [f.key for f in kind.fields]
-        if len(toks) != 2 + len(keys):
+        if len(toks) != 2 + len(kind.ports) + len(kind.fields):
             raise NetlistError(f"expected {_usage(kind_name, kind)}", line, kind_col)
         name = self._new_name(toks[1], line)
-        values = [self._kv(tok, line, key) for tok, key in zip(toks[2:], keys)]
         paths: list[str] = []
-        for (_, count), (value, col) in zip(kind.ports, values):
-            parts = _split(value, count, "paths", line, col)
-            paths.extend(self._known_path(p, line, col) for p in parts)
+        for tok, (key, count) in zip(toks[2:], kind.ports):
+            paths += self._paths(tok, line, key, count)
         params: list[complex] = []
-        for f, (value, col) in zip(kind.fields, values[len(kind.ports):]):
-            parse_entry = _parse_complex if f.is_complex else _parse_float
-            entries = _split(value, f.count, f"{f.key}= entries", line, col)
-            params.extend(complex(parse_entry(e, line, col)) for e in entries)
+        for tok, f in zip(toks[2 + len(kind.ports):], kind.fields):
+            literal = complex if f.is_complex else float
+            entries = self._numbers(tok, line, f.key, f.count, literal, f"{f.key}= entries")
+            params += map(complex, entries)
         self.elements.append(ElementSpec(kind_name, name, tuple(paths), tuple(params), line=line))
 
     def stmt_measure(self, toks, line: int) -> None:
         if len(toks) not in (5, 6):
-            raise NetlistError(
-                "expected measure path=<p> outcome <label> ket=<a>,<b> [correct=<name>]",
-                line,
-                toks[0][1],
-            )
-        path_val, path_col = self._kv(toks[1], line, "path")
-        path = self._known_path(path_val, line, path_col)
+            usage = "measure path=<p> outcome <label> ket=<a>,<b> [correct=<name>]"
+            raise NetlistError(f"expected {usage}", line, toks[0][1])
+        [path] = self._paths(toks[1], line, "path", 1)
         if toks[2][0] != "outcome":
             raise NetlistError(f"expected 'outcome', got {toks[2][0]!r}", line, toks[2][1])
         label = self._ident(toks[3], line, "outcome label")
-        ket_val, ket_col = self._kv(toks[4], line, "ket")
-        entries = _split(ket_val, 2, "ket components", line, ket_col)
-        ket = tuple(_parse_complex(e, line, ket_col) for e in entries)
+        ket = self._numbers(toks[4], line, "ket", 2, complex, "ket components")
         correct: str | None = None
         if len(toks) == 6:
-            correct_val, correct_col = self._kv(toks[5], line, "correct")
-            correct = self._ident((correct_val, correct_col), line, "correction name")
+            correct = self._ident(self._kv(toks[5], line, "correct"), line, "correction name")
         if self.measure_path is None:
             self.measure_path = path
             self.elements_before_measure = len(self.elements)
@@ -291,7 +298,7 @@ class _Parser:
             raise NetlistError(
                 f"measurement path {path!r} conflicts with earlier {self.measure_path!r}",
                 line,
-                path_col,
+                toks[1][1] + len("path="),
             )
         if any(o.label == label for o in self.outcomes):
             raise NetlistError(f"duplicate outcome label {label!r}", line, toks[3][1])
@@ -308,10 +315,11 @@ class _Parser:
             if "=" not in word:
                 raise NetlistError(f"expected <path>=<count>, got {word!r}", line, col)
             path, count_text = word.split("=", 1)
-            path = self._known_path(path, line, col)
+            if path not in self.paths:
+                raise NetlistError(f"undeclared path {path!r}", line, col)
             if any(p == path for p, _ in pattern):
                 raise NetlistError(f"duplicate path {path!r} in postselect", line, col)
-            count = _parse_int(count_text, line, col + len(path) + 1)
+            count = _literal(int, count_text, line, col + len(path) + 1)
             if count < 0:
                 raise NetlistError("postselect counts must be non-negative", line, col)
             pattern.append((path, count))
@@ -321,24 +329,12 @@ class _Parser:
     def stmt_ports(self, toks, line: int) -> None:
         if self.ports is not None:
             raise NetlistError("duplicate ports statement", line, toks[0][1])
-        self._arity(
-            toks,
-            line,
-            6,
-            "ports target_in=<p> control_in=<p> program_in=<p> "
-            "target_out=<p>[,<p>] control_out=<p>",
-        )
-        t_in, col = self._kv(toks[1], line, "target_in")
-        t_in = self._known_path(t_in, line, col)
-        c_in, col = self._kv(toks[2], line, "control_in")
-        c_in = self._known_path(c_in, line, col)
-        p_in, col = self._kv(toks[3], line, "program_in")
-        p_in = self._known_path(p_in, line, col)
-        t_out_val, col = self._kv(toks[4], line, "target_out")
-        t_out = tuple(self._known_path(p, line, col) for p in t_out_val.split(","))
-        c_out, col = self._kv(toks[5], line, "control_out")
-        c_out = self._known_path(c_out, line, col)
-        self.ports = Ports(t_in, c_in, p_in, t_out, c_out)
+        self._arity(toks, line, 1 + len(_PORTS), _PORTS_USAGE)
+        values: list[str | tuple[str, ...]] = []
+        for tok, key in zip(toks[1:], _PORTS):
+            paths = self._paths(tok, line, key, None if key == _MULTI_PORT else 1)
+            values.append(tuple(paths) if key == _MULTI_PORT else paths[0])
+        self.ports = Ports(*values)
 
     # -- assembly -----------------------------------------------------------
 
@@ -445,12 +441,8 @@ def render(netlist: CircuitNetlist) -> str:
     if netlist.measure_after >= len(netlist.stages):
         lines.extend(measure_block)
     lines.append("postselect " + " ".join(f"{p}={n}" for p, n in netlist.postselect))
-    pr = netlist.ports
-    lines.append(
-        f"ports target_in={pr.target_in} control_in={pr.control_in} "
-        f"program_in={pr.program_in} target_out={','.join(pr.target_out)} "
-        f"control_out={pr.control_out}"
-    )
+    groups = _port_groups(netlist.ports)
+    lines.append(" ".join(["ports", *(f"{k}={','.join(g)}" for k, g in groups)]))
     return "\n".join(lines) + "\n"
 
 
@@ -482,6 +474,8 @@ def validate(netlist: CircuitNetlist) -> list[str]:
     rule = netlist.measurement
     if rule.path not in declared:
         diags.append(f"measurement on undeclared path {rule.path!r}")
+    if not rule.outcomes:
+        diags.append("measurement declares no outcomes")
     diags.extend(m for _, m in _rule_problems(rule.outcomes, netlist.postselect_total()))
     correction_names = {c.name for c in netlist.corrections}
     for outcome in rule.outcomes:
@@ -507,13 +501,7 @@ def validate(netlist: CircuitNetlist) -> list[str]:
         diags.append(
             "postselect must require exactly one photon on exactly one target output port"
         )
-    for path in (
-        ports.target_in,
-        ports.control_in,
-        ports.program_in,
-        ports.control_out,
-        *ports.target_out,
-    ):
+    for path in (p for _, group in _port_groups(ports) for p in group):
         if path not in declared:
             diags.append(f"ports reference undeclared path {path!r}")
     if len({ports.target_in, ports.control_in, ports.program_in}) != 3:

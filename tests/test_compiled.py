@@ -31,6 +31,7 @@ from lopcsim import (
 from lopcsim import cli
 from lopcsim.elements import ElementSpec
 from lopcsim.gates import BASIS_KETS, GateGrid
+from lopcsim.netlist import MeasurementRule
 
 
 def detuned(variant, plate, angle):
@@ -304,6 +305,16 @@ def test_light_merged_onto_a_lit_path_is_a_located_error(text, line):
     # the same elements in code carry no line
     with pytest.raises(NetlistValidationError, match=r"^PX: sends light"):
         CompiledCircuit(replace(netlist, stages=tuple(replace(s, line=None) for s in netlist.stages)))
+
+
+def test_a_measurement_without_outcomes_is_a_validation_error(monkeypatch, tmp_path, capsys):
+    nl = replace(builtin_variant("basic"), measurement=MeasurementRule("d", ()))
+    with pytest.raises(NetlistValidationError) as caught:
+        CompiledCircuit(nl)
+    assert caught.value.diagnostics == ["measurement declares no outcomes"]
+    monkeypatch.setattr(cli, "builtin_variant", lambda variant: nl)
+    assert cli.main(["verify", "--variant", "basic", "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err == "error: measurement declares no outcomes\n"
 
 
 def test_input_ports_must_be_distinct():

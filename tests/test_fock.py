@@ -246,7 +246,9 @@ def test_post_select_rejects_bad_patterns(reg):
         coincidence_amplitudes(state, identity[[0, 1]])
 
 
-@pytest.mark.parametrize("channel", [("t", "X"), ("zzz", "H")], ids=["polarization", "path"])
+@pytest.mark.parametrize(
+    "channel", [("t", "X"), ("zzz", "H"), ["t", "H"]], ids=["polarization", "path", "list"]
+)
 def test_make_photon_state_rejects_unknown_modes(reg, channel):
     with pytest.raises(ValueError, match=re.escape(f"unknown mode {channel}")):
         make_photon_state(reg, [[(channel, 1.0)]])
@@ -373,8 +375,11 @@ def test_subunitary_element_rejected():
         if accepted:
             assert np.array_equal(linear_element("U", chans, chans, m).matrix, m)
         else:
-            with pytest.raises(ValueError, match=rf"U: .*\(max singular value {top:.6g}\)$"):
+            with pytest.raises(ValueError, match=r"U: .*\(max singular value (\S+)\)$") as err:
                 linear_element("U", chans, chans, m)
+            # the printed value shows the excess over the 1 + 1e-12 boundary
+            printed = re.search(r"max singular value (\S+)\)$", str(err.value)).group(1)
+            assert float(printed) == top and float(printed) > 1.0 + 1e-12
 
 
 @pytest.mark.parametrize(
@@ -387,11 +392,13 @@ def test_subunitary_element_rejected():
         pytest.param(1, ((-1, 1),), id="negative-mode"),
         pytest.param(1, ((0, 1), (1, 0)), id="zero-count"),
         pytest.param(1, ((0, 2), (1, -1)), id="negative-count"),
+        pytest.param(1.5, ((0, 1),), id="fractional-photon-number"),
+        pytest.param(-1, (), id="negative-photon-number"),
     ],
 )
 def test_fock_state_occupation_invariant(reg, photons, occupation):
     with pytest.raises(ValueError, match="occupation"):
-        FockState(reg, photons, {occupation: 1.0})
+        FockState(reg, photons, {occupation: 1.0} if occupation else {})
 
 
 NON_FINITE = [float("nan"), float("inf"), complex(0.0, float("nan"))]

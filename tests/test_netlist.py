@@ -16,7 +16,7 @@ from lopcsim import (
 )
 from lopcsim import oracle
 from lopcsim.elements import ElementSpec
-from lopcsim.netlist import VARIANTS
+from lopcsim.netlist import MeasurementRule, VARIANTS
 
 
 def test_basic_stage_order_matches_layout():
@@ -257,6 +257,32 @@ def test_validate_rejects_what_the_postselect_parser_rejects(extra, message):
     assert validate(bad) == [message]
     with pytest.raises(NetlistError, match=message):
         parse(render(bad))
+
+
+def test_validate_rejects_a_measurement_without_outcomes():
+    nl = replace(builtin_variant("basic"), measurement=MeasurementRule("d", ()))
+    assert validate(nl) == ["measurement declares no outcomes"]
+
+
+#: (line of basic.lopc, a replacement with an undeclared path left of a bad
+#: key, column of the path)
+TWO_FAULT_LINES = [
+    pytest.param(14, "ppbs PPBS in=ghost,c_in out=t_low,C_OUT tw=0.5773502691896258", 14,
+                 id="element"),
+    pytest.param(18, "measure path=ghost outcome D kat=0.7071067811865475,0.7071067811865475",
+                 14, id="measure"),
+    pytest.param(22, "ports target_in=ghost control_in=c_in program_in=p_in target_out=T_OUT "
+                 "control_ot=C_OUT", 17, id="ports"),
+]
+
+
+@pytest.mark.parametrize("lineno, new_line, col", TWO_FAULT_LINES)
+def test_a_line_reports_its_leftmost_fault(lineno, new_line, col):
+    lines = resources.files("lopcsim").joinpath("circuits/basic.lopc").read_text().splitlines()
+    lines[lineno - 1] = new_line
+    with pytest.raises(NetlistError, match="undeclared path 'ghost'") as err:
+        parse("\n".join(lines) + "\n")
+    assert (err.value.line, err.value.col) == (lineno, col)
 
 
 def test_validate_lists_every_rule_problem():

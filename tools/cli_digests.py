@@ -14,6 +14,14 @@ The optional argument is the checkout whose ``src/lopcsim`` is run (default:
 the one holding this script).  Commands run in-process from the checkout
 root, so the ``--netlist`` paths in the argv, and in ``--meta`` output, are
 the same relative paths for every checkout.
+
+After the fixed matrix come the malformed netlists: every statement of the
+shipped ``basic.lopc`` and ``full.lopc`` with exactly one token dropped,
+prefixed with ``?``, or (for a ``key=value`` token) its value set to each of
+``MALFORMED_VALUES``, run through ``verify --netlist``.  Each is written to
+the temporary directory, and its line shows a stable label,
+``<file>:<line>:<token>:<edit>``, in place of that file's path, so the
+parser's error path is pinned byte for byte too.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ import hashlib
 import io
 import itertools
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -40,6 +49,8 @@ OTHER = (
     ["verify", "--variant", "basic", "--netlist", "src/lopcsim/circuits/full.lopc"],
 )
 HOM = (["hom", "--steps", "41"], ["hom", "--steps", "41", "--tv", "0.3", "--meta"])
+MALFORMED_VARIANTS = ("basic", "full")
+MALFORMED_VALUES = ("", "ghost", "nan", "1,2,3,4,5")
 
 
 def commands():
@@ -56,6 +67,24 @@ def commands():
         yield [*argv, "--format", fmt]
 
 
+def malformed():
+    """(variant, label, text) of each one-token corruption of a shipped netlist."""
+    for variant in MALFORMED_VARIANTS:
+        name = f"{variant}.lopc"
+        lines = Path("src/lopcsim/circuits", name).read_text(encoding="utf-8").splitlines()
+        for i, line in enumerate(lines):
+            for t, match in enumerate(re.finditer(r"\S+", line.split("#", 1)[0])):
+                word = match.group()
+                edits = [("drop", ""), ("?", "?" + word)]
+                if "=" in word:
+                    key = word.split("=", 1)[0]
+                    edits += [(f"={value}", f"{key}={value}") for value in MALFORMED_VALUES]
+                for edit, new in edits:
+                    bad = line[:match.start()] + new + line[match.end():]
+                    text = "\n".join([*lines[:i], bad, *lines[i + 1:]]) + "\n"
+                    yield variant, f"{name}:{i + 1}:{t + 1}:{edit}", text
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
     os.chdir(root)
@@ -63,14 +92,22 @@ def main(argv: list[str]) -> int:
     from lopcsim.cli import main as lopcsim
 
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "out"
-        for args in commands():
+        out, netlist = Path(tmp) / "out", Path(tmp) / "malformed.lopc"
+
+        def digest(args: list[str]) -> str:
             out.unlink(missing_ok=True)
             with contextlib.redirect_stderr(io.StringIO()) as err:
                 code = lopcsim([*args, "--out", str(out)])
-            digest = hashlib.blake2b(f"{code}\n{err.getvalue()}\0".encode(), digest_size=16)
-            digest.update(out.read_bytes() if out.exists() else b"")
-            print(f"{digest.hexdigest()}  {' '.join(args)}")
+            h = hashlib.blake2b(f"{code}\n{err.getvalue()}\0".encode(), digest_size=16)
+            h.update(out.read_bytes() if out.exists() else b"")
+            return h.hexdigest()
+
+        for args in commands():
+            print(f"{digest(args)}  {' '.join(args)}")
+        for variant, label, text in malformed():
+            netlist.write_text(text, encoding="utf-8")
+            args = ["verify", "--variant", variant, "--netlist"]
+            print(f"{digest([*args, str(netlist)])}  {' '.join([*args, label])}")
     return 0
 
 
