@@ -17,15 +17,11 @@ from .fock import (
 from .gates import (
     Branch,
     CompiledCircuit,
-    ConditionalGateReport,
-    conditional_gate,
+    GateGrid,
     fidelity,
     hom_scan,
     ideal_cphase,
     prepare_inputs,
-    run,
-    success_probability,
-    sweep_phi,
 )
 from .netlist import (
     CircuitNetlist,
@@ -47,9 +43,9 @@ __all__ = [
     "Branch",
     "CircuitNetlist",
     "CompiledCircuit",
-    "ConditionalGateReport",
     "ElementSpec",
     "FockState",
+    "GateGrid",
     "LinearElement",
     "MeasurementOutcome",
     "MeasurementRule",
@@ -62,7 +58,6 @@ __all__ = [
     "branch_table",
     "builtin_variant",
     "coincidence_amplitudes",
-    "conditional_gate",
     "fidelity",
     "hom_scan",
     "hwp",
@@ -80,9 +75,6 @@ __all__ = [
     "ppbs",
     "prepare_inputs",
     "render",
-    "run",
     "strip_corrections",
-    "success_probability",
-    "sweep_phi",
     "validate",
 ]

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .gates import CompiledCircuit, hom_scan, sweep_phi
+from .gates import CompiledCircuit, hom_scan
 from .netlist import VARIANTS, NetlistValidationError, builtin_variant, parse
 from .oracle import branch_table
 
@@ -223,9 +223,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    grid = sweep_phi(_load_netlist(args), sorted(_grid(args, 0.0, math.pi)))
+    grid = CompiledCircuit(_load_netlist(args)).evaluate(sorted(_grid(args, 0.0, math.pi)))
     labels, order = zip(*sorted((f"{o}:{p}", b) for b, (o, p) in enumerate(grid.branch_keys)))
-    columns = [grid.phis, grid.p_success, grid.fidelity, list(labels) * len(grid)]
+    columns = [grid.phis, grid.p_success, grid.fidelity, list(labels) * len(grid.phis)]
     _emit(args, "sweep", ["phi_rad", "p_success", "fidelity", "branch", "branch_prob"],
           columns + [grid.probabilities[:, order].ravel()], repeats=[len(order)] * 3)
     return 0

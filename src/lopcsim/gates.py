@@ -61,14 +61,11 @@ def ideal_cphase(phi) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Branch:
-    """One accepted (detector outcome, target output port) branch.
+    """One accepted (detector outcome, target output port) branch of one input.
 
-    From ``CompiledCircuit.run``, ``amplitudes`` is the conditional state of
-    one input, shape (4,) over |00>, |01>, |10>, |11> (target, control), and
-    ``probability`` its squared norm.  In ``ConditionalGateReport.branches``
-    it is the conditional operator, shape (4, 4), whose column 2t+c is what
-    ``run`` gives for the basis input |tc>; ``probability`` is then the one
-    for input |00>.
+    ``CompiledCircuit.run`` gives ``amplitudes``, the conditional state,
+    shape (4,) over |00>, |01>, |10>, |11> (target, control), and
+    ``probability``, its squared norm.
     """
 
     outcome: str
@@ -82,34 +79,22 @@ class Branch:
 
 
 @dataclass(frozen=True, eq=False)
-class ConditionalGateReport:
-    """Assembled conditional gate and its scores against the ideal operation.
-
-    ``gate`` is the raw conditional operator of the primary branch (first
-    declared outcome on the first target output port).  ``branch_consistent``
-    records whether every accepted branch equals the primary one up to a
-    global phase within ``BRANCH_TOL``; the dual-output layouts legitimately
-    fail this because the second port carries an extra pi on |11>.
-    ``diagonal`` records whether every off-diagonal entry of every branch
-    operator is within ``DIAG_TOL`` of zero.
-    """
-
-    phi: float
-    gate: np.ndarray
-    p_success: float
-    fidelity: float
-    branches: tuple[Branch, ...]
-    branch_consistent: bool
-    diagonal: bool
-
-
-@dataclass(frozen=True, eq=False)
-class GateGrid(Sequence):
+class GateGrid:
     """The conditional gate scored over a phase grid, one array per field.
 
-    ``ops`` is (phases, branches, 4, 4) and ``probabilities`` (phases,
-    branches), branches in ``branch_keys`` order; the other arrays hold one
-    entry per phase.  Indexing or iterating builds the per-phase reports.
+    ``ops`` is (phases, branches, 4, 4): the conditional operator of each
+    branch, in ``branch_keys`` order, whose column 2t+c is what
+    ``CompiledCircuit.run`` gives for the basis input |tc>.  The primary
+    branch is the first, the first declared outcome on the first target
+    output port; ``fidelity`` scores its operator against the ideal
+    operation.  ``probabilities`` (phases, branches) is each branch's
+    probability for the input |00> (its operator's first column), and
+    ``p_success`` their sum.  ``branch_consistent`` records whether every
+    branch equals the primary one up to a global phase within
+    ``BRANCH_TOL``; the dual-output layouts fail this by design, because
+    the second port carries an extra pi on |11>.  ``diagonal`` records
+    whether every off-diagonal entry of every branch operator is within
+    ``DIAG_TOL`` of zero.  ``phis`` and the scores hold one entry per phase.
     """
 
     phis: np.ndarray
@@ -120,23 +105,6 @@ class GateGrid(Sequence):
     branch_consistent: np.ndarray
     diagonal: np.ndarray
     branch_keys: tuple[tuple[str, str], ...]
-
-    def __len__(self) -> int:
-        return len(self.phis)
-
-    def __getitem__(self, k):
-        k = range(len(self))[k]
-        if isinstance(k, range):  # a slice: a list of reports, as for a list
-            return [self[i] for i in k]
-        branches = tuple(
-            Branch(o, p, self.ops[k, b], float(self.probabilities[k, b]))
-            for b, (o, p) in enumerate(self.branch_keys)
-        )
-        return ConditionalGateReport(
-            float(self.phis[k]), branches[0].amplitudes, float(self.p_success[k]),
-            float(self.fidelity[k]), branches, bool(self.branch_consistent[k]),
-            bool(self.diagonal[k]),
-        )
 
 
 def _check_phases(phis) -> np.ndarray:
@@ -300,7 +268,7 @@ class CompiledCircuit:
     def evaluate(self, phi_grid: Sequence[float]) -> GateGrid:
         """Assemble and score the conditional gate at every phase of the grid,
         as arrays from one broadcast over ``program_operators``; the scores
-        and tolerances are those documented on ``ConditionalGateReport``."""
+        and tolerances are those documented on ``GateGrid``."""
         phis = _check_phases(phi_grid)
         g_h, g_v = self.program_operators
         ops = (g_h - np.exp(1j * phis)[:, None, None, None] * g_v) / _SQ2
@@ -322,12 +290,6 @@ class CompiledCircuit:
         )
 
 
-def run(netlist: CircuitNetlist, state: FockState) -> list[Branch]:
-    """Execute a netlist on a prepared input and enumerate all branches
-    (see ``CompiledCircuit.run``)."""
-    return CompiledCircuit(netlist).run(state)
-
-
 def fidelity(gate: np.ndarray, phi):
     """Overlap |Tr(G† U)|^2 / (4 Tr(G† G)) with U = diag(1, 1, 1, e^{i phi}).
 
@@ -341,27 +303,6 @@ def fidelity(gate: np.ndarray, phi):
     overlap = np.sum(g.conj() * ideal_cphase(phi), axis=(-2, -1))
     result = np.abs(overlap) ** 2 / (4.0 * denom)
     return float(result) if result.ndim == 0 else result
-
-
-def conditional_gate(netlist: CircuitNetlist, phi: float) -> ConditionalGateReport:
-    """Assemble the conditional operator per branch at one phase and score it."""
-    return CompiledCircuit(netlist).evaluate([phi])[0]
-
-
-def success_probability(
-    netlist: CircuitNetlist,
-    target_ket: Sequence[complex],
-    control_ket: Sequence[complex],
-    phi: float,
-) -> float:
-    """Total accepted-branch probability for one product input."""
-    state = prepare_inputs(netlist, target_ket, control_ket, phi)
-    return float(sum(branch.probability for branch in run(netlist, state)))
-
-
-def sweep_phi(netlist: CircuitNetlist, phi_grid: Sequence[float]) -> GateGrid:
-    """Evaluate the gate over a phase grid: a ``GateGrid``, phases in grid order."""
-    return CompiledCircuit(netlist).evaluate(phi_grid)
 
 
 def hom_scan(t_v: float, overlap_grid: Sequence[float]) -> list[tuple[float, float]]:

@@ -456,10 +456,15 @@ def _where(spec: ElementSpec) -> str:
 
 def validate(netlist: CircuitNetlist) -> list[str]:
     """Structural and numeric checks; an empty list means the netlist is valid."""
-    diags: list[str] = []
     declared = set(netlist.paths)
+    diags = [f"invalid path name {p!r}" for p in netlist.paths if not _IDENT.match(p)]
+    diags += [
+        f"duplicate path {p!r}" for i, p in enumerate(netlist.paths) if p in netlist.paths[:i]
+    ]
     names: set[str] = set()
     for spec in netlist.stages + netlist.corrections:
+        if not _IDENT.match(spec.name):
+            diags.append(f"{_where(spec)}invalid element name {spec.name!r}")
         if spec.name in names:
             diags.append(f"{_where(spec)}duplicate element name {spec.name!r}")
         names.add(spec.name)
@@ -478,7 +483,13 @@ def validate(netlist: CircuitNetlist) -> list[str]:
         diags.append("measurement declares no outcomes")
     diags.extend(m for _, m in _rule_problems(rule.outcomes, netlist.postselect_total()))
     correction_names = {c.name for c in netlist.corrections}
+    labels: set[str] = set()
     for outcome in rule.outcomes:
+        if not _IDENT.match(outcome.label):
+            diags.append(f"invalid outcome label {outcome.label!r}")
+        if outcome.label in labels:
+            diags.append(f"duplicate outcome label {outcome.label!r}")
+        labels.add(outcome.label)
         if outcome.correct is not None and outcome.correct not in correction_names:
             diags.append(f"outcome {outcome.label!r}: unknown correction {outcome.correct!r}")
 

@@ -11,17 +11,15 @@ import numpy as np
 import pytest
 
 from lopcsim import (
+    CompiledCircuit,
     branch_table,
     builtin_variant,
-    conditional_gate,
     fidelity,
     hom_scan,
     parse,
     prepare_inputs,
     render,
-    run,
     strip_corrections,
-    success_probability,
 )
 from lopcsim.cli import main
 from lopcsim.gates import BASIS_KETS
@@ -46,16 +44,14 @@ def random_ket(rng):
 
 def test_criterion_1_gate_correctness():
     worst_offdiag = worst_mag = worst_phase = worst_fid = 0.0
-    nl = builtin_variant("basic")
-    for phi in PHI_GRID:
-        rep = conditional_gate(nl, phi)
-        g = rep.gate
+    grid = CompiledCircuit(builtin_variant("basic")).evaluate(PHI_GRID)
+    for phi, g, fid in zip(PHI_GRID, grid.ops[:, 0], grid.fidelity):
         off = g - np.diag(np.diag(g))
         worst_offdiag = max(worst_offdiag, float(np.max(np.abs(off))))
         worst_mag = max(worst_mag, float(np.max(np.abs(np.abs(np.diag(g)) - K))))
         phase = cmath.phase(g[3, 3] / g[0, 0])
         worst_phase = max(worst_phase, abs(cmath.exp(1j * phase) - cmath.exp(1j * phi)))
-        worst_fid = max(worst_fid, abs(rep.fidelity - 1.0))
+        worst_fid = max(worst_fid, abs(fid - 1.0))
     ok = worst_offdiag < 1e-12 and worst_mag <= 1e-12 and worst_phase <= 1e-10 and worst_fid <= 1e-12
     report(1, ok, f"basic gate correctness over 21 phases (off-diag {worst_offdiag:.2e}, "
                   f"|G_kk| err {worst_mag:.2e}, phase err {worst_phase:.2e}, fid err {worst_fid:.2e})")
@@ -64,10 +60,8 @@ def test_criterion_1_gate_correctness():
 def test_criterion_2_success_probabilities():
     worst = {}
     for variant, expected in VARIANT_P.items():
-        nl = builtin_variant(variant)
-        worst[variant] = max(
-            abs(conditional_gate(nl, phi).p_success - expected) for phi in PHI_GRID
-        )
+        grid = CompiledCircuit(builtin_variant(variant)).evaluate(PHI_GRID)
+        worst[variant] = float(np.max(np.abs(grid.p_success - expected)))
     ok = all(err <= 1e-12 for err in worst.values())
     detail = ", ".join(f"{v}={err:.2e}" for v, err in worst.items())
     report(2, ok, f"success probabilities 1/48, 1/24, 1/24, 1/12 ({detail})")
@@ -85,7 +79,11 @@ def test_criterion_3_state_independence():
     spreads = {}
     for variant in VARIANT_P:
         nl = builtin_variant(variant)
-        probs = [success_probability(nl, t, c, phi) for t, c in inputs]
+        circuit = CompiledCircuit(nl)
+        probs = [
+            sum(br.probability for br in circuit.run(prepare_inputs(nl, t, c, phi)))
+            for t, c in inputs
+        ]
         basis_states = [
             prepare_inputs(nl, BASIS_KETS[t], BASIS_KETS[c], phi)
             for t in (0, 1)
@@ -96,7 +94,7 @@ def test_criterion_3_state_independence():
             for coeff, basis in zip(chi, basis_states):
                 term = complex(coeff) * basis
                 state = term if state is None else state + term
-            probs.append(sum(br.probability for br in run(nl, state)))
+            probs.append(sum(br.probability for br in circuit.run(state)))
         spreads[variant] = max(probs) - min(probs)
     ok = all(spread < 1e-12 for spread in spreads.values())
     detail = ", ".join(f"{v}={s:.2e}" for v, s in spreads.items())
@@ -108,12 +106,13 @@ def test_criterion_4_oracle_equivalence():
     comparisons = 0
     for variant in VARIANT_P:
         nl = builtin_variant(variant)
+        circuit = CompiledCircuit(nl)
         for phi in PHI_EIGHT:
             table = branch_table(phi, variant)
             for t in (0, 1):
                 for c in (0, 1):
                     state = prepare_inputs(nl, BASIS_KETS[t], BASIS_KETS[c], phi)
-                    branches = {(b.outcome, b.port): b.amplitudes for b in run(nl, state)}
+                    branches = {(b.outcome, b.port): b.amplitudes for b in circuit.run(state)}
                     assert set(branches) == set(table)
                     comparisons += 1
                     for key, amps in branches.items():
@@ -141,6 +140,7 @@ def test_criterion_6_linearity():
     cases = [("basic", 40), ("full", 10)]
     for variant, count in cases:
         nl = builtin_variant(variant)
+        run = CompiledCircuit(nl).run
         for _ in range(count):
             phi = float(rng.uniform(0.0, math.pi))
             pair = []
@@ -151,9 +151,9 @@ def test_criterion_6_linearity():
             norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
             alpha, beta = alpha / norm, beta / norm
             combo = alpha * pair[0] + beta * pair[1]
-            combined = {(b.outcome, b.port): b.amplitudes for b in run(nl, combo)}
-            first = {(b.outcome, b.port): b.amplitudes for b in run(nl, pair[0])}
-            second = {(b.outcome, b.port): b.amplitudes for b in run(nl, pair[1])}
+            combined = {(b.outcome, b.port): b.amplitudes for b in run(combo)}
+            first = {(b.outcome, b.port): b.amplitudes for b in run(pair[0])}
+            second = {(b.outcome, b.port): b.amplitudes for b in run(pair[1])}
             for key, amps in combined.items():
                 expected = alpha * first[key] + beta * second[key]
                 worst = max(worst, float(np.max(np.abs(amps - expected))))
@@ -164,16 +164,16 @@ def test_criterion_6_linearity():
 def test_criterion_7_feed_forward_branches():
     nl = builtin_variant("ff")
     worst = 0.0
-    for phi in PHI_GRID:
-        rep = conditional_gate(nl, phi)
-        ops = {b.outcome: b.amplitudes for b in rep.branches}
+    grid = CompiledCircuit(nl).evaluate(PHI_GRID)
+    for branch_ops in grid.ops:
+        ops = {outcome: op for (outcome, _), op in zip(grid.branch_keys, branch_ops)}
         ref = ops["D"][0, 0]
         phase = ops["A"][0, 0] / ref
         phase /= abs(phase)
         worst = max(worst, float(np.max(np.abs(ops["A"] - phase * ops["D"]))))
-    uncorrected = conditional_gate(strip_corrections(nl), 0.0)
-    a_branch = next(b for b in uncorrected.branches if b.outcome == "A")
-    fid_err = abs(fidelity(a_branch.amplitudes, 0.0) - 0.25)
+    uncorrected = CompiledCircuit(strip_corrections(nl)).evaluate([0.0])
+    a_op = dict(zip(uncorrected.branch_keys, uncorrected.ops[0]))["A", "T_OUT"]
+    fid_err = abs(fidelity(a_op, 0.0) - 0.25)
     ok = worst <= 1e-10 and fid_err <= 1e-12
     report(7, ok, f"feed-forward branch equality (max deviation {worst:.2e}); "
                   f"uncorrected branch fidelity 1/4 (error {fid_err:.2e})")

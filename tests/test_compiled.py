@@ -1,12 +1,14 @@
 """The compiled circuit's phase-affine operators against per-phase runs.
 
 ``reference_gate`` is the per-phase assembly: it runs the four basis
-inputs with the program photon (|H> - e^{i phi}|V>)/sqrt(2) through ``run``
-and scores the operators with plain loops.  The compiled circuit must agree
-with it on every operator to 1e-12 and on every flag exactly.
+inputs with the program photon (|H> - e^{i phi}|V>)/sqrt(2) through
+``CompiledCircuit.run`` and scores the operators with plain loops.  The
+compiled circuit must agree with it on every operator to 1e-12 and on
+every flag exactly.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import replace
 from importlib import resources
 
@@ -18,19 +20,17 @@ from lopcsim import (
     Branch,
     CircuitNetlist,
     CompiledCircuit,
-    ConditionalGateReport,
+    GateGrid,
     NetlistValidationError,
     builtin_variant,
     parse,
     prepare_inputs,
-    run,
     strip_corrections,
-    sweep_phi,
     validate,
 )
 from lopcsim import cli
 from lopcsim.elements import ElementSpec
-from lopcsim.gates import BASIS_KETS, GateGrid
+from lopcsim.gates import BASIS_KETS
 from lopcsim.netlist import MeasurementRule
 
 
@@ -54,10 +54,11 @@ NETLISTS = {
 
 def reference_gate(netlist, phi, branch_tol=1e-10, diag_tol=1e-12):
     operators = {}
+    run = CompiledCircuit(netlist).run
     for t in (0, 1):
         for c in (0, 1):
             state = prepare_inputs(netlist, BASIS_KETS[t], BASIS_KETS[c], phi)
-            for branch in run(netlist, state):
+            for branch in run(state):
                 key = (branch.outcome, branch.port)
                 operators.setdefault(key, np.zeros((4, 4), dtype=complex))
                 operators[key][:, 2 * t + c] = branch.amplitudes
@@ -82,33 +83,32 @@ def test_phase_affine_operators_match_direct_evolution(name):
     netlist = NETLISTS[name]
     rng = np.random.default_rng(sum(map(ord, name)))
     phis = [0.0, math.pi, *rng.uniform(-3 * math.pi, 3 * math.pi, size=5)]
-    reports = CompiledCircuit(netlist).evaluate(phis)
-    for phi, report in zip(phis, reports):
+    grid = CompiledCircuit(netlist).evaluate(phis)
+    for k, phi in enumerate(phis):
         keys, ops, probs, p_success, fid, consistent, diagonal = reference_gate(netlist, phi)
-        assert [(b.outcome, b.port) for b in report.branches] == keys
-        for branch, op, prob in zip(report.branches, ops, probs):
-            assert np.max(np.abs(branch.amplitudes - op)) <= 1e-12
-            assert abs(branch.probability - prob) <= 1e-12
-        assert abs(report.p_success - p_success) <= 1e-12
-        assert abs(report.fidelity - fid) <= 1e-12
-        assert report.branch_consistent == consistent
-        assert report.diagonal == diagonal
-        assert report.gate is report.branches[0].amplitudes
+        assert list(grid.branch_keys) == keys
+        for branch_op, branch_prob, op, prob in zip(grid.ops[k], grid.probabilities[k], ops, probs):
+            assert np.max(np.abs(branch_op - op)) <= 1e-12
+            assert abs(branch_prob - prob) <= 1e-12
+        assert abs(grid.p_success[k] - p_success) <= 1e-12
+        assert abs(grid.fidelity[k] - fid) <= 1e-12
+        assert grid.branch_consistent[k] == consistent
+        assert grid.diagonal[k] == diagonal
 
 
 def test_detuned_netlists_depart_from_ideal():
     scores = {
-        name: CompiledCircuit(NETLISTS[name]).evaluate([0.7])[0]
+        name: CompiledCircuit(NETLISTS[name]).evaluate([0.7])
         for name in ("basic-HWP2-32.5", "ff", "full-uncorrected", "full-HWP5-30")
     }
-    assert scores["basic-HWP2-32.5"].fidelity < 0.96
-    assert scores["basic-HWP2-32.5"].diagonal
+    assert scores["basic-HWP2-32.5"].fidelity[0] < 0.96
+    assert scores["basic-HWP2-32.5"].diagonal[0]
     # a single branch always agrees with itself, whatever the phase of its
     # largest entry
-    assert scores["basic-HWP2-32.5"].branch_consistent
-    assert scores["ff"].branch_consistent
-    assert not scores["full-uncorrected"].branch_consistent
-    assert not scores["full-HWP5-30"].diagonal
+    assert scores["basic-HWP2-32.5"].branch_consistent[0]
+    assert scores["ff"].branch_consistent[0]
+    assert not scores["full-uncorrected"].branch_consistent[0]
+    assert not scores["full-HWP5-30"].diagonal[0]
 
 
 def test_sweep_cost_does_not_grow_with_grid_length(monkeypatch):
@@ -126,10 +126,10 @@ def test_sweep_cost_does_not_grow_with_grid_length(monkeypatch):
     monkeypatch.setattr(CompiledCircuit, "run", counting_run)
     monkeypatch.setattr(lopcsim.gates, "permanents", counting_permanents)
     netlist = builtin_variant("full")
-    sweep_phi(netlist, np.linspace(0.0, math.pi, 3))
+    CompiledCircuit(netlist).evaluate(np.linspace(0.0, math.pi, 3))
     short = dict(calls)
     calls.update(run=0, permanents=0)
-    sweep_phi(netlist, np.linspace(0.0, math.pi, 51))
+    CompiledCircuit(netlist).evaluate(np.linspace(0.0, math.pi, 51))
     assert calls == short
     # one batch of permanents over the eight basis inputs, and no run
     assert short == {"run": 0, "permanents": 1}
@@ -137,43 +137,32 @@ def test_sweep_cost_does_not_grow_with_grid_length(monkeypatch):
 
 @pytest.mark.parametrize("steps", [3, 401])
 def test_sweep_builds_no_per_phase_objects(monkeypatch, tmp_path, steps):
-    built = {Branch: 0, ConditionalGateReport: 0}
-    for cls in built:
-        init = cls.__init__
+    built = []
+    init = Branch.__init__
 
-        def counting(self, *args, _cls=cls, _init=init, **kwargs):
-            built[_cls] += 1
-            _init(self, *args, **kwargs)
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__init__", counting)
+    monkeypatch.setattr(Branch, "__init__", counting)
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--variant", "full", "--steps", str(steps), "--out", str(out)]
     assert cli.main(argv) == 0
     assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + 4 * steps
-    assert built[ConditionalGateReport] == 0
-    assert built[Branch] == 0
+    assert built == []
 
 
-def test_grid_arrays_and_per_phase_views():
+def test_grid_is_a_record_of_arrays():
     circuit = CompiledCircuit(builtin_variant("full"))
     phis = [0.0, 0.4, math.pi]
     grid = circuit.evaluate(phis)
-    assert isinstance(grid, GateGrid) and len(grid) == 3
+    assert isinstance(grid, GateGrid) and not isinstance(grid, Sequence)
+    assert grid.phis.tolist() == phis
     assert grid.ops.shape == (3, 4, 4, 4) and grid.probabilities.shape == (3, 4)
     for field in ("phis", "p_success", "fidelity", "branch_consistent", "diagonal"):
         assert getattr(grid, field).shape == (3,)
     assert grid.branch_keys == circuit.branch_keys
     assert np.allclose(grid.p_success, 1 / 12, rtol=0, atol=1e-12)
-    for k, report in enumerate(grid):
-        assert isinstance(report, ConditionalGateReport)
-        assert report.phi == phis[k] == grid.phis[k]
-        assert report.p_success == float(grid.p_success[k])
-        assert report.diagonal is bool(grid.diagonal[k])
-        assert np.array_equal(report.gate, grid.ops[k, 0])
-    assert grid[-1].phi == math.pi
-    assert [r.phi for r in grid[1:]] == phis[1:]
-    with pytest.raises(IndexError):
-        grid[3]
 
 
 def test_one_mode_registry_per_compile(monkeypatch):
@@ -212,9 +201,9 @@ def test_compiled_circuit_validates_once_and_rejects_invalid_netlists(monkeypatc
     monkeypatch.setattr(lopcsim.gates, "validate", lambda n: calls.append(n) or validate(n))
     circuit = CompiledCircuit(nl)
     assert circuit.branch_keys == (("D", "T_OUT"),)
-    first = circuit.evaluate([0.3])[0]
-    again = circuit.evaluate([0.3, 1.0])[0]
-    assert np.array_equal(first.gate, again.gate)
+    first = circuit.evaluate([0.3]).ops[0, 0]
+    again = circuit.evaluate([0.3, 1.0]).ops[0, 0]
+    assert np.array_equal(first, again)
     assert len(calls) == 1
 
 

@@ -5,17 +5,14 @@ import numpy as np
 import pytest
 
 from lopcsim import (
+    CompiledCircuit,
     NetlistValidationError,
     builtin_variant,
-    conditional_gate,
     fidelity,
     hom_scan,
     ideal_cphase,
     prepare_inputs,
-    run,
     strip_corrections,
-    success_probability,
-    sweep_phi,
 )
 from lopcsim.fock import H, V
 from lopcsim.gates import BASIS_KETS
@@ -25,6 +22,12 @@ from . import dense_reference
 SQ2 = math.sqrt(2.0)
 K = 1.0 / (4.0 * math.sqrt(3.0))
 KET0, KET1 = BASIS_KETS
+
+
+def success_probability(circuit, target_ket, control_ket, phi):
+    """Total accepted-branch probability of one product input."""
+    state = prepare_inputs(circuit.netlist, target_ket, control_ket, phi)
+    return sum(branch.probability for branch in circuit.run(state))
 
 
 def test_prepare_inputs_program_photon():
@@ -48,7 +51,7 @@ def test_prepare_inputs_rejects_unnormalized_kets():
 def test_basic_run_on_11_input():
     phi = 1.3
     nl = builtin_variant("basic")
-    branches = run(nl, prepare_inputs(nl, KET1, KET1, phi))
+    branches = CompiledCircuit(nl).run(prepare_inputs(nl, KET1, KET1, phi))
     assert len(branches) == 1
     br = branches[0]
     assert (br.outcome, br.port) == ("D", "T_OUT")
@@ -59,7 +62,7 @@ def test_basic_run_on_11_input():
 
 def test_basic_run_on_00_input():
     nl = builtin_variant("basic")
-    branches = run(nl, prepare_inputs(nl, KET0, KET0, 0.4))
+    branches = CompiledCircuit(nl).run(prepare_inputs(nl, KET0, KET0, 0.4))
     assert np.max(np.abs(branches[0].amplitudes - np.array([K, 0, 0, 0]))) < 1e-12
 
 
@@ -69,7 +72,7 @@ def test_superposed_target_amplitudes():
     phi = 0.77
     nl = builtin_variant("basic")
     target = (1 / SQ2, 1 / SQ2)
-    branches = run(nl, prepare_inputs(nl, target, KET1, phi))
+    branches = CompiledCircuit(nl).run(prepare_inputs(nl, target, KET1, phi))
     expected = np.array([0, K / SQ2, 0, K / SQ2 * cmath.exp(1j * phi)])
     assert np.max(np.abs(branches[0].amplitudes - expected)) < 1e-12
     assert abs(K / SQ2 - 1 / (4 * math.sqrt(6))) < 1e-15
@@ -99,7 +102,7 @@ def test_run_rejects_wrong_photon_count():
 
     two = make_photon_state(reg, [[(("t_in", H), 1.0)], [(("c_in", H), 1.0)]])
     with pytest.raises(ValueError):
-        run(nl, two)
+        CompiledCircuit(nl).run(two)
 
 
 def test_run_rejects_invalid_netlist():
@@ -109,53 +112,53 @@ def test_run_rejects_invalid_netlist():
     bad = replace(nl, postselect=(("T_OUT", 1), ("C_OUT", 1), ("d", 0), ("p_in", 1)))
     state = prepare_inputs(nl, KET0, KET0, 0.0)
     with pytest.raises(NetlistValidationError):
-        run(bad, state)
+        CompiledCircuit(bad).run(state)
 
 
 def test_ff_branches_agree_after_correction():
     phi = 0.5
     nl = builtin_variant("ff")
-    report = conditional_gate(nl, phi)
-    assert len(report.branches) == 2
-    d_op = report.branches[0].amplitudes
-    a_op = report.branches[1].amplitudes
+    grid = CompiledCircuit(nl).evaluate([phi])
+    assert len(grid.branch_keys) == 2
+    d_op, a_op = grid.ops[0]
     assert np.max(np.abs(d_op - a_op)) < 1e-12
-    for branch in report.branches:
-        assert abs(branch.probability - 1.0 / 48.0) < 1e-12
-    assert report.branch_consistent
+    for probability in grid.probabilities[0]:
+        assert abs(probability - 1.0 / 48.0) < 1e-12
+    assert grid.branch_consistent[0]
 
 
 def test_uncorrected_a_branch_differs():
     nl = strip_corrections(builtin_variant("ff"))
-    report = conditional_gate(nl, 0.0)
-    a_branch = next(b for b in report.branches if b.outcome == "A")
-    assert abs(fidelity(a_branch.amplitudes, 0.0) - 0.25) < 1e-12
-    assert not report.branch_consistent
+    grid = CompiledCircuit(nl).evaluate([0.0])
+    a_op = dict(zip(grid.branch_keys, grid.ops[0]))["A", "T_OUT"]
+    assert abs(fidelity(a_op, 0.0) - 0.25) < 1e-12
+    assert not grid.branch_consistent[0]
 
 
 def test_full_variant_branch_structure():
-    report = conditional_gate(builtin_variant("full"), 1.1)
-    assert len(report.branches) == 4
-    for branch in report.branches:
-        assert abs(branch.probability - 1.0 / 48.0) < 1e-12
-    assert abs(report.p_success - 1.0 / 12.0) < 1e-12
+    grid = CompiledCircuit(builtin_variant("full")).evaluate([1.1])
+    assert len(grid.branch_keys) == 4
+    for probability in grid.probabilities[0]:
+        assert abs(probability - 1.0 / 48.0) < 1e-12
+    assert abs(grid.p_success[0] - 1.0 / 12.0) < 1e-12
     # Branches on the primary port agree; the swap port carries an extra pi
     # on |11>, so cross-port consistency fails by design.
-    ops = {(b.outcome, b.port): b.amplitudes for b in report.branches}
+    ops = dict(zip(grid.branch_keys, grid.ops[0]))
     assert np.max(np.abs(ops[("D", "T_OUT")] - ops[("A", "T_OUT")])) < 1e-12
     assert np.max(np.abs(ops[("D", "T_OUT2")] - ops[("A", "T_OUT2")])) < 1e-12
     ratio = ops[("D", "T_OUT2")][3, 3] / ops[("D", "T_OUT")][3, 3]
     assert abs(ratio + 1.0) < 1e-12
-    assert not report.branch_consistent
+    assert not grid.branch_consistent[0]
 
 
 def test_basic_gate_matches_ideal():
-    for phi in (0.0, 0.9, math.pi):
-        report = conditional_gate(builtin_variant("basic"), phi)
+    phis = (0.0, 0.9, math.pi)
+    grid = CompiledCircuit(builtin_variant("basic")).evaluate(phis)
+    for k, phi in enumerate(phis):
         expected = K * ideal_cphase(phi)
-        assert np.max(np.abs(report.gate - expected)) < 1e-12
-        assert abs(report.fidelity - 1.0) < 1e-12
-        assert report.diagonal and report.branch_consistent
+        assert np.max(np.abs(grid.ops[k, 0] - expected)) < 1e-12
+        assert abs(grid.fidelity[k] - 1.0) < 1e-12
+        assert grid.diagonal[k] and grid.branch_consistent[k]
 
 
 def test_fidelity_examples():
@@ -174,14 +177,14 @@ def test_fidelity_examples():
     [("basic", 1 / 48), ("ff", 1 / 24), ("dual", 1 / 24), ("full", 1 / 12)],
 )
 def test_success_probability_nominal(variant, expected):
-    nl = builtin_variant(variant)
+    circuit = CompiledCircuit(builtin_variant(variant))
     for phi in (0.0, 1.0, math.pi):
-        assert abs(success_probability(nl, KET0, KET1, phi) - expected) < 1e-12
+        assert abs(success_probability(circuit, KET0, KET1, phi) - expected) < 1e-12
 
 
 def test_success_probability_state_independent_sample():
     rng = np.random.default_rng(31)
-    nl = builtin_variant("basic")
+    circuit = CompiledCircuit(builtin_variant("basic"))
     values = []
     for _ in range(10):
         kets = []
@@ -189,7 +192,7 @@ def test_success_probability_state_independent_sample():
             z = rng.normal(size=2) + 1j * rng.normal(size=2)
             z /= np.linalg.norm(z)
             kets.append(tuple(z))
-        values.append(success_probability(nl, kets[0], kets[1], 0.8))
+        values.append(success_probability(circuit, kets[0], kets[1], 0.8))
     assert max(values) - min(values) < 1e-12
 
 
@@ -202,46 +205,49 @@ def test_amplitude_linearity():
     s00 = prepare_inputs(nl, KET0, KET0, phi)
     s11 = prepare_inputs(nl, KET1, KET1, phi)
     combo = alpha * s00 + beta * s11
-    combo_amps = run(nl, combo)[0].amplitudes
-    split = alpha * run(nl, s00)[0].amplitudes + beta * run(nl, s11)[0].amplitudes
+    run = CompiledCircuit(nl).run
+    combo_amps = run(combo)[0].amplitudes
+    split = alpha * run(s00)[0].amplitudes + beta * run(s11)[0].amplitudes
     assert np.max(np.abs(combo_amps - split)) < 1e-12
 
 
 def test_phase_law_and_diagonality():
-    nl = builtin_variant("full")
-    for phi in np.linspace(0.0, math.pi, 7):
-        report = conditional_gate(nl, float(phi))
-        assert report.diagonal
-        measured = cmath.phase(report.gate[3, 3] * report.gate[0, 0].conjugate())
+    grid = CompiledCircuit(builtin_variant("full")).evaluate(np.linspace(0.0, math.pi, 7))
+    for phi, gate, diagonal in zip(grid.phis, grid.ops[:, 0], grid.diagonal):
+        assert diagonal
+        measured = cmath.phase(gate[3, 3] * gate[0, 0].conjugate())
         assert abs(cmath.exp(1j * measured) - cmath.exp(1j * phi)) < 1e-10
 
 
 def test_probability_law_branch_count():
     for variant, count in (("basic", 1), ("ff", 2), ("dual", 2), ("full", 4)):
-        report = conditional_gate(builtin_variant(variant), 0.4)
-        assert len(report.branches) == count
-        assert abs(report.p_success - count / 48.0) < 1e-12
+        grid = CompiledCircuit(builtin_variant(variant)).evaluate([0.4])
+        assert len(grid.branch_keys) == count
+        assert abs(grid.p_success[0] - count / 48.0) < 1e-12
 
 
-def test_sweep_phi_rows():
-    nl = builtin_variant("basic")
-    rows = sweep_phi(nl, [0.0, 0.5, 1.0])
-    assert [r.phi for r in rows] == [0.0, 0.5, 1.0]
-    for row in rows:
-        assert abs(row.p_success - 1 / 48) < 1e-12
-        assert abs(row.fidelity - 1.0) < 1e-12
-        branch_probs = tuple((b.label, b.probability) for b in row.branches)
+def test_evaluate_rows():
+    circuit = CompiledCircuit(builtin_variant("basic"))
+    grid = circuit.evaluate([0.0, 0.5, 1.0])
+    assert grid.phis.tolist() == [0.0, 0.5, 1.0]
+    for k in range(3):
+        assert abs(grid.p_success[k] - 1 / 48) < 1e-12
+        assert abs(grid.fidelity[k] - 1.0) < 1e-12
+        branch_probs = tuple(
+            (f"{outcome}:{port}", p)
+            for (outcome, port), p in zip(grid.branch_keys, grid.probabilities[k])
+        )
         assert branch_probs == (("D:T_OUT", pytest.approx(1 / 48, abs=1e-12)),)
     with pytest.raises(ValueError):
-        sweep_phi(nl, [])
+        circuit.evaluate([])
 
 
-def test_sweep_single_point_matches_conditional_gate():
-    nl = builtin_variant("dual")
-    row = sweep_phi(nl, [0.0])[0]
-    report = conditional_gate(nl, 0.0)
-    assert row.p_success == report.p_success
-    assert row.fidelity == report.fidelity
+def test_single_point_grid_matches_longer_grid():
+    circuit = CompiledCircuit(builtin_variant("dual"))
+    row = circuit.evaluate([0.0])
+    longer = circuit.evaluate([0.0, 0.5])
+    assert row.p_success[0] == longer.p_success[0]
+    assert row.fidelity[0] == longer.fidelity[0]
 
 
 def test_hom_scan_endpoints_and_affinity():

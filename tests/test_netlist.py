@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from lopcsim import (
+    CompiledCircuit,
     NetlistError,
+    NetlistValidationError,
     builtin_variant,
-    conditional_gate,
     hwp,
     parse,
     render,
@@ -264,6 +265,53 @@ def test_validate_rejects_a_measurement_without_outcomes():
     assert validate(nl) == ["measurement declares no outcomes"]
 
 
+def test_validate_rejects_a_repeated_outcome_label():
+    nl = builtin_variant("basic")
+    (outcome,) = nl.measurement.outcomes
+    s = 1 / math.sqrt(2)
+    twice = replace(nl, measurement=MeasurementRule("d", (outcome, replace(outcome, ket=(s, -s)))))
+    assert validate(twice) == ["duplicate outcome label 'D'"]
+    with pytest.raises(NetlistError, match="duplicate outcome label 'D'"):
+        parse(render(twice))
+
+
+def test_a_repeated_path_is_a_validation_error():
+    nl = builtin_variant("basic")
+    twice = replace(nl, paths=nl.paths + ("d",))
+    assert validate(twice) == ["duplicate path 'd'"]
+    with pytest.raises(NetlistValidationError) as caught:
+        CompiledCircuit(twice)
+    assert caught.value.diagnostics == ["duplicate path 'd'"]
+    with pytest.raises(NetlistError, match="duplicate path 'd'"):
+        parse(render(twice))
+
+
+def _rename_f1(nl):
+    stages = tuple(replace(s, name="F 1") if s.name == "F1" else s for s in nl.stages)
+    return replace(nl, stages=stages)
+
+
+def _relabel_outcome(nl):
+    (outcome,) = nl.measurement.outcomes
+    return replace(nl, measurement=MeasurementRule("d", (replace(outcome, label="D 1"),)))
+
+
+@pytest.mark.parametrize(
+    "change, diagnostic",
+    [
+        (lambda nl: replace(nl, paths=nl.paths + ("x y",)), "invalid path name 'x y'"),
+        (_rename_f1, "line 12: invalid element name 'F 1'"),
+        (_relabel_outcome, "invalid outcome label 'D 1'"),
+    ],
+    ids=["path", "element", "outcome"],
+)
+def test_validate_rejects_names_that_do_not_round_trip(change, diagnostic):
+    bad = change(builtin_variant("basic"))
+    assert validate(bad) == [diagnostic]
+    with pytest.raises(NetlistError):
+        parse(render(bad))
+
+
 #: (line of basic.lopc, a replacement with an undeclared path left of a bad
 #: key, column of the path)
 TWO_FAULT_LINES = [
@@ -308,9 +356,9 @@ def test_disjoint_stages_commute():
     swapped = replace(nl, stages=tuple(stages))
     assert validate(swapped) == []
     phi = 0.9
-    a = conditional_gate(nl, phi)
-    b = conditional_gate(swapped, phi)
-    assert np.max(np.abs(a.gate - b.gate)) < 1e-12
+    a = CompiledCircuit(nl).evaluate([phi]).ops[0, 0]
+    b = CompiledCircuit(swapped).evaluate([phi]).ops[0, 0]
+    assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_measure_at_end_round_trips():
@@ -321,10 +369,8 @@ def test_measure_at_end_round_trips():
     assert validate(moved) == []
     assert parse(render(moved)) == moved
     phi = 0.6
-    assert (
-        np.max(np.abs(conditional_gate(nl, phi).gate - conditional_gate(moved, phi).gate))
-        < 1e-12
-    )
+    gate, moved_gate = (CompiledCircuit(n).evaluate([phi]).ops[0, 0] for n in (nl, moved))
+    assert np.max(np.abs(gate - moved_gate)) < 1e-12
 
 
 def test_correction_position_matters():
@@ -334,10 +380,10 @@ def test_correction_position_matters():
     nl = builtin_variant("ff")
     late = replace(nl, measure_after=len(nl.stages))
     assert validate(late) == []
-    good = conditional_gate(nl, 0.9)
-    bad = conditional_gate(late, 0.9)
-    assert good.branch_consistent
-    assert not bad.branch_consistent
+    good = CompiledCircuit(nl).evaluate([0.9])
+    bad = CompiledCircuit(late).evaluate([0.9])
+    assert good.branch_consistent[0]
+    assert not bad.branch_consistent[0]
 
 
 def test_correction_declared_after_measure_lines():

@@ -1,9 +1,42 @@
-"""The package's public names."""
+"""The package's public names, and the README's library example."""
+
+import re
+from pathlib import Path
 
 import lopcsim
+import lopcsim.gates
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+PUBLIC = [
+    "Branch", "CircuitNetlist", "CompiledCircuit", "ElementSpec", "FockState", "GateGrid",
+    "LinearElement", "MeasurementOutcome", "MeasurementRule", "ModeRegistry", "NetlistError",
+    "NetlistValidationError", "OracleBranch", "OraclePath", "Ports", "__version__",
+    "branch_table", "builtin_variant", "coincidence_amplitudes", "fidelity", "hom_scan", "hwp",
+    "ideal_cphase", "jones", "linear_element", "make_photon_state", "oracle_conditional_gate",
+    "parse", "path_amplitude", "pbs", "permanents", "phase_flip", "pol_filter", "ppbs",
+    "prepare_inputs", "render", "strip_corrections", "validate",
+]
+#: Names removed from the library; ``CompiledCircuit`` and ``GateGrid`` replace them.
+REMOVED = ["run", "conditional_gate", "success_probability", "sweep_phi", "ConditionalGateReport"]
 
 
 def test_every_exported_name_resolves_once():
     assert len(lopcsim.__all__) == len(set(lopcsim.__all__))
     missing = [name for name in lopcsim.__all__ if not hasattr(lopcsim, name)]
     assert missing == []
+
+
+def test_public_names_are_pinned():
+    assert sorted(lopcsim.__all__) == PUBLIC
+    assert [n for n in REMOVED if hasattr(lopcsim, n) or hasattr(lopcsim.gates, n)] == []
+
+
+def test_readme_python_examples_run():
+    text = README.read_text(encoding="utf-8")
+    blocks = list(re.finditer(r"^```python\n(.*?)^```", text, re.M | re.S))
+    assert blocks
+    for block in blocks:
+        # pad with the lines above the block, so a traceback names the README line
+        source = "\n" * text.count("\n", 0, block.start(1)) + block[1]
+        exec(compile(source, str(README), "exec"), {})
