@@ -4,7 +4,7 @@ detected "program" photon."""
 
 __version__ = "0.1.0"
 
-from .elements import ElementSpec, hwp, jones, pbs, phase_flip, pol_filter, ppbs
+from .elements import ElementSpec
 from .fock import (
     FockState,
     LinearElement,
@@ -60,19 +60,13 @@ __all__ = [
     "coincidence_amplitudes",
     "fidelity",
     "hom_scan",
-    "hwp",
     "ideal_cphase",
-    "jones",
     "linear_element",
     "make_photon_state",
     "oracle_conditional_gate",
     "parse",
     "path_amplitude",
     "permanents",
-    "pbs",
-    "phase_flip",
-    "pol_filter",
-    "ppbs",
     "prepare_inputs",
     "render",
     "strip_corrections",

@@ -26,6 +26,7 @@ _DEFAULT_TV = 1.0 / math.sqrt(3.0)
 #: Most points a --steps grid may have; larger requests are rejected before
 #: any grid is built (the benchmark's longest grid has about 1100 points).
 MAX_STEPS = 100_000
+DEFAULT_STEPS = 21
 
 
 def _finite(text: str) -> float:
@@ -99,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _grid(args, lo: float, hi: float, default_steps: int = 21) -> list[float]:
+def _grid(args, lo: float, hi: float) -> list[float]:
     single = getattr(args, "phi", None)
     if single is not None:
         if (args.grid_from, args.grid_to, args.steps) != (None, None, None):
@@ -108,7 +109,7 @@ def _grid(args, lo: float, hi: float, default_steps: int = 21) -> list[float]:
     else:
         start = lo if args.grid_from is None else float(args.grid_from)
         stop = hi if args.grid_to is None else float(args.grid_to)
-        steps = default_steps if args.steps is None else int(args.steps)
+        steps = DEFAULT_STEPS if args.steps is None else int(args.steps)
         if not 1 <= steps <= MAX_STEPS:
             raise ValueError(f"grid needs 1 to {MAX_STEPS} points, got steps={steps}")
         if steps == 1:

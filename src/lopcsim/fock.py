@@ -187,7 +187,7 @@ def make_photon_state(
 ) -> FockState:
     """Assemble an N-photon state from one superposed creation operator per photon.
 
-    Each entry of ``photons`` lists ((path, pol) channel, amplitude) pairs
+    Each entry of ``photons`` lists distinct ((path, pol) channel, amplitude) pairs
     whose squared amplitudes must sum to one; a channel outside ``registry``
     raises ``unknown mode``.  The resulting state is renormalized, which
     supplies the bosonic normalization factors whenever photons overlap in the
@@ -199,13 +199,16 @@ def make_photon_state(
         total = sum(abs(a) ** 2 for _, a in photon)
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"photon {i}: amplitudes have squared norm {total:.6g}, expected 1")
+        indices = [registry.index(channel) for channel, _ in photon]
+        for j, (channel, _) in enumerate(photon):
+            if indices[j] in indices[:j]:
+                raise ValueError(f"photon {i}: mode {channel} is listed twice")
         new: dict[Occupation, complex] = {}
         for occ, amp in amps.items():
-            for channel, a in photon:
+            for idx, (_, a) in zip(indices, photon):
                 if a == 0:
                     continue
                 counts = dict(occ)
-                idx = registry.index(channel)
                 n = counts.get(idx, 0)
                 counts[idx] = n + 1
                 key = tuple(sorted(counts.items()))

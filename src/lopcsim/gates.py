@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .elements import ElementSpec, ppbs
+from .elements import KINDS, ElementSpec
 from .fock import (
     POLS,
     FockState,
@@ -321,7 +321,7 @@ def hom_scan(t_v: float, overlap_grid: Sequence[float]) -> list[tuple[float, flo
     outside = grid[~((0.0 <= grid) & (grid <= 1.0))]
     if outside.size:
         raise ValueError(f"overlap must lie in [0, 1], got {float(outside[0])}")
-    block = ppbs("a", "b", "a", "b", t_v).matrix[2:, 2:]
+    block = KINDS["ppbs"].matrix(t_v)[2:, 2:]
     together = abs(permanents(block)) ** 2
     apart = permanents(abs(block) ** 2).real
     return list(zip(grid.tolist(), (grid * together + (1.0 - grid) * apart).tolist()))

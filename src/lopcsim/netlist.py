@@ -492,6 +492,10 @@ def validate(netlist: CircuitNetlist) -> list[str]:
         labels.add(outcome.label)
         if outcome.correct is not None and outcome.correct not in correction_names:
             diags.append(f"outcome {outcome.label!r}: unknown correction {outcome.correct!r}")
+    applied = {outcome.correct for outcome in rule.outcomes}
+    for spec in netlist.corrections:
+        if spec.name not in applied:
+            diags.append(f"{_where(spec)}{spec.name}: no outcome applies this correction")
 
     pattern: dict[str, int] = {}
     for path, count in netlist.postselect:
@@ -525,15 +529,17 @@ def validate(netlist: CircuitNetlist) -> list[str]:
             "ports target_out, control_out and the measurement path must name distinct paths"
         )
 
+    late = netlist.corrections  # the corrections act at the measurement point
     if not 0 <= netlist.measure_after <= len(netlist.stages):
         diags.append("measurement position outside the stage list")
     else:
-        for spec in netlist.stages[netlist.measure_after:]:
-            if rule.path in spec.paths:
-                diags.append(
-                    f"{_where(spec)}{spec.name}: touches measurement path {rule.path!r} "
-                    "after the measurement point"
-                )
+        late += netlist.stages[netlist.measure_after:]
+    for spec in late:
+        if rule.path in spec.paths:
+            diags.append(
+                f"{_where(spec)}{spec.name}: touches measurement path {rule.path!r} "
+                "after the measurement point"
+            )
 
     splitters = []  # (input paths, output paths) of each beam splitter stage
     for spec in netlist.stages:

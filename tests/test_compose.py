@@ -204,26 +204,25 @@ def gate_netlists(draw):
     splitters take any two paths in and send them onto their own two paths
     or, one time in four, onto any two paths.
 
-    The stages and one outcome's feed-forward correction are drawn first.
-    The ports are then picked among the paths each input reaches through
-    the splitters, as ``validate`` traces a photon, and renamed to
-    ``PORT_PATHS``; the measurement follows the last stage on the detector
-    path.  So the netlist validates, and whether it merges light onto a lit
-    path is left to the draw."""
+    The stages are drawn first.  The ports are then picked among the paths
+    each input reaches through the splitters, as ``validate`` traces a
+    photon, and renamed to ``PORT_PATHS``; the measurement follows the last
+    stage on the detector path, and one outcome's feed-forward correction
+    acts on the other paths.  So the netlist validates, and whether it
+    merges light onto a lit path is left to the draw."""
     paths = [f"x{i}" for i in range(draw(st.integers(6, 10)))]
-    pair = st.lists(st.sampled_from(paths), min_size=2, max_size=2, unique=True)
 
-    def element(name):
+    def element(name, among):
+        pair = st.lists(st.sampled_from(among), min_size=2, max_size=2, unique=True)
         kind = draw(st.sampled_from(sorted(KINDS) + [*SPLITTERS] * 4))
         if kind in SPLITTERS:
             ins = draw(pair)
             wiring = ins + draw(pair if draw(st.integers(0, 3)) == 0 else st.permutations(ins))
         else:
-            wiring = [draw(st.sampled_from(paths))]
+            wiring = [draw(st.sampled_from(among))]
         return ElementSpec(kind, name, tuple(wiring), draw(NETLIST_PARAMS[kind]))
 
-    stages = [element(f"E{i}") for i in range(draw(st.integers(3, 9)))]
-    correction = element("FF")
+    stages = [element(f"E{i}", paths) for i in range(draw(st.integers(3, 9)))]
 
     def reach(start):
         reached = {start}
@@ -242,7 +241,7 @@ def gate_netlists(draw):
         outputs.append(draw(st.sampled_from(sorted(reach(inputs[-1]) - taken - {inputs[-1]}))))
     name = dict(zip(inputs + outputs, PORT_PATHS))
     stages = [replace(spec, paths=tuple(name.get(p, p) for p in spec.paths)) for spec in stages]
-    correction = replace(correction, paths=tuple(name.get(p, p) for p in correction.paths))
+    correction = element("FF", [name.get(p, p) for p in paths if name.get(p, p) != "d"])
     last = max((i for i, spec in enumerate(stages) if "d" in spec.paths), default=-1)
     angle = draw(PHASE)
     cos, sin = complex(math.cos(angle)), complex(math.sin(angle))

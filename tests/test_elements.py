@@ -4,7 +4,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lopcsim import hwp, jones, pbs, phase_flip, pol_filter, ppbs
 from lopcsim.elements import KINDS, ElementSpec
 
 SQ2 = math.sqrt(2.0)
@@ -15,30 +14,36 @@ TARGET_SPLIT_MATRIX = np.array(
 )
 
 
-def allclose_unitary(element):
+def element(kind, paths, *params):
+    """The element of ``kind`` on the space-separated ``paths``, named after its kind."""
+    spec = ElementSpec(kind, kind.upper(), tuple(paths.split()), tuple(map(complex, params)))
+    return spec.build()
+
+
+def allclose_unitary(el):
     """Whether M†M is the identity within 1e-12 entry by entry."""
-    m = element.matrix
+    m = el.matrix
     return bool(np.allclose(m.conj().T @ m, np.eye(len(m)), atol=1e-12, rtol=0.0))
 
 
 def test_hwp_225_is_hadamard():
-    m = hwp("t", 22.5).matrix
+    m = element("hwp", "t", 22.5).matrix
     assert np.allclose(m, np.array([[1, 1], [1, -1]]) / SQ2, atol=1e-12, rtol=0)
 
 
 def test_hwp_45_is_swap():
-    m = hwp("t", 45.0).matrix
+    m = element("hwp", "t", 45.0).matrix
     assert np.allclose(m, [[0, 1], [1, 0]], atol=1e-12, rtol=0)
 
 
 def test_hwp_0_is_vertical_sign():
-    m = hwp("t", 0.0).matrix
+    m = element("hwp", "t", 0.0).matrix
     assert np.allclose(m, np.diag([1.0, -1.0]), atol=1e-12, rtol=0)
 
 
 @pytest.mark.parametrize("angle", [-9.2, 0.0, 15.0, 22.5, 45.0, 75.0, 123.4])
 def test_hwp_is_hermitian_involution_with_det_minus_one(angle):
-    el = hwp("t", angle)
+    el = element("hwp", "t", angle)
     m = el.matrix
     assert allclose_unitary(el)
     assert np.allclose(m, m.conj().T, atol=1e-12, rtol=0)
@@ -47,12 +52,12 @@ def test_hwp_is_hermitian_involution_with_det_minus_one(angle):
 
 
 def test_hadamard_squared_is_identity():
-    m = hwp("t", 22.5).matrix
+    m = element("hwp", "t", 22.5).matrix
     assert np.allclose(m @ m, np.eye(2), atol=1e-12, rtol=0)
 
 
 def test_pbs_routing_and_unitarity():
-    el = pbs("a", "b", "t", "r")
+    el = element("pbs", "a b t r")
     m = el.matrix
     assert allclose_unitary(el)
     assert np.allclose(m.conj().T @ m, np.eye(4), atol=1e-12, rtol=0)
@@ -64,14 +69,14 @@ def test_pbs_routing_and_unitarity():
 
 
 def test_pbs_rejects_duplicate_ports():
-    with pytest.raises(ValueError):
-        pbs("a", "a", "t", "r")
-    with pytest.raises(ValueError):
-        pbs("a", "b", "t", "t")
+    with pytest.raises(ValueError, match="^pbs input paths must differ$"):
+        element("pbs", "a a t r")
+    with pytest.raises(ValueError, match="^pbs output paths must differ$"):
+        element("pbs", "a b t t")
 
 
 def test_ppbs_blocks():
-    el = ppbs("a", "b", "a", "b", T)
+    el = element("ppbs", "a b a b", T)
     m = el.matrix
     assert allclose_unitary(el)
     assert np.allclose(m[:2, :2], np.eye(2), atol=1e-12, rtol=0)
@@ -85,12 +90,12 @@ def test_ppbs_blocks():
 def test_ppbs_transmissivity_range():
     for bad in (0.0, 1.0, -0.2, 1.3):
         with pytest.raises(ValueError):
-            ppbs("a", "b", "a", "b", bad)
+            element("ppbs", "a b a b", bad)
 
 
 def test_target_split_matrix_matches_hwp75():
-    assert np.allclose(TARGET_SPLIT_MATRIX, hwp("t", 75.0).matrix, atol=1e-12, rtol=0)
-    el = jones("t", TARGET_SPLIT_MATRIX)
+    assert np.allclose(TARGET_SPLIT_MATRIX, element("hwp", "t", 75.0).matrix, atol=1e-12, rtol=0)
+    el = element("jones", "t", *TARGET_SPLIT_MATRIX.ravel())
     # |V> -> (1/2)|H> + (sqrt(3)/2)|V>
     image = el.matrix @ np.array([0.0, 1.0])
     assert np.allclose(image, [0.5, math.sqrt(3) / 2], atol=1e-12, rtol=0)
@@ -98,39 +103,39 @@ def test_target_split_matrix_matches_hwp75():
 
 
 def test_jones_identity_and_subunitarity():
-    el = jones("t", np.eye(2))
+    el = element("jones", "t", 1.0, 0.0, 0.0, 1.0)
     assert allclose_unitary(el)
-    with pytest.raises(ValueError):
-        jones("t", np.array([[1.0, 0.9], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        jones("t", np.eye(3))
+    with pytest.raises(ValueError, match="not subunitary"):
+        element("jones", "t", 1.0, 0.9, 0.0, 1.0)
+    with pytest.raises(ValueError, match="jones takes 4 parameters, got 9"):
+        element("jones", "t", *np.eye(3).ravel())
 
 
 def test_filters():
-    f1 = pol_filter("t", 0.5, 0.5)
+    f1 = element("filter", "t", 0.5, 0.5)
     assert np.allclose(f1.matrix, np.diag([0.5, 0.5]), atol=1e-15, rtol=0)
     assert not allclose_unitary(f1)
-    f2 = pol_filter("c", T, 1.0)
+    f2 = element("filter", "c", T, 1.0)
     assert np.allclose(f2.matrix, np.diag([T, 1.0]), atol=1e-15, rtol=0)
-    f1_opt = pol_filter("t", 1 / SQ2, 1 / SQ2)
+    f1_opt = element("filter", "t", 1 / SQ2, 1 / SQ2)
     sv = np.linalg.svd(f1_opt.matrix, compute_uv=False)
     assert np.allclose(sorted(sv), sorted([1 / SQ2, 1 / SQ2]), atol=1e-12, rtol=0)
-    assert allclose_unitary(pol_filter("t", 1.0, 1.0))
+    assert allclose_unitary(element("filter", "t", 1.0, 1.0))
     with pytest.raises(ValueError):
-        pol_filter("t", 1.5, 1.0)
+        element("filter", "t", 1.5, 1.0)
     with pytest.raises(ValueError):
-        pol_filter("t", 0.5, -0.1)
+        element("filter", "t", 0.5, -0.1)
 
 
 def test_phase_flip_involution():
-    el = phase_flip("t")
+    el = element("phaseflip", "t")
     assert allclose_unitary(el)
     assert np.allclose(el.matrix, np.diag([1.0, -1.0]), atol=1e-15, rtol=0)
     assert np.allclose(el.matrix @ el.matrix, np.eye(2), atol=1e-15, rtol=0)
 
 
 def test_singular_values_match_transmissivities():
-    el = pol_filter("t", 0.3, 0.9)
+    el = element("filter", "t", 0.3, 0.9)
     sv = np.linalg.svd(el.matrix, compute_uv=False)
     assert np.allclose(sorted(sv), [0.3, 0.9], atol=1e-12, rtol=0)
 
@@ -194,36 +199,41 @@ def test_element_is_built_once_per_spec():
             bad.element
 
 
-def test_element_spec_builds_same_matrices_as_builders():
-    split = tuple(map(complex, TARGET_SPLIT_MATRIX.ravel()))
-    pairs = [
-        (ElementSpec("pbs", "P", ("a", "b", "t", "r")), pbs("a", "b", "t", "r")),
-        (ElementSpec("ppbs", "Q", ("a", "b", "a", "c"), (T,)), ppbs("a", "b", "a", "c", T)),
-        (ElementSpec("hwp", "W", ("a",), (22.5,)), hwp("a", 22.5)),
-        (ElementSpec("jones", "J", ("a",), split), jones("a", TARGET_SPLIT_MATRIX)),
-        (ElementSpec("filter", "F", ("a",), (0.5, 0.25)), pol_filter("a", 0.5, 0.25)),
-        (ElementSpec("phaseflip", "Z", ("a",)), phase_flip("a")),
+def test_each_kind_builds_its_pinned_matrix_and_channels():
+    r, h = math.sqrt(1 - T * T), 1 / SQ2
+    one = (("a", "H"), ("a", "V"))
+    pins = [
+        (element("pbs", "a b t r"), (("a", "H"), ("b", "H"), ("a", "V"), ("b", "V")),
+         (("t", "H"), ("r", "H"), ("t", "V"), ("r", "V")),
+         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+        (element("ppbs", "a b a c", T), (("a", "H"), ("b", "H"), ("a", "V"), ("b", "V")),
+         (("a", "H"), ("c", "H"), ("a", "V"), ("c", "V")),
+         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, T, -r], [0, 0, r, T]]),
+        (element("hwp", "a", 22.5), one, one, [[h, h], [h, -h]]),
+        (element("jones", "a", 0.6, -0.8j, 0.8, 0.6j), one, one, [[0.6, -0.8j], [0.8, 0.6j]]),
+        (element("filter", "a", 0.5, 0.25), one, one, [[0.5, 0], [0, 0.25]]),
+        (element("phaseflip", "a"), one, one, [[1, 0], [0, -1]]),
     ]
-    for spec, element in pairs:
-        built = spec.build()
-        assert built.channels_in == element.channels_in
-        assert built.channels_out == element.channels_out
-        assert np.array_equal(built.matrix, element.matrix)
+    for built, channels_in, channels_out, matrix in pins:
+        assert built.channels_in == channels_in
+        assert built.channels_out == channels_out
+        assert built.matrix.dtype == complex
+        assert np.allclose(built.matrix, matrix, atol=1e-15, rtol=0), built.name
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_elements_reject_non_finite_parameters(bad):
     for make in (
-        lambda: hwp("t", bad),
-        lambda: jones("t", np.array([[bad, 0.0], [0.0, 0.5]])),
-        lambda: jones("t", np.array([[0.5, 0.0], [0.0, complex(0.0, bad)]])),
-        lambda: ppbs("a", "b", "a", "b", bad),
-        lambda: pol_filter("t", bad, 0.5),
-        lambda: pol_filter("t", 0.5, bad),
+        lambda: element("hwp", "t", bad),
+        lambda: element("jones", "t", bad, 0.0, 0.0, 0.5),
+        lambda: element("jones", "t", 0.5, 0.0, 0.0, complex(0.0, bad)),
+        lambda: element("ppbs", "a b a b", bad),
+        lambda: element("filter", "t", bad, 0.5),
+        lambda: element("filter", "t", 0.5, bad),
     ):
         with pytest.raises(ValueError):
             make()
     with pytest.raises(ValueError, match="non-finite"):
-        hwp("t", float("nan"))
+        element("hwp", "t", float("nan"))
     with pytest.raises(ValueError, match="non-finite"):
-        jones("t", np.array([[0.5, bad], [0.0, 0.5]]))
+        element("jones", "t", 0.5, bad, 0.0, 0.5)

@@ -26,10 +26,10 @@ from lopcsim import (
     prepare_inputs,
     validate,
 )
-from lopcsim.elements import ppbs
 from lopcsim.gates import BASIS_KETS
 
 from . import dense_reference
+from .test_elements import element
 from .test_fock_properties import engine_output
 
 SQ2 = math.sqrt(2.0)
@@ -118,8 +118,14 @@ def test_make_photon_state_rejects_bad_input(reg):
         make_photon_state(reg, [[(("t", "H"), 0.5)]])
 
 
+def test_make_photon_state_rejects_a_mode_listed_twice(reg):
+    # 0.36 + 0.64 passes the norm check, yet the photon's squared norm is 1.96
+    with pytest.raises(ValueError, match=re.escape("photon 1: mode ('t', 'H') is listed twice")):
+        make_photon_state(reg, [[(("p", "V"), 1.0)], [(("t", "H"), 0.6), (("t", "H"), 0.8)]])
+
+
 def test_ppbs_single_photon_split(reg):
-    u = dense_reference.transfer(reg, [ppbs("p", "q", "p", "q", T)])
+    u = dense_reference.transfer(reg, [element("ppbs", "p q p q", T)])
     state = make_photon_state(reg, [[(("p", "V"), 1.0)]])
     assert abs(amplitude(state, u, ("p", "V")) - T) < 1e-15
     assert abs(abs(amplitude(state, u, ("q", "V"))) - R) < 1e-15
@@ -135,7 +141,7 @@ def test_identity_element_is_noop(reg):
 
 
 def test_two_photon_coincidence_is_permanent(reg):
-    el = ppbs("p", "q", "p", "q", T)
+    el = element("ppbs", "p q p q", T)
     state = make_photon_state(reg, [[(("p", "V"), 1.0)], [(("q", "V"), 1.0)]])
     coincidence = amplitude(state, dense_reference.transfer(reg, [el]), ("p", "V"), ("q", "V"))
     v_block = el.matrix[2:, 2:]
@@ -229,7 +235,7 @@ def test_post_select_probabilities_sum_to_norm():
         amps /= np.linalg.norm(amps)
         photons.append(list(zip(channels, amps)))
     state = make_photon_state(reg3, photons)
-    u = dense_reference.transfer(reg3, [ppbs("a", "b", "b", "a", 0.4)])
+    u = dense_reference.transfer(reg3, [element("ppbs", "a b b a", 0.4)])
     total = 0.0
     for na in range(4):
         for nb in range(4 - na):

@@ -18,6 +18,7 @@ from lopcsim.fock import H, V
 from lopcsim.gates import BASIS_KETS
 
 from . import dense_reference
+from .test_elements import element
 
 SQ2 = math.sqrt(2.0)
 K = 1.0 / (4.0 * math.sqrt(3.0))
@@ -82,12 +83,12 @@ def test_post_select_after_detector_basis_projector():
     # Running all stages, projecting the detector path onto the diagonal
     # basis (photon kept) and then post-selecting one photon on each of
     # T_OUT, C_OUT and d, in either polarization, leaves probability 1/48.
-    from lopcsim import coincidence_amplitudes, jones
+    from lopcsim import coincidence_amplitudes
 
     nl = builtin_variant("basic")
     reg = nl.registry()
     state = prepare_inputs(nl, KET0, KET0, 0.6)
-    projector = jones("d", 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]]))
+    projector = element("jones", "d", 0.5, 0.5, 0.5, 0.5)
     u = dense_reference.transfer(reg, [spec.build() for spec in nl.stages] + [projector])
     rows = [u[[reg.index((p, pol)) for pol in (H, V)]] for p in ("T_OUT", "C_OUT", "d")]
     triples = np.array([[t, c, d] for t in rows[0] for c in rows[1] for d in rows[2]])

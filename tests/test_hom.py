@@ -15,16 +15,16 @@ import math
 import numpy as np
 import pytest
 
-import lopcsim.gates
 from lopcsim import ModeRegistry, hom_scan, make_photon_state
-from lopcsim.elements import ppbs
+from lopcsim.elements import KINDS
 
 from . import dense_reference
+from .test_elements import element
 
 
 def reference_scan(t_v, overlaps):
     registry = ModeRegistry(("a0", "b0", "a1", "b1"))
-    per_wavepacket = [ppbs(f"a{w}", f"b{w}", f"a{w}", f"b{w}", t_v) for w in (0, 1)]
+    per_wavepacket = [element("ppbs", f"a{w} b{w} a{w} b{w}", t_v) for w in (0, 1)]
     u = dense_reference.transfer(registry, per_wavepacket)
     a_modes, b_modes = (
         [registry.index((f"{p}{w}", "V")) for w in (0, 1)] for p in "ab"
@@ -68,16 +68,15 @@ def test_scan_matches_per_point_reference_and_closed_form():
 
 @pytest.fixture
 def splitters(monkeypatch):
-    """Names of the splitters ``hom_scan`` builds."""
+    """Transmissivities of the splitter matrices ``hom_scan`` builds."""
     calls = []
-    build = lopcsim.gates.ppbs
+    ppbs = KINDS["ppbs"]
 
-    def counting(*args, **kwargs):
-        element = build(*args, **kwargs)
-        calls.append(element.name)
-        return element
+    def counting(*values):
+        calls.append(values)
+        return ppbs.matrix(*values)
 
-    monkeypatch.setattr(lopcsim.gates, "ppbs", counting)
+    monkeypatch.setitem(KINDS, "ppbs", ppbs._replace(matrix=counting))
     return calls
 
 

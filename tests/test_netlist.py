@@ -5,19 +5,22 @@ from importlib import resources
 import numpy as np
 import pytest
 
+import lopcsim.netlist
 from lopcsim import (
     CompiledCircuit,
     NetlistError,
     NetlistValidationError,
     builtin_variant,
-    hwp,
     parse,
     render,
     validate,
 )
 from lopcsim import oracle
-from lopcsim.elements import ElementSpec
-from lopcsim.netlist import MeasurementRule, VARIANTS
+from lopcsim.cli import main
+from lopcsim.elements import KINDS, ElementSpec
+from lopcsim.netlist import MeasurementRule, VARIANTS, _usage
+
+from .test_package import README
 
 
 def test_basic_stage_order_matches_layout():
@@ -89,7 +92,7 @@ def test_shipped_layouts_carry_the_gate_constants(variant):
     nl = parse(shipped(variant).decode("utf-8"))
     specs = {s.name: s for s in nl.stages}
     split = np.array(specs["HWP1"].params).reshape(2, 2)
-    assert np.max(np.abs(split - hwp("t", 75.0).matrix)) <= 1e-15
+    assert np.max(np.abs(split - KINDS["hwp"].matrix(75.0))) <= 1e-15
     assert abs(specs["PPBS"].params[0] - 1 / math.sqrt(3)) <= 1e-15
     assert abs(specs["F2"].params[0] - 1 / math.sqrt(3)) <= 1e-15
     f1 = 1 / math.sqrt(2) if variant in ("dual", "full") else 0.5
@@ -191,6 +194,37 @@ def test_validate_flags_stage_touching_detector_after_measure():
     stages.append(ElementSpec("hwp", "LATE", ("d",), (complex(10.0),)))
     diags = validate(replace(nl, stages=tuple(stages)))
     assert any("measurement path" in d for d in diags)
+
+
+def test_a_correction_on_the_measurement_path_is_rejected(tmp_path, capsys):
+    # the correction for outcome A would flip the detected photon before its
+    # projection, turning branch A into branch D
+    lines = shipped("ff").decode("utf-8").splitlines(keepends=True)
+    assert lines[17] == "phaseflip PLM path=t_low\n"
+    lines[17] = "phaseflip PLM path=d\n"
+    message = "line 18: PLM: touches measurement path 'd' after the measurement point"
+    assert validate(parse("".join(lines))) == [message]
+    path = tmp_path / "ff_on_d.lopc"
+    path.write_text("".join(lines), encoding="utf-8")
+    assert main(["verify", "--netlist", str(path), "--variant", "ff", "--steps", "2"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_correction_no_outcome_applies_is_rejected():
+    # parse(render(n)) would read PLM back as an unconditional stage
+    nl = builtin_variant("ff")
+    outcomes = tuple(replace(o, correct=None) for o in nl.measurement.outcomes)
+    bad = replace(nl, measurement=replace(nl.measurement, outcomes=outcomes))
+    assert validate(bad) == ["line 18: PLM: no outcome applies this correction"]
+    with pytest.raises(NetlistValidationError):
+        CompiledCircuit(bad)
+
+
+def test_the_grammar_copies_list_every_kind_as_the_table_does():
+    block = README.read_text(encoding="utf-8").split("## Netlist format", 1)[1].split("```")[1]
+    for copy in (lopcsim.netlist.__doc__, block):
+        lines = {line.split("#", 1)[0].strip() for line in copy.splitlines()}
+        assert [k for k in KINDS if _usage(k, KINDS[k]) not in lines] == []
 
 
 @pytest.mark.parametrize(

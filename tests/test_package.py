@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import lopcsim
+import lopcsim.elements
 import lopcsim.gates
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -12,13 +13,16 @@ PUBLIC = [
     "Branch", "CircuitNetlist", "CompiledCircuit", "ElementSpec", "FockState", "GateGrid",
     "LinearElement", "MeasurementOutcome", "MeasurementRule", "ModeRegistry", "NetlistError",
     "NetlistValidationError", "OracleBranch", "OraclePath", "Ports", "__version__",
-    "branch_table", "builtin_variant", "coincidence_amplitudes", "fidelity", "hom_scan", "hwp",
-    "ideal_cphase", "jones", "linear_element", "make_photon_state", "oracle_conditional_gate",
-    "parse", "path_amplitude", "pbs", "permanents", "phase_flip", "pol_filter", "ppbs",
-    "prepare_inputs", "render", "strip_corrections", "validate",
+    "branch_table", "builtin_variant", "coincidence_amplitudes", "fidelity", "hom_scan",
+    "ideal_cphase", "linear_element", "make_photon_state", "oracle_conditional_gate", "parse",
+    "path_amplitude", "permanents", "prepare_inputs", "render", "strip_corrections", "validate",
 ]
-#: Names removed from the library; ``CompiledCircuit`` and ``GateGrid`` replace them.
-REMOVED = ["run", "conditional_gate", "success_probability", "sweep_phi", "ConditionalGateReport"]
+#: Names removed from the library: ``CompiledCircuit`` and ``GateGrid`` replace
+#: the first five, ``ElementSpec`` the six element builders.
+REMOVED = [
+    "run", "conditional_gate", "success_probability", "sweep_phi", "ConditionalGateReport",
+    "pbs", "ppbs", "hwp", "jones", "pol_filter", "phase_flip",
+]
 
 
 def test_every_exported_name_resolves_once():
@@ -29,7 +33,8 @@ def test_every_exported_name_resolves_once():
 
 def test_public_names_are_pinned():
     assert sorted(lopcsim.__all__) == PUBLIC
-    assert [n for n in REMOVED if hasattr(lopcsim, n) or hasattr(lopcsim.gates, n)] == []
+    modules = (lopcsim, lopcsim.elements, lopcsim.gates)
+    assert [n for n in REMOVED if any(hasattr(m, n) for m in modules)] == []
 
 
 def test_readme_python_examples_run():
