@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
@@ -85,19 +86,23 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--tol", type=_tolerance, default=1e-10, help="pass/fail tolerance, at least 0"
     )
-    verify.set_defaults(func=cmd_verify)
 
     sweep = commands.add_parser("sweep", help="tabulate probabilities over a phase grid")
     _add_common(sweep, phase_grid=True)
-    sweep.set_defaults(func=cmd_sweep)
 
     hom = commands.add_parser(
         "hom", help="two-photon interference scan against wavepacket overlap"
     )
     _add_common(hom, phase_grid=False)
     hom.add_argument("--tv", type=_finite, default=_DEFAULT_TV, help="splitter transmissivity")
-    hom.set_defaults(func=cmd_hom)
     return parser
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one ``build_parser()``: it depends on no input, and parsing
+    leaves it as it was."""
+    return build_parser()
 
 
 def _grid(args, lo: float, hi: float) -> list[float]:
@@ -239,13 +244,12 @@ def cmd_hom(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
+    try:  # looked up on each call, so a replaced ``cmd_*`` is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except NetlistValidationError as exc:
         for diagnostic in exc.diagnostics:
             print(f"error: {diagnostic}", file=sys.stderr)

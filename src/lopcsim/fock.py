@@ -223,9 +223,11 @@ def make_photon_state(
 
 
 def permanents(m: np.ndarray) -> np.ndarray:
-    """Permanent of each n×n matrix of a stack (..., n, n), summed over the n! permutations."""
+    """Permanent of each n×n matrix of a stack (..., n, n), summed over the n! permutations;
+    1 for n = 0, the product over the one, empty permutation."""
     n = m.shape[-1]
-    perms = np.array(list(itertools.permutations(range(n))), dtype=int).reshape(-1, n)
+    perms = itertools.permutations(range(n))
+    perms = np.array(list(perms), dtype=int).reshape(math.factorial(n), n)
     return m[..., np.arange(n), perms].prod(axis=-1).sum(axis=-1)
 
 

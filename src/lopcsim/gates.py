@@ -164,7 +164,7 @@ class CompiledCircuit:
     netlist merges light onto a path that is already lit and the first such
     element is reported.  Keep the object to reuse it: apart from each
     ``ElementSpec``'s own build (and so the built-in layouts, which
-    ``builtin_variant`` parses once), nothing is cached anywhere else.
+    ``builtin_variant`` parses once), nothing of a circuit is cached anywhere else.
     """
 
     def __init__(self, netlist: CircuitNetlist):

@@ -385,14 +385,25 @@ def parse(text: str) -> CircuitNetlist:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parser.last_line = lineno
         code = raw.split("#", 1)[0]
-        toks = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", code)]
-        if not toks:
+        words = code.split()
+        if not words:
             continue
-        keyword, col = toks[0]
-        handler = _HANDLERS.get(keyword)
-        if handler is None:
-            raise NetlistError(f"unknown keyword {keyword!r}", lineno, col)
-        handler(parser, toks, lineno)
+        # A handler locates a token by its position, index * stride, plus an
+        # offset within the token; only an error maps that to a column.
+        stride = len(code) + 1
+        toks = list(zip(words, range(0, stride * len(words), stride)))
+        try:
+            handler = _HANDLERS.get(words[0])
+            if handler is None:
+                raise NetlistError(f"unknown keyword {words[0]!r}", lineno, 0)
+            handler(parser, toks, lineno)
+        except NetlistError as err:
+            index, offset = divmod(err.col, stride)
+            end = 0
+            for word in words[: index + 1]:  # each token is the next match of its word
+                start = code.index(word, end)
+                end = start + len(word)
+            raise NetlistError(err.message, lineno, start + 1 + offset) from None
     return parser.finish()
 
 

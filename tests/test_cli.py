@@ -275,3 +275,55 @@ def test_single_phi_rejects_grid_flags(grid, tmp_path, capsys):
     assert not out.exists()
     assert main(["sweep", *grid, "--phi", "0.5", "--degrees", "--out", str(out)]) == 2
     assert main(["verify", "--phi", "0.5", "--degrees", "--out", str(out)]) == 0
+
+
+#: A run of each command, a usage error, --version and -h, with their exit codes.
+REPEATED = [
+    (["verify", "--variant", "full", "--steps", "3", "--format", "json"], 0),
+    (["sweep", "--variant", "ff", "--phi", "0.5", "--meta"], 0),
+    (["hom", "--steps", "5", "--tv", "0.3"], 0),
+    (["verify", "--steps", "x"], 2),
+    (["--version"], 0),
+    (["-h"], 0),
+]
+
+
+def test_repeated_and_interleaved_calls_match_the_first(capsys):
+    def run(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    cli._parser.cache_clear()  # the first call builds the parser
+    first = [run(argv) for argv, _ in REPEATED]
+    assert [code for code, _, _ in first] == [code for _, code in REPEATED]
+    assert all(out or err for _, out, err in first)
+    for order in (range(len(REPEATED)), reversed(range(len(REPEATED))), [5, 0, 3, 1, 4, 2, 0]):
+        for i in order:
+            assert run(REPEATED[i][0]) == first[i]
+
+
+def test_main_builds_the_parser_once_per_process(monkeypatch, capsys):
+    build, calls = cli.build_parser, []
+
+    def counting_build():
+        calls.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    try:
+        for argv, code in REPEATED * 3:
+            assert main(argv) == code
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_main_runs_the_cmd_function_the_module_holds(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_hom", lambda args: seen.append(args) or 7)
+    assert main(["hom", "--steps", "3"]) == 7
+    [args] = seen
+    assert (args.command, args.steps) == ("hom", 3)

@@ -149,7 +149,8 @@ DARK = 1e-12
 PORT_PATHS = ("t_in", "c_in", "p_in", "T_OUT", "C_OUT", "d")
 SPLITTERS = ("pbs", "ppbs")
 #: Filter transmissivities down to 1e-10, so that dim light meets the guard.
-DIM = st.one_of(TRANSMISSION, st.floats(1e-10, 1e-4))
+FAINT = st.floats(1e-10, 1e-4)
+DIM = st.one_of(TRANSMISSION, FAINT)
 NETLIST_PARAMS = {**LOSSY_PARAMS, "filter": st.tuples(DIM, DIM)}
 MERGED = re.compile(r"(\w+): sends light onto an already-lit path \((\w+)\)")
 
@@ -209,7 +210,12 @@ def gate_netlists(draw):
     photon, and renamed to ``PORT_PATHS``; the measurement follows the last
     stage on the detector path, and one outcome's feed-forward correction
     acts on the other paths.  So the netlist validates, and whether it
-    merges light onto a lit path is left to the draw."""
+    merges light onto a lit path is left to the draw.
+
+    One time in four, two planted stages come first: a filter dims an input
+    path to amplitudes of 1e-10 to 1e-4, then a splitter sends two dark
+    output paths onto it.  That first merge is onto light that the guard's
+    1e-12 sees and a looser tolerance (such as 1e-3) would miss."""
     paths = [f"x{i}" for i in range(draw(st.integers(6, 10)))]
 
     def element(name, among):
@@ -241,6 +247,14 @@ def gate_netlists(draw):
         outputs.append(draw(st.sampled_from(sorted(reach(inputs[-1]) - taken - {inputs[-1]}))))
     name = dict(zip(inputs + outputs, PORT_PATHS))
     stages = [replace(spec, paths=tuple(name.get(p, p) for p in spec.paths)) for spec in stages]
+    if draw(st.integers(0, 3)) == 0:
+        dim = draw(st.sampled_from(PORT_PATHS[:3]))
+        dark = draw(st.lists(st.sampled_from(PORT_PATHS[3:]), min_size=2, max_size=2, unique=True))
+        kind = draw(st.sampled_from(SPLITTERS))
+        stages[:0] = [
+            ElementSpec("filter", "DIM", (dim,), draw(st.tuples(FAINT, FAINT))),
+            ElementSpec(kind, "ONTO", (*dark, dim, dark[0]), draw(NETLIST_PARAMS[kind])),
+        ]
     correction = element("FF", [name.get(p, p) for p in paths if name.get(p, p) != "d"])
     last = max((i for i, spec in enumerate(stages) if "d" in spec.paths), default=-1)
     angle = draw(PHASE)

@@ -23,6 +23,7 @@ from lopcsim import (
     coincidence_amplitudes,
     linear_element,
     make_photon_state,
+    permanents,
     prepare_inputs,
     validate,
 )
@@ -164,6 +165,17 @@ def test_permanent_and_bunching_amplitudes_random():
         assert abs(both_a - SQ2 * m[0, 0] * m[0, 1]) < 1e-12
         evolved = dense_reference.evolve(dense_reference.tensor(state), u)
         assert abs(both_a - dense_reference.amplitude(evolved, [reg2.index(a_v)] * 2)) < 1e-12
+
+
+def test_the_empty_permanent_is_one(reg):
+    assert permanents(np.zeros((0, 0), dtype=complex)) == 1.0
+    assert np.array_equal(permanents(np.zeros((2, 3, 0, 0))), np.ones((2, 3)))
+    # the zero-photon state: one empty term, detected by zero output rows
+    for vacuum in (make_photon_state(reg, []), FockState(reg, 0, {(): 0.5 - 0.5j})):
+        (weight,) = vacuum.amplitudes.values()
+        assert coincidence_amplitudes(vacuum, np.zeros((0, len(reg)))) == weight
+        stacked = coincidence_amplitudes(vacuum, np.zeros((4, 0, len(reg))))
+        assert np.array_equal(stacked, np.full(4, weight))
 
 
 def test_unitary_preserves_norm_on_random_three_photon_states():

@@ -367,6 +367,25 @@ def test_a_line_reports_its_leftmost_fault(lineno, new_line, col):
     assert (err.value.line, err.value.col) == (lineno, col)
 
 
+#: (line of basic.lopc, a replacement whose faulty token repeats an earlier
+#: token's text, the message, column of the second copy)
+REPEATED_TOKEN_LINES = [
+    pytest.param(12, "filter F1 path=t_up\tth=0.5 \u00a0th=0.5", "expected tv=..., got 'th=0.5'",
+                 29, id="element"),
+    pytest.param(21, "postselect d=1\x1fT_OUT=1 C_OUT=1\u3000d=1",
+                 "duplicate path 'd' in postselect", 32, id="postselect"),
+]
+
+
+@pytest.mark.parametrize("lineno, new_line, message, col", REPEATED_TOKEN_LINES)
+def test_a_fault_is_located_at_its_own_token(lineno, new_line, message, col):
+    lines = resources.files("lopcsim").joinpath("circuits/basic.lopc").read_text().splitlines()
+    lines[lineno - 1] = new_line
+    with pytest.raises(NetlistError) as err:
+        parse("\n".join(lines) + "\n")
+    assert str(err.value) == f"line {lineno}:{col}: {message}"
+
+
 def test_validate_lists_every_rule_problem():
     nl = builtin_variant("ff")
     d, a = nl.measurement.outcomes

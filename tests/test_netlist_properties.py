@@ -6,6 +6,7 @@ netlist, so a kind added to the table is covered without touching this file.
 
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -120,3 +121,51 @@ def test_corrupted_element_token_is_rejected_at_its_line(nl, data):
     with pytest.raises(NetlistError) as err:
         parse("\n".join(lines) + "\n")
     assert err.value.line == index + 1
+
+
+#: Whitespace inside a line: ``str.split`` and ``\S`` agree on every
+#: whitespace character.  ``BREAKS`` also end a line for ``str.splitlines``,
+#: so they go only before a statement, where they open blank lines.
+BLANKS = " \t\x1f\u00a0\u3000"
+BREAKS = "\x0b\x0c\x1c\x1d\x1e"
+
+
+@SETTINGS
+@given(netlists(), st.data())
+def test_corrupted_token_is_located_in_respaced_text(nl, data):
+    r"""Tokens re-spaced with runs of any whitespace, after a leading run and
+    before a trailing comment, and one token of an element line corrupted:
+    the error names the line of that statement and the column of the token
+    (plus the ``key=`` of a bad value) that ``\S+`` finds in the raw line."""
+    lines = render(nl).splitlines()
+    index = data.draw(st.sampled_from([i for i, t in enumerate(lines) if t.split()[0] in KINDS]))
+    tokens = lines[index].split()
+    how = data.draw(st.sampled_from(["drop", "junk", "value"]))
+    if how == "drop":  # a statement one token short is reported at its keyword
+        del tokens[data.draw(st.integers(1, len(tokens) - 1))]
+        where = (0, 0)
+    elif how == "junk":
+        at = data.draw(st.integers(0, len(tokens) - 1))
+        tokens[at] = "?" + tokens[at]
+        where = (at, 0)
+    else:
+        at = data.draw(st.integers(2, len(tokens) - 1))
+        key = tokens[at].split("=", 1)[0]
+        tokens[at] = f"{key}={data.draw(st.sampled_from(['', '?', '1,2,3,4,5', 'nan']))}"
+        where = (at, len(key) + 1)
+    text = ""
+    for i, line in enumerate(lines):
+        words = tokens if i == index else line.split()
+        lead = data.draw(st.text(BLANKS + BREAKS, max_size=3))
+        runs = [data.draw(st.text(BLANKS, min_size=1, max_size=3)) for _ in words]
+        comment = data.draw(st.sampled_from(["", "# comment"]))
+        if i == index:
+            start = len(text) + len(lead)
+        text += lead + words[0] + "".join(map(str.__add__, runs, words[1:])) + runs[-1] + comment
+        text += "\n"
+    with pytest.raises(NetlistError) as err:
+        parse(text)
+    line = len((text[:start] + "x").splitlines())
+    token, offset = where
+    match = list(re.finditer(r"\S+", text.splitlines()[line - 1]))[token]
+    assert (err.value.line, err.value.col) == (line, match.start() + 1 + offset)

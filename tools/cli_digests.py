@@ -22,6 +22,12 @@ prefixed with ``?``, or (for a ``key=value`` token) its value set to each of
 the temporary directory, and its line shows a stable label,
 ``<file>:<line>:<token>:<edit>``, in place of that file's path, so the
 parser's error path is pinned byte for byte too.
+
+Last comes the same matrix of ``full.lopc`` re-spaced: the tokens of each
+line joined by a tab, by two spaces or by a no-break space (``RESPACED``),
+labelled ``full.lopc(<separator>):<line>:<token>:<edit>``.  A parser error
+locates its token in the raw line, so these pin each column through
+whitespace other than one space.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ OTHER = (
 HOM = (["hom", "--steps", "41"], ["hom", "--steps", "41", "--tv", "0.3", "--meta"])
 MALFORMED_VARIANTS = ("basic", "full")
 MALFORMED_VALUES = ("", "ghost", "nan", "1,2,3,4,5")
+RESPACED = (("tab", "\t"), ("2sp", "  "), ("nbsp", "\u00a0"))
 
 
 def commands():
@@ -68,10 +75,13 @@ def commands():
 
 
 def malformed():
-    """(variant, label, text) of each one-token corruption of a shipped netlist."""
-    for variant in MALFORMED_VARIANTS:
-        name = f"{variant}.lopc"
-        lines = Path("src/lopcsim/circuits", name).read_text(encoding="utf-8").splitlines()
+    """(variant, label, text) of each one-token corruption of a shipped netlist,
+    then of ``full.lopc`` re-spaced with each of ``RESPACED``."""
+    sources = [(variant, f"{variant}.lopc", " ") for variant in MALFORMED_VARIANTS]
+    sources += [("full", f"full.lopc({tag})", sep) for tag, sep in RESPACED]
+    for variant, name, sep in sources:
+        text = Path("src/lopcsim/circuits", f"{variant}.lopc").read_text(encoding="utf-8")
+        lines = [sep.join(line.split()) for line in text.splitlines()]
         for i, line in enumerate(lines):
             for t, match in enumerate(re.finditer(r"\S+", line.split("#", 1)[0])):
                 word = match.group()
