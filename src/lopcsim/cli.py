@@ -119,6 +119,8 @@ def _grid(args, lo: float, hi: float) -> list[float]:
             raise ValueError(f"grid needs 1 to {MAX_STEPS} points, got steps={steps}")
         if steps == 1:
             values = [start]
+        elif not math.isfinite(stop - start):
+            raise ValueError(f"--from={start!r} to --to={stop!r} spans more than a float holds")
         else:
             values = [start + i * (stop - start) / (steps - 1) for i in range(steps)]
     if getattr(args, "degrees", False):
@@ -197,7 +199,7 @@ def _check_oracle_shape(circuit: CompiledCircuit, variant: str, table: dict) -> 
     expected = set(table)
     if found == expected:
         return
-    matching = [v for v in VARIANTS if set(branch_table(0.0, v)) == found]
+    matching = [v for v in VARIANTS if set(branch_table([0.0], v)) == found]
     hint = (
         f"rerun with --variant {matching[0]}"
         if matching
@@ -212,13 +214,15 @@ def _check_oracle_shape(circuit: CompiledCircuit, variant: str, table: dict) -> 
 def cmd_verify(args) -> int:
     circuit = CompiledCircuit(_load_netlist(args))
     phis = _grid(args, 0.0, math.pi)
-    tables = [branch_table(phis[0], args.variant)]
-    _check_oracle_shape(circuit, args.variant, tables[0])
-    tables += [branch_table(phi, args.variant) for phi in phis[1:]]
+    table = branch_table(phis, args.variant)
+    _check_oracle_shape(circuit, args.variant, table)
     tol = float(args.tol)
     grid = circuit.evaluate(phis)
-    expected = np.array([[np.diag(t[key]) for key in grid.branch_keys] for t in tables])
-    nominal = np.array([len(t) for t in tables]) / 48.0
+    expected = np.zeros_like(grid.ops)
+    diagonal = np.arange(4)
+    for b, key in enumerate(grid.branch_keys):
+        expected[:, b, diagonal, diagonal] = table[key]
+    nominal = len(table) / 48.0
     err = np.max(np.abs(grid.ops - expected), axis=(1, 2, 3))
     ok = (err <= tol) & (abs(grid.p_success - nominal) <= tol) & (abs(grid.fidelity - 1.0) <= tol)
     header = ["phi_rad", "p_success", "fidelity", "max_amp_err", "ok"]

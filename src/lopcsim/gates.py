@@ -181,19 +181,19 @@ class CompiledCircuit:
             transfer = transfer.astype(complex)  # a copy
             for spec in chain:
                 element = spec.element
-                onto = [c for c in element.channels_out if c not in element.channels_in]
-                if onto:
-                    lit = np.abs(transfer[[index[c] for c in onto]][:, inputs]).max(axis=1)
-                    if lit.max() > DARK_TOL:
-                        path = onto[int(np.argmax(lit))][0]
-                        where = f"line {spec.line}: " if spec.line else ""
-                        raise NetlistValidationError(
-                            [f"{where}{spec.name}: sends light onto an already-lit path ({path})"]
-                        )
                 ins = [index[c] for c in element.channels_in]
+                outs = [index[c] for c in element.channels_out]
+                onto = [[row] for row in outs if row not in ins]  # a column, to pair with inputs
+                if onto and np.abs(transfer[onto, inputs]).max() > DARK_TOL:
+                    lit = np.abs(transfer[onto, inputs]).max(axis=1)
+                    path = element.channels_out[outs.index(onto[int(np.argmax(lit))][0])][0]
+                    where = f"line {spec.line}: " if spec.line else ""
+                    raise NetlistValidationError(
+                        [f"{where}{spec.name}: sends light onto an already-lit path ({path})"]
+                    )
                 moved = element.matrix @ transfer[ins]
                 transfer[ins] = 0.0
-                transfer[[index[c] for c in element.channels_out]] += moved
+                transfer[outs] += moved
             return transfer
 
         before = compose(netlist.stages[: netlist.measure_after], np.eye(len(self.registry)))

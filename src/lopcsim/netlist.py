@@ -380,9 +380,17 @@ _HANDLERS = {
 
 
 def parse(text: str) -> CircuitNetlist:
-    """Parse a netlist from its textual form; deterministic, located errors."""
+    r"""Parse a netlist from its textual form; deterministic, located errors.
+
+    A line ends at ``\n``, ``\r\n`` or a lone ``\r``, as in a file read in
+    text mode, and nowhere else: other separators (form feed, ``\u2028``, ...)
+    are whitespace between tokens.
+    """
     parser = _Parser()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":  # a final line end opens no line
+        lines.pop()
+    for lineno, raw in enumerate(lines, start=1):
         parser.last_line = lineno
         code = raw.split("#", 1)[0]
         words = code.split()

@@ -6,6 +6,13 @@ involved.  The factor chains are the ground truth that pins the
 simulator's beam-splitter phase conventions; the simulator must reproduce
 them branch by branch.
 
+``path_amplitude`` gives the chains of one basis input at one phase, and
+``branch_table`` every branch over a whole phase grid, each chain built once
+per grid.  Only the |11> chain depends on phi, through its programmed factor
+-e^{i phi}/sqrt(2); every chain is multiplied out in Python complex
+arithmetic in one fixed order, so a grid's amplitudes are the single-phase
+ones bit for bit.
+
 The oracle only knows the two built-in circuit families.  It is not a
 second simulator.
 """
@@ -14,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +43,13 @@ _PROJ = {
 }
 
 
+def _walk(value: complex, factors: Sequence[complex]) -> complex:
+    """``value`` times each factor in turn, in Python complex arithmetic."""
+    for factor in factors:
+        value *= factor
+    return value
+
+
 @dataclass(frozen=True)
 class OraclePath:
     """One scalar factor chain: the amplitude is the product of the factors."""
@@ -45,10 +60,7 @@ class OraclePath:
 
     @property
     def amplitude(self) -> complex:
-        value = 1.0 + 0j
-        for _, factor in self.steps:
-            value *= factor
-        return value
+        return _walk(1.0 + 0j, [factor for _, factor in self.steps])
 
 
 @dataclass(frozen=True)
@@ -70,16 +82,22 @@ def _variant_structure(variant: str) -> tuple[tuple[str, ...], tuple[str, ...], 
     return outcomes, ports, feedforward, dual
 
 
+def _programmed(phi: float) -> complex:
+    """The program photon's V amplitude, the one factor that depends on phi."""
+    return -cmath.exp(1j * phi) / SQ2
+
+
 def _chain(
     t_bit: int,
     c_bit: int,
-    phi: float,
     outcome: str,
     port: str,
     feedforward: bool,
     dual: bool,
-) -> OraclePath:
-    steps: list[tuple[str, complex]] = []
+) -> tuple[tuple[tuple[str, complex | None], ...], int]:
+    """The factor steps of one branch of |tc> and the ket index it lands on;
+    the programmed step's factor is None, to be filled with ``_programmed(phi)``."""
+    steps: list[tuple[str, complex | None]] = []
     f1 = 1.0 / SQ2 if dual else 0.5
     plm_armed = feedforward and outcome == "A"
 
@@ -124,7 +142,7 @@ def _chain(
         merged = (0.5 * T_V + (math.sqrt(3.0) / 2.0) * HOM_FACTOR * (-1.0)) / SQ2
         steps.append(("HWP1 split + PPBS interference + HWP2 -> V", merged))
         steps.append(("target V reflects PBS3 to detector", 1.0))
-        steps.append(("program V reflects PBS3 to target arm", -cmath.exp(1j * phi) / SQ2))
+        steps.append(("program V reflects PBS3 to target arm", None))
         if plm_armed:
             steps.append(("PLM flip V", -1.0))
         if port == "T_OUT":
@@ -137,10 +155,9 @@ def _chain(
         steps.append((f"project {outcome} on V", _PROJ[(outcome, "V")]))
         ket = (1, 1)
 
-    return OraclePath(
-        input_bits=(t_bit, c_bit),
-        steps=tuple((label, complex(factor)) for label, factor in steps),
-        ket_index=2 * ket[0] + ket[1],
+    return (
+        tuple((label, None if factor is None else complex(factor)) for label, factor in steps),
+        2 * ket[0] + ket[1],
     )
 
 
@@ -149,26 +166,42 @@ def path_amplitude(t_bit: int, c_bit: int, phi: float, variant: str) -> list[Ora
     if t_bit not in (0, 1) or c_bit not in (0, 1):
         raise ValueError("basis bits must be 0 or 1")
     outcomes, ports, feedforward, dual = _variant_structure(variant)
+    programmed = _programmed(float(phi))
     branches = []
     for outcome in outcomes:
         for port in ports:
-            path = _chain(t_bit, c_bit, float(phi), outcome, port, feedforward, dual)
-            branches.append(
-                OracleBranch(outcome, port, path.ket_index, path.amplitude, path)
-            )
+            steps, ket_index = _chain(t_bit, c_bit, outcome, port, feedforward, dual)
+            steps = tuple((label, programmed if f is None else f) for label, f in steps)
+            path = OraclePath((t_bit, c_bit), steps, ket_index)
+            branches.append(OracleBranch(outcome, port, ket_index, path.amplitude, path))
     return branches
 
 
-def branch_table(phi: float, variant: str) -> dict[tuple[str, str], list[complex]]:
-    """Diagonal amplitudes per branch: (outcome, port) -> 4 entries over |tc>."""
-    outcomes, ports, _, _ = _variant_structure(variant)
-    table = {(o, p): [0j, 0j, 0j, 0j] for o in outcomes for p in ports}
-    for t_bit in (0, 1):
-        for c_bit in (0, 1):
-            for branch in path_amplitude(t_bit, c_bit, phi, variant):
-                if branch.ket_index != 2 * t_bit + c_bit:
+def branch_table(phis: Sequence[float], variant: str) -> dict[tuple[str, str], np.ndarray]:
+    """Diagonal amplitudes per branch over a phase grid: (outcome, port) ->
+    (phases, 4) complex array, row i over |tc> at ``phis[i]``.
+
+    Row i equals the amplitudes ``path_amplitude`` gives at ``phis[i]``, bit
+    for bit: each chain is built once, the product of its factors before the
+    programmed one is taken once, and each phase multiplies on from there.
+    """
+    outcomes, ports, feedforward, dual = _variant_structure(variant)
+    programmed = [_programmed(float(phi)) for phi in phis]
+    table = {}
+    for outcome in outcomes:
+        for port in ports:
+            rows = table[outcome, port] = np.zeros((len(programmed), 4), dtype=complex)
+            for ket_index, (t_bit, c_bit) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+                steps, lands = _chain(t_bit, c_bit, outcome, port, feedforward, dual)
+                if lands != ket_index:
                     raise AssertionError("oracle produced an off-diagonal amplitude")
-                table[(branch.outcome, branch.port)][branch.ket_index] = branch.amplitude
+                factors = [factor for _, factor in steps]
+                if None not in factors:  # one amplitude for every phase
+                    rows[:, ket_index] = _walk(1.0 + 0j, factors)
+                    continue
+                cut = factors.index(None)
+                head, tail = _walk(1.0 + 0j, factors[:cut]), factors[cut + 1:]
+                rows[:, ket_index] = [_walk(head * value, tail) for value in programmed]
     return table
 
 
@@ -176,7 +209,7 @@ def oracle_conditional_gate(phi: float, variant: str) -> tuple[np.ndarray, float
     """The 4x4 diagonal conditional operator of the primary branch and the
     total success probability (1/48 per accepted branch)."""
     outcomes, ports, _, _ = _variant_structure(variant)
-    table = branch_table(phi, variant)
-    primary = np.diag(table[(outcomes[0], ports[0])]).astype(complex)
+    table = branch_table([phi], variant)
+    primary = np.diag(table[(outcomes[0], ports[0])][0])
     total = len(outcomes) * len(ports) / 48.0
     return primary, total

@@ -108,7 +108,7 @@ def test_criterion_4_oracle_equivalence():
         nl = builtin_variant(variant)
         circuit = CompiledCircuit(nl)
         for phi in PHI_EIGHT:
-            table = branch_table(phi, variant)
+            table = {key: rows[0] for key, rows in branch_table([phi], variant).items()}
             for t in (0, 1):
                 for c in (0, 1):
                     state = prepare_inputs(nl, BASIS_KETS[t], BASIS_KETS[c], phi)

@@ -188,14 +188,22 @@ def test_non_finite_numbers_exit_2(command, flag, bad, tmp_path, capsys):
 
 
 def test_overflowing_grid_exits_2(tmp_path, capsys):
-    # finite ends whose difference overflows give non-finite phases
+    # finite ends whose difference overflows would give non-finite grid points
     out = tmp_path / "out.csv"
-    argv = ["sweep", "--from=-1e308", "--to=1e308", "--steps", "3", "--out", str(out)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(argv) == 2
-    assert "phase must be a finite number" in capsys.readouterr().err
-    assert not out.exists()
+    for command in ("verify", "sweep", "hom"):
+        argv = [command, "--from=-1e308", "--to=1e308", "--steps", "3", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --from=-1e+308 to --to=1e+308 spans more than a float holds\n"
+        assert not out.exists()
+
+
+def test_a_one_point_grid_takes_its_start_whatever_the_span(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["verify", "--from=-1e308", "--to=1e308", "--steps", "1", "--out", str(out)]) == 0
+    assert [row["phi_rad"] for row in read_csv(out)] == ["-1e+308"]
 
 
 def test_json_output_refuses_non_finite_numbers(tmp_path):

@@ -386,6 +386,34 @@ def test_a_fault_is_located_at_its_own_token(lineno, new_line, message, col):
     assert str(err.value) == f"line {lineno}:{col}: {message}"
 
 
+#: Characters that ``str.splitlines`` takes for line ends, which no editor shows
+#: as one; the parser reads them as whitespace between tokens.
+NOT_LINE_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", NOT_LINE_ENDS, ids=lambda c: f"U+{ord(c):04X}")
+def test_only_a_newline_ends_a_line(char):
+    basic = resources.files("lopcsim").joinpath("circuits/basic.lopc").read_text()
+    assert parse(basic.replace("path t_in2\n", f"path{char}t_in2{char}\n")) == parse(basic)
+    bad = basic.replace("path t_in2\n", f"path t_in2{char}\n").replace("t_in,t_in2", "t_in,ghost")
+    with pytest.raises(NetlistError) as err:
+        parse(bad)
+    assert str(err.value) == "line 11:13: undeclared path 'ghost'"
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_a_carriage_return_ends_a_line_as_in_text_mode(end, tmp_path):
+    basic = resources.files("lopcsim").joinpath("circuits/basic.lopc").read_text()
+    text = basic.replace("t_in,t_in2", "t_in,ghost").replace("\n", end)
+    path = tmp_path / "basic.lopc"
+    path.write_bytes(text.encode())
+    for source in (text, path.read_text()):  # text mode turns every line end into \n
+        with pytest.raises(NetlistError) as err:
+            parse(source)
+        assert str(err.value) == "line 11:13: undeclared path 'ghost'"
+    assert parse(basic.replace("\n", end)) == parse(basic)
+
+
 def test_validate_lists_every_rule_problem():
     nl = builtin_variant("ff")
     d, a = nl.measurement.outcomes

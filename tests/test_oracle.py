@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from lopcsim import branch_table, oracle_conditional_gate, path_amplitude
+from lopcsim import branch_table, oracle, oracle_conditional_gate, path_amplitude
 from lopcsim.oracle import OraclePath, VARIANTS
 
 K = 1.0 / (4.0 * math.sqrt(3.0))
@@ -49,10 +49,10 @@ def test_phi_zero_gate_proportional_to_identity():
 
 def test_ff_corrected_branch_matches_diagonal_outcome():
     phi = 0.81
-    table = branch_table(phi, "ff")
+    table = branch_table([phi], "ff")
     assert set(table) == {("D", "T_OUT"), ("A", "T_OUT")}
-    d = np.array(table[("D", "T_OUT")])
-    a = np.array(table[("A", "T_OUT")])
+    d = table[("D", "T_OUT")][0]
+    a = table[("A", "T_OUT")][0]
     assert np.max(np.abs(d - a)) < 1e-15
 
 
@@ -60,9 +60,9 @@ def test_dual_second_port_carries_pi_on_11():
     # The swap port picks the H output of the final Hadamard while the
     # primary port takes its V output, so the |11> entry flips sign there.
     phi = 0.81
-    table = branch_table(phi, "dual")
-    first = np.array(table[("D", "T_OUT")])
-    second = np.array(table[("D", "T_OUT2")])
+    table = branch_table([phi], "dual")
+    first = table[("D", "T_OUT")][0]
+    second = table[("D", "T_OUT2")][0]
     assert np.max(np.abs(first[:3] - second[:3])) < 1e-15
     assert abs(first[3] + second[3]) < 1e-15
     assert abs(second[3] + K * cmath.exp(1j * phi)) < 1e-15
@@ -110,3 +110,40 @@ def test_invalid_inputs_rejected():
         path_amplitude(0, 0, 0.0, "nope")
     with pytest.raises(ValueError):
         path_amplitude(2, 0, 0.0, "basic")
+
+
+#: Grids of 1, 2, 5 and 1001 points, with phases below 0, above 2 pi and
+#: converted from degrees.
+GRIDS = [
+    [0.7],
+    [-2.5, 9.0],
+    [-7.0, -math.pi, 0.0, 2 * math.pi + 0.1, 20.0],
+    [math.radians(d) for d in np.linspace(-90.0, 270.0, 1001).tolist()],
+]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("phis", GRIDS, ids=lambda phis: f"{len(phis)}pt")
+def test_the_grid_table_stacks_the_scalar_chains_bit_for_bit(variant, phis):
+    table = branch_table(phis, variant)
+    stacked = {key: np.zeros((len(phis), 4), dtype=complex) for key in table}
+    for i, phi in enumerate(phis):
+        for t in (0, 1):
+            for c in (0, 1):
+                for br in path_amplitude(t, c, phi, variant):
+                    stacked[br.outcome, br.port][i, br.ket_index] = br.amplitude
+    assert set(table) == set(stacked)
+    for key, rows in table.items():
+        assert rows.shape == (len(phis), 4)
+        assert rows.tobytes() == stacked[key].tobytes()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_the_chains_are_built_once_per_branch_and_input(variant, monkeypatch):
+    calls = []
+    chain = oracle._chain
+    monkeypatch.setattr(oracle, "_chain", lambda *args: calls.append(args) or chain(*args))
+    for phis in GRIDS:
+        calls.clear()
+        table = branch_table(phis, variant)
+        assert len(calls) == 4 * len(table)

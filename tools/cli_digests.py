@@ -47,12 +47,15 @@ GRIDS = (
     *(["--steps", str(n)] for n in (1, 7, 33, 401)),
     ["--phi", "0.5"],
     ["--from=-90", "--to", "270", "--steps", "33", "--degrees"],
+    ["--from=-7", "--to", "20", "--steps", "33"],
 )
 #: Failing and rejected runs: a 1e-16 tolerance fails some phases (exit 1), a
-#: netlist checked against another variant's oracle is a usage error (exit 2).
+#: netlist checked against another variant's oracle and a grid whose span
+#: overflows a float are usage errors (exit 2).
 OTHER = (
     *(["verify", "--variant", v, "--steps", "7", "--tol", "1e-16"] for v in VARIANTS),
     ["verify", "--variant", "basic", "--netlist", "src/lopcsim/circuits/full.lopc"],
+    *([command, "--from=-1e308", "--to=1e308", "--steps", "3"] for command in ("verify", "hom")),
 )
 HOM = (["hom", "--steps", "41"], ["hom", "--steps", "41", "--tv", "0.3", "--meta"])
 MALFORMED_VARIANTS = ("basic", "full")
