@@ -28,6 +28,9 @@ _DEFAULT_TV = 1.0 / math.sqrt(3.0)
 #: any grid is built (the benchmark's longest grid has about 1100 points).
 MAX_STEPS = 100_000
 DEFAULT_STEPS = 21
+#: Shortest float column whose repeats the emitter looks for: in a shorter
+#: one (a short ``verify`` grid), formatting each value costs less.
+SHORTEST_DEDUPED = 16
 
 
 def _finite(text: str) -> float:
@@ -147,16 +150,17 @@ def _meta_pairs(args, command: str) -> list[tuple[str, str]]:
 def _emit(args, command: str, header: list[str], columns, repeats=()) -> None:
     """Write equal-length columns as rows, one column per header field.
 
-    Each column (floats or bools that numpy reads, or str) is formatted once
-    and the rows are joined from one template; ``repeats[i]``, if given,
-    writes each cell of column i on that many consecutive rows.  CSV prints
+    Each column (floats or bools that numpy reads, or str) is formatted once,
+    by distinct value (``_cells``), and the rows are joined from one
+    template; ``repeats[i]``, if given, writes each cell of column i on that
+    many consecutive rows.  CSV prints
     floats as ``%.17g``; JSON is ``json.dumps(rows, indent=2,
     sort_keys=True, allow_nan=False)`` of the row dicts, byte for byte.
     """
     as_json = args.format == "json"
     cells = [_cells(column, as_json) for column in columns]
     for i, n in enumerate(repeats):
-        cells[i] = [cell for cell in cells[i] for _ in range(n)]
+        cells[i] = np.repeat(np.array(cells[i], dtype=object), n).tolist()
     meta = _meta_pairs(args, command) if args.meta else []
     if as_json:
         pad = "    " if meta else "  "
@@ -178,15 +182,34 @@ def _emit(args, command: str, header: list[str], columns, repeats=()) -> None:
 
 
 def _cells(column, as_json: bool) -> list[str]:
+    """The text of each cell of one column, each distinct value formatted once.
+
+    Floats are told apart by their bit pattern, so ``0.0`` and ``-0.0`` print
+    apart.  One sort of the bit patterns shows whether any value repeats; a
+    column of distinct values, or one shorter than ``SHORTEST_DEDUPED``, is
+    formatted value by value.
+    """
     if len(column) and isinstance(column[0], str):
-        return list(map(_quote, column)) if as_json else list(column)
+        if not as_json:
+            return list(column)
+        quoted = {label: _quote(label) for label in set(column)}
+        return list(map(quoted.__getitem__, column))
     values = np.asarray(column)
     if values.dtype == bool:
         return np.where(values, "true", "false").tolist()
     bad = values[~np.isfinite(values)] if as_json else ()
     if len(bad):
         raise ValueError(f"Out of range float values are not JSON compliant: {float(bad[0])!r}")
-    return list(map(float.__repr__ if as_json else "%.17g".__mod__, values.tolist()))
+    text = float.__repr__ if as_json else "%.17g".__mod__
+    if len(values) >= SHORTEST_DEDUPED:
+        bits = values.astype(np.float64, copy=False).view(np.int64)
+        keys = np.sort(bits)
+        changes = keys[1:] != keys[:-1]
+        if np.count_nonzero(changes) + 1 < len(keys):
+            distinct = keys[np.concatenate(([True], changes))]
+            cells = np.array(list(map(text, distinct.view(np.float64).tolist())), dtype=object)
+            return cells[np.searchsorted(distinct, bits)].tolist()
+    return list(map(text, values.tolist()))
 
 
 def _labels(keys) -> str:

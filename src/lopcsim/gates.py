@@ -89,12 +89,9 @@ class GateGrid:
     output port; ``fidelity`` scores its operator against the ideal
     operation.  ``probabilities`` (phases, branches) is each branch's
     probability for the input |00> (its operator's first column), and
-    ``p_success`` their sum.  ``branch_consistent`` records whether every
-    branch equals the primary one up to a global phase within
-    ``BRANCH_TOL``; the dual-output layouts fail this by design, because
-    the second port carries an extra pi on |11>.  ``diagonal`` records
-    whether every off-diagonal entry of every branch operator is within
-    ``DIAG_TOL`` of zero.  ``phis`` and the scores hold one entry per phase.
+    ``p_success`` their sum.  ``phis`` and the scores hold one entry per
+    phase.  The two consistency scores, ``branch_consistent`` and
+    ``diagonal``, are computed from ``ops`` on first read and then kept.
     """
 
     phis: np.ndarray
@@ -102,9 +99,29 @@ class GateGrid:
     probabilities: np.ndarray
     p_success: np.ndarray
     fidelity: np.ndarray
-    branch_consistent: np.ndarray
-    diagonal: np.ndarray
     branch_keys: tuple[tuple[str, str], ...]
+
+    @cached_property
+    def branch_consistent(self) -> np.ndarray:
+        """Whether every branch equals the primary one up to a global phase
+        within ``BRANCH_TOL``, per phase; the dual-output layouts fail this by
+        design, because the second port carries an extra pi on |11>."""
+        flat = self.ops.reshape(self.ops.shape[:2] + (16,))
+        ref_idx = np.argmax(np.abs(flat[:, 0]), axis=1)
+        at_ref = np.take_along_axis(flat, ref_idx[:, None, None], axis=2)[..., 0]
+        # global phase taking the primary operator onto each branch
+        ratio = at_ref * at_ref[:, :1].conj()
+        mag = np.abs(ratio)
+        phase = np.divide(ratio, mag, out=np.ones_like(ratio), where=mag > 0)
+        deviation = np.max(np.abs(flat - phase[..., None] * flat[:, :1]), axis=2)
+        return np.all(deviation <= BRANCH_TOL, axis=1)
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """Whether every off-diagonal entry of every branch operator is within
+        ``DIAG_TOL`` of zero, per phase."""
+        off_diagonal = np.max(np.abs(self.ops[..., ~np.eye(4, dtype=bool)]), axis=2)
+        return np.all(off_diagonal <= DIAG_TOL, axis=1)
 
 
 def _check_phases(phis) -> np.ndarray:
@@ -268,25 +285,15 @@ class CompiledCircuit:
     def evaluate(self, phi_grid: Sequence[float]) -> GateGrid:
         """Assemble and score the conditional gate at every phase of the grid,
         as arrays from one broadcast over ``program_operators``; the scores
-        and tolerances are those documented on ``GateGrid``."""
+        and tolerances are those documented on ``GateGrid``, which computes
+        the consistency scores only when they are read."""
         phis = _check_phases(phi_grid)
         g_h, g_v = self.program_operators
         ops = (g_h - np.exp(1j * phis)[:, None, None, None] * g_v) / _SQ2
-        flat = ops.reshape(len(phis), len(self.branch_keys), 16)
-        ref_idx = np.argmax(np.abs(flat[:, 0]), axis=1)
-        at_ref = np.take_along_axis(flat, ref_idx[:, None, None], axis=2)[..., 0]
-        # global phase taking the primary operator onto each branch
-        ratio = at_ref * at_ref[:, :1].conj()
-        mag = np.abs(ratio)
-        phase = np.divide(ratio, mag, out=np.ones_like(ratio), where=mag > 0)
-        deviation = np.max(np.abs(flat - phase[..., None] * flat[:, :1]), axis=2)
-        off_diagonal = np.max(np.abs(ops[..., ~np.eye(4, dtype=bool)]), axis=2)
         probs = np.sum(np.abs(ops[..., 0]) ** 2, axis=-1)  # |00> column, (phase, branch)
         return GateGrid(
             phis=phis, ops=ops, probabilities=probs, p_success=np.sum(probs, axis=1),
-            fidelity=fidelity(ops[:, 0], phis),
-            branch_consistent=np.all(deviation <= BRANCH_TOL, axis=1),
-            diagonal=np.all(off_diagonal <= DIAG_TOL, axis=1), branch_keys=self.branch_keys,
+            fidelity=fidelity(ops[:, 0], phis), branch_keys=self.branch_keys,
         )
 
 

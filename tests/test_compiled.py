@@ -165,6 +165,48 @@ def test_grid_is_a_record_of_arrays():
     assert np.allclose(grid.p_success, 1 / 12, rtol=0, atol=1e-12)
 
 
+def eager_scores(ops, branch_tol=1e-10, diag_tol=1e-12):
+    """``branch_consistent`` and ``diagonal`` as ``evaluate`` computed them
+    when it filled them in for every grid."""
+    flat = ops.reshape(ops.shape[0], ops.shape[1], 16)
+    ref_idx = np.argmax(np.abs(flat[:, 0]), axis=1)
+    at_ref = np.take_along_axis(flat, ref_idx[:, None, None], axis=2)[..., 0]
+    ratio = at_ref * at_ref[:, :1].conj()
+    mag = np.abs(ratio)
+    phase = np.divide(ratio, mag, out=np.ones_like(ratio), where=mag > 0)
+    deviation = np.max(np.abs(flat - phase[..., None] * flat[:, :1]), axis=2)
+    off_diagonal = np.max(np.abs(ops[..., ~np.eye(4, dtype=bool)]), axis=2)
+    return np.all(deviation <= branch_tol, axis=1), np.all(off_diagonal <= diag_tol, axis=1)
+
+
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+def test_the_cli_computes_no_consistency_score(monkeypatch, tmp_path, command):
+    grids = []
+    evaluate = CompiledCircuit.evaluate
+
+    def keeping(self, phis):
+        grids.append(evaluate(self, phis))
+        return grids[-1]
+
+    monkeypatch.setattr(CompiledCircuit, "evaluate", keeping)
+    argv = [command, "--variant", "full", "--steps", "5", "--out", str(tmp_path / "out.csv")]
+    assert cli.main(argv) == 0
+    (grid,) = grids
+    assert "branch_consistent" not in vars(grid) and "diagonal" not in vars(grid)
+
+
+@pytest.mark.parametrize("name", ["basic", "ff", "dual", "full", "full-uncorrected", "full-HWP5-30"])
+def test_consistency_scores_are_computed_when_read(name):
+    phis = np.linspace(-3 * math.pi, 3 * math.pi, 1001)
+    grid = CompiledCircuit(NETLISTS[name]).evaluate(phis)
+    assert "branch_consistent" not in vars(grid) and "diagonal" not in vars(grid)
+    consistent, diagonal = eager_scores(grid.ops)
+    assert np.array_equal(grid.branch_consistent, consistent)
+    assert np.array_equal(grid.diagonal, diagonal)
+    assert grid.branch_consistent is grid.branch_consistent  # computed once, then kept
+    assert grid.diagonal is grid.diagonal
+
+
 def test_one_mode_registry_per_compile(monkeypatch):
     calls = []
     registry = CircuitNetlist.registry

@@ -1,10 +1,12 @@
 """Differential property tests of the CLI's column emitter.
 
-``cli._emit`` formats each column once and joins rows from a fixed
-template.  Its output must equal, byte for byte, what the row-wise rules
-give: ``json.dumps`` of the row dicts (indent 2, sorted keys, no NaN) for
-JSON, and for CSV ``%.17g`` floats, ``true``/``false`` bools and strings as
-they are.
+``cli._emit`` formats each distinct value of a column once and joins rows
+from a fixed template.  Its output must equal, byte for byte, what the
+row-wise rules give: ``json.dumps`` of the row dicts (indent 2, sorted keys,
+no NaN) for JSON, and for CSV ``%.17g`` floats, ``true``/``false`` bools and
+strings as they are.  Pooled columns draw from a few values, so values
+repeat, and values that compare equal but print apart (``0.0`` and
+``-0.0``) meet in one column.
 """
 
 import argparse
@@ -28,25 +30,40 @@ ANY_FLOAT = st.one_of(FINITE, st.sampled_from([math.nan, math.inf, -math.inf]))
 TEXT = st.text(
     st.one_of(st.sampled_from('"\\\x00\x01\n\r\t\x1f\x7f%,é☃ 𝄞'), st.characters())
 )
+#: Values a pooled float column repeats: equal floats that print apart, the
+#: smallest subnormal, and one value any float column holds, as a list or
+#: as an array.
+POOL = [0.0, -0.0, 5e-324, 1 / 12]
+#: The CSV pool adds NaN of either sign, which JSON refuses.
+NAN_POOL = POOL + [math.nan, -math.nan]
 
 
 @st.composite
-def table(draw, floats=FINITE):
+def table(draw, floats=FINITE, pool=POOL):
     """(header, columns, rows): distinct keys, one column per key, as the
-    emitter takes them and as the row-wise rules take them."""
+    emitter takes them and as the row-wise rules take them.  A pooled
+    column draws each value from ``pool`` and one or two fresh values (or,
+    for strings, from up to three labels), so its values repeat."""
     header = draw(st.lists(TEXT, min_size=1, max_size=5, unique=True))
-    n = draw(st.integers(0, 6))
+    n = draw(st.integers(0, 64))
     columns, plain = [], []
     for _ in header:
         kind = draw(st.sampled_from(["float", "float-list", "bool", "str"]))
+        pooled = draw(st.booleans())
         if kind == "bool":
             values = draw(st.lists(st.booleans(), min_size=n, max_size=n))
             columns.append(np.array(values, dtype=bool))
         elif kind == "str":
-            values = draw(st.lists(TEXT, min_size=n, max_size=n))
+            labels = TEXT
+            if pooled:
+                labels = st.sampled_from(draw(st.lists(TEXT, min_size=1, max_size=3)))
+            values = draw(st.lists(labels, min_size=n, max_size=n))
             columns.append(values)
         else:
-            values = draw(st.lists(floats, min_size=n, max_size=n))
+            numbers = floats
+            if pooled:
+                numbers = st.sampled_from(pool + draw(st.lists(floats, min_size=1, max_size=2)))
+            values = draw(st.lists(numbers, min_size=n, max_size=n))
             columns.append(np.array(values, dtype=float) if kind == "float" else values)
         plain.append(values)
     return header, columns, list(zip(*plain)) if plain else []
@@ -79,7 +96,7 @@ def test_json_equals_json_dumps(data, meta, netlist):
 
 
 @SETTINGS
-@given(table(ANY_FLOAT), st.booleans(), TEXT)
+@given(table(ANY_FLOAT, NAN_POOL), st.booleans(), TEXT)
 def test_csv_equals_the_row_rule(data, meta, netlist):
     header, columns, rows = data
     text, args = emitted("csv", header, columns, meta, netlist)
@@ -117,3 +134,14 @@ def test_repeated_cells_equal_repeated_values(data, k, fmt, draw):
             cli._emit(args, "sweep", header, given_columns, repeats)
         texts.append(out.getvalue())
     assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("array", [False, True])
+@pytest.mark.parametrize("times", [1, cli.SHORTEST_DEDUPED])
+def test_signed_zeros_print_apart(times, array):
+    """Short columns are formatted value by value, long ones by distinct value."""
+    column = [0.0, -0.0, 0.0] * times
+    column = np.array(column) if array else column
+    assert emitted("csv", ["x"], [column])[0] == "x\n" + "0\n-0\n0\n" * times
+    rows = ",\n".join(f'  {{\n    "x": {cell}\n  }}' for cell in ("0.0", "-0.0", "0.0") * times)
+    assert emitted("json", ["x"], [column])[0] == f"[\n{rows}\n]\n"

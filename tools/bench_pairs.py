@@ -15,6 +15,13 @@ values of both sides, their medians and quartiles, the median change and
 the number of pairs the working tree wins (is better in the metric's
 direction), plus the attempted and failed op counts, the core count and
 the Python and numpy versions.  It holds no timestamps.
+
+Each workload also gets ``by_label``: for each cost class of its ops (grid
+length on sweep-long and hom-scan, variant and points on verify-short,
+input kind on netlist-corpus), the median over the runs of each side of
+that class's ``median_ms``, read from the run's record
+``perfbench/out/<workload>-seed<N>-trace0.json`` in its checkout, and the
+change between the two medians.
 """
 
 from __future__ import annotations
@@ -37,13 +44,18 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one ``perfbench/run.py`` run in ``checkout``."""
+    """The result line of one ``perfbench/run.py`` run in ``checkout``, with
+    ``by_label``, each cost class's median op time in ms, from its record."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True,
     )
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    record = checkout / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
+    by_label = json.loads(record.read_text(encoding="utf-8"))["summary"]["by_label"]
+    result["by_label"] = {label: row["median_ms"] for label, row in by_label.items()}
+    return result
 
 
 def spread(values: list[float]) -> dict:
@@ -68,8 +80,17 @@ def summarize(spec: dict, results: dict) -> dict:
                 "median_change": after["median"] / before["median"] - 1.0,
                 "wins": f"{wins}/{len(parent)}",
             }
+        by_label = {}
+        for label in sorted({label for r in sides["parent"] for label in r["by_label"]}):
+            parent, change = ([r["by_label"][label] for r in sides[side] if label in r["by_label"]]
+                              for side in ("parent", "change"))
+            if change:
+                before, after = statistics.median(parent), statistics.median(change)
+                by_label[label] = {"parent_ms": before, "change_ms": after,
+                                   "median_change": after / before - 1.0}
         out[workload] = {
             "metrics": metrics,
+            "by_label": by_label,
             **{key: {side: sum(r[key] for r in sides[side]) for side in sides}
                for key in ("attempted", "failed")},
         }

@@ -15,7 +15,12 @@ the one holding this script).  Commands run in-process from the checkout
 root, so the ``--netlist`` paths in the argv, and in ``--meta`` output, are
 the same relative paths for every checkout.
 
-After the fixed matrix come the malformed netlists: every statement of the
+After the fixed matrix comes a 33-point ``sweep`` of ``full.lopc`` with two
+plates turned (``DETUNED``), written to the temporary directory and
+labelled in its line, so that the fidelity column changes from phase to
+phase.
+
+Then come the malformed netlists: every statement of the
 shipped ``basic.lopc`` and ``full.lopc`` with exactly one token dropped,
 prefixed with ``?``, or (for a ``key=value`` token) its value set to each of
 ``MALFORMED_VALUES``, run through ``verify --netlist``.  Each is written to
@@ -51,16 +56,27 @@ GRIDS = (
 )
 #: Failing and rejected runs: a 1e-16 tolerance fails some phases (exit 1), a
 #: netlist checked against another variant's oracle and a grid whose span
-#: overflows a float are usage errors (exit 2).
+#: overflows a float are usage errors (exit 2).  Then a phase or overlap of
+#: -0.0, which must print apart from 0.0.
 OTHER = (
     *(["verify", "--variant", v, "--steps", "7", "--tol", "1e-16"] for v in VARIANTS),
     ["verify", "--variant", "basic", "--netlist", "src/lopcsim/circuits/full.lopc"],
     *([command, "--from=-1e308", "--to=1e308", "--steps", "3"] for command in ("verify", "hom")),
+    *([command, "--variant", v, "--phi=-0.0"] for command in ("verify", "sweep") for v in VARIANTS),
+    ["hom", "--from=-0.0", "--steps", "1"],
 )
 HOM = (["hom", "--steps", "41"], ["hom", "--steps", "41", "--tv", "0.3", "--meta"])
 MALFORMED_VARIANTS = ("basic", "full")
 MALFORMED_VALUES = ("", "ghost", "nan", "1,2,3,4,5")
 RESPACED = (("tab", "\t"), ("2sp", "  "), ("nbsp", "\u00a0"))
+#: ``full.lopc`` with two plates turned, as (label, ((statement, replacement),
+#: ...)).  HWP2 makes the fidelity change from phase to phase, with repeats;
+#: HWP5 acts on T_OUT2 after the last splitter, which no printed column sees,
+#: and ``p_success`` stays 1/12 under either.
+DETUNED = ("full.lopc(HWP2=32.5,HWP5=30)", (
+    ("hwp HWP2 path=t_low angle=22.5", "hwp HWP2 path=t_low angle=32.5"),
+    ("hwp HWP5 path=T_OUT2 angle=45.0", "hwp HWP5 path=T_OUT2 angle=30"),
+))
 
 
 def commands():
@@ -117,6 +133,17 @@ def main(argv: list[str]) -> int:
 
         for args in commands():
             print(f"{digest(args)}  {' '.join(args)}")
+        label, edits = DETUNED
+        text = Path("src/lopcsim/circuits/full.lopc").read_text(encoding="utf-8")
+        for statement, replacement in edits:
+            if statement not in text:
+                raise SystemExit(f"full.lopc has no statement {statement!r}")
+            text = text.replace(statement, replacement)
+        netlist.write_text(text, encoding="utf-8")
+        args = ["sweep", "--variant", "full", "--netlist"]
+        for fmt in ("csv", "json"):
+            grid = ["--steps", "33", "--format", fmt]
+            print(f"{digest([*args, str(netlist), *grid])}  {' '.join([*args, label, *grid])}")
         for variant, label, text in malformed():
             netlist.write_text(text, encoding="utf-8")
             args = ["verify", "--variant", variant, "--netlist"]
