@@ -5,24 +5,8 @@ detected "program" photon."""
 __version__ = "0.1.0"
 
 from .elements import ElementSpec
-from .fock import (
-    FockState,
-    LinearElement,
-    ModeRegistry,
-    coincidence_amplitudes,
-    linear_element,
-    make_photon_state,
-    permanents,
-)
-from .gates import (
-    Branch,
-    CompiledCircuit,
-    GateGrid,
-    fidelity,
-    hom_scan,
-    ideal_cphase,
-    prepare_inputs,
-)
+from .fock import LinearElement, ModeRegistry, linear_element, permanents
+from .gates import CompiledCircuit, GateGrid, fidelity, hom_scan, ideal_cphase
 from .netlist import (
     CircuitNetlist,
     MeasurementOutcome,
@@ -40,11 +24,9 @@ from .oracle import OracleBranch, OraclePath, branch_table, oracle_conditional_g
 
 __all__ = [
     "__version__",
-    "Branch",
     "CircuitNetlist",
     "CompiledCircuit",
     "ElementSpec",
-    "FockState",
     "GateGrid",
     "LinearElement",
     "MeasurementOutcome",
@@ -57,17 +39,14 @@ __all__ = [
     "Ports",
     "branch_table",
     "builtin_variant",
-    "coincidence_amplitudes",
     "fidelity",
     "hom_scan",
     "ideal_cphase",
     "linear_element",
-    "make_photon_state",
     "oracle_conditional_gate",
     "parse",
     "path_amplitude",
     "permanents",
-    "prepare_inputs",
     "render",
     "strip_corrections",
     "validate",

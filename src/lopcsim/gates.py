@@ -6,12 +6,14 @@ one (detector outcome, accepted target output port) combination together
 with the conditional two-qubit state it leaves behind.
 
 A ``CompiledCircuit`` validates a netlist, builds its elements once and
-composes them into one mode transfer matrix per detector outcome; a
-branch amplitude is then one 3×3 permanent per input term.  A phase grid
-costs one batch of permanents in total, over the eight basis inputs (four
-two-qubit inputs, program photon H or V): the program photon enters as
-(|H> - e^{i phi}|V>)/sqrt(2) and everything after it is linear, so each
-branch operator is (G_H - e^{i phi} G_V)/sqrt(2).
+composes them into one mode transfer matrix per detector outcome.  Its
+branch amplitudes for the eight basis inputs (four two-qubit inputs,
+program photon H or V) are one batch of 3×3 permanents.  Everything after
+the input is linear, so any input, a (2, 2, 2) array of amplitudes over
+the three photons' polarizations, is one contraction with them, and a
+phase grid costs nothing more: the program photon enters as
+(|H> - e^{i phi}|V>)/sqrt(2), so each branch operator is
+(G_H - e^{i phi} G_V)/sqrt(2).
 """
 
 from __future__ import annotations
@@ -24,19 +26,11 @@ from functools import cached_property
 import numpy as np
 
 from .elements import KINDS, ElementSpec
-from .fock import (
-    POLS,
-    FockState,
-    coincidence_amplitudes,
-    make_photon_state,
-    permanents,
-)
+from .fock import POLS, permanents
 from .netlist import CircuitNetlist, NetlistValidationError, validate
 
 _SQ2 = math.sqrt(2.0)
 
-#: Polarization kets for the logical basis: |0> = H, |1> = V.
-BASIS_KETS = ((1.0 + 0j, 0j), (0j, 1.0 + 0j))
 #: Largest entry-wise deviation of a branch operator from the primary one
 #: (after removing the global phase between them) that still counts as equal.
 BRANCH_TOL = 1e-10
@@ -60,34 +54,15 @@ def ideal_cphase(phi) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Branch:
-    """One accepted (detector outcome, target output port) branch of one input.
-
-    ``CompiledCircuit.run`` gives ``amplitudes``, the conditional state,
-    shape (4,) over |00>, |01>, |10>, |11> (target, control), and
-    ``probability``, its squared norm.
-    """
-
-    outcome: str
-    port: str
-    amplitudes: np.ndarray
-    probability: float
-
-    @property
-    def label(self) -> str:
-        return f"{self.outcome}:{self.port}"
-
-
-@dataclass(frozen=True, eq=False)
 class GateGrid:
     """The conditional gate scored over a phase grid, one array per field.
 
     ``ops`` is (phases, branches, 4, 4): the conditional operator of each
     branch, in ``branch_keys`` order, whose column 2t+c is what
-    ``CompiledCircuit.run`` gives for the basis input |tc>.  The primary
-    branch is the first, the first declared outcome on the first target
-    output port; ``fidelity`` scores its operator against the ideal
-    operation.  ``probabilities`` (phases, branches) is each branch's
+    ``CompiledCircuit.run`` gives for the basis input |tc> with the program
+    photon (|H> - e^{i phi}|V>)/sqrt(2).  The primary branch is the first,
+    the first declared outcome on the first target output port;
+    ``fidelity`` scores its operator against the ideal operation.  ``probabilities`` (phases, branches) is each branch's
     probability for the input |00> (its operator's first column), and
     ``p_success`` their sum.  ``phis`` and the scores hold one entry per
     phase.  The two consistency scores, ``branch_consistent`` and
@@ -132,27 +107,6 @@ def _check_phases(phis) -> np.ndarray:
     if bad.size:
         raise ValueError(f"phase must be a finite number, got {float(bad[0])!r}")
     return values
-
-
-def prepare_inputs(
-    netlist: CircuitNetlist,
-    target_ket: Sequence[complex],
-    control_ket: Sequence[complex],
-    phi: float,
-) -> FockState:
-    """Three-photon product input: target and control qubits plus the
-    phase-programming photon (|H> - e^{i phi}|V>)/sqrt(2)."""
-    (phi,) = _check_phases([phi])
-    for name, ket in (("target", target_ket), ("control", control_ket)):
-        if len(ket) != 2 or not abs(sum(abs(c) ** 2 for c in ket) - 1.0) <= 1e-12:
-            raise ValueError(f"{name} ket must be a normalized 2-component vector")
-    ports = netlist.ports
-    kets = (target_ket, control_ket, (1.0 / _SQ2 + 0j, -np.exp(1j * phi) / _SQ2))
-    photons = [
-        [((path, pol), complex(amp)) for pol, amp in zip(POLS, ket)]
-        for path, ket in zip((ports.target_in, ports.control_in, ports.program_in), kets)
-    ]
-    return make_photon_state(netlist.registry(), photons)
 
 
 class CompiledCircuit:
@@ -240,43 +194,45 @@ class CompiledCircuit:
     def _modes(self, *paths: str) -> list[int]:
         return [self.registry.channel_index[p, pol] for p in paths for pol in POLS]
 
-    def run(self, state: FockState) -> list[Branch]:
-        """Enumerate all branches for one prepared input.
+    def run(self, psi: np.ndarray) -> np.ndarray:
+        """Every branch's conditional two-qubit state for one input.
 
-        Each branch amplitude is the coincidence amplitude of the target
-        port, the control output and the detector in the outcome's
-        polarization: one 3×3 permanent per input term.  Entangled inputs and
-        inputs with several photons in one mode are covered alike.
-        Probabilities are exact.
+        ``psi`` is a (2, 2, 2) array of amplitudes indexed [t, c, p], over
+        the polarizations (0 = H, 1 = V) of the target, control and program
+        photons: any input the gate takes, product or entangled.  Returns
+        (branches, 4) in ``branch_keys`` order, each row over |00>, |01>,
+        |10>, |11>: the sum of psi[t, c, p] times column 2t+c of
+        ``program_operators[p]``.  A row's squared norm is its branch's
+        probability.
         """
-        nl = self.netlist
-        if state.photon_number != nl.postselect_total():
-            raise ValueError(
-                f"input holds {state.photon_number} photons, "
-                f"post-selection expects {nl.postselect_total()}"
-            )
-        if state.registry != self.registry:
-            raise ValueError(f"input is over {state.registry!r}, not the netlist's paths")
-        amplitudes = coincidence_amplitudes(state, self.rows)
-        return [
-            Branch(outcome, port, amps, float(np.sum(np.abs(amps) ** 2)))
-            for (outcome, port), amps in zip(self.branch_keys, amplitudes)
-        ]
+        psi = np.asarray(psi, dtype=complex)
+        if psi.shape != (2, 2, 2):
+            raise ValueError(f"input must have shape (2, 2, 2), got {psi.shape}")
+        if not np.isfinite(psi).all():
+            raise ValueError("input has a non-finite amplitude")
+        norm_sq = float(np.sum(np.abs(psi) ** 2))
+        if not abs(norm_sq - 1.0) <= 1e-12:
+            raise ValueError(f"input has squared norm {norm_sq!r}, expected 1")
+        return np.einsum("pbkx,xp->bk", self.program_operators, psi.reshape(4, 2))
 
     @cached_property
     def program_operators(self) -> np.ndarray:
         """Branch operators with the program photon in |H> and in |V>.
 
-        Shape (2, branches, 4, 4): column 2t+c of [p, b] is what ``run``
-        gives on branch b for the basis input |tc> with program polarization
-        p, the permanents of ``rows`` on the three occupied columns (ascending,
-        as ``run`` takes them), all eight inputs in one batch.  Everything
-        after the program photon is prepared is linear in it, so the operator
-        of every branch at phase phi is (G_H - e^{i phi} G_V)/sqrt(2).
+        Shape (2, branches, 4, 4): column 2t+c of [p, b] is branch b's
+        conditional state for the basis input |tc> with program polarization
+        p, the permanents of ``rows`` on the three occupied columns, all
+        eight inputs in one batch.  Everything after the program photon is
+        prepared is linear in it, so the operator of every branch at phase
+        phi is (G_H - e^{i phi} G_V)/sqrt(2).
         """
         ports = self.netlist.ports
         t, c, p = np.reshape(self._modes(ports.target_in, ports.control_in, ports.program_in),
                              (3, 2))
+        # A permanent does not depend on the order of its columns, but its
+        # floating-point sum may: ascending columns give every netlist the
+        # summation order of the committed golden outputs, whatever order it
+        # declares its input paths in.
         columns = np.sort([(t[i], c[j], p[k]) for k, i, j in np.ndindex(2, 2, 2)], axis=1)
         # rows[..., columns] is (branches, 4, 3, 8, 3): move the input axis out
         amplitudes = permanents(np.moveaxis(self.rows[..., columns], -2, -3))

@@ -1,12 +1,13 @@
 """A dense first-quantized reference for the permanent engine.
 
-An N-photon state is a symmetric N-index tensor over the modes of its
+An N-photon state is a symmetric N-index tensor over the modes of a
 registry: the occupation ket with modes m_1 .. m_N (repeats allowed) is the
-normalized sum of e_{m_s(1)} ⊗ .. ⊗ e_{m_s(N)} over all orderings s.  A
-linear network acts with its transfer matrix on every index (``np.einsum``),
-and the amplitude of an output occupation is the overlap with its ket.  No
-permanent appears and nothing is shared with ``lopcsim.fock`` beyond the
-state, registry and element types.
+normalized sum of e_{m_s(1)} ⊗ .. ⊗ e_{m_s(N)} over all orderings s, and a
+superposition is a sum of such tensors.  A linear network acts with its
+transfer matrix on every index (``np.einsum``), and the amplitude of an
+output occupation is the overlap with its ket.  No permanent appears and
+nothing is shared with ``lopcsim.fock`` beyond the registry and element
+types.
 
 ``transfer`` is also the reference for the compile path: each element is
 embedded here on its own as a full mode-space matrix, and the products
@@ -29,8 +30,8 @@ def transfer(registry, elements):
     u = np.eye(len(registry), dtype=complex)
     for element in elements:
         step = np.eye(len(registry), dtype=complex)
-        ins = [registry.index(ch) for ch in element.channels_in]
-        outs = [registry.index(ch) for ch in element.channels_out]
+        ins = [registry.channel_index[ch] for ch in element.channels_in]
+        outs = [registry.channel_index[ch] for ch in element.channels_out]
         step[:, ins] = 0.0
         for i, col in enumerate(ins):
             step[outs, col] = element.matrix[:, i]
@@ -38,27 +39,24 @@ def transfer(registry, elements):
     return u
 
 
-def ket(size, modes):
-    """Tensor of the occupation ket with one photon in each of ``modes``."""
+def tensor(size, modes):
+    """Tensor of the occupation ket over ``size`` modes with one photon in
+    each entry of ``modes``; a mode listed k times holds k photons."""
     t = np.zeros((size,) * len(modes), dtype=complex)
     for order in itertools.permutations(modes):
         t[order] += 1.0
     return t / np.linalg.norm(t)
 
 
-def tensor(state):
-    size = len(state.registry)
-    return sum(
-        amp * ket(size, [m for m, n in occ for _ in range(n)]) for occ, amp in state.terms()
-    )
-
-
 def evolve(t, u):
+    """``u`` applied to every index of ``t``, one index at a time (``optimize``),
+    not as one loop over all the indices at once."""
     n = t.ndim
     ins, outs = "ijk"[:n], "abc"[:n]
-    return np.einsum(",".join(o + i for o, i in zip(outs, ins)) + f",{ins}->{outs}", *[u] * n, t)
+    subscripts = ",".join(o + i for o, i in zip(outs, ins)) + f",{ins}->{outs}"
+    return np.einsum(subscripts, *[u] * n, t, optimize=True)
 
 
 def amplitude(t, modes):
     """Amplitude of the output occupation with one photon in each of ``modes``."""
-    return np.vdot(ket(t.shape[0], modes), t)
+    return np.vdot(tensor(t.shape[0], modes), t)

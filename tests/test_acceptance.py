@@ -17,17 +17,18 @@ from lopcsim import (
     fidelity,
     hom_scan,
     parse,
-    prepare_inputs,
     render,
     strip_corrections,
 )
 from lopcsim.cli import main
-from lopcsim.gates import BASIS_KETS
+
+from .test_gates import KET0, KET1, product_input
 
 K = 1.0 / (4.0 * math.sqrt(3.0))
 PHI_GRID = [i * math.pi / 20.0 for i in range(21)]
 PHI_EIGHT = [0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2, 2 * math.pi / 3, 5 * math.pi / 6, math.pi]
 VARIANT_P = {"basic": 1 / 48, "ff": 1 / 24, "dual": 1 / 24, "full": 1 / 12}
+KETS = (KET0, KET1)
 
 
 def report(number: int, ok: bool, description: str) -> None:
@@ -76,25 +77,14 @@ def test_criterion_3_state_independence():
         chi = rng.normal(size=4) + 1j * rng.normal(size=4)
         chi /= np.linalg.norm(chi)
         entangled.append(chi)
+    program = product_input(KET0, KET0, phi)[0, 0]
     spreads = {}
     for variant in VARIANT_P:
-        nl = builtin_variant(variant)
-        circuit = CompiledCircuit(nl)
-        probs = [
-            sum(br.probability for br in circuit.run(prepare_inputs(nl, t, c, phi)))
-            for t, c in inputs
-        ]
-        basis_states = [
-            prepare_inputs(nl, BASIS_KETS[t], BASIS_KETS[c], phi)
-            for t in (0, 1)
-            for c in (0, 1)
-        ]
-        for chi in entangled:
-            state = None
-            for coeff, basis in zip(chi, basis_states):
-                term = complex(coeff) * basis
-                state = term if state is None else state + term
-            probs.append(sum(br.probability for br in circuit.run(state)))
+        circuit = CompiledCircuit(builtin_variant(variant))
+        # an entangled two-qubit state chi over |tc>, times the program photon
+        psis = [product_input(t, c, phi) for t, c in inputs]
+        psis += [np.multiply.outer(chi.reshape(2, 2), program) for chi in entangled]
+        probs = [float(np.sum(np.abs(circuit.run(psi)) ** 2)) for psi in psis]
         spreads[variant] = max(probs) - min(probs)
     ok = all(spread < 1e-12 for spread in spreads.values())
     detail = ", ".join(f"{v}={s:.2e}" for v, s in spreads.items())
@@ -105,14 +95,13 @@ def test_criterion_4_oracle_equivalence():
     worst = 0.0
     comparisons = 0
     for variant in VARIANT_P:
-        nl = builtin_variant(variant)
-        circuit = CompiledCircuit(nl)
+        circuit = CompiledCircuit(builtin_variant(variant))
         for phi in PHI_EIGHT:
             table = {key: rows[0] for key, rows in branch_table([phi], variant).items()}
             for t in (0, 1):
                 for c in (0, 1):
-                    state = prepare_inputs(nl, BASIS_KETS[t], BASIS_KETS[c], phi)
-                    branches = {(b.outcome, b.port): b.amplitudes for b in circuit.run(state)}
+                    psi = product_input(KETS[t], KETS[c], phi)
+                    branches = dict(zip(circuit.branch_keys, circuit.run(psi)))
                     assert set(branches) == set(table)
                     comparisons += 1
                     for key, amps in branches.items():
@@ -139,24 +128,21 @@ def test_criterion_6_linearity():
     worst = 0.0
     cases = [("basic", 40), ("full", 10)]
     for variant, count in cases:
-        nl = builtin_variant(variant)
-        run = CompiledCircuit(nl).run
+        run = CompiledCircuit(builtin_variant(variant)).run
         for _ in range(count):
             phi = float(rng.uniform(0.0, math.pi))
             pair = []
             for _ in range(2):
-                pair.append(prepare_inputs(nl, random_ket(rng), random_ket(rng), phi))
+                pair.append(product_input(random_ket(rng), random_ket(rng), phi))
             alpha = complex(rng.normal(), rng.normal())
             beta = complex(rng.normal(), rng.normal())
             norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
             alpha, beta = alpha / norm, beta / norm
-            combo = alpha * pair[0] + beta * pair[1]
-            combined = {(b.outcome, b.port): b.amplitudes for b in run(combo)}
-            first = {(b.outcome, b.port): b.amplitudes for b in run(pair[0])}
-            second = {(b.outcome, b.port): b.amplitudes for b in run(pair[1])}
-            for key, amps in combined.items():
-                expected = alpha * first[key] + beta * second[key]
-                worst = max(worst, float(np.max(np.abs(amps - expected))))
+            # the pair is not orthogonal: scale the superposition back to unit norm
+            scale = np.linalg.norm(alpha * pair[0] + beta * pair[1])
+            combined = run((alpha * pair[0] + beta * pair[1]) / scale)
+            expected = (alpha * run(pair[0]) + beta * run(pair[1])) / scale
+            worst = max(worst, float(np.max(np.abs(combined - expected))))
     ok = worst < 1e-12
     report(6, ok, f"amplitude linearity over 50 random superposition inputs (max error {worst:.2e})")
 

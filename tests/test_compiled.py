@@ -2,7 +2,8 @@
 
 ``reference_gate`` is the per-phase assembly: it runs the four basis
 inputs with the program photon (|H> - e^{i phi}|V>)/sqrt(2) through
-``CompiledCircuit.run`` and scores the operators with plain loops.  The
+``CompiledCircuit.run``, one (2, 2, 2) input at a time, and scores the
+operators with plain loops.  The
 compiled circuit must agree with it on every operator to 1e-12 and on
 every flag exactly.
 """
@@ -17,21 +18,20 @@ import pytest
 
 import lopcsim.gates
 from lopcsim import (
-    Branch,
     CircuitNetlist,
     CompiledCircuit,
     GateGrid,
     NetlistValidationError,
     builtin_variant,
     parse,
-    prepare_inputs,
     strip_corrections,
     validate,
 )
 from lopcsim import cli
 from lopcsim.elements import ElementSpec
-from lopcsim.gates import BASIS_KETS
 from lopcsim.netlist import MeasurementRule
+
+from .test_gates import KET0, KET1, product_input
 
 
 def detuned(variant, plate, angle):
@@ -53,15 +53,14 @@ NETLISTS = {
 
 
 def reference_gate(netlist, phi, branch_tol=1e-10, diag_tol=1e-12):
-    operators = {}
-    run = CompiledCircuit(netlist).run
+    circuit = CompiledCircuit(netlist)
+    operators = {key: np.zeros((4, 4), dtype=complex) for key in circuit.branch_keys}
+    kets = (KET0, KET1)
     for t in (0, 1):
         for c in (0, 1):
-            state = prepare_inputs(netlist, BASIS_KETS[t], BASIS_KETS[c], phi)
-            for branch in run(state):
-                key = (branch.outcome, branch.port)
-                operators.setdefault(key, np.zeros((4, 4), dtype=complex))
-                operators[key][:, 2 * t + c] = branch.amplitudes
+            for key, amplitudes in zip(circuit.branch_keys,
+                                       circuit.run(product_input(kets[t], kets[c], phi))):
+                operators[key][:, 2 * t + c] = amplitudes
     ops = list(operators.values())
     primary = ops[0]
     ref_idx = int(np.argmax(np.abs(primary.ravel())))
@@ -115,9 +114,9 @@ def test_sweep_cost_does_not_grow_with_grid_length(monkeypatch):
     calls = {"run": 0, "permanents": 0}
     run, permanents = CompiledCircuit.run, lopcsim.gates.permanents
 
-    def counting_run(self, state):
+    def counting_run(self, psi):
         calls["run"] += 1
-        return run(self, state)
+        return run(self, psi)
 
     def counting_permanents(m):
         calls["permanents"] += 1
@@ -133,23 +132,6 @@ def test_sweep_cost_does_not_grow_with_grid_length(monkeypatch):
     assert calls == short
     # one batch of permanents over the eight basis inputs, and no run
     assert short == {"run": 0, "permanents": 1}
-
-
-@pytest.mark.parametrize("steps", [3, 401])
-def test_sweep_builds_no_per_phase_objects(monkeypatch, tmp_path, steps):
-    built = []
-    init = Branch.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Branch, "__init__", counting)
-    out = tmp_path / "sweep.csv"
-    argv = ["sweep", "--variant", "full", "--steps", str(steps), "--out", str(out)]
-    assert cli.main(argv) == 0
-    assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + 4 * steps
-    assert built == []
 
 
 def test_grid_is_a_record_of_arrays():
@@ -224,16 +206,6 @@ def test_one_mode_registry_per_compile(monkeypatch):
     assert len(calls) == 1
 
 
-def test_run_rejects_a_state_over_other_paths():
-    nl = builtin_variant("basic")
-    circuit = CompiledCircuit(nl)
-    wider = replace(nl, paths=nl.paths + ("spare",))
-    state = prepare_inputs(wider, BASIS_KETS[0], BASIS_KETS[1], 0.3)
-    with pytest.raises(ValueError, match="not the netlist's paths"):
-        circuit.run(state)
-    assert len(circuit.run(prepare_inputs(nl, BASIS_KETS[0], BASIS_KETS[1], 0.3))) == 1
-
-
 def test_compiled_circuit_validates_once_and_rejects_invalid_netlists(monkeypatch):
     nl = builtin_variant("basic")
     bad = replace(nl, postselect=(("T_OUT", 1), ("C_OUT", 1), ("d", 0), ("p_in", 1)))
@@ -275,8 +247,6 @@ def test_non_finite_phase_raises(bad):
     circuit = CompiledCircuit(builtin_variant("basic"))
     with pytest.raises(ValueError, match="finite"):
         circuit.evaluate([0.0, bad])
-    with pytest.raises(ValueError, match="finite"):
-        prepare_inputs(circuit.netlist, BASIS_KETS[0], BASIS_KETS[0], bad)
     with pytest.raises(ValueError, match="empty"):
         circuit.evaluate([])
 

@@ -1,12 +1,15 @@
 """The compile path of ``CompiledCircuit`` against its references.
 
 Compiling applies each element to the rows of a running transfer matrix and
-takes ``program_operators`` from one batch of permanents.  The references
-are the products of each outcome's element chain from
+takes ``program_operators`` from one batch of permanents.  The rows must
+equal the products of each outcome's element chain from
 ``tests/dense_reference.transfer``, which embeds every element in the whole
-mode space, and the eight basis inputs run one by one through
-``CompiledCircuit.run``: they must agree bit for bit on the built-in
-layouts and to 1e-15 on random element chains.
+mode space, bit for bit on the built-in layouts and to 1e-15 on random
+element chains.  ``program_operators``, and ``run`` on random entangled
+inputs, must agree to 1e-12 with ``dense_run``: the three-photon ket
+evolved by the dense reference, with no permanent and no compiled row, on
+the built-in layouts, ``full`` without its corrections, detuned layouts
+and random element chains.
 
 The merge guard (an element may not send light onto a path that is already
 lit) is checked against the same dense prefixes, on random netlists whose
@@ -27,10 +30,11 @@ from hypothesis import strategies as st
 
 from lopcsim import CompiledCircuit, NetlistValidationError, builtin_variant, validate
 from lopcsim.elements import KINDS, ElementSpec
-from lopcsim.fock import POLS, make_photon_state
+from lopcsim.fock import POLS
 from lopcsim.netlist import CircuitNetlist, MeasurementOutcome, MeasurementRule, Ports
 
 from . import dense_reference
+from .test_compiled import NETLISTS
 from .test_elements import allclose_unitary
 from .test_fock_properties import (
     KIND_LISTS,
@@ -58,7 +62,7 @@ def reference_rows(netlist):
     registry = netlist.registry()
 
     def modes(path):
-        return [registry.index((path, pol)) for pol in POLS]
+        return [registry.channel_index[path, pol] for pol in POLS]
 
     rows = []
     for outcome, chain in outcome_chains(netlist):
@@ -71,16 +75,50 @@ def reference_rows(netlist):
     return np.array(rows)
 
 
-def run_operators(circuit):
-    """``program_operators`` from the eight basis inputs, each one ``run``."""
-    ports = circuit.netlist.ports
-    ops = np.zeros((2, len(circuit.branch_keys), 4, 4), dtype=complex)
+def dense_run(netlist, psi):
+    """What ``CompiledCircuit.run`` gives for ``psi`` (indexed [t, c, p]), from
+    the dense reference: the three-photon ket evolved by each outcome's
+    chain, read on the target port and control output modes of each
+    polarization and on the detector modes contracted with the conjugated
+    outcome ket, one row per (outcome, target port)."""
+    registry, ports = netlist.registry(), netlist.ports
+    size = len(registry)
+
+    def mode(path, bit):
+        return registry.channel_index[path, POLS[bit]]
+
+    ket = sum(
+        psi[t, c, p] * dense_reference.tensor(
+            size, [mode(ports.target_in, t), mode(ports.control_in, c), mode(ports.program_in, p)]
+        )
+        for t, c, p in np.ndindex(2, 2, 2)
+    )
+    rows = []
+    for outcome, chain in outcome_chains(netlist):
+        evolved = dense_reference.evolve(ket, dense_reference.transfer(registry, chain))
+        for port in ports.target_out:
+            rows.append([
+                sum(
+                    np.conj(amp) * dense_reference.amplitude(
+                        evolved,
+                        [mode(port, t), mode(ports.control_out, c), mode(netlist.measurement.path, d)],
+                    )
+                    for d, amp in enumerate(outcome.ket)
+                )
+                for t, c in np.ndindex(2, 2)
+            ])
+    return np.array(rows)
+
+
+def dense_operators(netlist):
+    """``program_operators`` from ``dense_run`` of the eight basis inputs."""
+    ops = []
     for p, t, c in np.ndindex(2, 2, 2):
-        wiring = ((ports.target_in, t), (ports.control_in, c), (ports.program_in, p))
-        photons = [[((path, POLS[bit]), 1.0 + 0j)] for path, bit in wiring]
-        state = make_photon_state(circuit.registry, photons)
-        ops[p, :, :, 2 * t + c] = [branch.amplitudes for branch in circuit.run(state)]
-    return ops
+        basis = np.zeros((2, 2, 2))
+        basis[t, c, p] = 1.0
+        ops.append(dense_run(netlist, basis))
+    # (p, t, c, branches, 4) -> (p, branches, 4, 2t+c)
+    return np.moveaxis(np.reshape(ops, (2, 4) + ops[0].shape), 1, -1)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -89,10 +127,20 @@ def test_rows_equal_the_embedded_products_bit_for_bit(variant):
     assert np.array_equal(circuit.rows, reference_rows(circuit.netlist))
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_program_operators_equal_the_eight_basis_runs_bit_for_bit(variant):
-    circuit = CompiledCircuit(builtin_variant(variant))
-    assert np.array_equal(circuit.program_operators, run_operators(circuit))
+@pytest.mark.parametrize("name", sorted(NETLISTS))
+def test_program_operators_match_the_dense_reference(name):
+    circuit = CompiledCircuit(NETLISTS[name])
+    assert np.max(np.abs(circuit.program_operators - dense_operators(circuit.netlist))) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(NETLISTS))
+def test_run_matches_the_dense_reference_on_entangled_inputs(name):
+    circuit = CompiledCircuit(NETLISTS[name])
+    rng = np.random.default_rng(sum(map(ord, name)))
+    for _ in range(20):
+        psi = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+        psi /= np.linalg.norm(psi)
+        assert np.max(np.abs(circuit.run(psi) - dense_run(circuit.netlist, psi))) <= 1e-12
 
 
 @st.composite
@@ -137,7 +185,7 @@ def netlist_of(chain, paths, angle, outcomes):
 def test_compile_path_matches_the_references_on_random_chains(chain, paths, angle, outcomes):
     circuit = CompiledCircuit(netlist_of(chain, paths, angle, outcomes))
     assert np.max(np.abs(circuit.rows - reference_rows(circuit.netlist))) <= 1e-15
-    assert np.max(np.abs(circuit.program_operators - run_operators(circuit))) <= 1e-15
+    assert np.max(np.abs(circuit.program_operators - dense_operators(circuit.netlist))) <= 1e-12
 
 
 #: Largest magnitude from an input mode that leaves a path dark: the guard's
@@ -161,7 +209,7 @@ def reference_prefixes(netlist):
     registry = netlist.registry()
     ports = netlist.ports
     inputs = [
-        registry.index((path, pol))
+        registry.channel_index[path, pol]
         for path in (ports.target_in, ports.control_in, ports.program_in)
         for pol in POLS
     ]
@@ -181,7 +229,7 @@ def first_merge(netlist):
     for chain, prefixes in reference_prefixes(netlist):
         for element, prefix in zip(chain, prefixes):
             onto = [ch for ch in element.channels_out if ch not in element.channels_in]
-            lit = {ch[0] for ch in onto if np.abs(prefix[registry.index(ch)]).max() > DARK}
+            lit = {ch[0] for ch in onto if np.abs(prefix[registry.channel_index[ch]]).max() > DARK}
             if lit:
                 return element.name, lit
     return None

@@ -11,71 +11,55 @@ from lopcsim import (
     fidelity,
     hom_scan,
     ideal_cphase,
-    prepare_inputs,
     strip_corrections,
 )
-from lopcsim.fock import H, V
-from lopcsim.gates import BASIS_KETS
+from lopcsim.fock import H, POLS, V, permanents
 
 from . import dense_reference
 from .test_elements import element
 
 SQ2 = math.sqrt(2.0)
 K = 1.0 / (4.0 * math.sqrt(3.0))
-KET0, KET1 = BASIS_KETS
+#: Polarization kets of the logical basis: |0> = H, |1> = V.
+KET0, KET1 = (1.0, 0.0), (0.0, 1.0)
+
+
+def product_input(target_ket, control_ket, phi):
+    """psi[t, c, p] of a product input: the target and control qubits and the
+    phase-programming photon (|H> - e^{i phi}|V>)/sqrt(2)."""
+    program = np.array([1.0, -cmath.exp(1j * phi)]) / SQ2
+    return np.multiply.outer(np.multiply.outer(target_ket, control_ket), program)
 
 
 def success_probability(circuit, target_ket, control_ket, phi):
     """Total accepted-branch probability of one product input."""
-    state = prepare_inputs(circuit.netlist, target_ket, control_ket, phi)
-    return sum(branch.probability for branch in circuit.run(state))
-
-
-def test_prepare_inputs_program_photon():
-    nl = builtin_variant("basic")
-    reg = nl.registry()
-    for phi, expected_v in ((0.0, -1 / SQ2), (math.pi, 1 / SQ2)):
-        state = prepare_inputs(nl, KET0, KET0, phi)
-        occ_h, occ_v = (
-            tuple(sorted((reg.index(m), 1) for m in (("t_in", H), ("c_in", H), ("p_in", pol))))
-            for pol in (H, V)
-        )
-        assert abs(state.amplitudes.get(occ_h, 0j) - 1 / SQ2) < 1e-12
-        assert abs(state.amplitudes.get(occ_v, 0j) - expected_v) < 1e-12
-
-
-def test_prepare_inputs_rejects_unnormalized_kets():
-    with pytest.raises(ValueError):
-        prepare_inputs(builtin_variant("basic"), (0.5, 0.5), KET0, 0.0)
+    return float(np.sum(np.abs(circuit.run(product_input(target_ket, control_ket, phi))) ** 2))
 
 
 def test_basic_run_on_11_input():
     phi = 1.3
-    nl = builtin_variant("basic")
-    branches = CompiledCircuit(nl).run(prepare_inputs(nl, KET1, KET1, phi))
-    assert len(branches) == 1
-    br = branches[0]
-    assert (br.outcome, br.port) == ("D", "T_OUT")
+    circuit = CompiledCircuit(builtin_variant("basic"))
+    branches = circuit.run(product_input(KET1, KET1, phi))
+    assert branches.shape == (1, 4)
+    assert circuit.branch_keys == (("D", "T_OUT"),)
     expected = np.array([0, 0, 0, K * cmath.exp(1j * phi)])
-    assert np.max(np.abs(br.amplitudes - expected)) < 1e-12
-    assert abs(br.probability - 1.0 / 48.0) < 1e-12
+    assert np.max(np.abs(branches[0] - expected)) < 1e-12
+    assert abs(np.sum(np.abs(branches[0]) ** 2) - 1.0 / 48.0) < 1e-12
 
 
 def test_basic_run_on_00_input():
-    nl = builtin_variant("basic")
-    branches = CompiledCircuit(nl).run(prepare_inputs(nl, KET0, KET0, 0.4))
-    assert np.max(np.abs(branches[0].amplitudes - np.array([K, 0, 0, 0]))) < 1e-12
+    branches = CompiledCircuit(builtin_variant("basic")).run(product_input(KET0, KET0, 0.4))
+    assert np.max(np.abs(branches[0] - np.array([K, 0, 0, 0]))) < 1e-12
 
 
 def test_superposed_target_amplitudes():
     # target (|0>+|1>)/sqrt(2) with control |1>: amplitudes split over
     # |01> and |11> with 1/(4*sqrt(6)) magnitude each.
     phi = 0.77
-    nl = builtin_variant("basic")
     target = (1 / SQ2, 1 / SQ2)
-    branches = CompiledCircuit(nl).run(prepare_inputs(nl, target, KET1, phi))
+    branches = CompiledCircuit(builtin_variant("basic")).run(product_input(target, KET1, phi))
     expected = np.array([0, K / SQ2, 0, K / SQ2 * cmath.exp(1j * phi)])
-    assert np.max(np.abs(branches[0].amplitudes - expected)) < 1e-12
+    assert np.max(np.abs(branches[0] - expected)) < 1e-12
     assert abs(K / SQ2 - 1 / (4 * math.sqrt(6))) < 1e-15
 
 
@@ -83,27 +67,57 @@ def test_post_select_after_detector_basis_projector():
     # Running all stages, projecting the detector path onto the diagonal
     # basis (photon kept) and then post-selecting one photon on each of
     # T_OUT, C_OUT and d, in either polarization, leaves probability 1/48.
-    from lopcsim import coincidence_amplitudes
-
+    # The input |00> is one term per program polarization, each a permanent
+    # on its three occupied columns.
     nl = builtin_variant("basic")
-    reg = nl.registry()
-    state = prepare_inputs(nl, KET0, KET0, 0.6)
+    index = nl.registry().channel_index
+    program = product_input(KET0, KET0, 0.6)[0, 0]
     projector = element("jones", "d", 0.5, 0.5, 0.5, 0.5)
-    u = dense_reference.transfer(reg, [spec.build() for spec in nl.stages] + [projector])
-    rows = [u[[reg.index((p, pol)) for pol in (H, V)]] for p in ("T_OUT", "C_OUT", "d")]
+    u = dense_reference.transfer(nl.registry(), [spec.build() for spec in nl.stages] + [projector])
+    rows = [u[[index[p, pol] for pol in (H, V)]] for p in ("T_OUT", "C_OUT", "d")]
     triples = np.array([[t, c, d] for t in rows[0] for c in rows[1] for d in rows[2]])
-    prob = float(np.sum(np.abs(coincidence_amplitudes(state, triples)) ** 2))
+    columns = [[index["t_in", H], index["c_in", H], index["p_in", pol]] for pol in POLS]
+    amplitudes = permanents(np.moveaxis(triples[..., columns], -2, -3)) @ program
+    prob = float(np.sum(np.abs(amplitudes) ** 2))
     assert abs(prob - 1.0 / 48.0) < 1e-12
 
 
 def test_run_rejects_wrong_photon_count():
-    nl = builtin_variant("basic")
-    reg = nl.registry()
-    from lopcsim import make_photon_state
+    # a two-qubit array, even a normalized one, is an input without the program photon
+    with pytest.raises(ValueError, match=r"^input must have shape \(2, 2, 2\), got \(2, 2\)$"):
+        CompiledCircuit(builtin_variant("basic")).run(np.eye(2) / SQ2)
 
-    two = make_photon_state(reg, [[(("t_in", H), 1.0)], [(("c_in", H), 1.0)]])
-    with pytest.raises(ValueError):
-        CompiledCircuit(nl).run(two)
+
+def off_norm(excess):
+    """A (2, 2, 2) input whose squared norm is 1 + ``excess``."""
+    psi = np.full((2, 2, 2), 1.0 / math.sqrt(8.0), dtype=complex)
+    return psi * math.sqrt(1.0 + excess)
+
+
+@pytest.mark.parametrize(
+    "psi, message",
+    [
+        pytest.param(np.full(4, 0.5), r"must have shape \(2, 2, 2\), got \(4,\)", id="shape-4"),
+        pytest.param(np.eye(2) / SQ2, r"must have shape \(2, 2, 2\), got \(2, 2\)", id="shape-2x2"),
+        pytest.param(np.full((2, 2, 2, 1), 8**-0.5),
+                     r"must have shape \(2, 2, 2\), got \(2, 2, 2, 1\)", id="shape-2x2x2x1"),
+        pytest.param(off_norm(2e-12), r"has squared norm 1\.00000000000\d+, expected 1",
+                     id="norm-above"),
+        pytest.param(off_norm(-2e-12), r"has squared norm 0\.99999999999\d+, expected 1",
+                     id="norm-below"),
+        pytest.param(np.zeros((2, 2, 2)), r"has squared norm 0\.0, expected 1", id="zero"),
+    ],
+)
+def test_run_rejects_a_malformed_input(psi, message):
+    circuit = CompiledCircuit(builtin_variant("basic"))
+    with pytest.raises(ValueError, match=rf"^input {message}$"):
+        circuit.run(psi)
+
+
+@pytest.mark.parametrize("excess", [0.5e-12, -0.5e-12])
+def test_run_accepts_a_squared_norm_within_1e_12(excess):
+    circuit = CompiledCircuit(builtin_variant("basic"))
+    assert circuit.run(off_norm(excess)).shape == (1, 4)
 
 
 def test_run_rejects_invalid_netlist():
@@ -111,9 +125,8 @@ def test_run_rejects_invalid_netlist():
 
     nl = builtin_variant("basic")
     bad = replace(nl, postselect=(("T_OUT", 1), ("C_OUT", 1), ("d", 0), ("p_in", 1)))
-    state = prepare_inputs(nl, KET0, KET0, 0.0)
     with pytest.raises(NetlistValidationError):
-        CompiledCircuit(bad).run(state)
+        CompiledCircuit(bad)
 
 
 def test_ff_branches_agree_after_correction():
@@ -203,12 +216,12 @@ def test_amplitude_linearity():
     alpha, beta = 0.6 + 0.2j, -0.5 + 0.35j
     norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
     alpha, beta = alpha / norm, beta / norm
-    s00 = prepare_inputs(nl, KET0, KET0, phi)
-    s11 = prepare_inputs(nl, KET1, KET1, phi)
+    s00 = product_input(KET0, KET0, phi)
+    s11 = product_input(KET1, KET1, phi)
     combo = alpha * s00 + beta * s11
     run = CompiledCircuit(nl).run
-    combo_amps = run(combo)[0].amplitudes
-    split = alpha * run(s00)[0].amplitudes + beta * run(s11)[0].amplitudes
+    combo_amps = run(combo)[0]
+    split = alpha * run(s00)[0] + beta * run(s11)[0]
     assert np.max(np.abs(combo_amps - split)) < 1e-12
 
 

@@ -1,8 +1,8 @@
 """The overlap scan against a per-point dense reference.
 
 ``reference_scan`` models the photons' wavepackets as separate paths: the
-first photon enters on ``a0``, the second on ``b0`` with amplitude sqrt(v)
-and on ``b1`` with sqrt(1-v), and one splitter acts on each wavepacket
+input is sqrt(v)|a0 b0> + sqrt(1-v)|a0 b1>, the first photon on ``a0`` and
+the second on ``b0`` or ``b1``, and one splitter acts on each wavepacket
 pair.  The coincidence probability sums every output with one photon on
 path a and one on path b, whatever their wavepackets, from the dense
 first-quantized evolution of ``tests/dense_reference.py``.  ``hom_scan``
@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from lopcsim import ModeRegistry, hom_scan, make_photon_state
+from lopcsim import ModeRegistry, hom_scan
 from lopcsim.elements import KINDS
 
 from . import dense_reference
@@ -26,21 +26,15 @@ def reference_scan(t_v, overlaps):
     registry = ModeRegistry(("a0", "b0", "a1", "b1"))
     per_wavepacket = [element("ppbs", f"a{w} b{w} a{w} b{w}", t_v) for w in (0, 1)]
     u = dense_reference.transfer(registry, per_wavepacket)
-    a_modes, b_modes = (
-        [registry.index((f"{p}{w}", "V")) for w in (0, 1)] for p in "ab"
-    )
+    (a0, a1), (b0, b1) = ([registry.channel_index[f"{p}{w}", "V"] for w in (0, 1)] for p in "ab")
+    size = len(registry)
     rows = []
     for v in overlaps:
-        photons = [
-            [(("a0", "V"), 1.0 + 0j)],
-            [
-                (("b0", "V"), complex(math.sqrt(v))),
-                (("b1", "V"), complex(math.sqrt(1.0 - v))),
-            ],
-        ]
-        t = dense_reference.evolve(dense_reference.tensor(make_photon_state(registry, photons)), u)
+        ket = (math.sqrt(v) * dense_reference.tensor(size, [a0, b0])
+               + math.sqrt(1.0 - v) * dense_reference.tensor(size, [a0, b1]))
+        t = dense_reference.evolve(ket, u)
         probability = sum(
-            abs(dense_reference.amplitude(t, [i, j])) ** 2 for i in a_modes for j in b_modes
+            abs(dense_reference.amplitude(t, [i, j])) ** 2 for i in (a0, a1) for j in (b0, b1)
         )
         rows.append((v, probability))
     return rows

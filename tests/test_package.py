@@ -5,23 +5,28 @@ from pathlib import Path
 
 import lopcsim
 import lopcsim.elements
+import lopcsim.fock
 import lopcsim.gates
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC = [
-    "Branch", "CircuitNetlist", "CompiledCircuit", "ElementSpec", "FockState", "GateGrid",
-    "LinearElement", "MeasurementOutcome", "MeasurementRule", "ModeRegistry", "NetlistError",
+    "CircuitNetlist", "CompiledCircuit", "ElementSpec", "GateGrid", "LinearElement",
+    "MeasurementOutcome", "MeasurementRule", "ModeRegistry", "NetlistError",
     "NetlistValidationError", "OracleBranch", "OraclePath", "Ports", "__version__",
-    "branch_table", "builtin_variant", "coincidence_amplitudes", "fidelity", "hom_scan",
-    "ideal_cphase", "linear_element", "make_photon_state", "oracle_conditional_gate", "parse",
-    "path_amplitude", "permanents", "prepare_inputs", "render", "strip_corrections", "validate",
+    "branch_table", "builtin_variant", "fidelity", "hom_scan", "ideal_cphase", "linear_element",
+    "oracle_conditional_gate", "parse", "path_amplitude", "permanents", "render",
+    "strip_corrections", "validate",
 ]
 #: Names removed from the library: ``CompiledCircuit`` and ``GateGrid`` replace
-#: the first five, ``ElementSpec`` the six element builders.
+#: the first five, ``ElementSpec`` the six element builders, and
+#: ``CompiledCircuit.run`` on a (2, 2, 2) amplitude array the sparse Fock-state
+#: engine and its input builders, the last eight.
 REMOVED = [
     "run", "conditional_gate", "success_probability", "sweep_phi", "ConditionalGateReport",
     "pbs", "ppbs", "hwp", "jones", "pol_filter", "phase_flip",
+    "FockState", "make_photon_state", "coincidence_amplitudes", "PRUNE_TOL", "Occupation",
+    "Branch", "BASIS_KETS", "prepare_inputs",
 ]
 
 
@@ -33,7 +38,7 @@ def test_every_exported_name_resolves_once():
 
 def test_public_names_are_pinned():
     assert sorted(lopcsim.__all__) == PUBLIC
-    modules = (lopcsim, lopcsim.elements, lopcsim.gates)
+    modules = (lopcsim, lopcsim.elements, lopcsim.fock, lopcsim.gates)
     assert [n for n in REMOVED if any(hasattr(m, n) for m in modules)] == []
 
 
