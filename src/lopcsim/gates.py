@@ -6,7 +6,8 @@ one (detector outcome, accepted target output port) combination together
 with the conditional two-qubit state it leaves behind.
 
 A ``CompiledCircuit`` validates a netlist, builds its elements once and
-composes them into one mode transfer matrix per detector outcome.  Its
+composes them into one transfer matrix on the six input modes per detector
+outcome, which is where it checks that light goes where it should.  Its
 branch amplitudes for the eight basis inputs (four two-qubit inputs,
 program photon H or V) are one batch of 3×3 permanents.  Everything after
 the input is linear, so any input, a (2, 2, 2) array of amplitudes over
@@ -27,7 +28,7 @@ import numpy as np
 
 from .elements import KINDS, ElementSpec
 from .fock import POLS, permanents
-from .netlist import CircuitNetlist, NetlistValidationError, validate
+from .netlist import CircuitNetlist, NetlistValidationError, _where, validate
 
 _SQ2 = math.sqrt(2.0)
 
@@ -115,12 +116,12 @@ class CompiledCircuit:
     ``validate`` builds each element through ``ElementSpec.element``, which
     keeps the built element on the spec, so compiling reuses those builds.
 
-    The stages act on the rows of a transfer matrix over the mode space of
-    the netlist's paths: those before the measurement point, then each
-    detector outcome's feed-forward correction (if any), then the rest.  An
-    element's input rows, times its matrix, replace them and are added onto
-    its output rows: the product with the element embedded in the whole mode
-    space (identity on the columns it does not take as input), without
+    The stages act on the rows of a transfer matrix from the six input modes
+    (target, control, program; H then V) onto the modes of the netlist's
+    paths: those before the measurement point, then each detector outcome's
+    feed-forward correction (if any), then the rest.  An element's input
+    rows, times its matrix, replace them and are added onto its output rows:
+    the product with the element embedded in the whole mode space, without
     building that embedding; ``tests/dense_reference.transfer`` builds it as
     the reference.  A branch (outcome, target output port) keeps three rows
     of its outcome's matrix for each of the four two-qubit outputs: the
@@ -129,13 +130,17 @@ class CompiledCircuit:
     conjugated outcome ket.  Post-selection is implicit: only these
     coincidences are ever computed.
 
-    Compiling also checks every stage prefix of every branch: the paths an
-    element sends light onto but does not take as input must be dark (no
-    amplitude above ``DARK_TOL`` from any of the six input modes), or the
-    netlist merges light onto a path that is already lit and the first such
-    element is reported.  Keep the object to reuse it: apart from each
-    ``ElementSpec``'s own build (and so the built-in layouts, which
-    ``builtin_variant`` parses once), nothing of a circuit is cached anywhere else.
+    Compiling is the one check of where light goes.  In every stage prefix,
+    the paths an element sends light onto but does not take as input must
+    be dark (no amplitude above ``DARK_TOL``), or the first element that
+    merges light onto a lit path is reported.  Then, per outcome, the block
+    of the transfer from the target input to the target outputs, from the
+    control input to the control output or from the program input to the
+    detector path is dead if no entry is non-zero, and every dead block of
+    every outcome is reported at once.  Keep the object to reuse it: apart
+    from each ``ElementSpec``'s own build (and so the built-in layouts,
+    which ``builtin_variant`` parses once), nothing of a circuit is cached
+    anywhere else.
     """
 
     def __init__(self, netlist: CircuitNetlist):
@@ -149,40 +154,49 @@ class CompiledCircuit:
         inputs = self._modes(ports.target_in, ports.control_in, ports.program_in)
 
         def compose(chain: Sequence[ElementSpec], transfer: np.ndarray) -> np.ndarray:
-            transfer = transfer.astype(complex)  # a copy
+            transfer = transfer.copy()
             for spec in chain:
                 element = spec.element
                 ins = [index[c] for c in element.channels_in]
                 outs = [index[c] for c in element.channels_out]
-                onto = [[row] for row in outs if row not in ins]  # a column, to pair with inputs
-                if onto and np.abs(transfer[onto, inputs]).max() > DARK_TOL:
-                    lit = np.abs(transfer[onto, inputs]).max(axis=1)
-                    path = element.channels_out[outs.index(onto[int(np.argmax(lit))][0])][0]
-                    where = f"line {spec.line}: " if spec.line else ""
-                    raise NetlistValidationError(
-                        [f"{where}{spec.name}: sends light onto an already-lit path ({path})"]
-                    )
+                onto = [row for row in outs if row not in ins]
+                if onto and np.abs(transfer[onto]).max() > DARK_TOL:
+                    lit = np.abs(transfer[onto]).max(axis=1)
+                    path = element.channels_out[outs.index(onto[int(np.argmax(lit))])][0]
+                    message = f"sends light onto an already-lit path ({path})"
+                    raise NetlistValidationError([f"{_where(spec)}{spec.name}: {message}"])
                 moved = element.matrix @ transfer[ins]
                 transfer[ins] = 0.0
                 transfer[outs] += moved
             return transfer
 
-        before = compose(netlist.stages[: netlist.measure_after], np.eye(len(self.registry)))
+        before = compose(netlist.stages[: netlist.measure_after],
+                         np.eye(len(self.registry), dtype=complex)[:, inputs])
         after = netlist.stages[netlist.measure_after:]
         control = self._modes(ports.control_out)
+        detector = self._modes(netlist.measurement.path)
+        blocks = (  # the output rows that input k's columns 2k and 2k + 1 must reach
+            (self._modes(*ports.target_out), "target input does not reach any target output"),
+            (control, "control input does not reach the control output"),
+            (detector, "program input does not reach the detector path"),
+        )
         # per target port and output |tc>: target row t, control row c and
         # the detector row, appended after the transfer matrix's last row
         picks = [
             [(target[t], control[c], len(self.registry)) for t, c in np.ndindex(2, 2)]
             for target in map(self._modes, ports.target_out)
         ]
-        rows = []
+        rows, dead = [], []
         for outcome in netlist.measurement.outcomes:
             correction = (netlist.correction(outcome.correct),) if outcome.correct else ()
             transfer = compose(correction + after, before)
-            detector = np.conj(outcome.ket) @ transfer[self._modes(netlist.measurement.path)]
-            rows.append(np.vstack([transfer, detector])[picks])
-        #: (branches, 4, 3, modes): the three output rows of each branch and output.
+            dead += [f"outcome {outcome.label!r}: {message}" for k, (out, message)
+                     in enumerate(blocks) if not transfer[out, 2 * k:2 * k + 2].any()]
+            measured = np.conj(outcome.ket) @ transfer[detector]
+            rows.append(np.vstack([transfer, measured])[picks])
+        if dead:
+            raise NetlistValidationError(dead)
+        #: (branches, 4, 3, 6): the three output rows of each branch and output.
         self.rows = np.concatenate(rows)
         #: (outcome label, port) of every branch, in the order run() emits them.
         self.branch_keys = tuple(
@@ -227,13 +241,13 @@ class CompiledCircuit:
         phi is (G_H - e^{i phi} G_V)/sqrt(2).
         """
         ports = self.netlist.ports
-        t, c, p = np.reshape(self._modes(ports.target_in, ports.control_in, ports.program_in),
-                             (3, 2))
+        mode = self._modes(ports.target_in, ports.control_in, ports.program_in)
         # A permanent does not depend on the order of its columns, but its
-        # floating-point sum may: ascending columns give every netlist the
-        # summation order of the committed golden outputs, whatever order it
-        # declares its input paths in.
-        columns = np.sort([(t[i], c[j], p[k]) for k, i, j in np.ndindex(2, 2, 2)], axis=1)
+        # floating-point sum may: columns in ascending mode order give every
+        # netlist the summation order of the committed golden outputs,
+        # whatever order it declares its input paths in.
+        columns = [sorted((i, 2 + j, 4 + k), key=mode.__getitem__)
+                   for k, i, j in np.ndindex(2, 2, 2)]
         # rows[..., columns] is (branches, 4, 3, 8, 3): move the input axis out
         amplitudes = permanents(np.moveaxis(self.rows[..., columns], -2, -3))
         return np.moveaxis(amplitudes.reshape(len(self.branch_keys), 4, 2, 4), 2, 0)

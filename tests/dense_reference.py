@@ -10,8 +10,10 @@ nothing is shared with ``lopcsim.fock`` beyond the registry and element
 types.
 
 ``transfer`` is also the reference for the compile path: each element is
-embedded here on its own as a full mode-space matrix, and the products
-must equal ``CompiledCircuit.rows`` bit for bit (``tests/test_compose.py``).
+embedded here on its own as a full mode-space matrix, and the products,
+read on the six input columns (target, control and program input, H then
+V), must equal ``CompiledCircuit.rows`` bit for bit
+(``tests/test_compose.py``).
 """
 
 import itertools

@@ -8,7 +8,7 @@ import pytest
 from lopcsim import builtin_variant, cli, render
 from lopcsim.cli import _emit, main
 
-from .test_compiled import MERGED_CASES
+from .test_compiled import DEAD_CASES, MERGED_CASES
 
 
 def read_csv(path):
@@ -270,6 +270,19 @@ def test_light_merged_onto_a_lit_path_exits_2(tmp_path, capsys, text, line):
     assert main(["verify", "--variant", "basic", "--netlist", str(merged), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: line {line}: PX: sends light onto an already-lit path (C_OUT)")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+@pytest.mark.parametrize("variant, text, diagnostics", DEAD_CASES)
+def test_an_input_whose_light_reaches_no_port_exits_2(
+    tmp_path, capsys, command, variant, text, diagnostics
+):
+    dead = tmp_path / "dead.lopc"
+    dead.write_text(text, encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert main([command, "--variant", variant, "--netlist", str(dead), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "".join(f"error: {d}\n" for d in diagnostics)
     assert not out.exists()
 
 

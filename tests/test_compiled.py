@@ -308,6 +308,39 @@ def test_light_merged_onto_a_lit_path_is_a_located_error(text, line):
         CompiledCircuit(replace(netlist, stages=tuple(replace(s, line=None) for s in netlist.stages)))
 
 
+def edited(variant, statement, replacement):
+    """The shipped layout's text with one statement replaced."""
+    text = resources.files("lopcsim").joinpath(f"circuits/{variant}.lopc").read_text("utf-8")
+    assert statement in text
+    return text.replace(statement, replacement)
+
+
+F2 = "filter F2 path=C_OUT th=0.5773502691896258 tv=1.0"
+PBS1 = "pbs PBS1 in=t_in,t_in2 out=t_up,t_low"
+NO_CONTROL = "control input does not reach the control output"
+#: (variant, netlist text, diagnostics) of shipped layouts with all of one
+#: input's light filtered out: each passes ``validate`` and fails to compile.
+DEAD_CASES = [
+    pytest.param("basic", edited("basic", F2, "filter F2 path=C_OUT th=0.0 tv=0.0"),
+                 [f"outcome 'D': {NO_CONTROL}"], id="basic-F2"),
+    pytest.param("full", edited("full", F2, "filter F2 path=C_OUT th=0.0 tv=0.0"),
+                 [f"outcome 'D': {NO_CONTROL}", f"outcome 'A': {NO_CONTROL}"], id="full-F2"),
+    pytest.param("basic", edited("basic", PBS1, f"filter FP path=p_in th=0.0 tv=0.0\n{PBS1}"),
+                 ["outcome 'D': program input does not reach the detector path"], id="p_in"),
+    pytest.param("basic", edited("basic", PBS1, f"filter FT path=t_in th=0.0 tv=0.0\n{PBS1}"),
+                 ["outcome 'D': target input does not reach any target output"], id="t_in"),
+]
+
+
+@pytest.mark.parametrize("variant, text, diagnostics", DEAD_CASES)
+def test_an_input_whose_light_reaches_no_port_is_an_error_per_outcome(variant, text, diagnostics):
+    netlist = parse(text)
+    assert validate(netlist) == []
+    with pytest.raises(NetlistValidationError) as caught:
+        CompiledCircuit(netlist)
+    assert caught.value.diagnostics == diagnostics
+
+
 def test_a_measurement_without_outcomes_is_a_validation_error(monkeypatch, tmp_path, capsys):
     nl = replace(builtin_variant("basic"), measurement=MeasurementRule("d", ()))
     with pytest.raises(NetlistValidationError) as caught:

@@ -1,22 +1,27 @@
 """The compile path of ``CompiledCircuit`` against its references.
 
-Compiling applies each element to the rows of a running transfer matrix and
-takes ``program_operators`` from one batch of permanents.  The rows must
-equal the products of each outcome's element chain from
-``tests/dense_reference.transfer``, which embeds every element in the whole
-mode space, bit for bit on the built-in layouts and to 1e-15 on random
-element chains.  ``program_operators``, and ``run`` on random entangled
-inputs, must agree to 1e-12 with ``dense_run``: the three-photon ket
-evolved by the dense reference, with no permanent and no compiled row, on
-the built-in layouts, ``full`` without its corrections, detuned layouts
-and random element chains.
+Compiling applies each element to the rows of a running transfer matrix on
+the six input columns and takes ``program_operators`` from one batch of
+permanents.  The rows must equal the products of each outcome's element
+chain from ``tests/dense_reference.transfer``, which embeds every element
+in the whole mode space, on those six columns: bit for bit on the built-in
+layouts and to 1e-15 on random element chains.  ``program_operators``, and
+``run`` on random entangled inputs, must agree to 1e-12 with ``dense_run``:
+the three-photon ket evolved by the dense reference, with no permanent and
+no compiled row, on the built-in layouts, ``full`` without its
+corrections, detuned layouts, random element chains and a netlist whose
+target light reaches its port only through a feed-forward correction.
 
-The merge guard (an element may not send light onto a path that is already
-lit) is checked against the same dense prefixes, on random netlists whose
-splitters may send light anywhere: a netlist compiles exactly when no
-prefix lights a path that its next element sends light onto, every prefix
-of a compiled netlist is a contraction on the six input modes, and a
-rejection names the first element, in compile order, that merges.
+Where light goes is checked against the same dense prefixes, on random
+netlists whose splitters may send light anywhere and whose filters and
+Jones maps may be drawn down to 0.  An element may not send light onto a
+path that is already lit: a rejection for that names the first element,
+in compile order, that merges, and is reported before anything else.
+Otherwise a netlist compiles exactly when no outcome's final prefix is
+exactly 0 on an input's block (target input to the target outputs,
+control input to the control output, program input to the detector
+path), and the rejection names every such block of every outcome.  Every
+prefix of a compiled netlist is a contraction on the six input modes.
 """
 
 import math
@@ -28,7 +33,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lopcsim import CompiledCircuit, NetlistValidationError, builtin_variant, validate
+from lopcsim import CompiledCircuit, NetlistValidationError, builtin_variant, parse, validate
 from lopcsim.elements import KINDS, ElementSpec
 from lopcsim.fock import POLS
 from lopcsim.netlist import CircuitNetlist, MeasurementOutcome, MeasurementRule, Ports
@@ -57,8 +62,21 @@ def outcome_chains(netlist):
         yield outcome, [spec.element for spec in before + correction + after]
 
 
+def input_columns(netlist):
+    """The six input modes, in port order: the target, control and program
+    input paths, H then V on each."""
+    registry, ports = netlist.registry(), netlist.ports
+    return [
+        registry.channel_index[path, pol]
+        for path in (ports.target_in, ports.control_in, ports.program_in)
+        for pol in POLS
+    ]
+
+
 def reference_rows(netlist):
-    """``CompiledCircuit.rows`` from ``dense_reference.transfer`` of each outcome's chain."""
+    """``CompiledCircuit.rows`` from ``dense_reference.transfer`` of each
+    outcome's chain, over every mode: the compiled rows are its
+    ``input_columns``."""
     registry = netlist.registry()
 
     def modes(path):
@@ -124,7 +142,8 @@ def dense_operators(netlist):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_rows_equal_the_embedded_products_bit_for_bit(variant):
     circuit = CompiledCircuit(builtin_variant(variant))
-    assert np.array_equal(circuit.rows, reference_rows(circuit.netlist))
+    reference = reference_rows(circuit.netlist)[..., input_columns(circuit.netlist)]
+    assert np.array_equal(circuit.rows, reference)
 
 
 @pytest.mark.parametrize("name", sorted(NETLISTS))
@@ -141,6 +160,35 @@ def test_run_matches_the_dense_reference_on_entangled_inputs(name):
         psi = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
         psi /= np.linalg.norm(psi)
         assert np.max(np.abs(circuit.run(psi) - dense_run(circuit.netlist, psi))) <= 1e-12
+
+
+#: Seven paths, one outcome: the target input's only route to T_OUT is the
+#: splitter FF, the outcome's feed-forward correction.
+VIA_CORRECTION_LOPC = """\
+path t_in
+path c_in
+path p_in
+path x
+path d
+path T_OUT
+path C_OUT
+hwp HT path=t_in angle=22.5
+hwp HC path=c_in angle=22.5
+pbs PC in=c_in,x out=C_OUT,x
+pbs PP in=p_in,x out=d,x
+pbs FF in=t_in,x out=T_OUT,x
+measure path=d outcome D ket=0.6,0.8 correct=FF
+postselect T_OUT=1 C_OUT=1 d=1
+ports target_in=t_in control_in=c_in program_in=p_in target_out=T_OUT control_out=C_OUT
+"""
+
+
+def test_light_that_reaches_its_port_through_a_correction_compiles():
+    netlist = parse(VIA_CORRECTION_LOPC)
+    assert [spec.name for spec in netlist.corrections] == ["FF"]
+    operators = CompiledCircuit(netlist).program_operators
+    assert np.max(np.abs(operators - dense_operators(netlist))) <= 1e-12
+    assert np.abs(operators).max() > 0.1
 
 
 @st.composite
@@ -162,8 +210,8 @@ def netlist_of(chain, paths, angle, outcomes):
     """``chain``, then a measurement of the program photon's path with
     ``outcomes`` orthonormal kets; ``paths`` are the target, control and
     program photon's input and output paths.  A splitter's outputs permute
-    its inputs, so every path reaches itself and no light merges onto a lit
-    path: it compiles."""
+    its inputs, so no light merges onto a lit path: it compiles unless an
+    input's light is filtered out or routed off its path."""
     a, b, c = paths
     cos, sin = complex(math.cos(angle)), complex(math.sin(angle))
     kets = [(cos, sin), (-sin, cos)][:outcomes]
@@ -183,9 +231,17 @@ def netlist_of(chain, paths, angle, outcomes):
 @SETTINGS
 @given(spec_chains(), st.permutations(REGISTRY.paths), PHASE, st.integers(1, 2))
 def test_compile_path_matches_the_references_on_random_chains(chain, paths, angle, outcomes):
-    circuit = CompiledCircuit(netlist_of(chain, paths, angle, outcomes))
-    assert np.max(np.abs(circuit.rows - reference_rows(circuit.netlist))) <= 1e-15
-    assert np.max(np.abs(circuit.program_operators - dense_operators(circuit.netlist))) <= 1e-12
+    netlist = netlist_of(chain, paths, angle, outcomes)
+    dead = dead_blocks(netlist)
+    try:
+        circuit = CompiledCircuit(netlist)
+    except NetlistValidationError as err:
+        assert dead and err.diagnostics == dead
+        return
+    assert dead == []
+    reference = reference_rows(netlist)[..., input_columns(netlist)]
+    assert np.max(np.abs(circuit.rows - reference)) <= 1e-15
+    assert np.max(np.abs(circuit.program_operators - dense_operators(netlist))) <= 1e-12
 
 
 #: Largest magnitude from an input mode that leaves a path dark: the guard's
@@ -207,12 +263,7 @@ def reference_prefixes(netlist):
     """Each outcome's element chain with its dense prefixes on the six input
     columns, the empty one first: prefix k is what element k acts on."""
     registry = netlist.registry()
-    ports = netlist.ports
-    inputs = [
-        registry.channel_index[path, pol]
-        for path in (ports.target_in, ports.control_in, ports.program_in)
-        for pol in POLS
-    ]
+    inputs = input_columns(netlist)
     for _, chain in outcome_chains(netlist):
         transfer = np.eye(len(registry), dtype=complex)
         prefixes = [transfer[:, inputs]]
@@ -235,6 +286,26 @@ def first_merge(netlist):
     return None
 
 
+def dead_blocks(netlist):
+    """The diagnostics that compiling must give for the blocks of each
+    outcome's final dense prefix that are exactly 0: the target input's
+    columns on the target outputs, the control input's on the control
+    output, the program input's on the detector path."""
+    registry, ports = netlist.registry(), netlist.ports
+    goals = [
+        (ports.target_out, "target input does not reach any target output"),
+        ((ports.control_out,), "control input does not reach the control output"),
+        ((netlist.measurement.path,), "program input does not reach the detector path"),
+    ]
+    found = []
+    for outcome, (_, prefixes) in zip(netlist.measurement.outcomes, reference_prefixes(netlist)):
+        for k, (paths, message) in enumerate(goals):
+            rows = [registry.channel_index[path, pol] for path in paths for pol in POLS]
+            if not prefixes[-1][rows, 2 * k:2 * k + 2].any():
+                found.append(f"outcome {outcome.label!r}: {message}")
+    return found
+
+
 def assert_contractive_prefixes(netlist):
     """Every prefix V, on the input columns, has I - V†V positive
     semidefinite; it is an isometry while every element so far is unitary."""
@@ -254,11 +325,14 @@ def gate_netlists(draw):
     or, one time in four, onto any two paths.
 
     The stages are drawn first.  The ports are then picked among the paths
-    each input reaches through the splitters, as ``validate`` traces a
-    photon, and renamed to ``PORT_PATHS``; the measurement follows the last
-    stage on the detector path, and one outcome's feed-forward correction
-    acts on the other paths.  So the netlist validates, and whether it
-    merges light onto a lit path is left to the draw.
+    each input reaches by a walk over the splitters that ignores
+    polarization, every element's matrix and the correction, and renamed
+    to ``PORT_PATHS``; the measurement follows the last stage on the
+    detector path, and one outcome's feed-forward correction acts on the
+    other paths.  So the netlist validates, and whether it merges light onto
+    a lit path, or (through a filter or a Jones map drawn down to 0, or a
+    splitter that routes a polarization away) leaves an input dead, is left
+    to the draw.
 
     One time in four, two planted stages come first: a filter dims an input
     path to amplitudes of 1e-10 to 1e-4, then a splitter sends two dark
@@ -325,21 +399,24 @@ def gate_netlists(draw):
 @given(gate_netlists())
 def test_the_merge_guard_agrees_with_the_dense_reference(netlist):
     assert validate(netlist) == []
-    merge = first_merge(netlist)
+    merge, dead = first_merge(netlist), dead_blocks(netlist)
     try:
         CompiledCircuit(netlist)
     except NetlistValidationError as err:
-        (diagnostic,) = err.diagnostics
-        name, path = MERGED.fullmatch(diagnostic).groups()
-        assert merge is not None and merge[0] == name and path in merge[1]
+        if merge is None:  # a merge is reported before any dead input
+            assert dead and err.diagnostics == dead
+        else:
+            (diagnostic,) = err.diagnostics
+            name, path = MERGED.fullmatch(diagnostic).groups()
+            assert merge[0] == name and path in merge[1]
     else:
-        assert merge is None
+        assert merge is None and dead == []
         assert_contractive_prefixes(netlist)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_the_shipped_layouts_pass_the_merge_property(variant):
     netlist = builtin_variant(variant)
-    assert first_merge(netlist) is None
+    assert first_merge(netlist) is None and dead_blocks(netlist) == []
     CompiledCircuit(netlist)
     assert_contractive_prefixes(netlist)

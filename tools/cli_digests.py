@@ -18,7 +18,9 @@ the same relative paths for every checkout.
 After the fixed matrix comes a 33-point ``sweep`` of ``full.lopc`` with two
 plates turned (``DETUNED``), written to the temporary directory and
 labelled in its line, so that the fidelity column changes from phase to
-phase.
+phase.  Then come the shipped layouts with all of one input's light
+filtered out (``DEAD``), each run through ``sweep`` and ``verify
+--netlist``: compiling rejects them, naming the dead input per outcome.
 
 Then come the malformed netlists: every statement of the
 shipped ``basic.lopc`` and ``full.lopc`` with exactly one token dropped,
@@ -77,6 +79,17 @@ DETUNED = ("full.lopc(HWP2=32.5,HWP5=30)", (
     ("hwp HWP2 path=t_low angle=22.5", "hwp HWP2 path=t_low angle=32.5"),
     ("hwp HWP5 path=T_OUT2 angle=45.0", "hwp HWP5 path=T_OUT2 angle=30"),
 ))
+F2 = "filter F2 path=C_OUT th=0.5773502691896258 tv=1.0"
+PBS1 = "pbs PBS1 in=t_in,t_in2 out=t_up,t_low"
+#: Shipped layouts that leave an input dead, as (label, variant, ((statement,
+#: replacement),)): F2 blocks the control output, and a filter inserted
+#: before PBS1 blocks the program or the target input.
+DEAD = (
+    ("basic.lopc(F2=0)", "basic", ((F2, "filter F2 path=C_OUT th=0.0 tv=0.0"),)),
+    ("full.lopc(F2=0)", "full", ((F2, "filter F2 path=C_OUT th=0.0 tv=0.0"),)),
+    ("basic.lopc(+FP=0)", "basic", ((PBS1, f"filter FP path=p_in th=0.0 tv=0.0\n{PBS1}"),)),
+    ("basic.lopc(+FT=0)", "basic", ((PBS1, f"filter FT path=t_in th=0.0 tv=0.0\n{PBS1}"),)),
+)
 
 
 def commands():
@@ -114,6 +127,16 @@ def malformed():
                     yield variant, f"{name}:{i + 1}:{t + 1}:{edit}", text
 
 
+def edited(variant: str, edits) -> str:
+    """The shipped ``<variant>.lopc`` with each (statement, replacement) made."""
+    text = Path("src/lopcsim/circuits", f"{variant}.lopc").read_text(encoding="utf-8")
+    for statement, replacement in edits:
+        if statement not in text:
+            raise SystemExit(f"{variant}.lopc has no statement {statement!r}")
+        text = text.replace(statement, replacement)
+    return text
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
     os.chdir(root)
@@ -134,16 +157,16 @@ def main(argv: list[str]) -> int:
         for args in commands():
             print(f"{digest(args)}  {' '.join(args)}")
         label, edits = DETUNED
-        text = Path("src/lopcsim/circuits/full.lopc").read_text(encoding="utf-8")
-        for statement, replacement in edits:
-            if statement not in text:
-                raise SystemExit(f"full.lopc has no statement {statement!r}")
-            text = text.replace(statement, replacement)
-        netlist.write_text(text, encoding="utf-8")
+        netlist.write_text(edited("full", edits), encoding="utf-8")
         args = ["sweep", "--variant", "full", "--netlist"]
         for fmt in ("csv", "json"):
             grid = ["--steps", "33", "--format", fmt]
             print(f"{digest([*args, str(netlist), *grid])}  {' '.join([*args, label, *grid])}")
+        for label, variant, edits in DEAD:
+            netlist.write_text(edited(variant, edits), encoding="utf-8")
+            for command in ("sweep", "verify"):
+                args = [command, "--variant", variant, "--netlist"]
+                print(f"{digest([*args, str(netlist)])}  {' '.join([*args, label])}")
         for variant, label, text in malformed():
             netlist.write_text(text, encoding="utf-8")
             args = ["verify", "--variant", variant, "--netlist"]
