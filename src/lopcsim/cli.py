@@ -151,11 +151,11 @@ def _emit(args, command: str, header: list[str], columns, repeats=()) -> None:
     """Write equal-length columns as rows, one column per header field.
 
     Each column (floats or bools that numpy reads, or str) is formatted once,
-    by distinct value (``_cells``), and the rows are joined from one
-    template; ``repeats[i]``, if given, writes each cell of column i on that
-    many consecutive rows.  CSV prints
-    floats as ``%.17g``; JSON is ``json.dumps(rows, indent=2,
-    sort_keys=True, allow_nan=False)`` of the row dicts, byte for byte.
+    by distinct value (``_cells``); ``repeats[i]``, if given, writes each cell
+    of column i on that many consecutive rows.  CSV joins each row's cells
+    and prints floats as ``%.17g``.  JSON is one join of every cell, each
+    after its key, and equals ``json.dumps(rows, indent=2, sort_keys=True,
+    allow_nan=False)`` of the row dicts, byte for byte.
     """
     as_json = args.format == "json"
     cells = [_cells(column, as_json) for column in columns]
@@ -165,10 +165,18 @@ def _emit(args, command: str, header: list[str], columns, repeats=()) -> None:
     if as_json:
         pad = "    " if meta else "  "
         keys = sorted(range(len(header)), key=header.__getitem__)
-        fields = ",\n".join(f"{pad}  {_quote(header[i]).replace('%', '%%')}: %s" for i in keys)
-        template = "{\n" + fields + "\n" + pad + "}"
-        rows = f",\n{pad}".join([template % row for row in zip(*(cells[i] for i in keys))])
-        text = f"[\n{pad}{rows}\n{pad[2:]}]" if rows else "[]"
+        # one join of the cells, each after its key and, for the first key,
+        # after the previous row's close
+        fields = [f"\n{pad}  {_quote(header[i])}: " for i in keys]
+        prefixes = [f"\n{pad}}},\n{pad}{{{fields[0]}", *(f",{field}" for field in fields[1:])]
+        rows, stride = len(cells[keys[0]]), 2 * len(keys)
+        parts = [""] * (rows * stride)
+        for j, i in enumerate(keys):
+            parts[2 * j::stride] = [prefixes[j]] * rows
+            parts[2 * j + 1::stride] = cells[i]
+        if parts:
+            parts[0] = f"[\n{pad}{{{fields[0]}"
+        text = "".join(parts) + f"\n{pad}}}\n{pad[2:]}]" if parts else "[]"
         if meta:
             pairs = ",\n".join(f"    {_quote(k)}: {_quote(v)}" for k, v in sorted(meta))
             text = f'{{\n  "meta": {{\n{pairs}\n  }},\n  "rows": {text}\n}}'

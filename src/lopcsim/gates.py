@@ -63,11 +63,12 @@ class GateGrid:
     ``CompiledCircuit.run`` gives for the basis input |tc> with the program
     photon (|H> - e^{i phi}|V>)/sqrt(2).  The primary branch is the first,
     the first declared outcome on the first target output port;
-    ``fidelity`` scores its operator against the ideal operation.  ``probabilities`` (phases, branches) is each branch's
-    probability for the input |00> (its operator's first column), and
-    ``p_success`` their sum.  ``phis`` and the scores hold one entry per
-    phase.  The two consistency scores, ``branch_consistent`` and
-    ``diagonal``, are computed from ``ops`` on first read and then kept.
+    ``fidelity`` scores its operator against the ideal operation.
+    ``probabilities`` (phases, branches) is each branch's probability for
+    the input |00> (its operator's first column), and ``p_success`` their
+    sum.  ``phis`` and the scores hold one entry per phase.  The two
+    consistency scores, ``branch_consistent`` and ``diagonal``, are computed
+    from ``ops`` on first read and then kept.
     """
 
     phis: np.ndarray
@@ -123,12 +124,15 @@ class CompiledCircuit:
     rows, times its matrix, replace them and are added onto its output rows:
     the product with the element embedded in the whole mode space, without
     building that embedding; ``tests/dense_reference.transfer`` builds it as
-    the reference.  A branch (outcome, target output port) keeps three rows
-    of its outcome's matrix for each of the four two-qubit outputs: the
-    target port row of the target polarization, the control output row of
-    the control polarization, and the detector rows contracted with the
-    conjugated outcome ket.  Post-selection is implicit: only these
-    coincidences are ever computed.
+    the reference.  Each stage's rows are looked up once per compile, and
+    the plan of the stages after the measurement point serves every outcome;
+    a one-path element acts in place on its path's two adjacent rows.  A
+    branch (outcome, target output port) keeps three rows of its outcome's
+    matrix for each of the four two-qubit outputs: the target port row of
+    the target polarization, the control output row of the control
+    polarization, and the detector rows contracted with the conjugated
+    outcome ket.  Post-selection is implicit: only these coincidences are
+    ever computed.
 
     Compiling is the one check of where light goes.  In every stage prefix,
     the paths an element sends light onto but does not take as input must
@@ -153,26 +157,41 @@ class CompiledCircuit:
         index = self.registry.channel_index
         inputs = self._modes(ports.target_in, ports.control_in, ports.program_in)
 
-        def compose(chain: Sequence[ElementSpec], transfer: np.ndarray) -> np.ndarray:
-            transfer = transfer.copy()
+        def plan(chain: Sequence[ElementSpec]) -> list:
+            """(spec, matrix, input rows, output rows, onto rows) of each stage.  A
+            one-path element (two channels, H then V) acts on its path's two
+            adjacent rows, given as one slice and no output or onto rows."""
+            steps = []
             for spec in chain:
                 element = spec.element
                 ins = [index[c] for c in element.channels_in]
+                if len(ins) == 2:
+                    steps.append((spec, element.matrix, slice(ins[0], ins[0] + 2), None, None))
+                    continue
                 outs = [index[c] for c in element.channels_out]
-                onto = [row for row in outs if row not in ins]
+                steps.append((spec, element.matrix, ins, outs, [r for r in outs if r not in ins]))
+            return steps
+
+        def compose(steps: list, transfer: np.ndarray) -> np.ndarray:
+            transfer = transfer.copy()
+            for spec, matrix, ins, outs, onto in steps:
+                if outs is None:  # 0.0 + moved, as below, so no -0.0 is stored
+                    view = transfer[ins]
+                    np.add(matrix @ view, 0.0, out=view)
+                    continue
                 if onto and np.abs(transfer[onto]).max() > DARK_TOL:
                     lit = np.abs(transfer[onto]).max(axis=1)
-                    path = element.channels_out[outs.index(onto[int(np.argmax(lit))])][0]
+                    path = spec.element.channels_out[outs.index(onto[int(np.argmax(lit))])][0]
                     message = f"sends light onto an already-lit path ({path})"
                     raise NetlistValidationError([f"{_where(spec)}{spec.name}: {message}"])
-                moved = element.matrix @ transfer[ins]
+                moved = matrix @ transfer[ins]
                 transfer[ins] = 0.0
                 transfer[outs] += moved
             return transfer
 
-        before = compose(netlist.stages[: netlist.measure_after],
+        before = compose(plan(netlist.stages[: netlist.measure_after]),
                          np.eye(len(self.registry), dtype=complex)[:, inputs])
-        after = netlist.stages[netlist.measure_after:]
+        after = plan(netlist.stages[netlist.measure_after:])
         control = self._modes(ports.control_out)
         detector = self._modes(netlist.measurement.path)
         blocks = (  # the output rows that input k's columns 2k and 2k + 1 must reach
@@ -188,7 +207,7 @@ class CompiledCircuit:
         ]
         rows, dead = [], []
         for outcome in netlist.measurement.outcomes:
-            correction = (netlist.correction(outcome.correct),) if outcome.correct else ()
+            correction = plan([netlist.correction(outcome.correct)]) if outcome.correct else []
             transfer = compose(correction + after, before)
             dead += [f"outcome {outcome.label!r}: {message}" for k, (out, message)
                      in enumerate(blocks) if not transfer[out, 2 * k:2 * k + 2].any()]

@@ -493,8 +493,8 @@ def validate(netlist: CircuitNetlist) -> list[str]:
                 diags.append(f"{_where(spec)}{spec.name}: undeclared path {path!r}")
         try:
             spec.element  # built here once; CompiledCircuit reuses it
-        except ValueError as err:
-            diags.append(f"{_where(spec)}{spec.name}: {err}")
+        except ValueError as err:  # linear_element's messages lead with the name too
+            diags.append(f"{_where(spec)}{spec.name}: {str(err).removeprefix(spec.name + ': ')}")
 
     rule = netlist.measurement
     if rule.path not in declared:

@@ -62,6 +62,18 @@ def test_verify_semantically_invalid_netlist_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_an_element_that_fails_to_build_is_named_once(tmp_path, capsys):
+    # the shipped full.lopc, whose line 14 declares HWP1, with a gain of 2 on H
+    jones = "jones HWP1 path=t_low m=-0.8660254037844386,0.5,0.5,0.8660254037844386"
+    text = render(builtin_variant("full")).replace(jones, "jones HWP1 path=t_low m=2,0,0,1")
+    bad = tmp_path / "gain.lopc"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["verify", "--variant", "full", "--netlist", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 14: HWP1: matrix is not subunitary (max singular value 2.0)\n"
+    )
+
+
 def test_verify_detuned_netlist_fails(tmp_path, capsys):
     # a parseable netlist that is not the gate: HWP2 detuned by 10 degrees
     text = render(builtin_variant("basic")).replace("hwp HWP2 path=t_low angle=22.5", "hwp HWP2 path=t_low angle=32.5")

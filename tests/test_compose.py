@@ -244,6 +244,40 @@ def test_compile_path_matches_the_references_on_random_chains(chain, paths, angl
     assert np.max(np.abs(circuit.program_operators - dense_operators(netlist))) <= 1e-12
 
 
+
+@pytest.mark.parametrize("kind, params", [("pbs", ()), ("ppbs", (0.6,))])
+def test_a_splitter_whose_inputs_are_its_outputs_matches_the_references(kind, params):
+    """``in=a,b out=a,b`` has the same input and output rows, but four of
+    them on two paths: it is composed through its rows, not one path's."""
+    plates = [ElementSpec("hwp", f"H{path}", (path,), (22.5,)) for path in ("a", "b")]
+    chain = [*plates, ElementSpec(kind, "S", ("a", "b", "a", "b"), params)]
+    netlist = netlist_of(chain, ("a", "b", "c"), 0.3, 2)
+    circuit = CompiledCircuit(netlist)
+    reference = reference_rows(netlist)[..., input_columns(netlist)]
+    assert np.max(np.abs(circuit.rows - reference)) <= 1e-15
+    assert np.max(np.abs(circuit.program_operators - dense_operators(netlist))) <= 1e-12
+
+
+def bits(array):
+    """The bit patterns of a complex array, so that 0.0 and -0.0 differ."""
+    return np.ascontiguousarray(array).view(np.int64)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_compiling_twice_gives_the_same_bits_and_leaves_the_elements_as_they_were(variant):
+    """Down to the sign of each zero, which ``np.array_equal`` does not see:
+    the rows are also those of the dense reference."""
+    netlist = builtin_variant(variant)
+    specs = netlist.stages + netlist.corrections
+    matrices = [bits(spec.element.matrix).copy() for spec in specs]
+    first, second = CompiledCircuit(netlist), CompiledCircuit(netlist)
+    assert np.array_equal(bits(first.rows), bits(second.rows))
+    reference = reference_rows(netlist)[..., input_columns(netlist)]
+    assert np.array_equal(bits(first.rows), bits(reference))
+    assert np.array_equal(bits(first.program_operators), bits(second.program_operators))
+    for spec, matrix in zip(specs, matrices):
+        assert np.array_equal(bits(spec.element.matrix), matrix)
+
 #: Largest magnitude from an input mode that leaves a path dark: the guard's
 #: documented 1e-12, kept apart from ``gates.DARK_TOL`` so that the property
 #: also checks that constant.

@@ -1,14 +1,16 @@
 """Digest every output of a fixed matrix of lopcsim commands.
 
 Prints one line per command: the blake2b digest of its exit code, standard
-error and output file, two spaces, then the argv.  Run it against two
-checkouts and diff the listings to check that a change leaves every byte
-of ``verify``, ``sweep`` and ``hom`` output (and every exit code) as it was:
+error and output file, two spaces, then the argv.  To check that a change
+leaves every byte of ``verify``, ``sweep`` and ``hom`` output (and every
+exit code) as it was at a git revision:
 
-    python3 tools/cli_digests.py > after.txt
-    git archive HEAD~1 | (mkdir -p /tmp/parent && tar -x -C /tmp/parent)
-    python3 tools/cli_digests.py /tmp/parent > before.txt
-    diff before.txt after.txt
+    python3 tools/cli_digests.py --against HEAD
+
+unpacks ``git archive HEAD`` into a temporary directory, runs the matrix
+in that checkout and in this one, each in a fresh interpreter, prints
+each line that differs (``-`` at the revision, ``+`` here, with its label)
+and exits 1 if any does, 0 if none does.
 
 The optional argument is the checkout whose ``src/lopcsim`` is run (default:
 the one holding this script).  Commands run in-process from the checkout
@@ -39,13 +41,16 @@ whitespace other than one space.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import itertools
 import os
 import re
+import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -137,8 +142,40 @@ def edited(variant: str, edits) -> str:
     return text
 
 
+def listing(root: Path) -> list[str]:
+    """The digest lines of the matrix run in ``root``, from a fresh interpreter."""
+    done = subprocess.run([sys.executable, __file__, str(root)],
+                          capture_output=True, text=True, check=True)
+    return done.stdout.splitlines()
+
+
+def against(revision: str, root: Path) -> int:
+    """Print each digest line that differs between ``revision`` and ``root``;
+    1 if any does, else 0."""
+    archive = subprocess.run(["git", "archive", "--format=tar", revision], cwd=root,
+                             capture_output=True, check=True).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        before = listing(Path(tmp))
+    after = listing(root)
+    differ = [(old, new) for old, new in itertools.zip_longest(before, after, fillvalue="")
+              if old != new]
+    for old, new in differ:
+        print(f"- {old}\n+ {new}")
+    return 1 if differ else 0
+
+
 def main(argv: list[str]) -> int:
-    root = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkout", nargs="?", type=Path,
+                        default=Path(__file__).resolve().parents[1])
+    parser.add_argument("--against", metavar="REV",
+                        help="print only the lines that differ from this git revision")
+    args = parser.parse_args(argv)
+    root = args.checkout.resolve()
+    if args.against:
+        return against(args.against, root)
     os.chdir(root)
     sys.path.insert(0, str(root / "src"))
     from lopcsim.cli import main as lopcsim
