@@ -5,7 +5,7 @@ detected "program" photon."""
 __version__ = "0.1.0"
 
 from .elements import ElementSpec
-from .fock import LinearElement, ModeRegistry, linear_element, permanents
+from .fock import LinearElement, ModeRegistry, permanents
 from .gates import CompiledCircuit, GateGrid, fidelity, hom_scan, ideal_cphase
 from .netlist import (
     CircuitNetlist,
@@ -42,7 +42,6 @@ __all__ = [
     "fidelity",
     "hom_scan",
     "ideal_cphase",
-    "linear_element",
     "oracle_conditional_gate",
     "parse",
     "path_amplitude",

@@ -16,14 +16,16 @@ usually quoted on the bench.
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .fock import H, V, LinearElement, linear_element
+from .fock import H, V, LinearElement
 
 
 @dataclass(frozen=True)
@@ -45,8 +47,8 @@ class ElementSpec:
 
     def checked_kind(self) -> tuple[ElementKind, list[float | complex]]:
         """This spec's ``KINDS`` entry and its parameters as ``matrix`` takes them,
-        floats for the real fields; ValueError on an unknown kind, on a path or
-        parameter count the kind does not take, or on an imaginary part in a real field."""
+        floats for the real fields; ValueError on an unknown kind, a path or parameter
+        count it does not take, a non-number, or an imaginary part in a real field."""
         kind = KINDS.get(self.kind)
         if kind is None:
             raise ValueError(f"unknown element kind {self.kind!r}")
@@ -58,6 +60,8 @@ class ElementSpec:
             raise ValueError(f"{self.kind} takes {len(fields)} parameters, got {len(self.params)}")
         values: list[float | complex] = []
         for f, p in zip(fields, self.params):
+            if not isinstance(p, numbers.Complex):
+                raise ValueError(f"{self.kind} {f.key} must be a number, got {p!r}")
             if f.is_complex:
                 values.append(p)
             elif p.imag:
@@ -67,12 +71,17 @@ class ElementSpec:
         return kind, values
 
     def build(self) -> LinearElement:
-        """The element; ValueError from ``checked_kind``, ``matrix`` or repeated splitter ports."""
+        """The element, its matrix read-only; ValueError from ``checked_kind``, on a
+        non-finite parameter, from ``matrix`` or on repeated splitter ports."""
         kind, values = self.checked_kind()
+        for key, value in zip((f.key for f in kind.fields for _ in range(f.count)), values):
+            if not cmath.isfinite(value):
+                raise ValueError(f"{self.kind} {key} is non-finite: {value}")
         matrix = kind.matrix(*values)
+        matrix.flags.writeable = False
         if len(self.paths) == 1:
             channels = ((self.paths[0], H), (self.paths[0], V))
-            return linear_element(self.name, channels, channels, matrix)
+            return LinearElement(self.name, channels, channels, matrix)
         a, b, t, r = self.paths
         if a == b:
             raise ValueError(f"{self.kind} input paths must differ")
@@ -80,7 +89,7 @@ class ElementSpec:
             raise ValueError(f"{self.kind} output paths must differ")
         channels_in = ((a, H), (b, H), (a, V), (b, V))
         channels_out = ((t, H), (r, H), (t, V), (r, V))
-        return linear_element(self.name, channels_in, channels_out, matrix)
+        return LinearElement(self.name, channels_in, channels_out, matrix)
 
     @cached_property
     def element(self) -> LinearElement:
@@ -100,8 +109,9 @@ class NumericField(NamedTuple):
 
 class ElementKind(NamedTuple):
     """One element kind: (key, path count) of each port field, the numeric
-    fields after them, and ``matrix(*values)``, the channel matrix of the
-    field values in field order, which raises ValueError on one out of range."""
+    fields after them, and ``matrix(*values)``, the channel matrix of the finite
+    field values in field order; as the one check of the kind's range, it raises
+    ValueError on a value out of range, so any matrix it returns is subunitary."""
 
     ports: tuple[tuple[str, int], ...]
     fields: tuple[NumericField, ...]
@@ -137,6 +147,16 @@ def _hwp_matrix(angle_deg: float) -> np.ndarray:
     return np.array([[c, s], [s, -c]], dtype=complex)
 
 
+def _jones_matrix(a: complex, b: complex, c: complex, d: complex) -> np.ndarray:
+    """Any 2x2 polarization map [[a, b], [c, d]] with no singular value above
+    1 + 1e-12: the one kind whose range is not a range of its fields."""
+    matrix = np.array([[a, b], [c, d]], dtype=complex)
+    top = float(np.linalg.svd(matrix, compute_uv=False)[0])
+    if top > 1.0 + 1e-12:
+        raise ValueError(f"matrix is not subunitary (max singular value {top!r})")
+    return matrix
+
+
 def _filter_matrix(t_h: float, t_v: float) -> np.ndarray:
     """Diagonal amplitude filter diag(t_h, t_v); neutral when t_h == t_v."""
     for value in (t_h, t_v):
@@ -149,15 +169,15 @@ _SPLITTER = (("in", 2), ("out", 2))
 _PATH = (("path", 1),)
 
 #: Every element kind a netlist can name, and the only description of each; the
-#: parser, the renderer, the validator and ``ElementSpec.build`` all read it.
+#: parser, the renderer, the validator and ``ElementSpec.build`` all read it,
+#: and each entry's ``matrix`` is the one check of that kind's range.
 KINDS: dict[str, ElementKind] = {
     # polarizing splitter: H maps a -> t and b -> r, V a -> r and b -> t, all by +1
     "pbs": ElementKind(_SPLITTER, (), lambda: np.eye(4, dtype=complex)[[0, 1, 3, 2]]),
     "ppbs": ElementKind(_SPLITTER, (NumericField("tv"),), _ppbs_matrix),
     "hwp": ElementKind(_PATH, (NumericField("angle", usage="<deg>"),), _hwp_matrix),
     # any subunitary 2x2 polarization map, row-major
-    "jones": ElementKind(_PATH, (NumericField("m", 4, True, "<a>,<b>,<c>,<d>"),),
-                         lambda *m: np.reshape(np.array(m, dtype=complex), (2, 2))),
+    "jones": ElementKind(_PATH, (NumericField("m", 4, True, "<a>,<b>,<c>,<d>"),), _jones_matrix),
     "filter": ElementKind(_PATH, (NumericField("th"), NumericField("tv")), _filter_matrix),
     # feed-forward corrector |V> -> -|V>
     "phaseflip": ElementKind(_PATH, (), lambda: np.diag([1.0, -1.0]).astype(complex)),

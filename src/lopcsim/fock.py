@@ -6,6 +6,9 @@ one a dense index.  There is no state type: a gate input is three photons,
 one in each of three distinct input modes, and is given as amplitudes over
 their polarizations (``gates.CompiledCircuit.run``).
 
+A ``LinearElement`` is not checked here: ``elements.ElementSpec.build``
+makes those of a netlist, and each kind's ``KINDS`` matrix checks its range.
+
 A linear network acts through its mode transfer matrix U (column i is the
 image of input mode i).  The amplitude of finding N photons in N distinct
 output modes, from one photon in each of N distinct input modes, is the
@@ -22,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -61,32 +64,6 @@ class LinearElement:
     channels_in: tuple[Channel, ...]
     channels_out: tuple[Channel, ...]
     matrix: np.ndarray
-
-
-def linear_element(
-    name: str,
-    channels_in: Sequence[Channel],
-    channels_out: Sequence[Channel],
-    matrix: np.ndarray,
-) -> LinearElement:
-    """Build a LinearElement: distinct H/V channels and a subunitary matrix."""
-    m = np.asarray(matrix, dtype=complex)
-    channels_in, channels_out = tuple(channels_in), tuple(channels_out)
-    k = len(channels_in)
-    if m.shape != (k, k) or len(channels_out) != k:
-        raise ValueError(f"{name}: matrix shape {m.shape} does not match {k} channels")
-    if not np.isfinite(m).all():
-        raise ValueError(f"{name}: matrix has non-finite entries")
-    if len(set(channels_in)) != k or len(set(channels_out)) != k:
-        raise ValueError(f"{name}: duplicate channels")
-    for channel in channels_in + channels_out:
-        if channel[1] not in POLS:
-            raise ValueError(f"{name}: channel {channel} has a polarization not in {POLS}")
-    if k:
-        top = float(np.linalg.svd(m, compute_uv=False)[0])
-        if top > 1.0 + 1e-12:
-            raise ValueError(f"{name}: matrix is not subunitary (max singular value {top!r})")
-    return LinearElement(name, channels_in, channels_out, m)
 
 
 def permanents(m: np.ndarray) -> np.ndarray:

@@ -278,6 +278,23 @@ def test_compiling_twice_gives_the_same_bits_and_leaves_the_elements_as_they_wer
     for spec, matrix in zip(specs, matrices):
         assert np.array_equal(bits(spec.element.matrix), matrix)
 
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_built_matrices_are_read_only(variant):
+    """``builtin_variant`` shares one netlist per process, so a write into one
+    of its element matrices would change every later compile."""
+    netlist = builtin_variant(variant)
+    first = CompiledCircuit(netlist)
+    for spec in netlist.stages + netlist.corrections:
+        with pytest.raises(ValueError, match="read-only"):
+            spec.element.matrix[0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            spec.element.matrix *= 2.0
+    second = CompiledCircuit(netlist)
+    assert np.array_equal(bits(first.rows), bits(second.rows))
+    assert np.array_equal(bits(first.program_operators), bits(second.program_operators))
+
+
 #: Largest magnitude from an input mode that leaves a path dark: the guard's
 #: documented 1e-12, kept apart from ``gates.DARK_TOL`` so that the property
 #: also checks that constant.

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -237,3 +238,16 @@ def test_elements_reject_non_finite_parameters(bad):
         element("hwp", "t", float("nan"))
     with pytest.raises(ValueError, match="non-finite"):
         element("jones", "t", 0.5, bad, 0.0, 0.5)
+    # built in code, not parsed: a non-finite value or one that is not a number
+    # is a ValueError naming the kind and the field, not a failure inside ``matrix``
+    for kind_name, kind in KINDS.items():
+        spec = _sample_spec(kind_name)
+        for at, f in enumerate(f for f in kind.fields for _ in range(f.count)):
+            for wrong, message in (
+                (bad, f"is non-finite: {bad}"),
+                ("x", "must be a number, got 'x'"),
+                (None, "must be a number, got None"),
+            ):
+                params = spec.params[:at] + (wrong,) + spec.params[at + 1:]
+                with pytest.raises(ValueError, match=f"^{kind_name} {f.key} {re.escape(message)}$"):
+                    replace(spec, params=params).build()

@@ -18,6 +18,7 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,8 +64,35 @@ LOSSY_PARAMS = {
 }
 
 
+#: Parameters of each kind over a range wider than the one it accepts.
+WIDE = st.floats(-1.0, 2.0)
+WIDE_PARAMS = {
+    "pbs": st.just(()),
+    "ppbs": st.tuples(WIDE),
+    "hwp": st.tuples(st.floats(-1e6, 1e6)),
+    "jones": st.tuples(*[st.builds(cmath.rect, st.floats(0.0, 2.0), PHASE)] * 4),
+    "filter": st.tuples(WIDE, WIDE),
+    "phaseflip": st.just(()),
+}
+
+
 def test_every_kind_has_parameter_strategies():
-    assert set(UNITARY_PARAMS) == set(LOSSY_PARAMS) == set(KINDS)
+    assert set(UNITARY_PARAMS) == set(LOSSY_PARAMS) == set(WIDE_PARAMS) == set(KINDS)
+
+
+@SETTINGS
+@pytest.mark.parametrize("kind_name", sorted(KINDS))
+@given(st.data())
+def test_every_built_matrix_is_subunitary(kind_name, data):
+    """Each kind's ``matrix`` is the one check of its range: whatever it is
+    given, it raises ValueError or returns no singular value above 1 + 1e-12."""
+    paths = ("a", "b", "c", "d")[: sum(n for _, n in KINDS[kind_name].ports)]
+    spec = ElementSpec(kind_name, "X", paths, data.draw(WIDE_PARAMS[kind_name]))
+    try:
+        matrix = spec.build().matrix
+    except ValueError:
+        return
+    assert np.linalg.svd(matrix, compute_uv=False)[0] <= 1.0 + 1e-12
 
 
 @st.composite

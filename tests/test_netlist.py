@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from importlib import resources
 
@@ -239,6 +240,24 @@ def test_validate_reports_malformed_specs(spec):
     nl = builtin_variant("basic")
     diags = validate(replace(nl, stages=nl.stages + (spec,)))
     assert any(d.startswith(f"X: {spec.kind} takes") for d in diags), diags
+
+
+@pytest.mark.parametrize(
+    "angle, message",
+    [
+        (math.inf, "hwp angle is non-finite: inf"),
+        ("x", "hwp angle must be a number, got 'x'"),
+        (None, "hwp angle must be a number, got None"),
+    ],
+)
+def test_validate_lists_a_bad_parameter_of_an_element_built_in_code(angle, message):
+    # the parser rejects these at their token; built in code, they reach the build
+    nl = builtin_variant("basic")
+    stages = tuple(replace(s, params=(angle,)) if s.name == "HWP2" else s for s in nl.stages)
+    bad = replace(nl, stages=stages)
+    assert validate(bad) == [f"line 16: HWP2: {message}"]
+    with pytest.raises(NetlistValidationError, match=re.escape(message)):
+        CompiledCircuit(bad)
 
 
 @pytest.mark.parametrize(

@@ -14,19 +14,20 @@ PUBLIC = [
     "CircuitNetlist", "CompiledCircuit", "ElementSpec", "GateGrid", "LinearElement",
     "MeasurementOutcome", "MeasurementRule", "ModeRegistry", "NetlistError",
     "NetlistValidationError", "OracleBranch", "OraclePath", "Ports", "__version__",
-    "branch_table", "builtin_variant", "fidelity", "hom_scan", "ideal_cphase", "linear_element",
+    "branch_table", "builtin_variant", "fidelity", "hom_scan", "ideal_cphase",
     "oracle_conditional_gate", "parse", "path_amplitude", "permanents", "render",
     "strip_corrections", "validate",
 ]
 #: Names removed from the library: ``CompiledCircuit`` and ``GateGrid`` replace
 #: the first five, ``ElementSpec`` the six element builders, and
 #: ``CompiledCircuit.run`` on a (2, 2, 2) amplitude array the sparse Fock-state
-#: engine and its input builders, the last eight.
+#: engine and its input builders, the next eight, and ``ElementSpec.build``,
+#: whose kinds check their own matrices, the last one.
 REMOVED = [
     "run", "conditional_gate", "success_probability", "sweep_phi", "ConditionalGateReport",
     "pbs", "ppbs", "hwp", "jones", "pol_filter", "phase_flip",
     "FockState", "make_photon_state", "coincidence_amplitudes", "PRUNE_TOL", "Occupation",
-    "Branch", "BASIS_KETS", "prepare_inputs",
+    "Branch", "BASIS_KETS", "prepare_inputs", "linear_element",
 ]
 
 

@@ -23,6 +23,9 @@ labelled in its line, so that the fidelity column changes from phase to
 phase.  Then come the shipped layouts with all of one input's light
 filtered out (``DEAD``), each run through ``sweep`` and ``verify
 --netlist``: compiling rejects them, naming the dead input per outcome.
+Then ``basic.lopc`` with each ranged element kind at and just past the
+edge of its range (``RANGE``), run through ``verify --netlist``, so that
+each kind's range check is pinned on both sides.
 
 Then come the malformed netlists: every statement of the
 shipped ``basic.lopc`` and ``full.lopc`` with exactly one token dropped,
@@ -94,6 +97,32 @@ DEAD = (
     ("full.lopc(F2=0)", "full", ((F2, "filter F2 path=C_OUT th=0.0 tv=0.0"),)),
     ("basic.lopc(+FP=0)", "basic", ((PBS1, f"filter FP path=p_in th=0.0 tv=0.0\n{PBS1}"),)),
     ("basic.lopc(+FT=0)", "basic", ((PBS1, f"filter FT path=t_in th=0.0 tv=0.0\n{PBS1}"),)),
+)
+
+PPBS = "ppbs PPBS in=t_low,c_in out=t_low,C_OUT tv=0.5773502691896258"
+F1 = "filter F1 path=t_up th=0.5 tv=0.5"
+HWP1 = "jones HWP1 path=t_low m=-0.8660254037844386,0.5,0.5,0.8660254037844386"
+HWP2 = "hwp HWP2 path=t_low angle=22.5"
+
+
+def _scaled(statement: str, scale: float) -> str:
+    """A ``jones`` statement with each (real) entry of its ``m=`` times ``scale``."""
+    head, entries = statement.split("m=")
+    return head + "m=" + ",".join(repr(float(e) * scale) for e in entries.split(","))
+
+
+#: ``basic.lopc`` with one ranged element at or just past the edge of what its
+#: kind accepts, as (label, statement, replacement): ppbs takes tv in (0, 1),
+#: filter values in [0, 1], hwp any finite angle, and jones a matrix whose
+#: largest singular value is at most 1 + 1e-12.
+RANGE = (
+    ("PPBS:tv=1.0", PPBS, PPBS.replace("0.5773502691896258", "1.0")),
+    ("PPBS:tv=0.9999999999999999", PPBS, PPBS.replace("0.5773502691896258", "0.9999999999999999")),
+    ("F1:th=1.0000000000000002", F1, F1.replace("th=0.5", "th=1.0000000000000002")),
+    ("F1:th=-0.0", F1, F1.replace("th=0.5", "th=-0.0")),
+    ("HWP2:angle=1e6", HWP2, HWP2.replace("22.5", "1e6")),
+    ("HWP1:m*(1+0.5e-12)", HWP1, _scaled(HWP1, 1.0 + 0.5e-12)),
+    ("HWP1:m*(1+2e-12)", HWP1, _scaled(HWP1, 1.0 + 2e-12)),
 )
 
 
@@ -204,6 +233,10 @@ def main(argv: list[str]) -> int:
             for command in ("sweep", "verify"):
                 args = [command, "--variant", variant, "--netlist"]
                 print(f"{digest([*args, str(netlist)])}  {' '.join([*args, label])}")
+        for label, statement, replacement in RANGE:
+            netlist.write_text(edited("basic", ((statement, replacement),)), encoding="utf-8")
+            args = ["verify", "--variant", "basic", "--netlist"]
+            print(f"{digest([*args, str(netlist)])}  {' '.join([*args, f'basic.lopc({label})'])}")
         for variant, label, text in malformed():
             netlist.write_text(text, encoding="utf-8")
             args = ["verify", "--variant", variant, "--netlist"]
