@@ -17,10 +17,9 @@ from .netlist import (
     builtin_variant,
     parse,
     render,
-    strip_corrections,
     validate,
 )
-from .oracle import OracleBranch, OraclePath, branch_table, oracle_conditional_gate, path_amplitude
+from .oracle import OracleBranch, OraclePath, branch_table, path_amplitude
 
 __all__ = [
     "__version__",
@@ -42,11 +41,9 @@ __all__ = [
     "fidelity",
     "hom_scan",
     "ideal_cphase",
-    "oracle_conditional_gate",
     "parse",
     "path_amplitude",
     "permanents",
     "render",
-    "strip_corrections",
     "validate",
 ]

@@ -48,7 +48,8 @@ class ElementSpec:
     def checked_kind(self) -> tuple[ElementKind, list[float | complex]]:
         """This spec's ``KINDS`` entry and its parameters as ``matrix`` takes them,
         floats for the real fields; ValueError on an unknown kind, a path or parameter
-        count it does not take, a non-number, or an imaginary part in a real field."""
+        count it does not take, a non-number, an imaginary part in a real field, or,
+        once every field has passed those, a non-finite value."""
         kind = KINDS.get(self.kind)
         if kind is None:
             raise ValueError(f"unknown element kind {self.kind!r}")
@@ -68,15 +69,15 @@ class ElementSpec:
                 raise ValueError(f"{self.kind} {f.key} must be real, got {p}")
             else:
                 values.append(float(p.real))
+        for f, value in zip(fields, values):
+            if not cmath.isfinite(value):
+                raise ValueError(f"{self.kind} {f.key} is non-finite: {value}")
         return kind, values
 
     def build(self) -> LinearElement:
-        """The element, its matrix read-only; ValueError from ``checked_kind``, on a
-        non-finite parameter, from ``matrix`` or on repeated splitter ports."""
+        """The element, its matrix read-only; ValueError from ``checked_kind``,
+        from ``matrix`` or on repeated splitter ports."""
         kind, values = self.checked_kind()
-        for key, value in zip((f.key for f in kind.fields for _ in range(f.count)), values):
-            if not cmath.isfinite(value):
-                raise ValueError(f"{self.kind} {key} is non-finite: {value}")
         matrix = kind.matrix(*values)
         matrix.flags.writeable = False
         if len(self.paths) == 1:

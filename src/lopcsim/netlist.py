@@ -12,7 +12,7 @@ A netlist is line based, one statement per line, ``#`` starts a comment:
     filter <name> path=<p> th=<float> tv=<float>
     phaseflip <name> path=<p>
     measure path=<p> outcome <label> ket=<a>,<b> [correct=<element-name>]
-    postselect <p>=<n> ...
+    postselect <p>=<n> ...      # checked against ports: see below
     ports target_in=<p> control_in=<p> program_in=<p> target_out=<p>[,<p>] control_out=<p>
 
 Complex literals are ``re`` or ``re+imj``.  Paths must be declared before
@@ -20,6 +20,10 @@ use.  Element statements execute in file order; the position of the
 ``measure`` lines among them marks where measurement-conditioned
 corrections are inserted.  An element referenced by some ``correct=`` is a
 conditional correction and is excluded from the unconditional stage flow.
+``postselect`` must ask for one photon each on a target output, on
+``control_out`` and on the measurement path, three in all.  Those fix what
+is post-selected, so the statement is checked against them and not kept:
+``render`` writes it from them.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cache
 from importlib import resources
 from typing import Sequence
@@ -90,6 +94,7 @@ class Ports:
 #: ``target_out`` takes more than one path.
 _PORTS = tuple(f.name for f in fields(Ports))
 _MULTI_PORT = "target_out"
+_NO_TARGET_OUT = "ports target_out names no path"
 _PORTS_USAGE = " ".join(
     ["ports", *(f"{k}=<p>[,<p>]" if k == _MULTI_PORT else f"{k}=<p>" for k in _PORTS)]
 )
@@ -113,7 +118,6 @@ class CircuitNetlist:
     corrections: tuple[ElementSpec, ...]
     measurement: MeasurementRule
     measure_after: int
-    postselect: tuple[tuple[str, int], ...]
     ports: Ports
 
     def registry(self) -> ModeRegistry:
@@ -124,9 +128,6 @@ class CircuitNetlist:
             if spec.name == name:
                 return spec
         raise KeyError(f"no correction element named {name!r}")
-
-    def postselect_total(self) -> int:
-        return sum(n for _, n in self.postselect)
 
 
 # ---------------------------------------------------------------------------
@@ -169,20 +170,14 @@ def _split(value: str, count: int | None, what: str, line: int, col: int) -> lis
     return parts
 
 
-def _rule_problems(
-    outcomes: Sequence[MeasurementOutcome], photons: int
-) -> list[tuple[int | None, str]]:
-    """Photon-budget and outcome-ket problems, the budget first.
+def _rule_problems(outcomes: Sequence[MeasurementOutcome]) -> list[tuple[int, str]]:
+    """Outcome-ket problems, each with the index of the outcome it concerns.
 
-    Each problem carries the index of the outcome it concerns, or None for
-    the budget.  The kets must have 2 components, be normalized and be
-    pairwise orthogonal; a ket of another length is reported and left out
-    of the other tests, and every test fails on NaN.
+    The kets must have 2 components, be normalized and be pairwise
+    orthogonal; a ket of another length is reported and left out of the
+    other tests, and every test fails on NaN.
     """
-    problems: list[tuple[int | None, str]] = []
-    if photons != PHOTON_BUDGET:
-        text = f"postselect totals {photons} photons, expected budget {PHOTON_BUDGET}"
-        problems.append((None, text))
+    problems: list[tuple[int, str]] = []
     checked: list[tuple[str, np.ndarray]] = []  # (label, ket) of the 2-component kets
     for i, outcome in enumerate(outcomes):
         label, ket = repr(outcome.label), np.array(outcome.ket, dtype=complex)
@@ -209,7 +204,7 @@ class _Parser:
         self.outcomes: list[MeasurementOutcome] = []
         self.measure_lines: list[int] = []
         self.elements_before_measure: int | None = None
-        self.postselect: list[tuple[str, int]] | None = None
+        self.postselect: dict[str, int] | None = None
         self.postselect_line = 0
         self.ports: Ports | None = None
         self.last_line = 0
@@ -310,19 +305,19 @@ class _Parser:
             raise NetlistError("duplicate postselect statement", line, toks[0][1])
         if len(toks) < 2:
             raise NetlistError("expected postselect <path>=<count> ...", line, toks[0][1])
-        pattern: list[tuple[str, int]] = []
+        pattern: dict[str, int] = {}
         for word, col in toks[1:]:
             if "=" not in word:
                 raise NetlistError(f"expected <path>=<count>, got {word!r}", line, col)
             path, count_text = word.split("=", 1)
             if path not in self.paths:
                 raise NetlistError(f"undeclared path {path!r}", line, col)
-            if any(p == path for p, _ in pattern):
+            if path in pattern:
                 raise NetlistError(f"duplicate path {path!r} in postselect", line, col)
             count = _literal(int, count_text, line, col + len(path) + 1)
             if count < 0:
                 raise NetlistError("postselect counts must be non-negative", line, col)
-            pattern.append((path, count))
+            pattern[path] = count
         self.postselect = pattern
         self.postselect_line = line
 
@@ -340,21 +335,34 @@ class _Parser:
 
     def finish(self) -> CircuitNetlist:
         eol = self.last_line
-        if self.postselect is None:
+        pattern, ports = self.postselect, self.ports
+        if pattern is None:
             raise NetlistError("no postselect declared", eol)
-        if self.ports is None:
+        if ports is None:
             raise NetlistError("no ports declared", eol)
         if self.measure_path is None:
             raise NetlistError("no measurement declared", eol)
-        problems = _rule_problems(self.outcomes, sum(n for _, n in self.postselect))
+        photons = sum(pattern.values())
+        if photons != PHOTON_BUDGET:
+            message = f"postselect totals {photons} photons, expected budget {PHOTON_BUDGET}"
+            raise NetlistError(message, self.postselect_line)
+        problems = _rule_problems(self.outcomes)
         if problems:
             index, message = problems[0]
-            line = self.postselect_line if index is None else self.measure_lines[index]
-            raise NetlistError(message, line)
+            raise NetlistError(message, self.measure_lines[index])
         conditional = {o.correct for o in self.outcomes if o.correct is not None}
         for name in sorted(conditional):
             if name not in self.names:
                 raise NetlistError(f"correct= references unknown element {name!r}", eol)
+        targets = [pattern[p] for p in ports.target_out if p in pattern]
+        for ok, where in (
+            (pattern.get(self.measure_path) == 1, "the measurement path"),
+            (pattern.get(ports.control_out) == 1, "the control output"),
+            (targets == [1], "exactly one target output port"),
+        ):
+            if not ok:
+                message = f"postselect must require exactly one photon on {where}"
+                raise NetlistError(message, self.postselect_line)
         stages = tuple(e for e in self.elements if e.name not in conditional)
         corrections = tuple(e for e in self.elements if e.name in conditional)
         before = self.elements[: self.elements_before_measure]
@@ -365,8 +373,7 @@ class _Parser:
             corrections=corrections,
             measurement=MeasurementRule(self.measure_path, tuple(self.outcomes)),
             measure_after=measure_after,
-            postselect=tuple(self.postselect),
-            ports=self.ports,
+            ports=ports,
         )
 
 
@@ -444,23 +451,25 @@ def _render_element(spec: ElementSpec) -> str:
 
 
 def render(netlist: CircuitNetlist) -> str:
-    """Canonical textual form; parse(render(n)) == n."""
+    """Canonical textual form; parse(render(n)) == n.  ValueError on an empty
+    ``target_out`` and on an element ``ElementSpec.checked_kind`` rejects."""
+    ports, measured = netlist.ports, netlist.measurement.path
+    if not ports.target_out:
+        raise ValueError(_NO_TARGET_OUT)
     lines = [f"path {p}" for p in netlist.paths]
     measure_block = [_render_element(spec) for spec in netlist.corrections]
     for outcome in netlist.measurement.outcomes:
         ket = ",".join(_fmt_complex(c) for c in outcome.ket)
         suffix = f" correct={outcome.correct}" if outcome.correct else ""
-        measure_block.append(
-            f"measure path={netlist.measurement.path} outcome {outcome.label} ket={ket}{suffix}"
-        )
+        measure_block.append(f"measure path={measured} outcome {outcome.label} ket={ket}{suffix}")
     for i, spec in enumerate(netlist.stages):
         if i == netlist.measure_after:
             lines.extend(measure_block)
         lines.append(_render_element(spec))
     if netlist.measure_after >= len(netlist.stages):
         lines.extend(measure_block)
-    lines.append("postselect " + " ".join(f"{p}={n}" for p, n in netlist.postselect))
-    groups = _port_groups(netlist.ports)
+    lines.append(f"postselect {ports.target_out[0]}=1 {ports.control_out}=1 {measured}=1")
+    groups = _port_groups(ports)
     lines.append(" ".join(["ports", *(f"{k}={','.join(g)}" for k, g in groups)]))
     return "\n".join(lines) + "\n"
 
@@ -501,7 +510,7 @@ def validate(netlist: CircuitNetlist) -> list[str]:
         diags.append(f"measurement on undeclared path {rule.path!r}")
     if not rule.outcomes:
         diags.append("measurement declares no outcomes")
-    diags.extend(m for _, m in _rule_problems(rule.outcomes, netlist.postselect_total()))
+    diags.extend(m for _, m in _rule_problems(rule.outcomes))
     correction_names = {c.name for c in netlist.corrections}
     labels: set[str] = set()
     for outcome in rule.outcomes:
@@ -517,25 +526,9 @@ def validate(netlist: CircuitNetlist) -> list[str]:
         if spec.name not in applied:
             diags.append(f"{_where(spec)}{spec.name}: no outcome applies this correction")
 
-    pattern: dict[str, int] = {}
-    for path, count in netlist.postselect:
-        if path in pattern:
-            diags.append(f"duplicate path {path!r} in postselect")
-        elif path not in declared:
-            diags.append(f"postselect references undeclared path {path!r}")
-        if count < 0:
-            diags.append("postselect counts must be non-negative")
-        pattern[path] = count
-    if pattern.get(rule.path) != 1:
-        diags.append("postselect must require exactly one photon on the measurement path")
     ports = netlist.ports
-    if pattern.get(ports.control_out) != 1:
-        diags.append("postselect must require exactly one photon on the control output")
-    in_pattern = [p for p in ports.target_out if p in pattern]
-    if len(in_pattern) != 1 or pattern[in_pattern[0]] != 1:
-        diags.append(
-            "postselect must require exactly one photon on exactly one target output port"
-        )
+    if not ports.target_out:
+        diags.append(_NO_TARGET_OUT)
     for path in (p for _, group in _port_groups(ports) for p in group):
         if path not in declared:
             diags.append(f"ports reference undeclared path {path!r}")
@@ -589,13 +582,3 @@ def builtin_variant(name: str) -> CircuitNetlist:
     if name not in VARIANTS:
         raise ValueError(f"unknown variant {name!r}; choose from {list(VARIANTS)}")
     return _shipped(name)
-
-
-def strip_corrections(netlist: CircuitNetlist) -> CircuitNetlist:
-    """Copy of a netlist with all feed-forward corrections disabled."""
-    outcomes = tuple(replace(o, correct=None) for o in netlist.measurement.outcomes)
-    return replace(
-        netlist,
-        corrections=(),
-        measurement=MeasurementRule(netlist.measurement.path, outcomes),
-    )

@@ -203,13 +203,3 @@ def branch_table(phis: Sequence[float], variant: str) -> dict[tuple[str, str], n
                 head, tail = _walk(1.0 + 0j, factors[:cut]), factors[cut + 1:]
                 rows[:, ket_index] = [_walk(head * value, tail) for value in programmed]
     return table
-
-
-def oracle_conditional_gate(phi: float, variant: str) -> tuple[np.ndarray, float]:
-    """The 4x4 diagonal conditional operator of the primary branch and the
-    total success probability (1/48 per accepted branch)."""
-    outcomes, ports, _, _ = _variant_structure(variant)
-    table = branch_table([phi], variant)
-    primary = np.diag(table[(outcomes[0], ports[0])][0])
-    total = len(outcomes) * len(ports) / 48.0
-    return primary, total

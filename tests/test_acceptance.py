@@ -18,10 +18,10 @@ from lopcsim import (
     hom_scan,
     parse,
     render,
-    strip_corrections,
 )
 from lopcsim.cli import main
 
+from .gate_checks import strip_corrections
 from .test_gates import KET0, KET1, product_input
 
 K = 1.0 / (4.0 * math.sqrt(3.0))

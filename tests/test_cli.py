@@ -9,6 +9,7 @@ from lopcsim import builtin_variant, cli, render
 from lopcsim.cli import _emit, main
 
 from .test_compiled import DEAD_CASES, MERGED_CASES
+from .test_netlist import shipped, with_postselect
 
 
 def read_csv(path):
@@ -360,3 +361,29 @@ def test_main_runs_the_cmd_function_the_module_holds(monkeypatch):
     assert main(["hom", "--steps", "3"]) == 7
     [args] = seen
     assert (args.command, args.steps) == ("hom", 3)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_postselect_on_the_second_target_output_changes_no_byte(tmp_path, fmt):
+    texts = {"shipped": shipped("full").decode("utf-8"),
+             "T_OUT2": with_postselect("full", "postselect T_OUT2=1 C_OUT=1 d=1")}
+    outputs = {}
+    for name, text in texts.items():
+        netlist, out = tmp_path / f"{name}.lopc", tmp_path / f"{name}.{fmt}"
+        netlist.write_text(text, encoding="utf-8")
+        argv = ["sweep", "--variant", "full", "--netlist", str(netlist), "--steps", "7"]
+        assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
+        outputs[name] = out.read_bytes()
+    assert outputs["T_OUT2"] == outputs["shipped"]
+
+
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+def test_a_postselect_without_the_detector_is_one_located_error(tmp_path, capsys, command):
+    bad = tmp_path / "bad.lopc"
+    bad.write_text(with_postselect("full", "postselect T_OUT=1 C_OUT=2 d=0"), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert main([command, "--variant", "full", "--netlist", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 25:0: postselect must require exactly one photon on the measurement path\n"
+    )
+    assert not out.exists()

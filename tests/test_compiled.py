@@ -24,13 +24,13 @@ from lopcsim import (
     NetlistValidationError,
     builtin_variant,
     parse,
-    strip_corrections,
     validate,
 )
 from lopcsim import cli
 from lopcsim.elements import ElementSpec
 from lopcsim.netlist import MeasurementRule
 
+from .gate_checks import branch_scores, strip_corrections
 from .test_gates import KET0, KET1, product_input
 
 
@@ -83,6 +83,7 @@ def test_phase_affine_operators_match_direct_evolution(name):
     rng = np.random.default_rng(sum(map(ord, name)))
     phis = [0.0, math.pi, *rng.uniform(-3 * math.pi, 3 * math.pi, size=5)]
     grid = CompiledCircuit(netlist).evaluate(phis)
+    grid_consistent, grid_diagonal = branch_scores(grid.ops)
     for k, phi in enumerate(phis):
         keys, ops, probs, p_success, fid, consistent, diagonal = reference_gate(netlist, phi)
         assert list(grid.branch_keys) == keys
@@ -91,23 +92,26 @@ def test_phase_affine_operators_match_direct_evolution(name):
             assert abs(branch_prob - prob) <= 1e-12
         assert abs(grid.p_success[k] - p_success) <= 1e-12
         assert abs(grid.fidelity[k] - fid) <= 1e-12
-        assert grid.branch_consistent[k] == consistent
-        assert grid.diagonal[k] == diagonal
+        assert grid_consistent[k] == consistent
+        assert grid_diagonal[k] == diagonal
 
 
 def test_detuned_netlists_depart_from_ideal():
-    scores = {
+    grids = {
         name: CompiledCircuit(NETLISTS[name]).evaluate([0.7])
         for name in ("basic-HWP2-32.5", "ff", "full-uncorrected", "full-HWP5-30")
     }
-    assert scores["basic-HWP2-32.5"].fidelity[0] < 0.96
-    assert scores["basic-HWP2-32.5"].diagonal[0]
+    consistent, diagonal = {}, {}
+    for name, grid in grids.items():
+        (consistent[name],), (diagonal[name],) = branch_scores(grid.ops)
+    assert grids["basic-HWP2-32.5"].fidelity[0] < 0.96
+    assert diagonal["basic-HWP2-32.5"]
     # a single branch always agrees with itself, whatever the phase of its
     # largest entry
-    assert scores["basic-HWP2-32.5"].branch_consistent[0]
-    assert scores["ff"].branch_consistent[0]
-    assert not scores["full-uncorrected"].branch_consistent[0]
-    assert not scores["full-HWP5-30"].diagonal[0]
+    assert consistent["basic-HWP2-32.5"]
+    assert consistent["ff"]
+    assert not consistent["full-uncorrected"]
+    assert not diagonal["full-HWP5-30"]
 
 
 def test_sweep_cost_does_not_grow_with_grid_length(monkeypatch):
@@ -141,52 +145,10 @@ def test_grid_is_a_record_of_arrays():
     assert isinstance(grid, GateGrid) and not isinstance(grid, Sequence)
     assert grid.phis.tolist() == phis
     assert grid.ops.shape == (3, 4, 4, 4) and grid.probabilities.shape == (3, 4)
-    for field in ("phis", "p_success", "fidelity", "branch_consistent", "diagonal"):
+    for field in ("phis", "p_success", "fidelity"):
         assert getattr(grid, field).shape == (3,)
     assert grid.branch_keys == circuit.branch_keys
     assert np.allclose(grid.p_success, 1 / 12, rtol=0, atol=1e-12)
-
-
-def eager_scores(ops, branch_tol=1e-10, diag_tol=1e-12):
-    """``branch_consistent`` and ``diagonal`` as ``evaluate`` computed them
-    when it filled them in for every grid."""
-    flat = ops.reshape(ops.shape[0], ops.shape[1], 16)
-    ref_idx = np.argmax(np.abs(flat[:, 0]), axis=1)
-    at_ref = np.take_along_axis(flat, ref_idx[:, None, None], axis=2)[..., 0]
-    ratio = at_ref * at_ref[:, :1].conj()
-    mag = np.abs(ratio)
-    phase = np.divide(ratio, mag, out=np.ones_like(ratio), where=mag > 0)
-    deviation = np.max(np.abs(flat - phase[..., None] * flat[:, :1]), axis=2)
-    off_diagonal = np.max(np.abs(ops[..., ~np.eye(4, dtype=bool)]), axis=2)
-    return np.all(deviation <= branch_tol, axis=1), np.all(off_diagonal <= diag_tol, axis=1)
-
-
-@pytest.mark.parametrize("command", ["sweep", "verify"])
-def test_the_cli_computes_no_consistency_score(monkeypatch, tmp_path, command):
-    grids = []
-    evaluate = CompiledCircuit.evaluate
-
-    def keeping(self, phis):
-        grids.append(evaluate(self, phis))
-        return grids[-1]
-
-    monkeypatch.setattr(CompiledCircuit, "evaluate", keeping)
-    argv = [command, "--variant", "full", "--steps", "5", "--out", str(tmp_path / "out.csv")]
-    assert cli.main(argv) == 0
-    (grid,) = grids
-    assert "branch_consistent" not in vars(grid) and "diagonal" not in vars(grid)
-
-
-@pytest.mark.parametrize("name", ["basic", "ff", "dual", "full", "full-uncorrected", "full-HWP5-30"])
-def test_consistency_scores_are_computed_when_read(name):
-    phis = np.linspace(-3 * math.pi, 3 * math.pi, 1001)
-    grid = CompiledCircuit(NETLISTS[name]).evaluate(phis)
-    assert "branch_consistent" not in vars(grid) and "diagonal" not in vars(grid)
-    consistent, diagonal = eager_scores(grid.ops)
-    assert np.array_equal(grid.branch_consistent, consistent)
-    assert np.array_equal(grid.diagonal, diagonal)
-    assert grid.branch_consistent is grid.branch_consistent  # computed once, then kept
-    assert grid.diagonal is grid.diagonal
 
 
 def test_one_mode_registry_per_compile(monkeypatch):
@@ -208,7 +170,7 @@ def test_one_mode_registry_per_compile(monkeypatch):
 
 def test_compiled_circuit_validates_once_and_rejects_invalid_netlists(monkeypatch):
     nl = builtin_variant("basic")
-    bad = replace(nl, postselect=(("T_OUT", 1), ("C_OUT", 1), ("d", 0), ("p_in", 1)))
+    bad = replace(nl, ports=replace(nl.ports, target_out=()))
     with pytest.raises(NetlistValidationError):
         CompiledCircuit(bad)
     calls = []

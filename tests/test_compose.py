@@ -223,7 +223,6 @@ def netlist_of(chain, paths, angle, outcomes):
             c, tuple(MeasurementOutcome(f"D{i}", ket) for i, ket in enumerate(kets))
         ),
         measure_after=len(chain),
-        postselect=((a, 1), (b, 1), (c, 1)),
         ports=Ports(a, b, c, (a,), b),
     )
 
@@ -441,7 +440,6 @@ def gate_netlists(draw):
         corrections=(correction,),
         measurement=MeasurementRule("d", tuple(outcomes)),
         measure_after=draw(st.integers(last + 1, len(stages))),
-        postselect=(("T_OUT", 1), ("C_OUT", 1), ("d", 1)),
         ports=Ports("t_in", "c_in", "p_in", ("T_OUT",), "C_OUT"),
     )
 

@@ -11,11 +11,11 @@ from lopcsim import (
     fidelity,
     hom_scan,
     ideal_cphase,
-    strip_corrections,
 )
 from lopcsim.fock import H, POLS, V, permanents
 
 from . import dense_reference
+from .gate_checks import branch_scores, strip_corrections
 from .test_elements import element
 
 SQ2 = math.sqrt(2.0)
@@ -124,8 +124,8 @@ def test_run_rejects_invalid_netlist():
     from dataclasses import replace
 
     nl = builtin_variant("basic")
-    bad = replace(nl, postselect=(("T_OUT", 1), ("C_OUT", 1), ("d", 0), ("p_in", 1)))
-    with pytest.raises(NetlistValidationError):
+    bad = replace(nl, ports=replace(nl.ports, control_out="d"))
+    with pytest.raises(NetlistValidationError, match="must name distinct paths"):
         CompiledCircuit(bad)
 
 
@@ -138,7 +138,7 @@ def test_ff_branches_agree_after_correction():
     assert np.max(np.abs(d_op - a_op)) < 1e-12
     for probability in grid.probabilities[0]:
         assert abs(probability - 1.0 / 48.0) < 1e-12
-    assert grid.branch_consistent[0]
+    assert branch_scores(grid.ops)[0][0]
 
 
 def test_uncorrected_a_branch_differs():
@@ -146,7 +146,7 @@ def test_uncorrected_a_branch_differs():
     grid = CompiledCircuit(nl).evaluate([0.0])
     a_op = dict(zip(grid.branch_keys, grid.ops[0]))["A", "T_OUT"]
     assert abs(fidelity(a_op, 0.0) - 0.25) < 1e-12
-    assert not grid.branch_consistent[0]
+    assert not branch_scores(grid.ops)[0][0]
 
 
 def test_full_variant_branch_structure():
@@ -162,17 +162,18 @@ def test_full_variant_branch_structure():
     assert np.max(np.abs(ops[("D", "T_OUT2")] - ops[("A", "T_OUT2")])) < 1e-12
     ratio = ops[("D", "T_OUT2")][3, 3] / ops[("D", "T_OUT")][3, 3]
     assert abs(ratio + 1.0) < 1e-12
-    assert not grid.branch_consistent[0]
+    assert not branch_scores(grid.ops)[0][0]
 
 
 def test_basic_gate_matches_ideal():
     phis = (0.0, 0.9, math.pi)
     grid = CompiledCircuit(builtin_variant("basic")).evaluate(phis)
+    consistent, diagonal = branch_scores(grid.ops)
     for k, phi in enumerate(phis):
         expected = K * ideal_cphase(phi)
         assert np.max(np.abs(grid.ops[k, 0] - expected)) < 1e-12
         assert abs(grid.fidelity[k] - 1.0) < 1e-12
-        assert grid.diagonal[k] and grid.branch_consistent[k]
+        assert diagonal[k] and consistent[k]
 
 
 def test_fidelity_examples():
@@ -227,7 +228,7 @@ def test_amplitude_linearity():
 
 def test_phase_law_and_diagonality():
     grid = CompiledCircuit(builtin_variant("full")).evaluate(np.linspace(0.0, math.pi, 7))
-    for phi, gate, diagonal in zip(grid.phis, grid.ops[:, 0], grid.diagonal):
+    for phi, gate, diagonal in zip(grid.phis, grid.ops[:, 0], branch_scores(grid.ops)[1]):
         assert diagonal
         measured = cmath.phase(gate[3, 3] * gate[0, 0].conjugate())
         assert abs(cmath.exp(1j * measured) - cmath.exp(1j * phi)) < 1e-10

@@ -21,6 +21,7 @@ from lopcsim.cli import main
 from lopcsim.elements import KINDS, ElementSpec
 from lopcsim.netlist import MeasurementRule, VARIANTS, _usage
 
+from .gate_checks import branch_scores
 from .test_package import README
 
 
@@ -42,7 +43,7 @@ def test_basic_stage_order_matches_layout():
     assert nl.stages[3].paths == ("t_low", "c_in", "t_low", "C_OUT")
     assert nl.stages[6].paths == ("t_low", "p_in", "t_low", "d")
     assert nl.stages[8].paths == ("t_up", "t_low", "T_OUT", "T_OUT2")
-    assert dict(nl.postselect) == {"T_OUT": 1, "C_OUT": 1, "d": 1}
+    assert "postselect T_OUT=1 C_OUT=1 d=1" in render(nl).splitlines()
     assert nl.ports.target_out == ("T_OUT",)
     assert nl.measurement.path == "d"
     assert [o.label for o in nl.measurement.outcomes] == ["D"]
@@ -298,19 +299,98 @@ def test_imaginary_part_of_a_real_field_is_rejected():
         render(bad)
 
 
+def with_postselect(variant, statement):
+    """The shipped layout's text with ``statement`` for its postselect line."""
+    text = shipped(variant).decode("utf-8")
+    return text.replace("postselect T_OUT=1 C_OUT=1 d=1", statement)
+
+
+ONE_PHOTON = "postselect must require exactly one photon on"
+#: (layout, postselect statement, the error naming it): basic.lopc has it on
+#: line 21 and one target output, full.lopc on line 25 and two.
+BAD_POSTSELECT = [
+    pytest.param("basic", "postselect T_OUT=1 C_OUT=1 d=1 t_in=-1 t_in2=1",
+                 "line 21:32: postselect counts must be non-negative", id="negative-count"),
+    pytest.param("basic", "postselect T_OUT=1 C_OUT=1 d=1 t_in=0 t_in=0",
+                 "line 21:39: duplicate path 't_in' in postselect", id="duplicate-path"),
+    pytest.param("basic", "postselect T_OUT=1 C_OUT=1 d=0 p_in=1",
+                 f"line 21:0: {ONE_PHOTON} the measurement path", id="program-input"),
+    pytest.param("full", "postselect T_OUT=1 C_OUT=2 d=0",
+                 f"line 25:0: {ONE_PHOTON} the measurement path", id="two-on-control"),
+    pytest.param("basic", "postselect T_OUT=1 C_OUT=0 d=1 t_up=1",
+                 f"line 21:0: {ONE_PHOTON} the control output", id="none-on-control"),
+    pytest.param("full", "postselect T_OUT=1 T_OUT2=0 C_OUT=1 d=1",
+                 f"line 25:0: {ONE_PHOTON} exactly one target output port", id="both-targets"),
+    # T_OUT2 is a path of basic.lopc but not one of its target outputs
+    pytest.param("basic", "postselect T_OUT2=1 C_OUT=1 d=1",
+                 f"line 21:0: {ONE_PHOTON} exactly one target output port", id="not-a-target"),
+]
+
+
+@pytest.mark.parametrize("variant, statement, error", BAD_POSTSELECT)
+def test_a_bad_postselect_is_rejected_at_its_line(variant, statement, error):
+    with pytest.raises(NetlistError) as err:
+        parse(with_postselect(variant, statement))
+    assert str(err.value) == error
+
+
 @pytest.mark.parametrize(
-    "extra, message",
+    "variant, statement",
     [
-        ((("t_in", -1), ("t_in2", 1)), "postselect counts must be non-negative"),
-        ((("t_in", 0), ("t_in", 0)), "duplicate path 't_in' in postselect"),
+        ("full", "postselect T_OUT2=1 C_OUT=1 d=1"),
+        ("dual", "postselect T_OUT2=1 C_OUT=1 d=1"),
+        ("basic", "postselect d=1 T_OUT=1 C_OUT=1 t_up=0"),
     ],
 )
-def test_validate_rejects_what_the_postselect_parser_rejects(extra, message):
+def test_every_postselect_that_ports_allow_gives_the_same_netlist(variant, statement):
+    # ports fix the branches, so the statement changes nothing it passes
+    nl = parse(with_postselect(variant, statement))
+    assert nl == builtin_variant(variant)
+    assert render(nl).encode("utf-8") == shipped(variant)
+
+
+def test_parse_reports_the_photon_budget_before_the_kets():
+    text = with_postselect("ff", "postselect T_OUT=1 C_OUT=1 d=1 t_up=1")
+    text = text.replace("ket=0.7071067811865475,-0.7071067811865475", "ket=0.9,0.1")
+    with pytest.raises(NetlistError) as err:
+        parse(text)
+    assert str(err.value) == "line 23:0: postselect totals 4 photons, expected budget 3"
+    with pytest.raises(NetlistError, match="^line 20:0: outcome 'A': ket is not normalized$"):
+        parse(text.replace(" t_up=1", ""))
+
+
+def test_an_empty_target_out_is_a_validation_error():
     nl = builtin_variant("basic")
-    bad = replace(nl, postselect=nl.postselect + extra)
-    assert validate(bad) == [message]
-    with pytest.raises(NetlistError, match=message):
-        parse(render(bad))
+    bad = replace(nl, ports=replace(nl.ports, target_out=()))
+    assert validate(bad) == ["ports target_out names no path"]
+    with pytest.raises(NetlistValidationError) as caught:
+        CompiledCircuit(bad)
+    assert caught.value.diagnostics == ["ports target_out names no path"]
+    with pytest.raises(ValueError, match="^ports target_out names no path$"):
+        render(bad)
+
+
+#: (kind, name of its first element in full.lopc) of each kind with a numeric field.
+NUMERIC_KINDS = [("ppbs", "PPBS"), ("hwp", "HWP4"), ("jones", "HWP1"), ("filter", "F1")]
+
+
+@pytest.mark.parametrize("kind_name, name", NUMERIC_KINDS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_render_refuses_a_non_finite_parameter_that_validate_lists(kind_name, name, bad):
+    nl = builtin_variant("full")
+    spec = next(s for s in nl.stages if s.name == name)
+    assert spec.kind == kind_name
+    fields = [f for f in KINDS[kind_name].fields for _ in range(f.count)]
+    assert fields and len(fields) == len(spec.params)
+    for i, f in enumerate(fields):
+        params = spec.params[:i] + (complex(bad),) + spec.params[i + 1:]
+        stages = tuple(replace(s, params=params) if s is spec else s for s in nl.stages)
+        value = complex(bad) if f.is_complex else bad
+        message = f"{kind_name} {f.key} is non-finite: {value}"
+        assert validate(replace(nl, stages=stages)) == [f"line {spec.line}: {name}: {message}"]
+        with pytest.raises(ValueError) as err:
+            render(replace(nl, stages=stages))
+        assert str(err.value) == message
 
 
 def test_validate_rejects_a_measurement_without_outcomes():
@@ -436,14 +516,11 @@ def test_a_carriage_return_ends_a_line_as_in_text_mode(end, tmp_path):
 def test_validate_lists_every_rule_problem():
     nl = builtin_variant("ff")
     d, a = nl.measurement.outcomes
-    bad = replace(
-        nl,
-        measurement=replace(nl.measurement, outcomes=(d, replace(a, ket=d.ket))),
-        postselect=nl.postselect + (("t_up", 1),),
-    )
-    diags = validate(bad)
-    assert "postselect totals 4 photons, expected budget 3" in diags
-    assert "outcome kets 'D' and 'A' are not orthogonal" in diags
+    bad = replace(nl, measurement=replace(nl.measurement, outcomes=(d, replace(a, ket=(0.9, 0.1)))))
+    assert validate(bad) == [
+        "outcome 'A': ket is not normalized",
+        "outcome kets 'D' and 'A' are not orthogonal",
+    ]
 
 
 def test_disjoint_stages_commute():
@@ -482,8 +559,8 @@ def test_correction_position_matters():
     assert validate(late) == []
     good = CompiledCircuit(nl).evaluate([0.9])
     bad = CompiledCircuit(late).evaluate([0.9])
-    assert good.branch_consistent[0]
-    assert not bad.branch_consistent[0]
+    assert branch_scores(good.ops)[0][0]
+    assert not branch_scores(bad.ops)[0][0]
 
 
 def test_correction_declared_after_measure_lines():

@@ -4,7 +4,6 @@ Every element kind of ``lopcsim.elements.KINDS`` appears in each generated
 netlist, so a kind added to the table is covered without touching this file.
 """
 
-import itertools
 import math
 import re
 
@@ -14,13 +13,7 @@ from hypothesis import strategies as st
 
 from lopcsim import NetlistError, parse, render
 from lopcsim.elements import KINDS, ElementSpec
-from lopcsim.netlist import (
-    PHOTON_BUDGET,
-    CircuitNetlist,
-    MeasurementOutcome,
-    MeasurementRule,
-    Ports,
-)
+from lopcsim.netlist import CircuitNetlist, MeasurementOutcome, MeasurementRule, Ports
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 _FIRST = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
@@ -47,19 +40,12 @@ def elements(draw, kind_name, paths, name):
     return ElementSpec(kind_name, name, tuple(wiring), tuple(params))
 
 
-#: Photon counts of one to three post-selected paths that meet the budget.
-COUNTS = [
-    c
-    for n in (1, 2, 3)
-    for c in itertools.product(range(PHOTON_BUDGET + 1), repeat=n)
-    if sum(c) == PHOTON_BUDGET
-]
-
-
 @st.composite
 def netlists(draw):
     """One to two elements of every kind in random order, then a measurement
-    with one or two orthonormal outcome kets, a post-selection and ports."""
+    with one or two orthonormal outcome kets and ports.  The target outputs,
+    the control output and the measurement path are distinct paths, which
+    the post-selection ``render`` writes from them requires."""
     paths = draw(st.lists(NAMES, min_size=4, max_size=8, unique=True))
     pick = st.sampled_from(paths)
     repeats = [(k, draw(st.integers(1, 2))) for k in sorted(KINDS)]
@@ -78,17 +64,16 @@ def netlists(draw):
     outcomes = tuple(MeasurementOutcome(*o) for o in zip(labels, kets, corrects))
     stages = tuple(e for e in chain if e.name not in corrects)
 
-    counts = draw(st.sampled_from(COUNTS))
-    selected = draw(st.lists(pick, min_size=len(counts), max_size=len(counts), unique=True))
-    target_out = tuple(draw(st.lists(pick, min_size=1, max_size=2, unique=True)))
+    outputs = draw(st.lists(pick, min_size=4, max_size=4, unique=True))
+    target_out = tuple(outputs[: draw(st.integers(1, 2))])
+    control_out, measured = outputs[2:]
     return CircuitNetlist(
         paths=tuple(paths),
         stages=stages,
         corrections=tuple(e for e in chain if e.name in corrects),
-        measurement=MeasurementRule(draw(pick), outcomes),
+        measurement=MeasurementRule(measured, outcomes),
         measure_after=draw(st.integers(0, len(stages))),
-        postselect=tuple(zip(selected, counts)),
-        ports=Ports(draw(pick), draw(pick), draw(pick), target_out, draw(pick)),
+        ports=Ports(draw(pick), draw(pick), draw(pick), target_out, control_out),
     )
 
 

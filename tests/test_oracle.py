@@ -7,11 +7,19 @@ import math
 import numpy as np
 import pytest
 
-from lopcsim import branch_table, oracle, oracle_conditional_gate, path_amplitude
+from lopcsim import branch_table, oracle, path_amplitude
 from lopcsim.oracle import OraclePath, VARIANTS
 
 K = 1.0 / (4.0 * math.sqrt(3.0))
 PHIS = [0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2, 2 * math.pi / 3, 5 * math.pi / 6, math.pi]
+
+
+def oracle_conditional_gate(phi, variant):
+    """The 4x4 diagonal conditional operator of the primary branch, the first
+    in ``branch_table`` order, and the total success probability (1/48 per
+    accepted branch)."""
+    table = oracle.branch_table([phi], variant)
+    return np.diag(next(iter(table.values()))[0]), len(table) / 48.0
 
 
 def single_branch(t, c, phi, variant="basic"):

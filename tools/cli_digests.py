@@ -25,7 +25,10 @@ filtered out (``DEAD``), each run through ``sweep`` and ``verify
 --netlist``: compiling rejects them, naming the dead input per outcome.
 Then ``basic.lopc`` with each ranged element kind at and just past the
 edge of its range (``RANGE``), run through ``verify --netlist``, so that
-each kind's range check is pinned on both sides.
+each kind's range check is pinned on both sides.  Then ``dual.lopc`` and
+``full.lopc`` with other ``postselect`` statements (``POSTSELECT``), each
+run through ``verify --netlist`` and ``sweep --netlist``: one on ``T_OUT2``,
+which the ports allow, and two that they do not, rejected at their line.
 
 Then come the malformed netlists: every statement of the
 shipped ``basic.lopc`` and ``full.lopc`` with exactly one token dropped,
@@ -123,6 +126,17 @@ RANGE = (
     ("HWP2:angle=1e6", HWP2, HWP2.replace("22.5", "1e6")),
     ("HWP1:m*(1+0.5e-12)", HWP1, _scaled(HWP1, 1.0 + 0.5e-12)),
     ("HWP1:m*(1+2e-12)", HWP1, _scaled(HWP1, 1.0 + 2e-12)),
+)
+
+POSTSELECT_LINE = "postselect T_OUT=1 C_OUT=1 d=1"
+#: Shipped layouts with another postselect statement, as (label, variant,
+#: statement).  ``ports`` fix what is post-selected, so the ``T_OUT2`` runs
+#: print what the shipped files print.
+POSTSELECT = (
+    ("dual.lopc(T_OUT2=1)", "dual", "postselect T_OUT2=1 C_OUT=1 d=1"),
+    ("full.lopc(T_OUT2=1)", "full", "postselect T_OUT2=1 C_OUT=1 d=1"),
+    ("full.lopc(C_OUT=2,d=0)", "full", "postselect T_OUT=1 C_OUT=2 d=0"),
+    ("full.lopc(T_OUT2=0)", "full", "postselect T_OUT=1 T_OUT2=0 C_OUT=1 d=1"),
 )
 
 
@@ -237,6 +251,11 @@ def main(argv: list[str]) -> int:
             netlist.write_text(edited("basic", ((statement, replacement),)), encoding="utf-8")
             args = ["verify", "--variant", "basic", "--netlist"]
             print(f"{digest([*args, str(netlist)])}  {' '.join([*args, f'basic.lopc({label})'])}")
+        for label, variant, statement in POSTSELECT:
+            netlist.write_text(edited(variant, ((POSTSELECT_LINE, statement),)), encoding="utf-8")
+            for command in ("verify", "sweep"):
+                args = [command, "--variant", variant, "--netlist"]
+                print(f"{digest([*args, str(netlist)])}  {' '.join([*args, label])}")
         for variant, label, text in malformed():
             netlist.write_text(text, encoding="utf-8")
             args = ["verify", "--variant", variant, "--netlist"]
