@@ -5,7 +5,7 @@ detected "program" photon."""
 __version__ = "0.1.0"
 
 from .elements import ElementSpec
-from .fock import LinearElement, ModeRegistry, permanents
+from .fock import permanents
 from .gates import CompiledCircuit, GateGrid, fidelity, hom_scan, ideal_cphase
 from .netlist import (
     CircuitNetlist,
@@ -27,10 +27,8 @@ __all__ = [
     "CompiledCircuit",
     "ElementSpec",
     "GateGrid",
-    "LinearElement",
     "MeasurementOutcome",
     "MeasurementRule",
-    "ModeRegistry",
     "NetlistError",
     "NetlistValidationError",
     "OracleBranch",

@@ -1,14 +1,15 @@
 """The element kinds of the gate circuits: one ``KINDS`` entry per kind,
-holding its ports, its numeric fields and its channel matrix.
+holding its ports, its numeric fields and its mode matrix.
 
 Phase conventions, fixed once for the whole package and pinned by the
 oracle-equivalence tests:
 
-* matrix columns are input channels, rows are output channels
+* matrix columns are input modes, rows are output modes
   (a†_in[i] -> sum_j M[j, i] a†_out[j]);
-* a beam splitter's channels are (a H, b H, a V, b V) in and (t H, r H, t V,
-  r V) out, and its inputs may be its outputs (a beam continuing on the same
-  line); every other kind acts on (H, V) of its one path.
+* a beam splitter ``(a, b, t, r)`` takes the modes (a H, b H, a V, b V) in
+  and gives (t H, r H, t V, r V) out, and its inputs may be its outputs (a
+  beam continuing on the same line); every other kind acts on (H, V) of its
+  one path.  ``gates.CompiledCircuit`` places these modes on its rows.
 
 Angles are accepted in degrees, matching how wave-plate settings are
 usually quoted on the bench.
@@ -24,8 +25,6 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-
-from .fock import H, V, LinearElement
 
 
 @dataclass(frozen=True)
@@ -74,28 +73,24 @@ class ElementSpec:
                 raise ValueError(f"{self.kind} {f.key} is non-finite: {value}")
         return kind, values
 
-    def build(self) -> LinearElement:
-        """The element, its matrix read-only; ValueError from ``checked_kind``,
+    def build(self) -> np.ndarray:
+        """The element's matrix, read-only; ValueError from ``checked_kind``,
         from ``matrix`` or on repeated splitter ports."""
         kind, values = self.checked_kind()
         matrix = kind.matrix(*values)
         matrix.flags.writeable = False
-        if len(self.paths) == 1:
-            channels = ((self.paths[0], H), (self.paths[0], V))
-            return LinearElement(self.name, channels, channels, matrix)
-        a, b, t, r = self.paths
-        if a == b:
-            raise ValueError(f"{self.kind} input paths must differ")
-        if t == r:
-            raise ValueError(f"{self.kind} output paths must differ")
-        channels_in = ((a, H), (b, H), (a, V), (b, V))
-        channels_out = ((t, H), (r, H), (t, V), (r, V))
-        return LinearElement(self.name, channels_in, channels_out, matrix)
+        if len(self.paths) == 4:
+            a, b, t, r = self.paths
+            if a == b:
+                raise ValueError(f"{self.kind} input paths must differ")
+            if t == r:
+                raise ValueError(f"{self.kind} output paths must differ")
+        return matrix
 
     @cached_property
-    def element(self) -> LinearElement:
-        """The built element, from the first ``build`` of this spec; a spec
-        that fails to build raises again on every access."""
+    def element(self) -> np.ndarray:
+        """The matrix from the first ``build`` of this spec; a spec that fails
+        to build raises again on every access."""
         return self.build()
 
 
@@ -110,7 +105,7 @@ class NumericField(NamedTuple):
 
 class ElementKind(NamedTuple):
     """One element kind: (key, path count) of each port field, the numeric
-    fields after them, and ``matrix(*values)``, the channel matrix of the finite
+    fields after them, and ``matrix(*values)``, the mode matrix of the finite
     field values in field order; as the one check of the kind's range, it raises
     ValueError on a value out of range, so any matrix it returns is subunitary."""
 

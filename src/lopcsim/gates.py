@@ -7,7 +7,8 @@ with the conditional two-qubit state it leaves behind.
 
 A ``CompiledCircuit`` validates a netlist, builds its elements once and
 composes them into one transfer matrix on the six input modes per detector
-outcome, which is where it checks that light goes where it should.  Its
+outcome, its rows the H and V modes of each path in the netlist's path
+order; that is where it checks that light goes where it should.  Its
 branch amplitudes for the eight basis inputs (four two-qubit inputs,
 program photon H or V) are one batch of 3×3 permanents.  Everything after
 the input is linear, so any input, a (2, 2, 2) array of amplitudes over
@@ -27,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .elements import KINDS, ElementSpec
-from .fock import POLS, permanents
+from .fock import permanents
 from .netlist import CircuitNetlist, NetlistValidationError, _where, validate
 
 _SQ2 = math.sqrt(2.0)
@@ -87,19 +88,21 @@ def _check_phases(phis) -> np.ndarray:
 class CompiledCircuit:
     """A netlist validated once and reduced to one transfer matrix per outcome.
 
-    ``validate`` builds each element through ``ElementSpec.element``, which
-    keeps the built element on the spec, so compiling reuses those builds.
+    ``validate`` builds each element's matrix through ``ElementSpec.element``,
+    which keeps it on the spec, so compiling reuses those builds.
 
-    The stages act on the rows of a transfer matrix from the six input modes
-    (target, control, program; H then V) onto the modes of the netlist's
-    paths: those before the measurement point, then each detector outcome's
-    feed-forward correction (if any), then the rest.  An element's input
-    rows, times its matrix, replace them and are added onto its output rows:
-    the product with the element embedded in the whole mode space, without
-    building that embedding; ``tests/dense_reference.transfer`` builds it as
-    the reference.  Each stage's rows are looked up once per compile, and
-    the plan of the stages after the measurement point serves every outcome;
-    a one-path element acts in place on its path's two adjacent rows.  A
+    This class is the one place that lays out the modes, in the netlist's
+    path order: path p's H row is twice its place in ``netlist.paths``, its
+    V row the next.  The stages act on the rows of a transfer matrix from
+    the six input modes (target, control, program; H then V): those before
+    the measurement point, then each detector outcome's feed-forward
+    correction (if any), then the rest.  An element's input rows, times its
+    matrix, replace them and are added onto its output rows: the product
+    with the element embedded in the whole mode space, without building
+    that embedding; ``tests/dense_reference.transfer`` builds it as the
+    reference.  Each stage's rows are worked out once per compile, and the
+    plan of the stages after the measurement point serves every outcome; a
+    one-path element acts in place on its path's two adjacent rows.  A
     branch (outcome, target output port) keeps three rows of its outcome's
     matrix for each of the four two-qubit outputs: the target port row of
     the target polarization, the control output row of the control
@@ -125,24 +128,23 @@ class CompiledCircuit:
         if diagnostics:
             raise NetlistValidationError(diagnostics)
         self.netlist = netlist
-        self.registry = netlist.registry()
-        ports = netlist.ports
-        index = self.registry.channel_index
+        ports, paths = netlist.ports, netlist.paths
         inputs = self._modes(ports.target_in, ports.control_in, ports.program_in)
 
         def plan(chain: Sequence[ElementSpec]) -> list:
             """(spec, matrix, input rows, output rows, onto rows) of each stage.  A
-            one-path element (two channels, H then V) acts on its path's two
-            adjacent rows, given as one slice and no output or onto rows."""
+            one-path element acts on its path's H and V rows, given as one slice
+            and no output or onto rows; a splitter (a, b, t, r) takes the rows
+            (a H, b H, a V, b V) onto (t H, r H, t V, r V)."""
             steps = []
             for spec in chain:
-                element = spec.element
-                ins = [index[c] for c in element.channels_in]
-                if len(ins) == 2:
-                    steps.append((spec, element.matrix, slice(ins[0], ins[0] + 2), None, None))
+                h = [2 * paths.index(p) for p in spec.paths]  # each path's H row
+                if len(h) == 1:
+                    steps.append((spec, spec.element, slice(h[0], h[0] + 2), None, None))
                     continue
-                outs = [index[c] for c in element.channels_out]
-                steps.append((spec, element.matrix, ins, outs, [r for r in outs if r not in ins]))
+                a, b, t, r = h
+                ins, outs = [a, b, a + 1, b + 1], [t, r, t + 1, r + 1]
+                steps.append((spec, spec.element, ins, outs, [o for o in outs if o not in ins]))
             return steps
 
         def compose(steps: list, transfer: np.ndarray) -> np.ndarray:
@@ -154,7 +156,7 @@ class CompiledCircuit:
                     continue
                 if onto and np.abs(transfer[onto]).max() > DARK_TOL:
                     lit = np.abs(transfer[onto]).max(axis=1)
-                    path = spec.element.channels_out[outs.index(onto[int(np.argmax(lit))])][0]
+                    path = paths[onto[int(np.argmax(lit))] // 2]
                     message = f"sends light onto an already-lit path ({path})"
                     raise NetlistValidationError([f"{_where(spec)}{spec.name}: {message}"])
                 moved = matrix @ transfer[ins]
@@ -163,7 +165,7 @@ class CompiledCircuit:
             return transfer
 
         before = compose(plan(netlist.stages[: netlist.measure_after]),
-                         np.eye(len(self.registry), dtype=complex)[:, inputs])
+                         np.eye(2 * len(paths), dtype=complex)[:, inputs])
         after = plan(netlist.stages[netlist.measure_after:])
         control = self._modes(ports.control_out)
         detector = self._modes(netlist.measurement.path)
@@ -175,7 +177,7 @@ class CompiledCircuit:
         # per target port and output |tc>: target row t, control row c and
         # the detector row, appended after the transfer matrix's last row
         picks = [
-            [(target[t], control[c], len(self.registry)) for t, c in np.ndindex(2, 2)]
+            [(target[t], control[c], 2 * len(paths)) for t, c in np.ndindex(2, 2)]
             for target in map(self._modes, ports.target_out)
         ]
         rows, dead = [], []
@@ -198,7 +200,8 @@ class CompiledCircuit:
         )
 
     def _modes(self, *paths: str) -> list[int]:
-        return [self.registry.channel_index[p, pol] for p in paths for pol in POLS]
+        """The H and V rows of each path in turn (see the class docstring)."""
+        return [2 * self.netlist.paths.index(p) + pol for p in paths for pol in (0, 1)]
 
     def run(self, psi: np.ndarray) -> np.ndarray:
         """Every branch's conditional two-qubit state for one input.
@@ -232,14 +235,11 @@ class CompiledCircuit:
         prepared is linear in it, so the operator of every branch at phase
         phi is (G_H - e^{i phi} G_V)/sqrt(2).
         """
-        ports = self.netlist.ports
-        mode = self._modes(ports.target_in, ports.control_in, ports.program_in)
         # A permanent does not depend on the order of its columns, but its
-        # floating-point sum may: columns in ascending mode order give every
-        # netlist the summation order of the committed golden outputs,
-        # whatever order it declares its input paths in.
-        columns = [sorted((i, 2 + j, 4 + k), key=mode.__getitem__)
-                   for k, i, j in np.ndindex(2, 2, 2)]
+        # floating-point sum may: columns in port order (target, control,
+        # program) sum every netlist alike, whatever order it declares its
+        # paths in, as the rows are picked by port too.
+        columns = [(i, 2 + j, 4 + k) for k, i, j in np.ndindex(2, 2, 2)]
         # rows[..., columns] is (branches, 4, 3, 8, 3): move the input axis out
         amplitudes = permanents(np.moveaxis(self.rows[..., columns], -2, -3))
         return np.moveaxis(amplitudes.reshape(len(self.branch_keys), 4, 2, 4), 2, 0)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import re
 from dataclasses import dataclass, fields
 from functools import cache
@@ -39,7 +40,6 @@ from typing import Sequence
 import numpy as np
 
 from .elements import KINDS, ElementKind, ElementSpec
-from .fock import ModeRegistry
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 #: Photons every gate netlist carries: one per input port.
@@ -120,9 +120,6 @@ class CircuitNetlist:
     measure_after: int
     ports: Ports
 
-    def registry(self) -> ModeRegistry:
-        return ModeRegistry(self.paths)
-
     def correction(self, name: str) -> ElementSpec:
         for spec in self.corrections:
             if spec.name == name:
@@ -173,14 +170,21 @@ def _split(value: str, count: int | None, what: str, line: int, col: int) -> lis
 def _rule_problems(outcomes: Sequence[MeasurementOutcome]) -> list[tuple[int, str]]:
     """Outcome-ket problems, each with the index of the outcome it concerns.
 
-    The kets must have 2 components, be normalized and be pairwise
-    orthogonal; a ket of another length is reported and left out of the
-    other tests, and every test fails on NaN.
+    The kets must hold numbers, have 2 components, be normalized and be
+    pairwise orthogonal; a ket with an entry that is not a number, or of
+    another length, is reported and left out of the other tests, and every
+    test fails on NaN.
     """
     problems: list[tuple[int, str]] = []
     checked: list[tuple[str, np.ndarray]] = []  # (label, ket) of the 2-component kets
     for i, outcome in enumerate(outcomes):
-        label, ket = repr(outcome.label), np.array(outcome.ket, dtype=complex)
+        label, entries = repr(outcome.label), np.array(outcome.ket, dtype=object).ravel().tolist()
+        # builtin types first: an isinstance check against the ABC costs about 1 µs
+        bad = [c for c in entries if not isinstance(c, (complex, float, int, numbers.Complex))]
+        if bad:
+            problems.append((i, f"outcome {label}: ket entry must be a number, got {bad[0]!r}"))
+            continue
+        ket = np.array(entries, dtype=complex)
         if ket.size != 2:
             problems.append((i, f"outcome {label}: ket needs 2 components, got {ket.size}"))
             continue

@@ -1,13 +1,15 @@
 """A dense first-quantized reference for the permanent engine.
 
-An N-photon state is a symmetric N-index tensor over the modes of a
-registry: the occupation ket with modes m_1 .. m_N (repeats allowed) is the
-normalized sum of e_{m_s(1)} ⊗ .. ⊗ e_{m_s(N)} over all orderings s, and a
-superposition is a sum of such tensors.  A linear network acts with its
-transfer matrix on every index (``np.einsum``), and the amplitude of an
-output occupation is the overlap with its ket.  No permanent appears and
-nothing is shared with ``lopcsim.fock`` beyond the registry and element
-types.
+An N-photon state is a symmetric N-index tensor over the modes of a tuple
+of paths (``modes``): the occupation ket with modes m_1 .. m_N (repeats
+allowed) is the normalized sum of e_{m_s(1)} ⊗ .. ⊗ e_{m_s(N)} over all
+orderings s, and a superposition is a sum of such tensors.  A linear
+network acts with its transfer matrix on every index (``np.einsum``), and
+the amplitude of an output occupation is the overlap with its ket.  No
+permanent appears, and nothing is shared with ``lopcsim`` beyond
+``ElementSpec``'s paths and matrix: the mode indices and each kind's
+channels are laid out here, from ``lopcsim.elements``' documented
+convention, and not by the compile.
 
 ``transfer`` is also the reference for the compile path: each element is
 embedded here on its own as a full mode-space matrix, and the products,
@@ -21,23 +23,42 @@ import itertools
 import numpy as np
 
 
-def transfer(registry, elements):
-    """Transfer matrix of ``elements`` applied in order.
+def modes(paths):
+    """The index of each (path, pol) mode over ``paths``: H, then V, of each
+    path in turn."""
+    return {mode: i for i, mode in enumerate(itertools.product(paths, "HV"))}
 
-    Each element is embedded as a matrix over every mode of ``registry``:
-    its matrix fills the block of its input columns and output rows, and the
-    columns of modes it does not take as input stay identity, so light
-    already on one of its output paths passes on untouched.
-    """
-    u = np.eye(len(registry), dtype=complex)
-    for element in elements:
-        step = np.eye(len(registry), dtype=complex)
-        ins = [registry.channel_index[ch] for ch in element.channels_in]
-        outs = [registry.channel_index[ch] for ch in element.channels_out]
-        step[:, ins] = 0.0
-        for i, col in enumerate(ins):
-            step[outs, col] = element.matrix[:, i]
-        u = step @ u
+
+def channels(spec):
+    """The (path, pol) modes of ``spec``'s matrix columns and rows: a
+    splitter (a, b, t, r) takes (a H, b H, a V, b V) to (t H, r H, t V, r V),
+    any other kind (H, V) of its path to themselves."""
+    if len(spec.paths) == 1:
+        same = tuple((spec.paths[0], pol) for pol in "HV")
+        return same, same
+    a, b, t, r = spec.paths
+    return ((a, "H"), (b, "H"), (a, "V"), (b, "V")), ((t, "H"), (r, "H"), (t, "V"), (r, "V"))
+
+
+def embed(size, ins, outs, matrix):
+    """``matrix`` from the modes ``ins`` onto the modes ``outs`` as a matrix
+    over ``size`` modes: the columns of modes not in ``ins`` stay identity,
+    so light already on one of ``outs`` passes on untouched."""
+    step = np.eye(size, dtype=complex)
+    step[:, ins] = 0.0
+    for i, col in enumerate(ins):
+        step[outs, col] = matrix[:, i]
+    return step
+
+
+def transfer(paths, specs):
+    """Transfer matrix over the modes of ``paths`` of the elements of
+    ``specs`` applied in order, each one ``embed``ded on its ``channels``."""
+    index = modes(paths)
+    u = np.eye(len(index), dtype=complex)
+    for spec in specs:
+        ins, outs = ([index[ch] for ch in side] for side in channels(spec))
+        u = embed(len(index), ins, outs, spec.element) @ u
     return u
 
 

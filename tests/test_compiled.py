@@ -18,7 +18,6 @@ import pytest
 
 import lopcsim.gates
 from lopcsim import (
-    CircuitNetlist,
     CompiledCircuit,
     GateGrid,
     NetlistValidationError,
@@ -151,21 +150,29 @@ def test_grid_is_a_record_of_arrays():
     assert np.allclose(grid.p_success, 1 / 12, rtol=0, atol=1e-12)
 
 
-def test_one_mode_registry_per_compile(monkeypatch):
-    calls = []
-    registry = CircuitNetlist.registry
-
-    def counting(netlist):
-        calls.append(netlist)
-        return registry(netlist)
-
-    monkeypatch.setattr(CircuitNetlist, "registry", counting)
-    circuit = CompiledCircuit(builtin_variant("full"))
-    circuit.program_operators
-    assert len(calls) == 1
-    circuit.evaluate([0.1, 0.2])
-    circuit.evaluate([0.3])
-    assert len(calls) == 1
+@pytest.mark.parametrize("variant", ["basic", "ff", "dual", "full"])
+def test_the_order_of_the_path_statements_changes_no_bit(variant):
+    """The netlist's path order is the row order of the compile, but every
+    composed entry and every permanent is taken in port order: a layout
+    gives the same bits whatever order it declares its paths in."""
+    text = resources.files("lopcsim").joinpath(f"circuits/{variant}.lopc").read_text("utf-8")
+    lines = text.splitlines(keepends=True)
+    declared = [i for i, line in enumerate(lines) if line.startswith("path ")]
+    grid = np.linspace(-math.pi, math.pi, 9)
+    shipped = CompiledCircuit(builtin_variant(variant)).evaluate(grid)
+    rng = np.random.default_rng(sum(map(ord, variant)))
+    orders = set()
+    for _ in range(30):
+        shuffled = list(lines)
+        for at, line in zip(declared, rng.permutation([lines[i] for i in declared])):
+            shuffled[at] = line
+        netlist = parse("".join(shuffled))
+        orders.add(netlist.paths)
+        grid_of_shuffle = CompiledCircuit(netlist).evaluate(grid)
+        assert grid_of_shuffle.branch_keys == shipped.branch_keys
+        for field in ("ops", "probabilities", "p_success", "fidelity"):
+            assert getattr(grid_of_shuffle, field).tobytes() == getattr(shipped, field).tobytes()
+    assert len(orders) == 30
 
 
 def test_compiled_circuit_validates_once_and_rejects_invalid_netlists(monkeypatch):

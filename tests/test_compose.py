@@ -35,7 +35,6 @@ from hypothesis import strategies as st
 
 from lopcsim import CompiledCircuit, NetlistValidationError, builtin_variant, parse, validate
 from lopcsim.elements import KINDS, ElementSpec
-from lopcsim.fock import POLS
 from lopcsim.netlist import CircuitNetlist, MeasurementOutcome, MeasurementRule, Ports
 
 from . import dense_reference
@@ -45,31 +44,32 @@ from .test_fock_properties import (
     KIND_LISTS,
     LOSSY_PARAMS,
     PHASE,
-    REGISTRY,
+    PATHS,
     SETTINGS,
     TRANSMISSION,
+    chains,
 )
 
 VARIANTS = ("basic", "ff", "dual", "full")
 
 
 def outcome_chains(netlist):
-    """Each measurement outcome with its element chain: the stages before the
+    """Each measurement outcome with its chain of specs: the stages before the
     measurement point, the outcome's correction (if any), then the rest."""
     before, after = netlist.stages[: netlist.measure_after], netlist.stages[netlist.measure_after:]
     for outcome in netlist.measurement.outcomes:
         correction = (netlist.correction(outcome.correct),) if outcome.correct else ()
-        yield outcome, [spec.element for spec in before + correction + after]
+        yield outcome, before + correction + after
 
 
 def input_columns(netlist):
     """The six input modes, in port order: the target, control and program
     input paths, H then V on each."""
-    registry, ports = netlist.registry(), netlist.ports
+    index, ports = dense_reference.modes(netlist.paths), netlist.ports
     return [
-        registry.channel_index[path, pol]
+        index[path, pol]
         for path in (ports.target_in, ports.control_in, ports.program_in)
-        for pol in POLS
+        for pol in "HV"
     ]
 
 
@@ -77,14 +77,14 @@ def reference_rows(netlist):
     """``CompiledCircuit.rows`` from ``dense_reference.transfer`` of each
     outcome's chain, over every mode: the compiled rows are its
     ``input_columns``."""
-    registry = netlist.registry()
+    index = dense_reference.modes(netlist.paths)
 
     def modes(path):
-        return [registry.channel_index[path, pol] for pol in POLS]
+        return [index[path, pol] for pol in "HV"]
 
     rows = []
     for outcome, chain in outcome_chains(netlist):
-        transfer = dense_reference.transfer(registry, chain)
+        transfer = dense_reference.transfer(netlist.paths, chain)
         detector = np.conj(outcome.ket) @ transfer[modes(netlist.measurement.path)]
         control = transfer[modes(netlist.ports.control_out)]
         for port in netlist.ports.target_out:
@@ -99,11 +99,11 @@ def dense_run(netlist, psi):
     chain, read on the target port and control output modes of each
     polarization and on the detector modes contracted with the conjugated
     outcome ket, one row per (outcome, target port)."""
-    registry, ports = netlist.registry(), netlist.ports
-    size = len(registry)
+    index, ports = dense_reference.modes(netlist.paths), netlist.ports
+    size = len(index)
 
     def mode(path, bit):
-        return registry.channel_index[path, POLS[bit]]
+        return index[path, "HV"[bit]]
 
     ket = sum(
         psi[t, c, p] * dense_reference.tensor(
@@ -113,7 +113,7 @@ def dense_run(netlist, psi):
     )
     rows = []
     for outcome, chain in outcome_chains(netlist):
-        evolved = dense_reference.evolve(ket, dense_reference.transfer(registry, chain))
+        evolved = dense_reference.evolve(ket, dense_reference.transfer(netlist.paths, chain))
         for port in ports.target_out:
             rows.append([
                 sum(
@@ -191,19 +191,10 @@ def test_light_that_reaches_its_port_through_a_correction_compiles():
     assert np.abs(operators).max() > 0.1
 
 
-@st.composite
-def spec_chains(draw):
-    """Specs of the elements that ``test_fock_properties.chains`` builds:
-    kinds, wiring and lossy parameters drawn alike."""
-    specs = []
-    for i, kind_name in enumerate(draw(KIND_LISTS)):
-        paths = draw(st.permutations(REGISTRY.paths))
-        if sum(n for _, n in KINDS[kind_name].ports) == 1:
-            wiring = paths[:1]
-        else:
-            wiring = paths[:2] + draw(st.permutations(paths[:2]))
-        specs.append(ElementSpec(kind_name, f"E{i}", tuple(wiring), draw(LOSSY_PARAMS[kind_name])))
-    return specs
+def spec_chains():
+    """Chains of specs as ``test_fock_properties.chains`` draws them, with lossy
+    parameters."""
+    return KIND_LISTS.flatmap(lambda kinds: chains(LOSSY_PARAMS, kinds))
 
 
 def netlist_of(chain, paths, angle, outcomes):
@@ -216,7 +207,7 @@ def netlist_of(chain, paths, angle, outcomes):
     cos, sin = complex(math.cos(angle)), complex(math.sin(angle))
     kets = [(cos, sin), (-sin, cos)][:outcomes]
     return CircuitNetlist(
-        paths=REGISTRY.paths,
+        paths=PATHS,
         stages=tuple(chain),
         corrections=(),
         measurement=MeasurementRule(
@@ -228,7 +219,7 @@ def netlist_of(chain, paths, angle, outcomes):
 
 
 @SETTINGS
-@given(spec_chains(), st.permutations(REGISTRY.paths), PHASE, st.integers(1, 2))
+@given(spec_chains(), st.permutations(PATHS), PHASE, st.integers(1, 2))
 def test_compile_path_matches_the_references_on_random_chains(chain, paths, angle, outcomes):
     netlist = netlist_of(chain, paths, angle, outcomes)
     dead = dead_blocks(netlist)
@@ -268,14 +259,14 @@ def test_compiling_twice_gives_the_same_bits_and_leaves_the_elements_as_they_wer
     the rows are also those of the dense reference."""
     netlist = builtin_variant(variant)
     specs = netlist.stages + netlist.corrections
-    matrices = [bits(spec.element.matrix).copy() for spec in specs]
+    matrices = [bits(spec.element).copy() for spec in specs]
     first, second = CompiledCircuit(netlist), CompiledCircuit(netlist)
     assert np.array_equal(bits(first.rows), bits(second.rows))
     reference = reference_rows(netlist)[..., input_columns(netlist)]
     assert np.array_equal(bits(first.rows), bits(reference))
     assert np.array_equal(bits(first.program_operators), bits(second.program_operators))
     for spec, matrix in zip(specs, matrices):
-        assert np.array_equal(bits(spec.element.matrix), matrix)
+        assert np.array_equal(bits(spec.element), matrix)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -286,9 +277,9 @@ def test_built_matrices_are_read_only(variant):
     first = CompiledCircuit(netlist)
     for spec in netlist.stages + netlist.corrections:
         with pytest.raises(ValueError, match="read-only"):
-            spec.element.matrix[0, 0] = 2.0
+            spec.element[0, 0] = 2.0
         with pytest.raises(ValueError, match="read-only"):
-            spec.element.matrix *= 2.0
+            spec.element *= 2.0
     second = CompiledCircuit(netlist)
     assert np.array_equal(bits(first.rows), bits(second.rows))
     assert np.array_equal(bits(first.program_operators), bits(second.program_operators))
@@ -312,13 +303,12 @@ MERGED = re.compile(r"(\w+): sends light onto an already-lit path \((\w+)\)")
 def reference_prefixes(netlist):
     """Each outcome's element chain with its dense prefixes on the six input
     columns, the empty one first: prefix k is what element k acts on."""
-    registry = netlist.registry()
     inputs = input_columns(netlist)
     for _, chain in outcome_chains(netlist):
-        transfer = np.eye(len(registry), dtype=complex)
+        transfer = np.eye(2 * len(netlist.paths), dtype=complex)
         prefixes = [transfer[:, inputs]]
-        for element in chain:
-            transfer = dense_reference.transfer(registry, [element]) @ transfer
+        for spec in chain:
+            transfer = dense_reference.transfer(netlist.paths, [spec]) @ transfer
             prefixes.append(transfer[:, inputs])
         yield chain, prefixes
 
@@ -326,13 +316,14 @@ def reference_prefixes(netlist):
 def first_merge(netlist):
     """(name, lit paths) of the first element, in compile order, that sends
     light onto a lit path it does not take as input; None if none does."""
-    registry = netlist.registry()
+    index = dense_reference.modes(netlist.paths)
     for chain, prefixes in reference_prefixes(netlist):
-        for element, prefix in zip(chain, prefixes):
-            onto = [ch for ch in element.channels_out if ch not in element.channels_in]
-            lit = {ch[0] for ch in onto if np.abs(prefix[registry.channel_index[ch]]).max() > DARK}
+        for spec, prefix in zip(chain, prefixes):
+            ins, outs = dense_reference.channels(spec)
+            onto = [ch for ch in outs if ch not in ins]
+            lit = {ch[0] for ch in onto if np.abs(prefix[index[ch]]).max() > DARK}
             if lit:
-                return element.name, lit
+                return spec.name, lit
     return None
 
 
@@ -341,7 +332,7 @@ def dead_blocks(netlist):
     outcome's final dense prefix that are exactly 0: the target input's
     columns on the target outputs, the control input's on the control
     output, the program input's on the detector path."""
-    registry, ports = netlist.registry(), netlist.ports
+    index, ports = dense_reference.modes(netlist.paths), netlist.ports
     goals = [
         (ports.target_out, "target input does not reach any target output"),
         ((ports.control_out,), "control input does not reach the control output"),
@@ -350,7 +341,7 @@ def dead_blocks(netlist):
     found = []
     for outcome, (_, prefixes) in zip(netlist.measurement.outcomes, reference_prefixes(netlist)):
         for k, (paths, message) in enumerate(goals):
-            rows = [registry.channel_index[path, pol] for path in paths for pol in POLS]
+            rows = [index[path, pol] for path in paths for pol in "HV"]
             if not prefixes[-1][rows, 2 * k:2 * k + 2].any():
                 found.append(f"outcome {outcome.label!r}: {message}")
     return found
@@ -360,7 +351,7 @@ def assert_contractive_prefixes(netlist):
     """Every prefix V, on the input columns, has I - V†V positive
     semidefinite; it is an isometry while every element so far is unitary."""
     for chain, prefixes in reference_prefixes(netlist):
-        unitary = [allclose_unitary(element) for element in chain]
+        unitary = [allclose_unitary(spec.element) for spec in chain]
         for k, v in enumerate(prefixes[1:], 1):
             gram = v.conj().T @ v
             assert np.linalg.eigvalsh(np.eye(6) - gram).min() >= -1e-12

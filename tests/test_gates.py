@@ -12,11 +12,11 @@ from lopcsim import (
     hom_scan,
     ideal_cphase,
 )
-from lopcsim.fock import H, POLS, V, permanents
+from lopcsim.fock import permanents
 
 from . import dense_reference
 from .gate_checks import branch_scores, strip_corrections
-from .test_elements import element
+from .test_elements import element_spec
 
 SQ2 = math.sqrt(2.0)
 K = 1.0 / (4.0 * math.sqrt(3.0))
@@ -70,13 +70,13 @@ def test_post_select_after_detector_basis_projector():
     # The input |00> is one term per program polarization, each a permanent
     # on its three occupied columns.
     nl = builtin_variant("basic")
-    index = nl.registry().channel_index
+    index = dense_reference.modes(nl.paths)
     program = product_input(KET0, KET0, 0.6)[0, 0]
-    projector = element("jones", "d", 0.5, 0.5, 0.5, 0.5)
-    u = dense_reference.transfer(nl.registry(), [spec.build() for spec in nl.stages] + [projector])
-    rows = [u[[index[p, pol] for pol in (H, V)]] for p in ("T_OUT", "C_OUT", "d")]
+    projector = element_spec("jones", "d", 0.5, 0.5, 0.5, 0.5)
+    u = dense_reference.transfer(nl.paths, [*nl.stages, projector])
+    rows = [u[[index[p, pol] for pol in "HV"]] for p in ("T_OUT", "C_OUT", "d")]
     triples = np.array([[t, c, d] for t in rows[0] for c in rows[1] for d in rows[2]])
-    columns = [[index["t_in", H], index["c_in", H], index["p_in", pol]] for pol in POLS]
+    columns = [[index["t_in", "H"], index["c_in", "H"], index["p_in", pol]] for pol in "HV"]
     amplitudes = permanents(np.moveaxis(triples[..., columns], -2, -3)) @ program
     prob = float(np.sum(np.abs(amplitudes) ** 2))
     assert abs(prob - 1.0 / 48.0) < 1e-12

@@ -15,19 +15,20 @@ import math
 import numpy as np
 import pytest
 
-from lopcsim import ModeRegistry, hom_scan
+from lopcsim import hom_scan
 from lopcsim.elements import KINDS
 
 from . import dense_reference
-from .test_elements import element
+from .test_elements import element_spec
 
 
 def reference_scan(t_v, overlaps):
-    registry = ModeRegistry(("a0", "b0", "a1", "b1"))
-    per_wavepacket = [element("ppbs", f"a{w} b{w} a{w} b{w}", t_v) for w in (0, 1)]
-    u = dense_reference.transfer(registry, per_wavepacket)
-    (a0, a1), (b0, b1) = ([registry.channel_index[f"{p}{w}", "V"] for w in (0, 1)] for p in "ab")
-    size = len(registry)
+    paths = ("a0", "b0", "a1", "b1")
+    per_wavepacket = [element_spec("ppbs", f"a{w} b{w} a{w} b{w}", t_v) for w in (0, 1)]
+    u = dense_reference.transfer(paths, per_wavepacket)
+    index = dense_reference.modes(paths)
+    (a0, a1), (b0, b1) = ([index[f"{p}{w}", "V"] for w in (0, 1)] for p in "ab")
+    size = len(index)
     rows = []
     for v in overlaps:
         ket = (math.sqrt(v) * dense_reference.tensor(size, [a0, b0])

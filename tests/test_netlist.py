@@ -272,13 +272,28 @@ def test_validate_reports_non_finite_outcome_kets(ket):
     assert "outcome 'A': ket is not normalized" in diags
 
 
-@pytest.mark.parametrize("ket", [(1.0, 0.0, 0.0), (1.0,)])
+@pytest.mark.parametrize("ket", [(1.0, 0.0, 0.0), (1.0,), 1.0])
 def test_validate_reports_ket_of_wrong_length(ket):
     nl = builtin_variant("ff")
     d, a = nl.measurement.outcomes
     outcomes = (replace(d, ket=ket), a)
     diags = validate(replace(nl, measurement=replace(nl.measurement, outcomes=outcomes)))
-    assert diags == [f"outcome 'D': ket needs 2 components, got {len(ket)}"]
+    assert diags == [f"outcome 'D': ket needs 2 components, got {np.size(ket)}"]
+
+
+@pytest.mark.parametrize(
+    "ket, shown", [(("x", 0), "'x'"), ((None, 1), "None"), ((1.0, "0"), "'0'")]
+)
+def test_validate_reports_a_ket_entry_that_is_not_a_number(ket, shown):
+    # built in code, not parsed: reported as an outcome's problem, with no
+    # other test of that ket, rather than escaping or reading as NaN
+    nl = builtin_variant("ff")
+    d, a = nl.measurement.outcomes
+    bad = replace(nl, measurement=replace(nl.measurement, outcomes=(replace(d, ket=ket), a)))
+    message = f"outcome 'D': ket entry must be a number, got {shown}"
+    assert validate(bad) == [message]
+    with pytest.raises(NetlistValidationError, match=f"^{re.escape(message)}$"):
+        CompiledCircuit(bad)
 
 
 def test_render_checks_parameter_count():

@@ -14,8 +14,8 @@ import lopcsim.oracle
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC = [
-    "CircuitNetlist", "CompiledCircuit", "ElementSpec", "GateGrid", "LinearElement",
-    "MeasurementOutcome", "MeasurementRule", "ModeRegistry", "NetlistError",
+    "CircuitNetlist", "CompiledCircuit", "ElementSpec", "GateGrid",
+    "MeasurementOutcome", "MeasurementRule", "NetlistError",
     "NetlistValidationError", "OracleBranch", "OraclePath", "Ports", "__version__",
     "branch_table", "builtin_variant", "fidelity", "hom_scan", "ideal_cphase",
     "parse", "path_amplitude", "permanents", "render", "validate",
@@ -25,15 +25,17 @@ PUBLIC = [
 #: ``CompiledCircuit.run`` on a (2, 2, 2) amplitude array the sparse Fock-state
 #: engine and its input builders, the next eight, ``ElementSpec.build``,
 #: whose kinds check their own matrices, the next one, and ``ports`` the
-#: ``CircuitNetlist.postselect`` field and its total.  The last six were read
-#: by the tests alone, which now keep them in ``tests/``.
+#: ``CircuitNetlist.postselect`` field and its total.  The next six were read
+#: by the tests alone, which now keep them in ``tests/``.  The last five laid
+#: out the modes, which the netlist's path order now does: ``ElementSpec.build``
+#: gives the matrix alone.
 REMOVED = [
     "run", "conditional_gate", "success_probability", "sweep_phi", "ConditionalGateReport",
     "pbs", "ppbs", "hwp", "jones", "pol_filter", "phase_flip",
     "FockState", "make_photon_state", "coincidence_amplitudes", "PRUNE_TOL", "Occupation",
     "Branch", "BASIS_KETS", "prepare_inputs", "linear_element", "postselect", "postselect_total",
     "branch_consistent", "diagonal", "BRANCH_TOL", "DIAG_TOL", "strip_corrections",
-    "oracle_conditional_gate",
+    "oracle_conditional_gate", "LinearElement", "ModeRegistry", "Channel", "registry", "POLS",
 ]
 
 
