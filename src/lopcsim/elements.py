@@ -60,7 +60,8 @@ class ElementSpec:
             raise ValueError(f"{self.kind} takes {len(fields)} parameters, got {len(self.params)}")
         values: list[float | complex] = []
         for f, p in zip(fields, self.params):
-            if not isinstance(p, numbers.Complex):
+            # builtin types first: an isinstance check against the ABC costs about 1 µs
+            if not isinstance(p, (complex, float, int, numbers.Complex)):
                 raise ValueError(f"{self.kind} {f.key} must be a number, got {p!r}")
             if f.is_complex:
                 values.append(p)

@@ -95,8 +95,8 @@ class CompiledCircuit:
     path order: path p's H row is twice its place in ``netlist.paths``, its
     V row the next.  The stages act on the rows of a transfer matrix from
     the six input modes (target, control, program; H then V): those before
-    the measurement point, then each detector outcome's feed-forward
-    correction (if any), then the rest.  An element's input rows, times its
+    the measurement point, then the correction each detector outcome
+    carries (if any), then the rest.  An element's input rows, times its
     matrix, replace them and are added onto its output rows: the product
     with the element embedded in the whole mode space, without building
     that embedding; ``tests/dense_reference.transfer`` builds it as the
@@ -182,7 +182,7 @@ class CompiledCircuit:
         ]
         rows, dead = [], []
         for outcome in netlist.measurement.outcomes:
-            correction = plan([netlist.correction(outcome.correct)]) if outcome.correct else []
+            correction = plan([outcome.correct]) if outcome.correct else []
             transfer = compose(correction + after, before)
             dead += [f"outcome {outcome.label!r}: {message}" for k, (out, message)
                      in enumerate(blocks) if not transfer[out, 2 * k:2 * k + 2].any()]

@@ -18,8 +18,8 @@ A netlist is line based, one statement per line, ``#`` starts a comment:
 Complex literals are ``re`` or ``re+imj``.  Paths must be declared before
 use.  Element statements execute in file order; the position of the
 ``measure`` lines among them marks where measurement-conditioned
-corrections are inserted.  An element referenced by some ``correct=`` is a
-conditional correction and is excluded from the unconditional stage flow.
+corrections are inserted.  An element named by some ``correct=``, before or
+after that line, is the correction its outcome carries, not a stage.
 ``postselect`` must ask for one photon each on a target output, on
 ``control_out`` and on the measurement path, three in all.  Those fix what
 is post-selected, so the statement is checked against them and not kept:
@@ -32,7 +32,7 @@ import cmath
 import math
 import numbers
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cache
 from importlib import resources
 from typing import Sequence
@@ -70,9 +70,11 @@ class NetlistValidationError(ValueError):
 
 @dataclass(frozen=True)
 class MeasurementOutcome:
+    """A detector outcome: its ket and the correction element it triggers, if any."""
+
     label: str
     ket: tuple[complex, complex]
-    correct: str | None = None
+    correct: ElementSpec | None = None
 
 
 @dataclass(frozen=True)
@@ -110,21 +112,21 @@ class CircuitNetlist:
     """Validated circuit description: ordered stages plus measurement rules.
 
     ``measure_after`` is the number of unconditional stages applied before
-    the measurement point; feed-forward corrections act there.
+    the measurement point; the corrections its outcomes carry act there.
     """
 
     paths: tuple[str, ...]
     stages: tuple[ElementSpec, ...]
-    corrections: tuple[ElementSpec, ...]
     measurement: MeasurementRule
     measure_after: int
     ports: Ports
 
-    def correction(self, name: str) -> ElementSpec:
-        for spec in self.corrections:
-            if spec.name == name:
-                return spec
-        raise KeyError(f"no correction element named {name!r}")
+    @property
+    def corrections(self) -> tuple[ElementSpec, ...]:
+        """Each outcome's correction once, in outcome order, told apart by identity:
+        two specs that share a name stay two, which ``validate`` reports."""
+        specs = [o.correct for o in self.measurement.outcomes if o.correct is not None]
+        return tuple(s for i, s in enumerate(specs) if all(s is not t for t in specs[:i]))
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +204,10 @@ def _rule_problems(outcomes: Sequence[MeasurementOutcome]) -> list[tuple[int, st
 class _Parser:
     def __init__(self) -> None:
         self.paths: list[str] = []
-        self.elements: list[ElementSpec] = []
-        self.names: dict[str, int] = {}
+        self.elements: dict[str, ElementSpec] = {}  # by name, in file order
         self.measure_path: str | None = None
         self.outcomes: list[MeasurementOutcome] = []
+        self.corrects: list[str | None] = []  # each outcome's correct= name
         self.measure_lines: list[int] = []
         self.elements_before_measure: int | None = None
         self.postselect: dict[str, int] | None = None
@@ -248,9 +250,8 @@ class _Parser:
 
     def _new_name(self, tok: tuple[str, int], line: int) -> str:
         name = self._ident(tok, line, "element name")
-        if name in self.names:
+        if name in self.elements:
             raise NetlistError(f"duplicate element name {name!r}", line, tok[1])
-        self.names[name] = line
         return name
 
     # -- statement handlers -------------------------------------------------
@@ -276,7 +277,7 @@ class _Parser:
             literal = complex if f.is_complex else float
             entries = self._numbers(tok, line, f.key, f.count, literal, f"{f.key}= entries")
             params += map(complex, entries)
-        self.elements.append(ElementSpec(kind_name, name, tuple(paths), tuple(params), line=line))
+        self.elements[name] = ElementSpec(kind_name, name, tuple(paths), tuple(params), line=line)
 
     def stmt_measure(self, toks, line: int) -> None:
         if len(toks) not in (5, 6):
@@ -301,7 +302,8 @@ class _Parser:
             )
         if any(o.label == label for o in self.outcomes):
             raise NetlistError(f"duplicate outcome label {label!r}", line, toks[3][1])
-        self.outcomes.append(MeasurementOutcome(label, (ket[0], ket[1]), correct))
+        self.outcomes.append(MeasurementOutcome(label, (ket[0], ket[1])))
+        self.corrects.append(correct)
         self.measure_lines.append(line)
 
     def stmt_postselect(self, toks, line: int) -> None:
@@ -354,9 +356,9 @@ class _Parser:
         if problems:
             index, message = problems[0]
             raise NetlistError(message, self.measure_lines[index])
-        conditional = {o.correct for o in self.outcomes if o.correct is not None}
+        conditional = {name for name in self.corrects if name is not None}
         for name in sorted(conditional):
-            if name not in self.names:
+            if name not in self.elements:
                 raise NetlistError(f"correct= references unknown element {name!r}", eol)
         targets = [pattern[p] for p in ports.target_out if p in pattern]
         for ok, where in (
@@ -367,15 +369,16 @@ class _Parser:
             if not ok:
                 message = f"postselect must require exactly one photon on {where}"
                 raise NetlistError(message, self.postselect_line)
-        stages = tuple(e for e in self.elements if e.name not in conditional)
-        corrections = tuple(e for e in self.elements if e.name in conditional)
-        before = self.elements[: self.elements_before_measure]
+        elements = list(self.elements.values())
+        stages = tuple(e for e in elements if e.name not in conditional)
+        pairs = zip(self.outcomes, self.corrects)
+        outcomes = tuple(replace(o, correct=self.elements.get(c)) for o, c in pairs)
+        before = elements[: self.elements_before_measure]
         measure_after = sum(1 for e in before if e.name not in conditional)
         return CircuitNetlist(
             paths=tuple(self.paths),
             stages=stages,
-            corrections=corrections,
-            measurement=MeasurementRule(self.measure_path, tuple(self.outcomes)),
+            measurement=MeasurementRule(self.measure_path, outcomes),
             measure_after=measure_after,
             ports=ports,
         )
@@ -464,14 +467,10 @@ def render(netlist: CircuitNetlist) -> str:
     measure_block = [_render_element(spec) for spec in netlist.corrections]
     for outcome in netlist.measurement.outcomes:
         ket = ",".join(_fmt_complex(c) for c in outcome.ket)
-        suffix = f" correct={outcome.correct}" if outcome.correct else ""
+        suffix = f" correct={outcome.correct.name}" if outcome.correct else ""
         measure_block.append(f"measure path={measured} outcome {outcome.label} ket={ket}{suffix}")
-    for i, spec in enumerate(netlist.stages):
-        if i == netlist.measure_after:
-            lines.extend(measure_block)
-        lines.append(_render_element(spec))
-    if netlist.measure_after >= len(netlist.stages):
-        lines.extend(measure_block)
+    stages, at = [_render_element(spec) for spec in netlist.stages], netlist.measure_after
+    lines += stages[:at] + measure_block + stages[at:]
     lines.append(f"postselect {ports.target_out[0]}=1 {ports.control_out}=1 {measured}=1")
     groups = _port_groups(ports)
     lines.append(" ".join(["ports", *(f"{k}={','.join(g)}" for k, g in groups)]))
@@ -486,17 +485,23 @@ def _where(spec: ElementSpec) -> str:
     return f"line {spec.line}: " if spec.line else ""
 
 
+def _is_ident(word) -> bool:
+    return isinstance(word, str) and _IDENT.match(word) is not None
+
+
 def validate(netlist: CircuitNetlist) -> list[str]:
     """Structural and numeric checks; an empty list means none failed.  Where
     light goes is checked only by compiling, so a netlist that passes may not compile."""
     declared = set(netlist.paths)
-    diags = [f"invalid path name {p!r}" for p in netlist.paths if not _IDENT.match(p)]
+    diags = [f"invalid path name {p!r}" for p in netlist.paths if not _is_ident(p)]
     diags += [
         f"duplicate path {p!r}" for i, p in enumerate(netlist.paths) if p in netlist.paths[:i]
     ]
+    rule = netlist.measurement
+    corrections = tuple(c for c in netlist.corrections if isinstance(c, ElementSpec))
     names: set[str] = set()
-    for spec in netlist.stages + netlist.corrections:
-        if not _IDENT.match(spec.name):
+    for spec in netlist.stages + corrections:
+        if not _is_ident(spec.name):
             diags.append(f"{_where(spec)}invalid element name {spec.name!r}")
         if spec.name in names:
             diags.append(f"{_where(spec)}duplicate element name {spec.name!r}")
@@ -509,54 +514,47 @@ def validate(netlist: CircuitNetlist) -> list[str]:
         except ValueError as err:
             diags.append(f"{_where(spec)}{spec.name}: {err}")
 
-    rule = netlist.measurement
     if rule.path not in declared:
         diags.append(f"measurement on undeclared path {rule.path!r}")
     if not rule.outcomes:
         diags.append("measurement declares no outcomes")
     diags.extend(m for _, m in _rule_problems(rule.outcomes))
-    correction_names = {c.name for c in netlist.corrections}
     labels: set[str] = set()
     for outcome in rule.outcomes:
-        if not _IDENT.match(outcome.label):
+        if not _is_ident(outcome.label):
             diags.append(f"invalid outcome label {outcome.label!r}")
         if outcome.label in labels:
             diags.append(f"duplicate outcome label {outcome.label!r}")
         labels.add(outcome.label)
-        if outcome.correct is not None and outcome.correct not in correction_names:
-            diags.append(f"outcome {outcome.label!r}: unknown correction {outcome.correct!r}")
-    applied = {outcome.correct for outcome in rule.outcomes}
-    for spec in netlist.corrections:
-        if spec.name not in applied:
-            diags.append(f"{_where(spec)}{spec.name}: no outcome applies this correction")
+    diags += [f"outcome {o.label!r}: correct must be an ElementSpec, got {o.correct!r}"
+              for o in rule.outcomes if not isinstance(o.correct, (ElementSpec, type(None)))]
 
     ports = netlist.ports
+    if isinstance(ports.target_out, str):  # one path, not a tuple of them
+        diags.append(f"ports target_out must be a tuple of paths, got {ports.target_out!r}")
+        ports = replace(ports, target_out=(ports.target_out,))
     if not ports.target_out:
         diags.append(_NO_TARGET_OUT)
     for path in (p for _, group in _port_groups(ports) for p in group):
         if path not in declared:
             diags.append(f"ports reference undeclared path {path!r}")
     if len({ports.target_in, ports.control_in, ports.program_in}) != 3:
-        diags.append(
-            "ports target_in, control_in and program_in must name three distinct paths"
-        )
+        diags.append("ports target_in, control_in and program_in must name three distinct paths")
     outputs = [*ports.target_out, ports.control_out, rule.path]
     if len(set(outputs)) != len(outputs):
         diags.append(
             "ports target_out, control_out and the measurement path must name distinct paths"
         )
 
-    late = netlist.corrections  # the corrections act at the measurement point
-    if not 0 <= netlist.measure_after <= len(netlist.stages):
+    late, at = corrections, netlist.measure_after  # the corrections act at the measurement point
+    if not isinstance(at, numbers.Integral):
+        diags.append(f"measurement position must be an integer, got {at!r}")
+    elif not 0 <= at <= len(netlist.stages):
         diags.append("measurement position outside the stage list")
     else:
-        late += netlist.stages[netlist.measure_after:]
-    for spec in late:
-        if rule.path in spec.paths:
-            diags.append(
-                f"{_where(spec)}{spec.name}: touches measurement path {rule.path!r} "
-                "after the measurement point"
-            )
+        late += netlist.stages[at:]
+    message = f"touches measurement path {rule.path!r} after the measurement point"
+    diags += [f"{_where(spec)}{spec.name}: {message}" for spec in late if rule.path in spec.paths]
     return diags
 
 

@@ -37,8 +37,4 @@ def branch_scores(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def strip_corrections(netlist: CircuitNetlist) -> CircuitNetlist:
     """Copy of a netlist with all feed-forward corrections disabled."""
     outcomes = tuple(replace(o, correct=None) for o in netlist.measurement.outcomes)
-    return replace(
-        netlist,
-        corrections=(),
-        measurement=MeasurementRule(netlist.measurement.path, outcomes),
-    )
+    return replace(netlist, measurement=MeasurementRule(netlist.measurement.path, outcomes))

@@ -58,7 +58,7 @@ def outcome_chains(netlist):
     measurement point, the outcome's correction (if any), then the rest."""
     before, after = netlist.stages[: netlist.measure_after], netlist.stages[netlist.measure_after:]
     for outcome in netlist.measurement.outcomes:
-        correction = (netlist.correction(outcome.correct),) if outcome.correct else ()
+        correction = (outcome.correct,) if outcome.correct else ()
         yield outcome, before + correction + after
 
 
@@ -209,7 +209,6 @@ def netlist_of(chain, paths, angle, outcomes):
     return CircuitNetlist(
         paths=PATHS,
         stages=tuple(chain),
-        corrections=(),
         measurement=MeasurementRule(
             c, tuple(MeasurementOutcome(f"D{i}", ket) for i, ket in enumerate(kets))
         ),
@@ -424,11 +423,10 @@ def gate_netlists(draw):
     cos, sin = complex(math.cos(angle)), complex(math.sin(angle))
     kets = [(cos, sin), (-sin, cos)][: draw(st.integers(1, 2))]
     outcomes = [MeasurementOutcome(f"D{i}", ket) for i, ket in enumerate(kets)]
-    outcomes[-1] = replace(outcomes[-1], correct="FF")
+    outcomes[-1] = replace(outcomes[-1], correct=correction)
     return CircuitNetlist(
         paths=tuple(name.get(p, p) for p in paths),
         stages=tuple(stages),
-        corrections=(correction,),
         measurement=MeasurementRule("d", tuple(outcomes)),
         measure_after=draw(st.integers(last + 1, len(stages))),
         ports=Ports("t_in", "c_in", "p_in", ("T_OUT",), "C_OUT"),

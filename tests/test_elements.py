@@ -1,3 +1,5 @@
+import decimal
+import fractions
 import math
 import re
 from dataclasses import replace
@@ -188,6 +190,21 @@ def test_element_spec_rejects_imaginary_part_in_real_fields():
             else:
                 with pytest.raises(ValueError, match=f"{kind_name} {f.key} must be real"):
                     wrong.build()
+
+
+@pytest.mark.parametrize("value", [np.float32(22.5), fractions.Fraction(45, 2), np.int64(22)],
+                         ids=["float32", "Fraction", "int64"])
+def test_numbers_outside_the_builtin_types_build(value):
+    # the number check tries complex, float and int first, then numbers.Complex
+    spec = ElementSpec("hwp", "H", ("t",), (value,))
+    assert np.array_equal(spec.build(), KINDS["hwp"].matrix(float(value)))
+
+
+@pytest.mark.parametrize("value", [decimal.Decimal("22.5"), "x"], ids=["Decimal", "str"])
+def test_values_that_are_not_numbers_are_rejected_alike(value):
+    spec = ElementSpec("hwp", "H", ("t",), (value,))
+    with pytest.raises(ValueError, match=f"^hwp angle must be a number, got {re.escape(repr(value))}$"):
+        spec.build()
 
 
 def test_element_is_built_once_per_spec():

@@ -53,8 +53,8 @@ def test_builtin_flags():
     assert [o.label for o in builtin_variant("basic").measurement.outcomes] == ["D"]
     ff = builtin_variant("ff")
     assert [o.label for o in ff.measurement.outcomes] == ["D", "A"]
-    assert ff.measurement.outcomes[1].correct == "PLM"
-    assert [c.name for c in ff.corrections] == ["PLM"]
+    assert ff.measurement.outcomes[1].correct.name == "PLM"
+    assert ff.corrections == (ff.measurement.outcomes[1].correct,)
     dual = builtin_variant("dual")
     names = [s.name for s in dual.stages]
     assert "HWP4" in names and "HWP5" in names
@@ -212,14 +212,56 @@ def test_a_correction_on_the_measurement_path_is_rejected(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_a_correction_no_outcome_applies_is_rejected():
-    # parse(render(n)) would read PLM back as an unconditional stage
+#: The ff layout's D outcome line, and the same line with the A outcome's correction.
+FF_D = "outcome D ket=0.7071067811865475,0.7071067811865475"
+FF_D_CORRECTED = FF_D + " correct=PLM"
+
+
+def test_a_correction_both_outcomes_carry_is_one_element():
+    text = shipped("ff").decode("utf-8").replace(FF_D, FF_D_CORRECTED)
+    nl = parse(text)
+    d, a = nl.measurement.outcomes
+    assert d.correct is a.correct and a.correct.name == "PLM"
+    assert nl.corrections == (a.correct,)
+    assert render(nl) == text  # PLM is written once, before the measure lines
+    assert parse(render(nl)) == nl
+    assert parse(plm_last(text)) == nl
+
+
+def test_two_correction_specs_that_share_a_name_are_a_duplicate():
     nl = builtin_variant("ff")
-    outcomes = tuple(replace(o, correct=None) for o in nl.measurement.outcomes)
-    bad = replace(nl, measurement=replace(nl.measurement, outcomes=outcomes))
-    assert validate(bad) == ["line 18: PLM: no outcome applies this correction"]
-    with pytest.raises(NetlistValidationError):
+    d, a = nl.measurement.outcomes
+    twin = replace(a.correct)  # equal, but another object
+    bad = replace(nl, measurement=replace(nl.measurement, outcomes=(replace(d, correct=twin), a)))
+    assert bad.corrections == (twin, a.correct)
+    assert validate(bad) == ["line 18: duplicate element name 'PLM'"]
+
+
+def _outcome_a(nl, **changes):
+    d, a = nl.measurement.outcomes
+    return replace(nl, measurement=replace(nl.measurement, outcomes=(d, replace(a, **changes))))
+
+
+@pytest.mark.parametrize(
+    "change, diagnostic",
+    [
+        (lambda nl: replace(nl, paths=nl.paths + (7,)), "invalid path name 7"),
+        (lambda nl: _rename_f1(nl, None), "line 12: invalid element name None"),
+        (lambda nl: _outcome_a(nl, label=7), "invalid outcome label 7"),
+        (lambda nl: replace(nl, measure_after=2.5), "measurement position must be an integer, got 2.5"),
+        (lambda nl: replace(nl, ports=replace(nl.ports, target_out="T_OUT")),
+         "ports target_out must be a tuple of paths, got 'T_OUT'"),
+        (lambda nl: _outcome_a(nl, correct="PLM"),
+         "outcome 'A': correct must be an ElementSpec, got 'PLM'"),
+    ],
+    ids=["path-name", "element-name", "outcome-label", "measure-after", "target-out", "correct"],
+)
+def test_validate_reports_a_value_of_the_wrong_type_once(change, diagnostic):
+    bad = change(builtin_variant("ff"))
+    assert validate(bad) == [diagnostic]
+    with pytest.raises(NetlistValidationError) as caught:
         CompiledCircuit(bad)
+    assert caught.value.diagnostics == [diagnostic]
 
 
 def test_the_grammar_copies_list_every_kind_as_the_table_does():
@@ -434,8 +476,8 @@ def test_a_repeated_path_is_a_validation_error():
         parse(render(twice))
 
 
-def _rename_f1(nl):
-    stages = tuple(replace(s, name="F 1") if s.name == "F1" else s for s in nl.stages)
+def _rename_f1(nl, name="F 1"):
+    stages = tuple(replace(s, name=name) if s.name == "F1" else s for s in nl.stages)
     return replace(nl, stages=stages)
 
 
@@ -578,13 +620,19 @@ def test_correction_position_matters():
     assert not branch_scores(bad.ops)[0][0]
 
 
+def plm_last(text: str) -> str:
+    """``text`` with its ``phaseflip PLM`` statement moved to just before ``postselect``."""
+    lines = text.splitlines()
+    plm = next(line for line in lines if line.startswith("phaseflip"))
+    lines.remove(plm)
+    lines.insert(next(i for i, line in enumerate(lines) if line.startswith("postselect")), plm)
+    return "\n".join(lines) + "\n"
+
+
 def test_correction_declared_after_measure_lines():
-    text = render(builtin_variant("ff")).splitlines()
-    plm = next(line for line in text if line.startswith("phaseflip"))
-    text.remove(plm)
-    insert_at = next(i for i, line in enumerate(text) if line.startswith("postselect"))
-    text.insert(insert_at, plm)
-    assert parse("\n".join(text) + "\n") == builtin_variant("ff")
+    late = parse(plm_last(shipped("ff").decode("utf-8")))
+    assert late == builtin_variant("ff")
+    assert late.measurement.outcomes[1].correct is late.corrections[0]
 
 
 def make_mutations():

@@ -59,10 +59,10 @@ def netlists(draw):
     labels = draw(st.lists(NAMES, min_size=1, max_size=2, unique=True))
     size = len(labels)
     corrects = draw(
-        st.lists(st.sampled_from([None, *names]), min_size=size, max_size=size, unique=True)
+        st.lists(st.sampled_from([None, *chain]), min_size=size, max_size=size, unique=True)
     )
     outcomes = tuple(MeasurementOutcome(*o) for o in zip(labels, kets, corrects))
-    stages = tuple(e for e in chain if e.name not in corrects)
+    stages = tuple(e for e in chain if e not in corrects)
 
     outputs = draw(st.lists(pick, min_size=4, max_size=4, unique=True))
     target_out = tuple(outputs[: draw(st.integers(1, 2))])
@@ -70,7 +70,6 @@ def netlists(draw):
     return CircuitNetlist(
         paths=tuple(paths),
         stages=stages,
-        corrections=tuple(e for e in chain if e.name in corrects),
         measurement=MeasurementRule(measured, outcomes),
         measure_after=draw(st.integers(0, len(stages))),
         ports=Ports(draw(pick), draw(pick), draw(pick), target_out, control_out),

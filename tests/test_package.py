@@ -26,9 +26,10 @@ PUBLIC = [
 #: engine and its input builders, the next eight, ``ElementSpec.build``,
 #: whose kinds check their own matrices, the next one, and ``ports`` the
 #: ``CircuitNetlist.postselect`` field and its total.  The next six were read
-#: by the tests alone, which now keep them in ``tests/``.  The last five laid
+#: by the tests alone, which now keep them in ``tests/``.  The next five laid
 #: out the modes, which the netlist's path order now does: ``ElementSpec.build``
-#: gives the matrix alone.
+#: gives the matrix alone.  The last one looked a correction up by name, where
+#: each ``MeasurementOutcome.correct`` is now the element itself.
 REMOVED = [
     "run", "conditional_gate", "success_probability", "sweep_phi", "ConditionalGateReport",
     "pbs", "ppbs", "hwp", "jones", "pol_filter", "phase_flip",
@@ -36,6 +37,7 @@ REMOVED = [
     "Branch", "BASIS_KETS", "prepare_inputs", "linear_element", "postselect", "postselect_total",
     "branch_consistent", "diagonal", "BRANCH_TOL", "DIAG_TOL", "strip_corrections",
     "oracle_conditional_gate", "LinearElement", "ModeRegistry", "Channel", "registry", "POLS",
+    "correction",
 ]
 
 
@@ -51,6 +53,14 @@ def test_public_names_are_pinned():
                lopcsim.oracle, lopcsim.GateGrid, lopcsim.CircuitNetlist)
     fields = [f.name for f in dataclasses.fields(lopcsim.CircuitNetlist)]
     assert [n for n in REMOVED if n in fields or any(hasattr(m, n) for m in modules)] == []
+
+
+def test_netlist_fields_and_the_build_method_are_pinned():
+    """Each outcome carries its correction, so no field lists them; ``perfbench``
+    reads ``stages`` and wraps ``build`` in ``ElementSpec``'s class dict."""
+    fields = [f.name for f in dataclasses.fields(lopcsim.CircuitNetlist)]
+    assert fields == ["paths", "stages", "measurement", "measure_after", "ports"]
+    assert callable(vars(lopcsim.ElementSpec)["build"])
 
 
 def test_readme_python_examples_run():

@@ -29,6 +29,11 @@ each kind's range check is pinned on both sides.  Then ``dual.lopc`` and
 ``full.lopc`` with other ``postselect`` statements (``POSTSELECT``), each
 run through ``verify --netlist`` and ``sweep --netlist``: one on ``T_OUT2``,
 which the ports allow, and two that they do not, rejected at their line.
+Then ``ff.lopc`` and ``full.lopc`` with the feed-forward correction moved
+(``FEEDFORWARD``), run the same way: declared after the last element, they
+print what the shipped files print; carried by both outcomes, they fail
+verification with fidelity 0.25.  This pins that where the file declares
+the correction does not matter.
 
 Then come the malformed netlists: every statement of the
 shipped ``basic.lopc`` and ``full.lopc`` with exactly one token dropped,
@@ -137,6 +142,19 @@ POSTSELECT = (
     ("full.lopc(T_OUT2=1)", "full", "postselect T_OUT2=1 C_OUT=1 d=1"),
     ("full.lopc(C_OUT=2,d=0)", "full", "postselect T_OUT=1 C_OUT=2 d=0"),
     ("full.lopc(T_OUT2=0)", "full", "postselect T_OUT=1 T_OUT2=0 C_OUT=1 d=1"),
+)
+
+PLM = "phaseflip PLM path=t_low\n"
+D_OUTCOME = "measure path=d outcome D ket=0.7071067811865475,0.7071067811865475"
+#: ``ff.lopc`` and ``full.lopc`` with the correction PLM declared after the
+#: last element, or applied on the D outcome too, as (label, variant, edits).
+FEEDFORWARD = tuple(
+    (f"{variant}.lopc({tag})", variant, edits)
+    for variant in ("ff", "full")
+    for tag, edits in (
+        ("PLM-last", ((PLM, ""), (POSTSELECT_LINE, PLM + POSTSELECT_LINE))),
+        ("D,A:correct=PLM", ((D_OUTCOME, D_OUTCOME + " correct=PLM"),)),
+    )
 )
 
 
@@ -253,6 +271,11 @@ def main(argv: list[str]) -> int:
             print(f"{digest([*args, str(netlist)])}  {' '.join([*args, f'basic.lopc({label})'])}")
         for label, variant, statement in POSTSELECT:
             netlist.write_text(edited(variant, ((POSTSELECT_LINE, statement),)), encoding="utf-8")
+            for command in ("verify", "sweep"):
+                args = [command, "--variant", variant, "--netlist"]
+                print(f"{digest([*args, str(netlist)])}  {' '.join([*args, label])}")
+        for label, variant, edits in FEEDFORWARD:
+            netlist.write_text(edited(variant, edits), encoding="utf-8")
             for command in ("verify", "sweep"):
                 args = [command, "--variant", variant, "--netlist"]
                 print(f"{digest([*args, str(netlist)])}  {' '.join([*args, label])}")
