@@ -73,17 +73,31 @@ GRIDS = (
     ["--from=-7", "--to", "20", "--steps", "33"],
 )
 #: Failing and rejected runs: a 1e-16 tolerance fails some phases (exit 1), a
-#: netlist checked against another variant's oracle and a grid whose span
-#: overflows a float are usage errors (exit 2).  Then a phase or overlap of
-#: -0.0, which must print apart from 0.0.
+#: netlist checked against another variant's oracle, a grid whose span
+#: overflows a float and one whose last point does are usage errors (exit 2).
+#: Then a phase or overlap of -0.0, which must print apart from 0.0.
 OTHER = (
     *(["verify", "--variant", v, "--steps", "7", "--tol", "1e-16"] for v in VARIANTS),
     ["verify", "--variant", "basic", "--netlist", "src/lopcsim/circuits/full.lopc"],
     *([command, "--from=-1e308", "--to=1e308", "--steps", "3"] for command in ("verify", "hom")),
+    *([command, "--to=1.5e308", "--steps", "3"] for command in ("sweep", "hom")),
     *([command, "--variant", v, "--phi=-0.0"] for command in ("verify", "sweep") for v in VARIANTS),
     ["hom", "--from=-0.0", "--steps", "1"],
 )
-HOM = (["hom", "--steps", "41"], ["hom", "--steps", "41", "--tv", "0.3", "--meta"])
+#: ``hom`` scans, each run with and without ``--meta``, in CSV and JSON: the
+#: default grid, a descending one, lengths around ``cli.SHORTEST_DEDUPED``, a
+#: constant grid (every overlap repeats), a grid starting at -0.0, and
+#: transmissivities near 0 and near 1.
+HOM = (
+    ["hom", "--steps", "41"],
+    ["hom", "--steps", "41", "--tv", "0.3"],
+    ["hom", "--from", "1", "--to", "0", "--steps", "33"],
+    *(["hom", "--steps", str(n)] for n in (15, 16, 17)),
+    ["hom", "--from", "0.5", "--to", "0.5", "--steps", "40"],
+    ["hom", "--from=-0.0", "--to", "1", "--steps", "3"],
+    ["hom", "--steps", "17", "--tv", "1e-12"],
+    ["hom", "--steps", "17", "--tv", "0.9999999999999999"],
+)
 MALFORMED_VARIANTS = ("basic", "full")
 MALFORMED_VALUES = ("", "ghost", "nan", "1,2,3,4,5")
 RESPACED = (("tab", "\t"), ("2sp", "  "), ("nbsp", "\u00a0"))
@@ -168,8 +182,8 @@ def commands():
                "--format", fmt]
     for argv, meta, fmt in itertools.product(OTHER, (False, True), ("csv", "json")):
         yield [*argv, *(["--meta"] * meta), "--format", fmt]
-    for argv, fmt in itertools.product(HOM, ("csv", "json")):
-        yield [*argv, "--format", fmt]
+    for argv, meta, fmt in itertools.product(HOM, (False, True), ("csv", "json")):
+        yield [*argv, *(["--meta"] * meta), "--format", fmt]
 
 
 def malformed():
