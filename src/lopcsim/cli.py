@@ -108,12 +108,17 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _grid(args, lo: float, hi: float) -> list[float]:
+def _grid(args, lo: float, hi: float) -> np.ndarray:
+    """The float64 grid of --phi or --from/--to/--steps, in radians.
+
+    Point i is ``start + i * (stop - start) / (steps - 1)``, bit for bit.  A
+    point past the float range is inf, left to the command to reject.
+    """
     single = getattr(args, "phi", None)
     if single is not None:
         if (args.grid_from, args.grid_to, args.steps) != (None, None, None):
             raise ValueError("--phi cannot be combined with --from/--to/--steps")
-        values = [float(single)]
+        values = np.array([float(single)])
     else:
         start = lo if args.grid_from is None else float(args.grid_from)
         stop = hi if args.grid_to is None else float(args.grid_to)
@@ -121,13 +126,14 @@ def _grid(args, lo: float, hi: float) -> list[float]:
         if not 1 <= steps <= MAX_STEPS:
             raise ValueError(f"grid needs 1 to {MAX_STEPS} points, got steps={steps}")
         if steps == 1:
-            values = [start]
+            values = np.array([start])
         elif not math.isfinite(stop - start):
             raise ValueError(f"--from={start!r} to --to={stop!r} spans more than a float holds")
         else:
-            values = [start + i * (stop - start) / (steps - 1) for i in range(steps)]
+            with np.errstate(over="ignore"):
+                values = start + np.arange(steps) * (stop - start) / (steps - 1)
     if getattr(args, "degrees", False):
-        values = [math.radians(v) for v in values]
+        values = np.radians(values)
     return values
 
 
@@ -150,52 +156,70 @@ def _meta_pairs(args, command: str) -> list[tuple[str, str]]:
 def _emit(args, command: str, header: list[str], columns, repeats=()) -> None:
     """Write equal-length columns as rows, one column per header field.
 
-    Each column (floats or bools that numpy reads, or str) is formatted once,
-    by distinct value (``_cells``); ``repeats[i]``, if given, writes each cell
-    of column i on that many consecutive rows.  CSV joins each row's cells
-    and prints floats as ``%.17g``.  JSON is one join of every cell, each
-    after its key, and equals ``json.dumps(rows, indent=2, sort_keys=True,
-    allow_nan=False)`` of the row dicts, byte for byte.
+    Each column (floats or bools that numpy reads, or str) becomes its cells
+    through ``_cells``; ``repeats[i]``, if given, writes each cell of column i
+    on that many consecutive rows.  CSV prints floats as ``%.17g`` and JSON
+    equals ``json.dumps(rows, indent=2, sort_keys=True, allow_nan=False)`` of
+    the row dicts, byte for byte.  A table whose every column ``_cells``
+    leaves as float values (a ``hom`` scan) is one ``%`` of its row template
+    repeated once per row, over the values row by row; any other table joins
+    its cells, each float formatted on its own.
     """
     as_json = args.format == "json"
     cells = [_cells(column, as_json) for column in columns]
+    floats = all(isinstance(column, np.ndarray) for column in cells)
+    if not floats:
+        text = float.__repr__ if as_json else "%.17g".__mod__
+        cells = [list(map(text, c.tolist())) if isinstance(c, np.ndarray) else c for c in cells]
     for i, n in enumerate(repeats):
         cells[i] = np.repeat(np.array(cells[i], dtype=object), n).tolist()
     meta = _meta_pairs(args, command) if args.meta else []
+    order = sorted(range(len(header)), key=header.__getitem__) if as_json else range(len(header))
+    rows = len(cells[0])
+    if floats:
+        values = tuple(np.column_stack([cells[i] for i in order]).ravel().tolist())
     if as_json:
         pad = "    " if meta else "  "
-        keys = sorted(range(len(header)), key=header.__getitem__)
-        # one join of the cells, each after its key and, for the first key,
-        # after the previous row's close
-        fields = [f"\n{pad}  {_quote(header[i])}: " for i in keys]
+        # each cell after its key and, for the first key, after the previous
+        # row's close
+        fields = [f"\n{pad}  {_quote(header[i])}: " for i in order]
         prefixes = [f"\n{pad}}},\n{pad}{{{fields[0]}", *(f",{field}" for field in fields[1:])]
-        rows, stride = len(cells[keys[0]]), 2 * len(keys)
-        parts = [""] * (rows * stride)
-        for j, i in enumerate(keys):
-            parts[2 * j::stride] = [prefixes[j]] * rows
-            parts[2 * j + 1::stride] = cells[i]
-        if parts:
-            parts[0] = f"[\n{pad}{{{fields[0]}"
-        text = "".join(parts) + f"\n{pad}}}\n{pad[2:]}]" if parts else "[]"
+        if floats:
+            body = "".join(p.replace("%", "%%") + "%r" for p in prefixes) * rows % values
+        else:
+            stride = 2 * len(order)
+            parts = [""] * (rows * stride)
+            for j, i in enumerate(order):
+                parts[2 * j::stride] = [prefixes[j]] * rows
+                parts[2 * j + 1::stride] = cells[i]
+            body = "".join(parts)
+        # the first row opens the list where each other row closes the one before
+        head = f"[\n{pad}{{{fields[0]}"
+        text = f"{head}{body[len(prefixes[0]):]}\n{pad}}}\n{pad[2:]}]" if rows else "[]"
         if meta:
             pairs = ",\n".join(f"    {_quote(k)}: {_quote(v)}" for k, v in sorted(meta))
             text = f'{{\n  "meta": {{\n{pairs}\n  }},\n  "rows": {text}\n}}'
     else:
         lines = [*(f"# {key}={value}" for key, value in meta), ",".join(header)]
-        text = "\n".join(lines + list(map(",".join, zip(*cells))))
+        if floats:
+            text = "\n".join(lines) + ("\n" + ",".join(["%.17g"] * len(cells))) * rows % values
+        else:
+            text = "\n".join(lines + list(map(",".join, zip(*cells))))
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     else:
         sys.stdout.write(text + "\n")
 
 
-def _cells(column, as_json: bool) -> list[str]:
-    """The text of each cell of one column, each distinct value formatted once.
+def _cells(column, as_json: bool) -> list[str] | np.ndarray:
+    """The text of each cell of one column, or its float64 values where each is
+    to be formatted on its own.
 
     Floats are told apart by their bit pattern, so ``0.0`` and ``-0.0`` print
     apart.  One sort of the bit patterns shows whether any value repeats; a
-    column of distinct values, or one shorter than ``SHORTEST_DEDUPED``, is
-    formatted value by value.
+    column of distinct values, or one shorter than ``SHORTEST_DEDUPED``, comes
+    back as its values, and any other float column as its text, each distinct
+    value formatted once.  JSON refuses a non-finite float.
     """
     if len(column) and isinstance(column[0], str):
         if not as_json:
@@ -205,19 +229,20 @@ def _cells(column, as_json: bool) -> list[str]:
     values = np.asarray(column)
     if values.dtype == bool:
         return np.where(values, "true", "false").tolist()
+    values = values.astype(np.float64, copy=False)
     bad = values[~np.isfinite(values)] if as_json else ()
     if len(bad):
         raise ValueError(f"Out of range float values are not JSON compliant: {float(bad[0])!r}")
-    text = float.__repr__ if as_json else "%.17g".__mod__
     if len(values) >= SHORTEST_DEDUPED:
-        bits = values.astype(np.float64, copy=False).view(np.int64)
+        bits = values.view(np.int64)
         keys = np.sort(bits)
         changes = keys[1:] != keys[:-1]
         if np.count_nonzero(changes) + 1 < len(keys):
+            text = float.__repr__ if as_json else "%.17g".__mod__
             distinct = keys[np.concatenate(([True], changes))]
             cells = np.array(list(map(text, distinct.view(np.float64).tolist())), dtype=object)
             return cells[np.searchsorted(distinct, bits)].tolist()
-    return list(map(text, values.tolist()))
+    return values
 
 
 def _labels(keys) -> str:
@@ -264,7 +289,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    grid = CompiledCircuit(_load_netlist(args)).evaluate(sorted(_grid(args, 0.0, math.pi)))
+    phis = np.sort(_grid(args, 0.0, math.pi), kind="stable")
+    grid = CompiledCircuit(_load_netlist(args)).evaluate(phis)
     labels, order = zip(*sorted((f"{o}:{p}", b) for b, (o, p) in enumerate(grid.branch_keys)))
     columns = [grid.phis, grid.p_success, grid.fidelity, list(labels) * len(grid.phis)]
     _emit(args, "sweep", ["phi_rad", "p_success", "fidelity", "branch", "branch_prob"],
@@ -273,8 +299,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_hom(args) -> int:
-    pairs = hom_scan(float(args.tv), _grid(args, 0.0, 1.0))
-    _emit(args, "hom", ["v", "coincidence"], zip(*pairs))
+    grid = _grid(args, 0.0, 1.0)
+    _emit(args, "hom", ["v", "coincidence"], [grid, hom_scan(float(args.tv), grid)])
     return 0
 
 

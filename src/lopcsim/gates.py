@@ -273,23 +273,23 @@ def fidelity(gate: np.ndarray, phi):
     return float(result) if result.ndim == 0 else result
 
 
-def hom_scan(t_v: float, overlap_grid: Sequence[float]) -> list[tuple[float, float]]:
+def hom_scan(t_v: float, overlap_grid: Sequence[float]) -> np.ndarray:
     """Two-photon interference scan against wavepacket overlap.
 
     Two vertically polarized photons enter the two ports of a partially
-    polarizing splitter with wavepacket overlap v.  Returns the coincidence
-    probability (one photon per output path) for each overlap, in grid
-    order: with M the splitter's vertical block,
+    polarizing splitter with wavepacket overlap v.  Returns the float64
+    array of the coincidence probability (one photon per output path) at
+    each overlap, in grid order: with M the splitter's vertical block,
     P(v) = v |perm M|^2 + (1 - v) perm(|M|^2) = v (t^2 - r^2)^2 + (1 - v)(t^4 + r^4)
     (Tichy, arXiv:1410.7687).  The splitter is built once per scan.
     """
     if not 0.0 < t_v < 1.0:
         raise ValueError(f"transmissivity must lie in (0, 1), got {t_v}")
-    grid = np.array(overlap_grid, dtype=float)
+    grid = np.asarray(overlap_grid, dtype=float)
     outside = grid[~((0.0 <= grid) & (grid <= 1.0))]
     if outside.size:
         raise ValueError(f"overlap must lie in [0, 1], got {float(outside[0])}")
     block = KINDS["ppbs"].matrix(t_v)[2:, 2:]
     together = abs(permanents(block)) ** 2
     apart = permanents(abs(block) ** 2).real
-    return list(zip(grid.tolist(), (grid * together + (1.0 - grid) * apart).tolist()))
+    return grid * together + (1.0 - grid) * apart

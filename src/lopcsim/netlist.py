@@ -459,10 +459,14 @@ def _render_element(spec: ElementSpec) -> str:
 
 def render(netlist: CircuitNetlist) -> str:
     """Canonical textual form; parse(render(n)) == n.  ValueError on an empty
-    ``target_out`` and on an element ``ElementSpec.checked_kind`` rejects."""
+    ``target_out``, on a ``correct`` that is not an ``ElementSpec`` and on an
+    element ``ElementSpec.checked_kind`` rejects, with ``validate``'s text."""
     ports, measured = netlist.ports, netlist.measurement.path
     if not ports.target_out:
         raise ValueError(_NO_TARGET_OUT)
+    wrong = _wrong_corrections(netlist.measurement.outcomes)
+    if wrong:
+        raise ValueError(wrong[0])
     lines = [f"path {p}" for p in netlist.paths]
     measure_block = [_render_element(spec) for spec in netlist.corrections]
     for outcome in netlist.measurement.outcomes:
@@ -489,23 +493,36 @@ def _is_ident(word) -> bool:
     return isinstance(word, str) and _IDENT.match(word) is not None
 
 
+def _wrong_corrections(outcomes) -> list[str]:
+    return [f"outcome {o.label!r}: correct must be an ElementSpec, got {o.correct!r}"
+            for o in outcomes if not isinstance(o.correct, (ElementSpec, type(None)))]
+
+
 def validate(netlist: CircuitNetlist) -> list[str]:
     """Structural and numeric checks; an empty list means none failed.  Where
-    light goes is checked only by compiling, so a netlist that passes may not compile."""
-    declared = set(netlist.paths)
-    diags = [f"invalid path name {p!r}" for p in netlist.paths if not _is_ident(p)]
-    diags += [
-        f"duplicate path {p!r}" for i, p in enumerate(netlist.paths) if p in netlist.paths[:i]
-    ]
+    light goes is checked only by compiling, so a netlist that passes may not compile.
+    A path name, element name or outcome label that is not an identifier is
+    reported as invalid and takes no further part: it declares no path and is
+    compared with no other name."""
+    diags: list[str] = []
+    declared: set[str] = set()
+    for p in netlist.paths:
+        if not _is_ident(p):
+            diags.append(f"invalid path name {p!r}")
+        elif p in declared:
+            diags.append(f"duplicate path {p!r}")
+        else:
+            declared.add(p)
     rule = netlist.measurement
     corrections = tuple(c for c in netlist.corrections if isinstance(c, ElementSpec))
     names: set[str] = set()
     for spec in netlist.stages + corrections:
         if not _is_ident(spec.name):
             diags.append(f"{_where(spec)}invalid element name {spec.name!r}")
-        if spec.name in names:
+        elif spec.name in names:
             diags.append(f"{_where(spec)}duplicate element name {spec.name!r}")
-        names.add(spec.name)
+        else:
+            names.add(spec.name)
         for path in spec.paths:
             if path not in declared:
                 diags.append(f"{_where(spec)}{spec.name}: undeclared path {path!r}")
@@ -523,11 +540,11 @@ def validate(netlist: CircuitNetlist) -> list[str]:
     for outcome in rule.outcomes:
         if not _is_ident(outcome.label):
             diags.append(f"invalid outcome label {outcome.label!r}")
-        if outcome.label in labels:
+        elif outcome.label in labels:
             diags.append(f"duplicate outcome label {outcome.label!r}")
-        labels.add(outcome.label)
-    diags += [f"outcome {o.label!r}: correct must be an ElementSpec, got {o.correct!r}"
-              for o in rule.outcomes if not isinstance(o.correct, (ElementSpec, type(None)))]
+        else:
+            labels.add(outcome.label)
+    diags += _wrong_corrections(rule.outcomes)
 
     ports = netlist.ports
     if isinstance(ports.target_out, str):  # one path, not a tuple of them

@@ -114,10 +114,10 @@ def test_criterion_4_oracle_equivalence():
 
 
 def test_criterion_5_hom_physics():
-    rows = dict(hom_scan(1 / math.sqrt(3), [0.0, 1.0]))
-    err_dip = abs(rows[1.0] - 1 / 9)
-    err_classical = abs(rows[0.0] - 5 / 9)
-    balanced = dict(hom_scan(1 / math.sqrt(2), [1.0]))[1.0]
+    classical, dip = hom_scan(1 / math.sqrt(3), [0.0, 1.0])
+    err_dip = abs(dip - 1 / 9)
+    err_classical = abs(classical - 5 / 9)
+    (balanced,) = hom_scan(1 / math.sqrt(2), [1.0])
     ok = err_dip <= 1e-12 and err_classical <= 1e-12 and balanced < 1e-12
     report(5, ok, f"two-photon interference: 1/9 and 5/9 endpoints (errors {err_dip:.2e}, "
                   f"{err_classical:.2e}), balanced dip {balanced:.2e}")

@@ -3,7 +3,10 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lopcsim import builtin_variant, cli, render
 from lopcsim.cli import _emit, main
@@ -211,6 +214,40 @@ def test_overflowing_grid_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err == "error: --from=-1e+308 to --to=1e+308 spans more than a float holds\n"
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep", "hom"])
+def test_a_grid_point_past_the_float_range_is_the_commands_to_reject(command, tmp_path, capsys):
+    # the span 1.5e308 is finite, but twice it is not: the last point is inf
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--to=1.5e308", "--steps", "3", "--out", str(out)]) == 2
+    expected = "overlap must lie in [0, 1], got 7.5e+307" if command == "hom" else (
+        "phase must be a finite number, got inf")
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not out.exists()
+
+
+GRID_ENDS = st.one_of(st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(GRID_ENDS, GRID_ENDS, st.integers(1, 300), st.booleans())
+def test_grid_equals_the_list_formula_bit_for_bit(start, stop, steps, degrees):
+    args = argparse.Namespace(phi=None, grid_from=start, grid_to=stop, steps=steps,
+                              degrees=degrees)
+    if steps > 1 and not math.isfinite(stop - start):
+        with pytest.raises(ValueError, match="spans more than a float holds"):
+            cli._grid(args, 0.0, 1.0)
+        return
+    expected = [start]
+    if steps > 1:
+        expected = [start + i * (stop - start) / (steps - 1) for i in range(steps)]
+    expected = [math.radians(v) for v in expected] if degrees else expected
+    grid = cli._grid(args, 0.0, 1.0)
+    assert grid.dtype == np.float64
+    assert grid.view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
 
 
 def test_a_one_point_grid_takes_its_start_whatever_the_span(tmp_path, capsys):

@@ -1,12 +1,14 @@
 """Differential property tests of the CLI's column emitter.
 
 ``cli._emit`` formats each distinct value of a column once and joins rows
-from a fixed template.  Its output must equal, byte for byte, what the
-row-wise rules give: ``json.dumps`` of the row dicts (indent 2, sorted keys,
-no NaN) for JSON, and for CSV ``%.17g`` floats, ``true``/``false`` bools and
-strings as they are.  Pooled columns draw from a few values, so values
-repeat, and values that compare equal but print apart (``0.0`` and
-``-0.0``) meet in one column.
+from a fixed template, or, for a table of distinct floats only, fills one
+``%`` row template repeated once per row.  Its output must equal, byte for
+byte, what the row-wise rules give: ``json.dumps`` of the row dicts (indent
+2, sorted keys, no NaN) for JSON, and for CSV ``%.17g`` floats,
+``true``/``false`` bools and strings as they are.  Pooled columns draw from
+a few values, so values repeat, and values that compare equal but print
+apart (``0.0`` and ``-0.0``) meet in one column.  Float-only tables, whose
+keys hold ``%``, are drawn on their own so that both paths run every time.
 """
 
 import argparse
@@ -36,19 +38,26 @@ TEXT = st.text(
 POOL = [0.0, -0.0, 5e-324, 1 / 12]
 #: The CSV pool adds NaN of either sign, which JSON refuses.
 NAN_POOL = POOL + [math.nan, -math.nan]
+KINDS = ["float", "float-list", "bool", "str"]
+FLOAT_KINDS = ["float", "float-list"]
+#: Keys that a ``%`` row template must escape.
+PERCENT_KEY = st.one_of(st.sampled_from(["%", "%r", "%%", "%(v)s", "100%"]), TEXT.map("%{}".format))
 
 
 @st.composite
-def table(draw, floats=FINITE, pool=POOL):
+def table(draw, floats=FINITE, pool=POOL, kinds=KINDS):
     """(header, columns, rows): distinct keys, one column per key, as the
     emitter takes them and as the row-wise rules take them.  A pooled
     column draws each value from ``pool`` and one or two fresh values (or,
-    for strings, from up to three labels), so its values repeat."""
-    header = draw(st.lists(TEXT, min_size=1, max_size=5, unique=True))
+    for strings, from up to three labels), so its values repeat.  A
+    float-only table has a key with ``%`` in it."""
+    keys = [draw(PERCENT_KEY)] if kinds == FLOAT_KINDS else []
+    header = draw(st.lists(TEXT, min_size=1 - len(keys), max_size=5 - len(keys), unique=True))
+    header = keys + [key for key in header if key not in keys]
     n = draw(st.integers(0, 64))
     columns, plain = [], []
     for _ in header:
-        kind = draw(st.sampled_from(["float", "float-list", "bool", "str"]))
+        kind = draw(st.sampled_from(kinds))
         pooled = draw(st.booleans())
         if kind == "bool":
             values = draw(st.lists(st.booleans(), min_size=n, max_size=n))
@@ -84,9 +93,7 @@ def old_cell(value):
     return str(value)
 
 
-@SETTINGS
-@given(table(), st.booleans(), TEXT)
-def test_json_equals_json_dumps(data, meta, netlist):
+def check_json(data, meta, netlist):
     header, columns, rows = data
     text, args = emitted("json", header, columns, meta, netlist)
     payload = [dict(zip(header, row)) for row in rows]
@@ -95,15 +102,37 @@ def test_json_equals_json_dumps(data, meta, netlist):
     assert text == json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-@SETTINGS
-@given(table(ANY_FLOAT, NAN_POOL), st.booleans(), TEXT)
-def test_csv_equals_the_row_rule(data, meta, netlist):
+def check_csv(data, meta, netlist):
     header, columns, rows = data
     text, args = emitted("csv", header, columns, meta, netlist)
     lines = [f"# {key}={value}" for key, value in cli._meta_pairs(args, "sweep")] if meta else []
     lines.append(",".join(header))
     lines.extend(",".join(old_cell(value) for value in row) for row in rows)
     assert text == "\n".join(lines) + "\n"
+
+
+@SETTINGS
+@given(table(), st.booleans(), TEXT)
+def test_json_equals_json_dumps(data, meta, netlist):
+    check_json(data, meta, netlist)
+
+
+@SETTINGS
+@given(table(ANY_FLOAT, NAN_POOL), st.booleans(), TEXT)
+def test_csv_equals_the_row_rule(data, meta, netlist):
+    check_csv(data, meta, netlist)
+
+
+@SETTINGS
+@given(table(kinds=FLOAT_KINDS), st.booleans(), TEXT)
+def test_float_tables_json_equals_json_dumps(data, meta, netlist):
+    check_json(data, meta, netlist)
+
+
+@SETTINGS
+@given(table(ANY_FLOAT, NAN_POOL, FLOAT_KINDS), st.booleans(), TEXT)
+def test_float_tables_csv_equals_the_row_rule(data, meta, netlist):
+    check_csv(data, meta, netlist)
 
 
 @SETTINGS

@@ -267,7 +267,8 @@ def test_single_point_grid_matches_longer_grid():
 
 def test_hom_scan_endpoints_and_affinity():
     t = 1 / math.sqrt(3)
-    rows = dict(hom_scan(t, [0.0, 0.25, 0.5, 0.75, 1.0]))
+    grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+    rows = dict(zip(grid, hom_scan(t, grid)))
     assert abs(rows[1.0] - 1.0 / 9.0) < 1e-12
     assert abs(rows[0.0] - 5.0 / 9.0) < 1e-12
     r2 = 1 - t * t
@@ -279,8 +280,8 @@ def test_hom_scan_endpoints_and_affinity():
 
 
 def test_hom_scan_balanced_dip():
-    rows = dict(hom_scan(1 / SQ2, [1.0]))
-    assert rows[1.0] < 1e-12
+    (dip,) = hom_scan(1 / SQ2, [1.0])
+    assert dip < 1e-12
 
 
 def test_hom_scan_validates_arguments():

@@ -253,8 +253,12 @@ def _outcome_a(nl, **changes):
          "ports target_out must be a tuple of paths, got 'T_OUT'"),
         (lambda nl: _outcome_a(nl, correct="PLM"),
          "outcome 'A': correct must be an ElementSpec, got 'PLM'"),
+        (lambda nl: replace(nl, paths=nl.paths + (["x"],)), "invalid path name ['x']"),
+        (lambda nl: _rename_f1(nl, ["F1"]), "line 12: invalid element name ['F1']"),
+        (lambda nl: _outcome_a(nl, label=["A"]), "invalid outcome label ['A']"),
     ],
-    ids=["path-name", "element-name", "outcome-label", "measure-after", "target-out", "correct"],
+    ids=["path-name", "element-name", "outcome-label", "measure-after", "target-out", "correct",
+         "path-name-list", "element-name-list", "outcome-label-list"],
 )
 def test_validate_reports_a_value_of_the_wrong_type_once(change, diagnostic):
     bad = change(builtin_variant("ff"))
@@ -262,6 +266,14 @@ def test_validate_reports_a_value_of_the_wrong_type_once(change, diagnostic):
     with pytest.raises(NetlistValidationError) as caught:
         CompiledCircuit(bad)
     assert caught.value.diagnostics == [diagnostic]
+
+
+def test_render_refuses_a_correct_that_validate_lists():
+    bad = _outcome_a(builtin_variant("ff"), correct="PLM")
+    message = "outcome 'A': correct must be an ElementSpec, got 'PLM'"
+    assert validate(bad) == [message]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        render(bad)
 
 
 def test_the_grammar_copies_list_every_kind_as_the_table_does():
