@@ -34,6 +34,11 @@ Then ``ff.lopc`` and ``full.lopc`` with the feed-forward correction moved
 print what the shipped files print; carried by both outcomes, they fail
 verification with fidelity 0.25.  This pins that where the file declares
 the correction does not matter.
+Then ``full.lopc`` with mixed faults in one literal field (``LITERALS``):
+``jones m=``, ``measure ket=`` and ``filter th= tv=`` set to entries with a
+non-finite or invalid entry beside another fault, or finite entries whose sum
+overflows, run through ``verify --netlist``, so that the leftmost fault of a
+field is pinned as the one reported, and such a sum as accepted by the parser.
 
 Then come the malformed netlists: every statement of the
 shipped ``basic.lopc`` and ``full.lopc`` with exactly one token dropped,
@@ -171,6 +176,21 @@ FEEDFORWARD = tuple(
     )
 )
 
+#: ``full.lopc`` with a literal field given mixed faults, as (label, statement,
+#: replacement): an infinity beside an invalid entry on either side, infinities
+#: whose sum is NaN, a NaN, an entry past the float range, and finite entries
+#: whose sum overflows, which the parser accepts and the element's or the ket's
+#: own check rejects.
+MIXED_PAIRS = (("inf", "x"), ("x", "inf"), ("-inf", "inf"), ("0", "nan"), ("0", "1e309"),
+               ("1e308", "1e308"))
+MIXED_M = ("inf,x,0,1", "x,inf,0,1", "-inf,inf,0,0", "0,nan,0,0", "0,0,0,1e309", "1e308,1e308,0,0")
+LITERALS = (
+    *((f"HWP1:m={m}", HWP1, f"jones HWP1 path=t_low m={m}") for m in MIXED_M),
+    *((f"D:ket={a},{b}", D_OUTCOME, f"measure path=d outcome D ket={a},{b}")
+      for a, b in MIXED_PAIRS),
+    *((f"F2:th={a},tv={b}", F2, f"filter F2 path=C_OUT th={a} tv={b}") for a, b in MIXED_PAIRS),
+)
+
 
 def commands():
     """The fixed argv matrix, without ``--out``."""
@@ -293,6 +313,10 @@ def main(argv: list[str]) -> int:
             for command in ("verify", "sweep"):
                 args = [command, "--variant", variant, "--netlist"]
                 print(f"{digest([*args, str(netlist)])}  {' '.join([*args, label])}")
+        for label, statement, replacement in LITERALS:
+            netlist.write_text(edited("full", ((statement, replacement),)), encoding="utf-8")
+            args = ["verify", "--variant", "full", "--netlist"]
+            print(f"{digest([*args, str(netlist)])}  {' '.join([*args, f'full.lopc({label})'])}")
         for variant, label, text in malformed():
             netlist.write_text(text, encoding="utf-8")
             args = ["verify", "--variant", variant, "--netlist"]
