@@ -29,7 +29,6 @@ is post-selected, so the statement is checked against them and not kept:
 from __future__ import annotations
 
 import cmath
-import math
 import numbers
 import re
 from dataclasses import dataclass, fields, replace
@@ -133,22 +132,18 @@ class CircuitNetlist:
 # parsing
 
 
-#: Literal kinds of a netlist field: the word its messages use and its finiteness test.
-_LITERALS = {
-    complex: ("complex literal", cmath.isfinite),
-    float: ("number", math.isfinite),
-    int: ("integer", lambda value: True),
-}
+#: Literal kinds of a netlist field and the word their messages use.
+_LITERALS = {complex: "complex literal", float: "number", int: "integer"}
 
 
 def _literal(kind: type, token: str, line: int, col: int):
     """``token`` read as a finite ``kind`` (complex, float or int), or a located error."""
-    what, isfinite = _LITERALS[kind]
+    what = _LITERALS[kind]
     try:
         value = kind(token)
     except ValueError:
         raise NetlistError(f"invalid {what} {token!r}", line, col) from None
-    if not isfinite(value):
+    if kind is not int and not cmath.isfinite(value):  # an int is finite, and may exceed a float
         raise NetlistError(f"non-finite {what} {token!r}", line, col)
     return value
 
@@ -161,12 +156,13 @@ def _usage(name: str, kind: ElementKind) -> str:
     return " ".join([name, "<name>", *ports, *(f"{f.key}={f.usage}" for f in kind.fields)])
 
 
-def _split(value: str, count: int | None, what: str, line: int, col: int) -> list[str]:
-    """``count`` comma-separated parts of ``value``, or any number when ``count`` is None."""
-    parts = [value] if count == 1 else value.split(",")
-    if count is not None and len(parts) != count:
-        raise NetlistError(f"expected {count} comma-separated {what}", line, col)
-    return parts
+#: Per element kind, its statement's fields after the name as (key, entry count,
+#: literal kind or None for paths): each port field, then each numeric field.
+_FIELDS = {name: [*((key, count, None) for key, count in kind.ports),
+                  *((f.key, f.count, complex if f.is_complex else float) for f in kind.fields)]
+           for name, kind in KINDS.items()}
+#: A handler locates ``k`` characters into token ``i`` of its line as ``i * _AT + k``.
+_AT = 1 << 32
 
 
 def _rule_problems(outcomes: Sequence[MeasurementOutcome]) -> list[tuple[int, str]]:
@@ -202,8 +198,11 @@ def _rule_problems(outcomes: Sequence[MeasurementOutcome]) -> list[tuple[int, st
 
 
 class _Parser:
+    """Statement handlers over one line's ``words``.  A fault raises NetlistError at
+    ``i * _AT + k`` in place of a column, which ``parse`` turns into one."""
+
     def __init__(self) -> None:
-        self.paths: list[str] = []
+        self.paths: dict[str, None] = {}  # declared, in file order
         self.elements: dict[str, ElementSpec] = {}  # by name, in file order
         self.measure_path: str | None = None
         self.outcomes: list[MeasurementOutcome] = []
@@ -217,123 +216,120 @@ class _Parser:
 
     # -- helpers ----------------------------------------------------------
 
-    def _ident(self, tok: tuple[str, int], line: int, what: str) -> str:
-        word, col = tok
+    def _ident(self, word: str, at: int, line: int, what: str) -> str:
         if not _IDENT.match(word):
-            raise NetlistError(f"invalid {what} {word!r}", line, col)
+            raise NetlistError(f"invalid {what} {word!r}", line, at)
         return word
 
-    def _kv(self, tok: tuple[str, int], line: int, key: str) -> tuple[str, int]:
-        word, col = tok
-        prefix = key + "="
-        if not word.startswith(prefix):
-            raise NetlistError(f"expected {key}=..., got {word!r}", line, col)
-        return word[len(prefix):], col + len(prefix)
-
-    def _paths(self, tok, line: int, key: str, count: int | None) -> list[str]:
-        """The declared paths of a ``key=<p>,...`` field: ``count`` of them, or any number."""
-        value, col = self._kv(tok, line, key)
-        parts = _split(value, count, "paths", line, col)
-        for name in parts:
-            if name not in self.paths:
-                raise NetlistError(f"undeclared path {name!r}", line, col)
-        return parts
-
-    def _numbers(self, tok, line: int, key: str, count: int, kind: type, what: str) -> list:
-        """The ``count`` literals of ``kind`` in a ``key=<v>,...`` field."""
-        value, col = self._kv(tok, line, key)
-        return [_literal(kind, e, line, col) for e in _split(value, count, what, line, col)]
-
-    def _arity(self, toks, line: int, n: int, usage: str) -> None:
-        if len(toks) != n:
-            raise NetlistError(f"expected {usage}", line, toks[0][1])
-
-    def _new_name(self, tok: tuple[str, int], line: int) -> str:
-        name = self._ident(tok, line, "element name")
-        if name in self.elements:
-            raise NetlistError(f"duplicate element name {name!r}", line, tok[1])
-        return name
+    def _field(self, words, i: int, line: int, key: str, count: int | None, kind) -> list:
+        """The entries of token ``i``, ``key=<v>,...``: ``count`` of them, or any
+        number when None, as declared paths when ``kind`` is None, as they stand
+        when it is ``str``, else as finite literals of ``kind``."""
+        head, eq, value = words[i].partition("=")
+        if head != key or not eq:
+            raise NetlistError(f"expected {key}=..., got {words[i]!r}", line, i * _AT)
+        at = i * _AT + len(key) + 1
+        parts = [value] if count == 1 else value.split(",")
+        if count is not None and len(parts) != count:
+            what = "ket components" if key == "ket" else f"{key}= entries" if kind else "paths"
+            raise NetlistError(f"expected {count} comma-separated {what}", line, at)
+        if kind is None:
+            for name in parts:
+                if name not in self.paths:
+                    raise NetlistError(f"undeclared path {name!r}", line, at)
+            return parts
+        if kind is str:
+            return parts
+        try:
+            values = [kind(part) for part in parts]
+            if cmath.isfinite(sum(values)):  # a non-finite entry makes the sum non-finite
+                return values
+        except ValueError:
+            pass
+        # only a fault, or an overflowing sum, gets here: the leftmost fault is reported
+        return [_literal(kind, part, line, at) for part in parts]
 
     # -- statement handlers -------------------------------------------------
 
-    def stmt_path(self, toks, line: int) -> None:
-        self._arity(toks, line, 2, "path <name>")
-        name = self._ident(toks[1], line, "path name")
+    def stmt_path(self, words, line: int) -> None:
+        if len(words) != 2:
+            raise NetlistError("expected path <name>", line, 0)
+        name = self._ident(words[1], _AT, line, "path name")
         if name in self.paths:
-            raise NetlistError(f"duplicate path {name!r}", line, toks[1][1])
-        self.paths.append(name)
+            raise NetlistError(f"duplicate path {name!r}", line, _AT)
+        self.paths[name] = None
 
-    def stmt_element(self, toks, line: int) -> None:
-        kind_name, kind_col = toks[0]
-        kind = KINDS[kind_name]
-        if len(toks) != 2 + len(kind.ports) + len(kind.fields):
-            raise NetlistError(f"expected {_usage(kind_name, kind)}", line, kind_col)
-        name = self._new_name(toks[1], line)
+    def stmt_element(self, words, line: int) -> None:
+        kind_name, table = words[0], _FIELDS[words[0]]
+        if len(words) != 2 + len(table):
+            raise NetlistError(f"expected {_usage(kind_name, KINDS[kind_name])}", line, 0)
+        name = self._ident(words[1], _AT, line, "element name")
+        if name in self.elements:
+            raise NetlistError(f"duplicate element name {name!r}", line, _AT)
         paths: list[str] = []
-        for tok, (key, count) in zip(toks[2:], kind.ports):
-            paths += self._paths(tok, line, key, count)
         params: list[complex] = []
-        for tok, f in zip(toks[2 + len(kind.ports):], kind.fields):
-            literal = complex if f.is_complex else float
-            entries = self._numbers(tok, line, f.key, f.count, literal, f"{f.key}= entries")
-            params += map(complex, entries)
+        for i, (key, count, kind) in enumerate(table, 2):
+            values = self._field(words, i, line, key, count, kind)
+            if kind is None:
+                paths += values
+            else:
+                params += map(complex, values)
         self.elements[name] = ElementSpec(kind_name, name, tuple(paths), tuple(params), line=line)
 
-    def stmt_measure(self, toks, line: int) -> None:
-        if len(toks) not in (5, 6):
+    def stmt_measure(self, words, line: int) -> None:
+        if len(words) not in (5, 6):
             usage = "measure path=<p> outcome <label> ket=<a>,<b> [correct=<name>]"
-            raise NetlistError(f"expected {usage}", line, toks[0][1])
-        [path] = self._paths(toks[1], line, "path", 1)
-        if toks[2][0] != "outcome":
-            raise NetlistError(f"expected 'outcome', got {toks[2][0]!r}", line, toks[2][1])
-        label = self._ident(toks[3], line, "outcome label")
-        ket = self._numbers(toks[4], line, "ket", 2, complex, "ket components")
+            raise NetlistError(f"expected {usage}", line, 0)
+        [path] = self._field(words, 1, line, "path", 1, None)
+        if words[2] != "outcome":
+            raise NetlistError(f"expected 'outcome', got {words[2]!r}", line, 2 * _AT)
+        label = self._ident(words[3], 3 * _AT, line, "outcome label")
+        ket = self._field(words, 4, line, "ket", 2, complex)
         correct: str | None = None
-        if len(toks) == 6:
-            correct = self._ident(self._kv(toks[5], line, "correct"), line, "correction name")
+        if len(words) == 6:
+            [correct] = self._field(words, 5, line, "correct", 1, str)
+            self._ident(correct, 5 * _AT + len("correct="), line, "correction name")
         if self.measure_path is None:
             self.measure_path = path
             self.elements_before_measure = len(self.elements)
         elif self.measure_path != path:
-            raise NetlistError(
-                f"measurement path {path!r} conflicts with earlier {self.measure_path!r}",
-                line,
-                toks[1][1] + len("path="),
-            )
+            message = f"measurement path {path!r} conflicts with earlier {self.measure_path!r}"
+            raise NetlistError(message, line, _AT + len("path="))
         if any(o.label == label for o in self.outcomes):
-            raise NetlistError(f"duplicate outcome label {label!r}", line, toks[3][1])
+            raise NetlistError(f"duplicate outcome label {label!r}", line, 3 * _AT)
         self.outcomes.append(MeasurementOutcome(label, (ket[0], ket[1])))
         self.corrects.append(correct)
         self.measure_lines.append(line)
 
-    def stmt_postselect(self, toks, line: int) -> None:
+    def stmt_postselect(self, words, line: int) -> None:
         if self.postselect is not None:
-            raise NetlistError("duplicate postselect statement", line, toks[0][1])
-        if len(toks) < 2:
-            raise NetlistError("expected postselect <path>=<count> ...", line, toks[0][1])
+            raise NetlistError("duplicate postselect statement", line, 0)
+        if len(words) < 2:
+            raise NetlistError("expected postselect <path>=<count> ...", line, 0)
         pattern: dict[str, int] = {}
-        for word, col in toks[1:]:
-            if "=" not in word:
-                raise NetlistError(f"expected <path>=<count>, got {word!r}", line, col)
-            path, count_text = word.split("=", 1)
+        for i, word in enumerate(words[1:], 1):
+            path, eq, count_text = word.partition("=")
+            if not eq:
+                raise NetlistError(f"expected <path>=<count>, got {word!r}", line, i * _AT)
             if path not in self.paths:
-                raise NetlistError(f"undeclared path {path!r}", line, col)
+                raise NetlistError(f"undeclared path {path!r}", line, i * _AT)
             if path in pattern:
-                raise NetlistError(f"duplicate path {path!r} in postselect", line, col)
-            count = _literal(int, count_text, line, col + len(path) + 1)
+                raise NetlistError(f"duplicate path {path!r} in postselect", line, i * _AT)
+            count = _literal(int, count_text, line, i * _AT + len(path) + 1)
             if count < 0:
-                raise NetlistError("postselect counts must be non-negative", line, col)
+                raise NetlistError("postselect counts must be non-negative", line, i * _AT)
             pattern[path] = count
         self.postselect = pattern
         self.postselect_line = line
 
-    def stmt_ports(self, toks, line: int) -> None:
+    def stmt_ports(self, words, line: int) -> None:
         if self.ports is not None:
-            raise NetlistError("duplicate ports statement", line, toks[0][1])
-        self._arity(toks, line, 1 + len(_PORTS), _PORTS_USAGE)
+            raise NetlistError("duplicate ports statement", line, 0)
+        if len(words) != 1 + len(_PORTS):
+            raise NetlistError(f"expected {_PORTS_USAGE}", line, 0)
         values: list[str | tuple[str, ...]] = []
-        for tok, key in zip(toks[1:], _PORTS):
-            paths = self._paths(tok, line, key, None if key == _MULTI_PORT else 1)
+        for i, key in enumerate(_PORTS, 1):
+            paths = self._field(words, i, line, key, None if key == _MULTI_PORT else 1, None)
             values.append(tuple(paths) if key == _MULTI_PORT else paths[0])
         self.ports = Ports(*values)
 
@@ -372,7 +368,7 @@ class _Parser:
         elements = list(self.elements.values())
         stages = tuple(e for e in elements if e.name not in conditional)
         pairs = zip(self.outcomes, self.corrects)
-        outcomes = tuple(replace(o, correct=self.elements.get(c)) for o, c in pairs)
+        outcomes = tuple(MeasurementOutcome(o.label, o.ket, self.elements.get(c)) for o, c in pairs)
         before = elements[: self.elements_before_measure]
         measure_after = sum(1 for e in before if e.name not in conditional)
         return CircuitNetlist(
@@ -399,6 +395,11 @@ def parse(text: str) -> CircuitNetlist:
     A line ends at ``\n``, ``\r\n`` or a lone ``\r``, as in a file read in
     text mode, and nowhere else: other separators (form feed, ``\u2028``, ...)
     are whitespace between tokens.
+
+    A fault is found at ``k`` characters into the line's ``i``-th token; only a
+    rejected line has its tokens found in the raw text, for the column.  A literal
+    field is converted and tested for finiteness whole, and read again entry by
+    entry, for its leftmost fault, only when that fails.
     """
     parser = _Parser()
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -410,17 +411,13 @@ def parse(text: str) -> CircuitNetlist:
         words = code.split()
         if not words:
             continue
-        # A handler locates a token by its position, index * stride, plus an
-        # offset within the token; only an error maps that to a column.
-        stride = len(code) + 1
-        toks = list(zip(words, range(0, stride * len(words), stride)))
         try:
             handler = _HANDLERS.get(words[0])
             if handler is None:
                 raise NetlistError(f"unknown keyword {words[0]!r}", lineno, 0)
-            handler(parser, toks, lineno)
+            handler(parser, words, lineno)
         except NetlistError as err:
-            index, offset = divmod(err.col, stride)
+            index, offset = divmod(err.col, _AT)
             end = 0
             for word in words[: index + 1]:  # each token is the next match of its word
                 start = code.index(word, end)
@@ -503,7 +500,8 @@ def validate(netlist: CircuitNetlist) -> list[str]:
     light goes is checked only by compiling, so a netlist that passes may not compile.
     A path name, element name or outcome label that is not an identifier is
     reported as invalid and takes no further part: it declares no path and is
-    compared with no other name."""
+    compared with no other name.  So is a referenced path that is not a string,
+    reported as undeclared."""
     diags: list[str] = []
     declared: set[str] = set()
     for p in netlist.paths:
@@ -524,14 +522,14 @@ def validate(netlist: CircuitNetlist) -> list[str]:
         else:
             names.add(spec.name)
         for path in spec.paths:
-            if path not in declared:
+            if not isinstance(path, str) or path not in declared:
                 diags.append(f"{_where(spec)}{spec.name}: undeclared path {path!r}")
         try:
             spec.element  # built here once; CompiledCircuit reuses it
         except ValueError as err:
             diags.append(f"{_where(spec)}{spec.name}: {err}")
 
-    if rule.path not in declared:
+    if not isinstance(rule.path, str) or rule.path not in declared:
         diags.append(f"measurement on undeclared path {rule.path!r}")
     if not rule.outcomes:
         diags.append("measurement declares no outcomes")
@@ -553,11 +551,13 @@ def validate(netlist: CircuitNetlist) -> list[str]:
     if not ports.target_out:
         diags.append(_NO_TARGET_OUT)
     for path in (p for _, group in _port_groups(ports) for p in group):
-        if path not in declared:
+        if not isinstance(path, str) or path not in declared:
             diags.append(f"ports reference undeclared path {path!r}")
-    if len({ports.target_in, ports.control_in, ports.program_in}) != 3:
+    inputs = [ports.target_in, ports.control_in, ports.program_in]
+    inputs = [p for p in inputs if isinstance(p, str)]
+    if len(set(inputs)) != len(inputs):
         diags.append("ports target_in, control_in and program_in must name three distinct paths")
-    outputs = [*ports.target_out, ports.control_out, rule.path]
+    outputs = [p for p in (*ports.target_out, ports.control_out, rule.path) if isinstance(p, str)]
     if len(set(outputs)) != len(outputs):
         diags.append(
             "ports target_out, control_out and the measurement path must name distinct paths"

@@ -237,6 +237,11 @@ def test_two_correction_specs_that_share_a_name_are_a_duplicate():
     assert validate(bad) == ["line 18: duplicate element name 'PLM'"]
 
 
+def _first_path(nl, path):
+    first = nl.stages[0]
+    return replace(nl, stages=(replace(first, paths=(path, *first.paths[1:])), *nl.stages[1:]))
+
+
 def _outcome_a(nl, **changes):
     d, a = nl.measurement.outcomes
     return replace(nl, measurement=replace(nl.measurement, outcomes=(d, replace(a, **changes))))
@@ -256,9 +261,17 @@ def _outcome_a(nl, **changes):
         (lambda nl: replace(nl, paths=nl.paths + (["x"],)), "invalid path name ['x']"),
         (lambda nl: _rename_f1(nl, ["F1"]), "line 12: invalid element name ['F1']"),
         (lambda nl: _outcome_a(nl, label=["A"]), "invalid outcome label ['A']"),
+        (lambda nl: _first_path(nl, ["t_in"]), "line 11: PBS1: undeclared path ['t_in']"),
+        (lambda nl: replace(nl, measurement=replace(nl.measurement, path=["d"])),
+         "measurement on undeclared path ['d']"),
+        (lambda nl: replace(nl, ports=replace(nl.ports, control_out=["C_OUT"])),
+         "ports reference undeclared path ['C_OUT']"),
+        (lambda nl: replace(nl, ports=replace(nl.ports, target_in=["t_in"])),
+         "ports reference undeclared path ['t_in']"),
     ],
     ids=["path-name", "element-name", "outcome-label", "measure-after", "target-out", "correct",
-         "path-name-list", "element-name-list", "outcome-label-list"],
+         "path-name-list", "element-name-list", "outcome-label-list", "stage-path-list",
+         "measure-path-list", "control-out-list", "target-in-list"],
 )
 def test_validate_reports_a_value_of_the_wrong_type_once(change, diagnostic):
     bad = change(builtin_variant("ff"))
@@ -745,3 +758,70 @@ def test_non_finite_complex_parts_are_rejected(literal):
     with pytest.raises(NetlistError, match="non-finite complex literal") as err:
         parse(text)
     assert err.value.line == 14
+
+
+def _full_with(lineno, new_line):
+    """The shipped ``full.lopc`` with line ``lineno`` replaced by ``new_line``."""
+    lines = resources.files("lopcsim").joinpath("circuits/full.lopc").read_text().splitlines()
+    lines[lineno - 1] = new_line
+    return "\n".join(lines) + "\n"
+
+
+JONES, KET = "jones HWP1 path=t_low m=", "measure path=d outcome D ket="
+FILTER, HWP = "filter F2 path=C_OUT", "hwp HWP2 path=t_low"
+#: (line of full.lopc, a replacement with mixed faults in one literal field, the
+#: error): the field's leftmost fault is reported, at the start of its value.
+MIXED_LITERALS = [
+    pytest.param(14, JONES + "inf,x,0,1", "line 14:25: non-finite complex literal 'inf'",
+                 id="m=inf,x,0,1"),
+    pytest.param(14, JONES + "x,inf,0,1", "line 14:25: invalid complex literal 'x'",
+                 id="m=x,inf,0,1"),
+    pytest.param(14, JONES + "-inf,inf,0,0", "line 14:25: non-finite complex literal '-inf'",
+                 id="m=-inf,inf,0,0"),
+    pytest.param(14, JONES + "0,nan,0,0", "line 14:25: non-finite complex literal 'nan'",
+                 id="m=0,nan,0,0"),
+    pytest.param(14, JONES + "0,0,0,1e309", "line 14:25: non-finite complex literal '1e309'",
+                 id="m=0,0,0,1e309"),
+    pytest.param(20, KET + "inf,x", "line 20:30: non-finite complex literal 'inf'", id="ket=inf,x"),
+    pytest.param(20, KET + "x,inf", "line 20:30: invalid complex literal 'x'", id="ket=x,inf"),
+    pytest.param(20, KET + "-inf,inf", "line 20:30: non-finite complex literal '-inf'",
+                 id="ket=-inf,inf"),
+    pytest.param(20, KET + "0,nan", "line 20:30: non-finite complex literal 'nan'", id="ket=0,nan"),
+    pytest.param(20, KET + "0,1e309", "line 20:30: non-finite complex literal '1e309'",
+                 id="ket=0,1e309"),
+    # finite entries whose sum overflows are read; the ket check rejects them
+    pytest.param(20, KET + "1e308,1e308", "line 20:0: outcome 'D': ket is not normalized",
+                 id="ket=1e308,1e308"),
+    pytest.param(16, FILTER + " th=inf tv=x", "line 16:25: non-finite number 'inf'",
+                 id="th=inf,tv=x"),
+    pytest.param(16, FILTER + " th=x tv=inf", "line 16:25: invalid number 'x'", id="th=x,tv=inf"),
+    pytest.param(16, FILTER + " th=-inf tv=inf", "line 16:25: non-finite number '-inf'",
+                 id="th=-inf,tv=inf"),
+    pytest.param(16, FILTER + " th=0 tv=nan", "line 16:30: non-finite number 'nan'",
+                 id="th=0,tv=nan"),
+    pytest.param(16, FILTER + " th=0 tv=1e309", "line 16:30: non-finite number '1e309'",
+                 id="th=0,tv=1e309"),
+    pytest.param(17, HWP + " " * 100000 + "angle=nan", "line 17:100026: non-finite number 'nan'",
+                 id="100000-spaces"),
+]
+
+
+@pytest.mark.parametrize("lineno, new_line, error", MIXED_LITERALS)
+def test_a_literal_field_reports_its_leftmost_fault(lineno, new_line, error):
+    with pytest.raises(NetlistError) as err:
+        parse(_full_with(lineno, new_line))
+    assert str(err.value) == error
+
+
+@pytest.mark.parametrize(
+    "lineno, new_line, diagnostic",
+    [
+        (14, JONES + "1e308,1e308,0,0",
+         "line 14: HWP1: matrix is not subunitary (max singular value 1.4142135623730951e+308)"),
+        (16, FILTER + " th=1e308 tv=1e308",
+         "line 16: F2: filter transmissivity must lie in [0, 1], got 1e+308"),
+    ],
+    ids=["jones", "filter"],
+)
+def test_finite_entries_whose_sum_overflows_are_parsed(lineno, new_line, diagnostic):
+    assert validate(parse(_full_with(lineno, new_line))) == [diagnostic]
