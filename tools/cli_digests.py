@@ -39,6 +39,11 @@ Then ``full.lopc`` with mixed faults in one literal field (``LITERALS``):
 non-finite or invalid entry beside another fault, or finite entries whose sum
 overflows, run through ``verify --netlist``, so that the leftmost fault of a
 field is pinned as the one reported, and such a sum as accepted by the parser.
+Then ``basic.lopc`` with a splitter that sends light onto a lit path
+(``MERGED``): the two layouts of ``tests/test_compiled.py``, which merge onto
+``C_OUT``, and one that sends light onto both ``C_OUT`` and ``d``, run through
+``verify --netlist`` and ``sweep --netlist``, so that the element and the path
+the compile names are pinned.
 
 Then come the malformed netlists: every statement of the
 shipped ``basic.lopc`` and ``full.lopc`` with exactly one token dropped,
@@ -191,6 +196,17 @@ LITERALS = (
     *((f"F2:th={a},tv={b}", F2, f"filter F2 path=C_OUT th={a} tv={b}") for a, b in MIXED_PAIRS),
 )
 
+PBS3 = "pbs PBS3 in=t_low,p_in out=t_low,d"
+#: ``basic.lopc`` with light merged onto a lit path, as (label, edits): PX after
+#: F2 reflects t_up onto C_OUT, behind a plate turning t_up or on its own, and
+#: PY after PBS3 sends t_up onto C_OUT and d, both lit.
+MERGED = (
+    ("basic.lopc(+HX,PX)", ((F2, f"{F2}\nhwp HX path=t_up angle=22.5\n"
+                                 "pbs PX in=t_up,t_in2 out=t_up,C_OUT"),)),
+    ("basic.lopc(+PX)", ((F2, f"{F2}\npbs PX in=t_up,t_in2 out=C_OUT,t_up"),)),
+    ("basic.lopc(+PY)", ((PBS3, f"{PBS3}\npbs PY in=t_up,t_in2 out=C_OUT,d"),)),
+)
+
 
 def commands():
     """The fixed argv matrix, without ``--out``."""
@@ -317,6 +333,11 @@ def main(argv: list[str]) -> int:
             netlist.write_text(edited("full", ((statement, replacement),)), encoding="utf-8")
             args = ["verify", "--variant", "full", "--netlist"]
             print(f"{digest([*args, str(netlist)])}  {' '.join([*args, f'full.lopc({label})'])}")
+        for label, edits in MERGED:
+            netlist.write_text(edited("basic", edits), encoding="utf-8")
+            for command in ("verify", "sweep"):
+                args = [command, "--variant", "basic", "--netlist"]
+                print(f"{digest([*args, str(netlist)])}  {' '.join([*args, label])}")
         for variant, label, text in malformed():
             netlist.write_text(text, encoding="utf-8")
             args = ["verify", "--variant", variant, "--netlist"]
