@@ -130,9 +130,8 @@ def _ppbs_matrix(t_v: float) -> np.ndarray:
     if not 0.0 < t_v < 1.0:
         raise ValueError(f"ppbs transmissivity must lie in (0, 1), got {t_v}")
     r_v = math.sqrt(1.0 - t_v * t_v)
-    matrix = np.eye(4, dtype=complex)
-    matrix[2:, 2:] = np.array([[t_v, -r_v], [r_v, t_v]])
-    return matrix
+    return np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, t_v, -r_v], [0, 0, r_v, t_v]],
+                    dtype=complex)
 
 
 def _hwp_matrix(angle_deg: float) -> np.ndarray:
@@ -159,7 +158,7 @@ def _filter_matrix(t_h: float, t_v: float) -> np.ndarray:
     for value in (t_h, t_v):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"filter transmissivity must lie in [0, 1], got {value}")
-    return np.diag([t_h, t_v]).astype(complex)
+    return np.array([[t_h, 0], [0, t_v]], dtype=complex)
 
 
 _SPLITTER = (("in", 2), ("out", 2))
@@ -170,12 +169,13 @@ _PATH = (("path", 1),)
 #: and each entry's ``matrix`` is the one check of that kind's range.
 KINDS: dict[str, ElementKind] = {
     # polarizing splitter: H maps a -> t and b -> r, V a -> r and b -> t, all by +1
-    "pbs": ElementKind(_SPLITTER, (), lambda: np.eye(4, dtype=complex)[[0, 1, 3, 2]]),
+    "pbs": ElementKind(_SPLITTER, (), lambda: np.array(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)),
     "ppbs": ElementKind(_SPLITTER, (NumericField("tv"),), _ppbs_matrix),
     "hwp": ElementKind(_PATH, (NumericField("angle", usage="<deg>"),), _hwp_matrix),
     # any subunitary 2x2 polarization map, row-major
     "jones": ElementKind(_PATH, (NumericField("m", 4, True, "<a>,<b>,<c>,<d>"),), _jones_matrix),
     "filter": ElementKind(_PATH, (NumericField("th"), NumericField("tv")), _filter_matrix),
     # feed-forward corrector |V> -> -|V>
-    "phaseflip": ElementKind(_PATH, (), lambda: np.diag([1.0, -1.0]).astype(complex)),
+    "phaseflip": ElementKind(_PATH, (), lambda: np.array([[1, 0], [0, -1]], dtype=complex)),
 }

@@ -19,15 +19,20 @@ simulations can safely run in parallel.
 from __future__ import annotations
 
 import itertools
-import math
+from functools import cache
 
 import numpy as np
 
 
+@cache
+def _permutations(n: int) -> tuple[np.ndarray, np.ndarray]:
+    rows, columns = np.arange(n), np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    rows.flags.writeable = columns.flags.writeable = False
+    return rows, columns
+
+
 def permanents(m: np.ndarray) -> np.ndarray:
     """Permanent of each n×n matrix of a stack (..., n, n), summed over the n! permutations;
-    1 for n = 0, the product over the one, empty permutation."""
-    n = m.shape[-1]
-    perms = itertools.permutations(range(n))
-    perms = np.array(list(perms), dtype=int).reshape(math.factorial(n), n)
-    return m[..., np.arange(n), perms].prod(axis=-1).sum(axis=-1)
+    1 for n = 0, the product over the one, empty permutation.  The permutations' read-only
+    index pair, (n,) and (n!, n), is built once per n."""
+    return m[(..., *_permutations(m.shape[-1]))].prod(axis=-1).sum(axis=-1)

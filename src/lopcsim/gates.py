@@ -37,6 +37,12 @@ _SQ2 = math.sqrt(2.0)
 #: that still counts as dark.
 DARK_TOL = 1e-12
 
+#: Each basis input's occupied columns t, 2 + c, 4 + p (p outermost, then t, c).
+#: A permanent's floating-point sum depends on its column order; port order sums
+#: every netlist alike, whatever its path order, as the rows are picked by port too.
+_COLUMNS = np.array([(t, 2 + c, 4 + p) for p in (0, 1) for t in (0, 1) for c in (0, 1)])
+_UNIT = np.arange(3)  # the diagonal entries of the ideal operation that are 1
+
 
 def ideal_cphase(phi) -> np.ndarray:
     """The target two-qubit operation: phase e^{i phi} on |11> only.
@@ -45,7 +51,7 @@ def ideal_cphase(phi) -> np.ndarray:
     """
     phi = np.asarray(phi, dtype=float)
     ops = np.zeros(phi.shape + (4, 4), dtype=complex)
-    ops[..., [0, 1, 2], [0, 1, 2]] = 1.0
+    ops[..., _UNIT, _UNIT] = 1.0
     ops[..., 3, 3] = np.exp(1j * phi)
     return ops
 
@@ -102,13 +108,12 @@ class CompiledCircuit:
     that embedding; ``tests/dense_reference.transfer`` builds it as the
     reference.  Each stage's rows are worked out once per compile, and the
     plan of the stages after the measurement point serves every outcome; a
-    one-path element acts in place on its path's two adjacent rows.  A
-    branch (outcome, target output port) keeps three rows of its outcome's
-    matrix for each of the four two-qubit outputs: the target port row of
+    one-path element acts in place on its two rows, a splitter on one gathered
+    block of its rows.  A branch (outcome, target output port) keeps three rows
+    of its outcome's matrix for each two-qubit output: the target port row of
     the target polarization, the control output row of the control
-    polarization, and the detector rows contracted with the conjugated
-    outcome ket.  Post-selection is implicit: only these coincidences are
-    ever computed.
+    polarization, and the detector rows contracted with the conjugated outcome
+    ket (the reserved last row), so post-selection is implicit.
 
     Compiling is the one check of where light goes.  In every stage prefix,
     the paths an element sends light onto but does not take as input must
@@ -128,80 +133,79 @@ class CompiledCircuit:
         if diagnostics:
             raise NetlistValidationError(diagnostics)
         self.netlist = netlist
-        ports, paths = netlist.ports, netlist.paths
-        inputs = self._modes(ports.target_in, ports.control_in, ports.program_in)
-
-        def plan(chain: Sequence[ElementSpec]) -> list:
-            """(spec, matrix, input rows, output rows, onto rows) of each stage.  A
-            one-path element acts on its path's H and V rows, given as one slice
-            and no output or onto rows; a splitter (a, b, t, r) takes the rows
-            (a H, b H, a V, b V) onto (t H, r H, t V, r V)."""
-            steps = []
-            for spec in chain:
-                h = [2 * paths.index(p) for p in spec.paths]  # each path's H row
-                if len(h) == 1:
-                    steps.append((spec, spec.element, slice(h[0], h[0] + 2), None, None))
-                    continue
-                a, b, t, r = h
-                ins, outs = [a, b, a + 1, b + 1], [t, r, t + 1, r + 1]
-                steps.append((spec, spec.element, ins, outs, [o for o in outs if o not in ins]))
-            return steps
-
-        def compose(steps: list, transfer: np.ndarray) -> np.ndarray:
-            transfer = transfer.copy()
-            for spec, matrix, ins, outs, onto in steps:
-                if outs is None:  # 0.0 + moved, as below, so no -0.0 is stored
-                    view = transfer[ins]
-                    np.add(matrix @ view, 0.0, out=view)
-                    continue
-                if onto and np.abs(transfer[onto]).max() > DARK_TOL:
-                    lit = np.abs(transfer[onto]).max(axis=1)
-                    path = paths[onto[int(np.argmax(lit))] // 2]
-                    message = f"sends light onto an already-lit path ({path})"
-                    raise NetlistValidationError([f"{_where(spec)}{spec.name}: {message}"])
-                moved = matrix @ transfer[ins]
-                transfer[ins] = 0.0
-                transfer[outs] += moved
-            return transfer
-
-        before = compose(plan(netlist.stages[: netlist.measure_after]),
-                         np.eye(2 * len(paths), dtype=complex)[:, inputs])
-        after = plan(netlist.stages[netlist.measure_after:])
-        control = self._modes(ports.control_out)
-        detector = self._modes(netlist.measurement.path)
-        blocks = (  # the output rows that input k's columns 2k and 2k + 1 must reach
-            (self._modes(*ports.target_out), "target input does not reach any target output"),
-            (control, "control input does not reach the control output"),
-            (detector, "program input does not reach the detector path"),
-        )
-        # per target port and output |tc>: target row t, control row c and
-        # the detector row, appended after the transfer matrix's last row
-        picks = [
-            [(target[t], control[c], 2 * len(paths)) for t, c in np.ndindex(2, 2)]
-            for target in map(self._modes, ports.target_out)
-        ]
+        self._row = {path: 2 * at for at, path in enumerate(netlist.paths)}  # H rows
+        ports, reserved = netlist.ports, 2 * len(netlist.paths)
+        start = np.zeros((reserved + 1, 6), dtype=complex)
+        start[self._modes(ports.target_in, ports.control_in, ports.program_in), range(6)] = 1.0
+        before = self._compose(self._plan(netlist.stages[: netlist.measure_after]), start)
+        after = self._plan(netlist.stages[netlist.measure_after:])
+        targets, control = self._modes(*ports.target_out), self._modes(ports.control_out)
+        detector = self._row[netlist.measurement.path]
+        # one block of the rows that input k's columns 2k and 2k + 1 must reach
+        watched = np.array([*targets, *control, detector, detector + 1], dtype=np.intp)
+        blocks = ((slice(0, len(targets)), "target input does not reach any target output"),
+                  (slice(len(targets), -2), "control input does not reach the control output"),
+                  (slice(-2, None), "program input does not reach the detector path"))
+        # per target port and output |tc>: target row t, control row c, the measured row
+        picks = np.array([[(h + t, control[c], reserved) for t in (0, 1) for c in (0, 1)]
+                          for h in targets[::2]], dtype=np.intp)
         rows, dead = [], []
         for outcome in netlist.measurement.outcomes:
-            correction = plan([outcome.correct]) if outcome.correct else []
-            transfer = compose(correction + after, before)
-            dead += [f"outcome {outcome.label!r}: {message}" for k, (out, message)
-                     in enumerate(blocks) if not transfer[out, 2 * k:2 * k + 2].any()]
-            measured = np.conj(outcome.ket) @ transfer[detector]
-            rows.append(np.vstack([transfer, measured])[picks])
+            correction = self._plan([outcome.correct]) if outcome.correct else []
+            transfer = self._compose(correction + after, before)
+            reached = transfer[watched]
+            dead += [f"outcome {outcome.label!r}: {message}" for k, (at, message)
+                     in enumerate(blocks) if not reached[at, 2 * k:2 * k + 2].any()]
+            transfer[reserved] = np.conj(outcome.ket) @ transfer[detector:detector + 2]
+            rows.append(transfer[picks])
         if dead:
             raise NetlistValidationError(dead)
         #: (branches, 4, 3, 6): the three output rows of each branch and output.
         self.rows = np.concatenate(rows)
         #: (outcome label, port) of every branch, in the order run() emits them.
-        self.branch_keys = tuple(
-            (outcome.label, port)
-            for outcome in netlist.measurement.outcomes
-            for port in ports.target_out
-        )
+        self.branch_keys = tuple((outcome.label, port) for outcome in netlist.measurement.outcomes
+                                 for port in ports.target_out)
 
     def _modes(self, *paths: str) -> list[int]:
         """The H and V rows of each path in turn (see the class docstring)."""
-        return [2 * self.netlist.paths.index(p) + pol for p in paths for pol in (0, 1)]
+        return [self._row[p] + pol for p in paths for pol in (0, 1)]
+
+    def _plan(self, chain: Sequence[ElementSpec]) -> list:
+        """(spec, matrix, rows, outputs) of each stage: a one-path element's two rows as
+        a slice; a splitter's inputs (a H, b H, a V, b V), then the rows of (t H, r H,
+        t V, r V) that are not inputs, and the places of those four outputs there."""
+        steps = []
+        for spec in chain:
+            h = [self._row[p] for p in spec.paths]
+            if len(h) == 1:
+                steps.append((spec, spec.element, slice(h[0], h[0] + 2), None))
+                continue
+            a, b, t, r = h
+            rows, outs = [a, b, a + 1, b + 1], (t, r, t + 1, r + 1)
+            rows += [o for o in outs if o not in rows]
+            outputs = np.array([rows.index(o) for o in outs], dtype=np.intp)
+            steps.append((spec, spec.element, np.array(rows, dtype=np.intp), outputs))
+        return steps
+
+    def _compose(self, steps: list, transfer: np.ndarray) -> np.ndarray:
+        """A copy of ``transfer`` with the planned stages applied (see the class docstring)."""
+        transfer = transfer.copy()
+        for spec, matrix, rows, outputs in steps:
+            if outputs is None:  # 0.0 + moved, as below, so no -0.0 is stored
+                view = transfer[rows]
+                np.add(matrix @ view, 0.0, out=view)
+                continue
+            block = transfer[rows]  # the four input rows, then the onto rows
+            if len(rows) > 4 and np.abs(block[4:]).max() > DARK_TOL:
+                lit = np.abs(block[4:]).max(axis=1)
+                path = self.netlist.paths[rows[4 + int(np.argmax(lit))] // 2]
+                message = f"sends light onto an already-lit path ({path})"
+                raise NetlistValidationError([f"{_where(spec)}{spec.name}: {message}"])
+            moved = matrix @ block[:4]
+            block[:4] = 0.0
+            block[outputs] += moved
+            transfer[rows] = block
+        return transfer
 
     def run(self, psi: np.ndarray) -> np.ndarray:
         """Every branch's conditional two-qubit state for one input.
@@ -219,7 +223,7 @@ class CompiledCircuit:
             raise ValueError(f"input must have shape (2, 2, 2), got {psi.shape}")
         if not np.isfinite(psi).all():
             raise ValueError("input has a non-finite amplitude")
-        norm_sq = float(np.sum(np.abs(psi) ** 2))
+        norm_sq = float((np.abs(psi) ** 2).sum())
         if not abs(norm_sq - 1.0) <= 1e-12:
             raise ValueError(f"input has squared norm {norm_sq!r}, expected 1")
         return np.einsum("pbkx,xp->bk", self.program_operators, psi.reshape(4, 2))
@@ -235,14 +239,9 @@ class CompiledCircuit:
         prepared is linear in it, so the operator of every branch at phase
         phi is (G_H - e^{i phi} G_V)/sqrt(2).
         """
-        # A permanent does not depend on the order of its columns, but its
-        # floating-point sum may: columns in port order (target, control,
-        # program) sum every netlist alike, whatever order it declares its
-        # paths in, as the rows are picked by port too.
-        columns = [(i, 2 + j, 4 + k) for k, i, j in np.ndindex(2, 2, 2)]
-        # rows[..., columns] is (branches, 4, 3, 8, 3): move the input axis out
-        amplitudes = permanents(np.moveaxis(self.rows[..., columns], -2, -3))
-        return np.moveaxis(amplitudes.reshape(len(self.branch_keys), 4, 2, 4), 2, 0)
+        # rows[..., _COLUMNS] is (branches, 4, 3, 8, 3): move the input axis out
+        amplitudes = permanents(self.rows[..., _COLUMNS].transpose(0, 1, 3, 2, 4))
+        return amplitudes.reshape(len(self.branch_keys), 4, 2, 4).transpose(2, 0, 1, 3)
 
     def evaluate(self, phi_grid: Sequence[float]) -> GateGrid:
         """Assemble and score the conditional gate at every phase of the grid,
@@ -251,9 +250,9 @@ class CompiledCircuit:
         phis = _check_phases(phi_grid)
         g_h, g_v = self.program_operators
         ops = (g_h - np.exp(1j * phis)[:, None, None, None] * g_v) / _SQ2
-        probs = np.sum(np.abs(ops[..., 0]) ** 2, axis=-1)  # |00> column, (phase, branch)
+        probs = (np.abs(ops[..., 0]) ** 2).sum(axis=-1)  # |00> column, (phase, branch)
         return GateGrid(
-            phis=phis, ops=ops, probabilities=probs, p_success=np.sum(probs, axis=1),
+            phis=phis, ops=ops, probabilities=probs, p_success=probs.sum(axis=1),
             fidelity=fidelity(ops[:, 0], phis), branch_keys=self.branch_keys,
         )
 
@@ -265,10 +264,10 @@ def fidelity(gate: np.ndarray, phi):
     of gates (..., 4, 4) with matching phases gives an array of overlaps.
     """
     g = np.asarray(gate, dtype=complex)
-    denom = np.sum(np.abs(g) ** 2, axis=(-2, -1))
-    if np.any(denom == 0.0):
+    denom = (np.abs(g) ** 2).sum(axis=(-2, -1))
+    if (denom == 0.0).any():
         raise ValueError("fidelity of the zero operator is undefined")
-    overlap = np.sum(g.conj() * ideal_cphase(phi), axis=(-2, -1))
+    overlap = (g.conj() * ideal_cphase(phi)).sum(axis=(-2, -1))
     result = np.abs(overlap) ** 2 / (4.0 * denom)
     return float(result) if result.ndim == 0 else result
 

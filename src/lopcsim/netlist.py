@@ -455,13 +455,16 @@ def _render_element(spec: ElementSpec) -> str:
 
 
 def render(netlist: CircuitNetlist) -> str:
-    """Canonical textual form; parse(render(n)) == n.  ValueError on an empty
-    ``target_out``, on a ``correct`` that is not an ``ElementSpec`` and on an
-    element ``ElementSpec.checked_kind`` rejects, with ``validate``'s text."""
+    """Canonical textual form; parse(render(n)) == n.  ValueError, with ``validate``'s
+    text, on an empty ``target_out``, an undeclared measurement path or ``ports`` entry,
+    a ``correct`` that is not an ``ElementSpec`` or a spec ``checked_kind`` rejects."""
     ports, measured = netlist.ports, netlist.measurement.path
     if not ports.target_out:
         raise ValueError(_NO_TARGET_OUT)
-    wrong = _wrong_corrections(netlist.measurement.outcomes)
+    groups = _port_groups(ports)
+    wrong = (_undeclared("measurement on", [measured], netlist.paths)
+             + _wrong_corrections(netlist.measurement.outcomes)
+             + _undeclared("ports reference", [p for _, g in groups for p in g], netlist.paths))
     if wrong:
         raise ValueError(wrong[0])
     lines = [f"path {p}" for p in netlist.paths]
@@ -473,7 +476,6 @@ def render(netlist: CircuitNetlist) -> str:
     stages, at = [_render_element(spec) for spec in netlist.stages], netlist.measure_after
     lines += stages[:at] + measure_block + stages[at:]
     lines.append(f"postselect {ports.target_out[0]}=1 {ports.control_out}=1 {measured}=1")
-    groups = _port_groups(ports)
     lines.append(" ".join(["ports", *(f"{k}={','.join(g)}" for k, g in groups)]))
     return "\n".join(lines) + "\n"
 
@@ -488,6 +490,12 @@ def _where(spec: ElementSpec) -> str:
 
 def _is_ident(word) -> bool:
     return isinstance(word, str) and _IDENT.match(word) is not None
+
+
+def _undeclared(what: str, paths, declared) -> list[str]:
+    """``validate``'s text for each of ``paths`` that is not a string in ``declared``."""
+    return [f"{what} undeclared path {p!r}" for p in paths
+            if not isinstance(p, str) or p not in declared]
 
 
 def _wrong_corrections(outcomes) -> list[str]:
@@ -529,8 +537,7 @@ def validate(netlist: CircuitNetlist) -> list[str]:
         except ValueError as err:
             diags.append(f"{_where(spec)}{spec.name}: {err}")
 
-    if not isinstance(rule.path, str) or rule.path not in declared:
-        diags.append(f"measurement on undeclared path {rule.path!r}")
+    diags += _undeclared("measurement on", [rule.path], declared)
     if not rule.outcomes:
         diags.append("measurement declares no outcomes")
     diags.extend(m for _, m in _rule_problems(rule.outcomes))
@@ -550,9 +557,8 @@ def validate(netlist: CircuitNetlist) -> list[str]:
         ports = replace(ports, target_out=(ports.target_out,))
     if not ports.target_out:
         diags.append(_NO_TARGET_OUT)
-    for path in (p for _, group in _port_groups(ports) for p in group):
-        if not isinstance(path, str) or path not in declared:
-            diags.append(f"ports reference undeclared path {path!r}")
+    referenced = [p for _, group in _port_groups(ports) for p in group]
+    diags += _undeclared("ports reference", referenced, declared)
     inputs = [ports.target_in, ports.control_in, ports.program_in]
     inputs = [p for p in inputs if isinstance(p, str)]
     if len(set(inputs)) != len(inputs):

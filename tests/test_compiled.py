@@ -16,6 +16,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+import lopcsim.fock
 import lopcsim.gates
 from lopcsim import (
     CompiledCircuit,
@@ -135,6 +136,19 @@ def test_sweep_cost_does_not_grow_with_grid_length(monkeypatch):
     assert calls == short
     # one batch of permanents over the eight basis inputs, and no run
     assert short == {"run": 0, "permanents": 1}
+
+
+@pytest.mark.parametrize("name", ["basic", "ff", "dual", "full", "full-HWP2-32.5"])
+def test_program_operators_are_the_permanents_of_each_input_in_port_order(name):
+    """Column 2t+c of program operator p of each branch and output is the
+    permanent of its three rows on the target column t, the control column
+    2 + c and the program column 4 + p, bit for bit."""
+    circuit = CompiledCircuit(NETLISTS[name])
+    expected = np.empty_like(circuit.program_operators)
+    for b, out, t, c, p in np.ndindex(len(circuit.branch_keys), 4, 2, 2, 2):
+        submatrix = circuit.rows[b, out][:, [t, 2 + c, 4 + p]]
+        expected[p, b, out, 2 * t + c] = lopcsim.fock.permanents(submatrix)
+    assert circuit.program_operators.tobytes() == expected.tobytes()
 
 
 def test_grid_is_a_record_of_arrays():

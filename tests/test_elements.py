@@ -220,18 +220,32 @@ def test_element_is_built_once_per_spec():
 def test_each_kind_builds_its_pinned_matrix():
     r, h = math.sqrt(1 - T * T), 1 / SQ2
     pins = [
-        (element_spec("pbs", "a b t r"), [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
-        (element_spec("ppbs", "a b a c", T),
-         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, T, -r], [0, 0, r, T]]),
         (element_spec("hwp", "a", 22.5), [[h, h], [h, -h]]),
         (element_spec("jones", "a", 0.6, -0.8j, 0.8, 0.6j), [[0.6, -0.8j], [0.8, 0.6j]]),
-        (element_spec("filter", "a", 0.5, 0.25), [[0.5, 0], [0, 0.25]]),
-        (element_spec("phaseflip", "a"), [[1, 0], [0, -1]]),
     ]
     for pinned, matrix in pins:
         built = pinned.build()
         assert built.dtype == complex
         assert np.allclose(built, matrix, atol=1e-15, rtol=0), pinned.name
+    # the kinds whose entries are their fields, or constants, are pinned bit
+    # for bit: every zero is +0.0, so the sign of each zero counts too
+    bits = []
+    for tv in (T, 0.3):
+        r = math.sqrt(1 - tv * tv)
+        bits.append((element_spec("ppbs", "a b a c", tv),
+                     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, tv, -r], [0, 0, r, tv]]))
+    bits += [
+        (element_spec("pbs", "a b t r"), [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+        (element_spec("filter", "a", 0.5, 0.25), [[0.5, 0.0], [0.0, 0.25]]),
+        (element_spec("filter", "a", -0.0, 1.0), [[-0.0, 0.0], [0.0, 1.0]]),
+        (element_spec("phaseflip", "a"), [[1.0, 0.0], [0.0, -1.0]]),
+    ]
+    for pinned, matrix in bits:
+        built = pinned.build()
+        expected = np.array(matrix, dtype=np.complex128)
+        assert built.dtype == np.complex128 and built.shape == expected.shape, pinned.name
+        assert np.array_equal(built.view(np.int64), expected.view(np.int64)), pinned.name
+        assert built.flags.c_contiguous and not built.flags.writeable, pinned.name
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

@@ -157,6 +157,18 @@ def test_the_empty_permanent_is_one(paths):
     assert engine_amplitude(np.eye(2 * len(paths)), [], []) == 1.0
 
 
+@pytest.mark.parametrize("n", range(5))
+def test_permanents_match_the_sum_over_permutations(n):
+    rng = np.random.default_rng(n)
+    stack = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
+    got = permanents(stack)
+    assert got.shape == (3,)
+    for m, value in zip(stack, got):
+        perms = itertools.permutations(range(n))
+        expected = sum(math.prod(m[i, perm[i]] for i in range(n)) for perm in perms)
+        assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
 def test_unitary_preserves_norm_on_random_three_photon_states():
     rng = np.random.default_rng(11)
     for _ in range(10):

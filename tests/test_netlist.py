@@ -289,6 +289,21 @@ def test_render_refuses_a_correct_that_validate_lists():
         render(bad)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda nl: replace(nl, ports=replace(nl.ports, control_out=["C_OUT"])),
+     "ports reference undeclared path ['C_OUT']"),
+    (lambda nl: replace(nl, ports=replace(nl.ports, control_out=7)),
+     "ports reference undeclared path 7"),
+    (lambda nl: replace(nl, measurement=replace(nl.measurement, path=["d"])),
+     "measurement on undeclared path ['d']"),
+], ids=["control_out-list", "control_out-int", "measurement-list"])
+def test_render_refuses_a_reference_that_validate_lists(edit, message):
+    bad = edit(builtin_variant("ff"))
+    assert message in validate(bad)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        render(bad)
+
+
 def test_the_grammar_copies_list_every_kind_as_the_table_does():
     block = README.read_text(encoding="utf-8").split("## Netlist format", 1)[1].split("```")[1]
     for copy in (lopcsim.netlist.__doc__, block):
