@@ -35,7 +35,9 @@ class ElementSpec:
     otherwise) and ``params`` (tv for ppbs, the angle for hwp, row-major
     entries for jones, (th, tv) for filter) are flattened in the order of
     the kind's ``KINDS`` entry.  ``line`` remembers the source line when
-    the element came from a parsed netlist.
+    the element came from a parsed netlist.  A kind, name or path that is not
+    a string, or ``paths`` or ``params`` that is not a tuple, raises ValueError
+    when the spec is built; ``checked_kind`` checks the values.
     """
 
     kind: str
@@ -43,6 +45,19 @@ class ElementSpec:
     paths: tuple[str, ...]
     params: tuple[complex, ...] = ()
     line: int | None = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ValueError(f"{_where(self)}invalid element name {self.name!r}")
+        if not isinstance(self.kind, str):
+            raise ValueError(f"{_where(self)}{self.name}: unknown element kind {self.kind!r}")
+        for key in ("paths", "params"):
+            if not isinstance(getattr(self, key), tuple):
+                message = f"{key} must be a tuple, got {getattr(self, key)!r}"
+                raise ValueError(f"{_where(self)}{self.name}: {message}")
+        for path in self.paths:
+            if not isinstance(path, str):
+                raise ValueError(f"{_where(self)}{self.name}: undeclared path {path!r}")
 
     def checked_kind(self) -> tuple[ElementKind, list[float | complex]]:
         """This spec's ``KINDS`` entry and its parameters as ``matrix`` takes them,
@@ -93,6 +108,10 @@ class ElementSpec:
         """The matrix from the first ``build`` of this spec; a spec that fails
         to build raises again on every access."""
         return self.build()
+
+
+def _where(spec: ElementSpec) -> str:
+    return f"line {spec.line}: " if spec.line else ""
 
 
 class NumericField(NamedTuple):

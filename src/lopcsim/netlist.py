@@ -31,14 +31,14 @@ from __future__ import annotations
 import cmath
 import numbers
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cache
 from importlib import resources
 from typing import Sequence
 
 import numpy as np
 
-from .elements import KINDS, ElementKind, ElementSpec
+from .elements import KINDS, ElementKind, ElementSpec, _where
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 #: Photons every gate netlist carries: one per input port.
@@ -75,11 +75,27 @@ class MeasurementOutcome:
     ket: tuple[complex, complex]
     correct: ElementSpec | None = None
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.label, str):
+            raise ValueError(f"invalid outcome label {self.label!r}")
+        if not isinstance(self.correct, (ElementSpec, type(None))):
+            message = f"correct must be an ElementSpec, got {self.correct!r}"
+            raise ValueError(f"outcome {self.label!r}: {message}")
+
 
 @dataclass(frozen=True)
 class MeasurementRule:
     path: str
     outcomes: tuple[MeasurementOutcome, ...]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.path, str):
+            raise ValueError(f"measurement on undeclared path {self.path!r}")
+        if not isinstance(self.outcomes, tuple):
+            raise ValueError(f"measurement outcomes must be a tuple, got {self.outcomes!r}")
+        for o in self.outcomes:
+            if not isinstance(o, MeasurementOutcome):
+                raise ValueError(f"measurement outcome must be a MeasurementOutcome, got {o!r}")
 
 
 @dataclass(frozen=True)
@@ -90,12 +106,21 @@ class Ports:
     target_out: tuple[str, ...]
     control_out: str
 
+    def __post_init__(self) -> None:
+        outs = self.target_out
+        if not isinstance(outs, tuple):
+            raise ValueError(f"ports target_out must be a tuple of paths, got {outs!r}")
+        if not outs:
+            raise ValueError("ports target_out names no path")
+        for p in (self.target_in, self.control_in, self.program_in, *outs, self.control_out):
+            if not isinstance(p, str):
+                raise ValueError(f"ports reference undeclared path {p!r}")
+
 
 #: Keys of the ``ports`` statement, in ``Ports`` field order; only
 #: ``target_out`` takes more than one path.
 _PORTS = tuple(f.name for f in fields(Ports))
 _MULTI_PORT = "target_out"
-_NO_TARGET_OUT = "ports target_out names no path"
 _PORTS_USAGE = " ".join(
     ["ports", *(f"{k}=<p>[,<p>]" if k == _MULTI_PORT else f"{k}=<p>" for k in _PORTS)]
 )
@@ -119,6 +144,28 @@ class CircuitNetlist:
     measurement: MeasurementRule
     measure_after: int
     ports: Ports
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.paths, tuple):
+            raise ValueError(f"paths must be a tuple, got {self.paths!r}")
+        for p in self.paths:
+            if not isinstance(p, str):
+                raise ValueError(f"invalid path name {p!r}")
+        if not isinstance(self.stages, tuple):
+            raise ValueError(f"stages must be a tuple, got {self.stages!r}")
+        for spec in self.stages:
+            if not isinstance(spec, ElementSpec):
+                raise ValueError(f"stage must be an ElementSpec, got {spec!r}")
+        if not isinstance(self.measurement, MeasurementRule):
+            raise ValueError(f"measurement must be a MeasurementRule, got {self.measurement!r}")
+        if not isinstance(self.ports, Ports):
+            raise ValueError(f"ports must be a Ports, got {self.ports!r}")
+        at = self.measure_after
+        # builtin int first: an isinstance check against the ABC costs about 1 µs
+        if not isinstance(at, (int, numbers.Integral)):
+            raise ValueError(f"measurement position must be an integer, got {at!r}")
+        if not 0 <= at <= len(self.stages):
+            raise ValueError("measurement position outside the stage list")
 
     @property
     def corrections(self) -> tuple[ElementSpec, ...]:
@@ -205,8 +252,7 @@ class _Parser:
         self.paths: dict[str, None] = {}  # declared, in file order
         self.elements: dict[str, ElementSpec] = {}  # by name, in file order
         self.measure_path: str | None = None
-        self.outcomes: list[MeasurementOutcome] = []
-        self.corrects: list[str | None] = []  # each outcome's correct= name
+        self.outcomes: list[tuple[str, tuple, str | None]] = []  # (label, ket, correct= name)
         self.measure_lines: list[int] = []
         self.elements_before_measure: int | None = None
         self.postselect: dict[str, int] | None = None
@@ -295,10 +341,9 @@ class _Parser:
         elif self.measure_path != path:
             message = f"measurement path {path!r} conflicts with earlier {self.measure_path!r}"
             raise NetlistError(message, line, _AT + len("path="))
-        if any(o.label == label for o in self.outcomes):
+        if any(seen == label for seen, _, _ in self.outcomes):
             raise NetlistError(f"duplicate outcome label {label!r}", line, 3 * _AT)
-        self.outcomes.append(MeasurementOutcome(label, (ket[0], ket[1])))
-        self.corrects.append(correct)
+        self.outcomes.append((label, (ket[0], ket[1]), correct))
         self.measure_lines.append(line)
 
     def stmt_postselect(self, words, line: int) -> None:
@@ -348,11 +393,13 @@ class _Parser:
         if photons != PHOTON_BUDGET:
             message = f"postselect totals {photons} photons, expected budget {PHOTON_BUDGET}"
             raise NetlistError(message, self.postselect_line)
-        problems = _rule_problems(self.outcomes)
+        outcomes = tuple(MeasurementOutcome(label, ket, self.elements.get(c))
+                         for label, ket, c in self.outcomes)
+        problems = _rule_problems(outcomes)
         if problems:
             index, message = problems[0]
             raise NetlistError(message, self.measure_lines[index])
-        conditional = {name for name in self.corrects if name is not None}
+        conditional = {c for _, _, c in self.outcomes if c is not None}
         for name in sorted(conditional):
             if name not in self.elements:
                 raise NetlistError(f"correct= references unknown element {name!r}", eol)
@@ -367,8 +414,6 @@ class _Parser:
                 raise NetlistError(message, self.postselect_line)
         elements = list(self.elements.values())
         stages = tuple(e for e in elements if e.name not in conditional)
-        pairs = zip(self.outcomes, self.corrects)
-        outcomes = tuple(MeasurementOutcome(o.label, o.ket, self.elements.get(c)) for o, c in pairs)
         before = elements[: self.elements_before_measure]
         measure_after = sum(1 for e in before if e.name not in conditional)
         return CircuitNetlist(
@@ -456,14 +501,11 @@ def _render_element(spec: ElementSpec) -> str:
 
 def render(netlist: CircuitNetlist) -> str:
     """Canonical textual form; parse(render(n)) == n.  ValueError, with ``validate``'s
-    text, on an empty ``target_out``, an undeclared measurement path or ``ports`` entry,
-    a ``correct`` that is not an ``ElementSpec`` or a spec ``checked_kind`` rejects."""
+    text, on an undeclared measurement path or ``ports`` entry or a spec
+    ``checked_kind`` rejects; the records refuse a field of the wrong type."""
     ports, measured = netlist.ports, netlist.measurement.path
-    if not ports.target_out:
-        raise ValueError(_NO_TARGET_OUT)
     groups = _port_groups(ports)
     wrong = (_undeclared("measurement on", [measured], netlist.paths)
-             + _wrong_corrections(netlist.measurement.outcomes)
              + _undeclared("ports reference", [p for _, g in groups for p in g], netlist.paths))
     if wrong:
         raise ValueError(wrong[0])
@@ -484,53 +526,38 @@ def render(netlist: CircuitNetlist) -> str:
 # validation
 
 
-def _where(spec: ElementSpec) -> str:
-    return f"line {spec.line}: " if spec.line else ""
-
-
-def _is_ident(word) -> bool:
-    return isinstance(word, str) and _IDENT.match(word) is not None
-
-
 def _undeclared(what: str, paths, declared) -> list[str]:
-    """``validate``'s text for each of ``paths`` that is not a string in ``declared``."""
-    return [f"{what} undeclared path {p!r}" for p in paths
-            if not isinstance(p, str) or p not in declared]
-
-
-def _wrong_corrections(outcomes) -> list[str]:
-    return [f"outcome {o.label!r}: correct must be an ElementSpec, got {o.correct!r}"
-            for o in outcomes if not isinstance(o.correct, (ElementSpec, type(None)))]
+    """``validate``'s text for each of ``paths`` that is not in ``declared``."""
+    return [f"{what} undeclared path {p!r}" for p in paths if p not in declared]
 
 
 def validate(netlist: CircuitNetlist) -> list[str]:
-    """Structural and numeric checks; an empty list means none failed.  Where
+    """Checks of the values' content; an empty list means none failed.  Where
     light goes is checked only by compiling, so a netlist that passes may not compile.
     A path name, element name or outcome label that is not an identifier is
     reported as invalid and takes no further part: it declares no path and is
-    compared with no other name.  So is a referenced path that is not a string,
-    reported as undeclared."""
+    compared with no other name.  A field of the wrong type never gets here: the
+    records refuse it when they are built."""
     diags: list[str] = []
     declared: set[str] = set()
     for p in netlist.paths:
-        if not _is_ident(p):
+        if not _IDENT.match(p):
             diags.append(f"invalid path name {p!r}")
         elif p in declared:
             diags.append(f"duplicate path {p!r}")
         else:
             declared.add(p)
-    rule = netlist.measurement
-    corrections = tuple(c for c in netlist.corrections if isinstance(c, ElementSpec))
+    rule, corrections = netlist.measurement, netlist.corrections
     names: set[str] = set()
     for spec in netlist.stages + corrections:
-        if not _is_ident(spec.name):
+        if not _IDENT.match(spec.name):
             diags.append(f"{_where(spec)}invalid element name {spec.name!r}")
         elif spec.name in names:
             diags.append(f"{_where(spec)}duplicate element name {spec.name!r}")
         else:
             names.add(spec.name)
         for path in spec.paths:
-            if not isinstance(path, str) or path not in declared:
+            if path not in declared:
                 diags.append(f"{_where(spec)}{spec.name}: undeclared path {path!r}")
         try:
             spec.element  # built here once; CompiledCircuit reuses it
@@ -543,39 +570,26 @@ def validate(netlist: CircuitNetlist) -> list[str]:
     diags.extend(m for _, m in _rule_problems(rule.outcomes))
     labels: set[str] = set()
     for outcome in rule.outcomes:
-        if not _is_ident(outcome.label):
+        if not _IDENT.match(outcome.label):
             diags.append(f"invalid outcome label {outcome.label!r}")
         elif outcome.label in labels:
             diags.append(f"duplicate outcome label {outcome.label!r}")
         else:
             labels.add(outcome.label)
-    diags += _wrong_corrections(rule.outcomes)
 
     ports = netlist.ports
-    if isinstance(ports.target_out, str):  # one path, not a tuple of them
-        diags.append(f"ports target_out must be a tuple of paths, got {ports.target_out!r}")
-        ports = replace(ports, target_out=(ports.target_out,))
-    if not ports.target_out:
-        diags.append(_NO_TARGET_OUT)
     referenced = [p for _, group in _port_groups(ports) for p in group]
     diags += _undeclared("ports reference", referenced, declared)
-    inputs = [ports.target_in, ports.control_in, ports.program_in]
-    inputs = [p for p in inputs if isinstance(p, str)]
-    if len(set(inputs)) != len(inputs):
+    if len({ports.target_in, ports.control_in, ports.program_in}) != 3:
         diags.append("ports target_in, control_in and program_in must name three distinct paths")
-    outputs = [p for p in (*ports.target_out, ports.control_out, rule.path) if isinstance(p, str)]
+    outputs = [*ports.target_out, ports.control_out, rule.path]
     if len(set(outputs)) != len(outputs):
         diags.append(
             "ports target_out, control_out and the measurement path must name distinct paths"
         )
 
-    late, at = corrections, netlist.measure_after  # the corrections act at the measurement point
-    if not isinstance(at, numbers.Integral):
-        diags.append(f"measurement position must be an integer, got {at!r}")
-    elif not 0 <= at <= len(netlist.stages):
-        diags.append("measurement position outside the stage list")
-    else:
-        late += netlist.stages[at:]
+    # the corrections act at the measurement point
+    late = corrections + netlist.stages[netlist.measure_after:]
     message = f"touches measurement path {rule.path!r} after the measurement point"
     diags += [f"{_where(spec)}{spec.name}: {message}" for spec in late if rule.path in spec.paths]
     return diags

@@ -191,9 +191,10 @@ def test_the_order_of_the_path_statements_changes_no_bit(variant):
 
 def test_compiled_circuit_validates_once_and_rejects_invalid_netlists(monkeypatch):
     nl = builtin_variant("basic")
-    bad = replace(nl, ports=replace(nl.ports, target_out=()))
-    with pytest.raises(NetlistValidationError):
+    bad = replace(nl, measurement=replace(nl.measurement, path="ghost"))
+    with pytest.raises(NetlistValidationError) as caught:
         CompiledCircuit(bad)
+    assert caught.value.diagnostics == ["measurement on undeclared path 'ghost'"]
     calls = []
     monkeypatch.setattr(lopcsim.gates, "validate", lambda n: calls.append(n) or validate(n))
     circuit = CompiledCircuit(nl)

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from importlib import resources
 
 import numpy as np
@@ -237,66 +237,90 @@ def test_two_correction_specs_that_share_a_name_are_a_duplicate():
     assert validate(bad) == ["line 18: duplicate element name 'PLM'"]
 
 
-def _first_path(nl, path):
-    first = nl.stages[0]
-    return replace(nl, stages=(replace(first, paths=(path, *first.paths[1:])), *nl.stages[1:]))
+def _records(nl):
+    """The records of a shipped netlist that the wrong-type cases change, by name."""
+    f1 = next(s for s in nl.stages if s.name == "F1")
+    return {"netlist": nl, "PBS1": nl.stages[0], "F1": f1, "measurement": nl.measurement,
+            "A": nl.measurement.outcomes[1], "ports": nl.ports}
 
 
-def _outcome_a(nl, **changes):
-    d, a = nl.measurement.outcomes
-    return replace(nl, measurement=replace(nl.measurement, outcomes=(d, replace(a, **changes))))
+def assert_refused_where_built(record, field, value, message):
+    """``record`` with ``field`` set to ``value`` raises ValueError(``message``), both
+    through ``dataclasses.replace`` and called with every field."""
+    given = {f.name: getattr(record, f.name) for f in fields(record)}
+    for build in (lambda: replace(record, **{field: value}),
+                  lambda: type(record)(**{**given, field: value})):
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert str(caught.value) == message
 
 
 @pytest.mark.parametrize(
-    "change, diagnostic",
+    "record, field, value, diagnostic",
     [
-        (lambda nl: replace(nl, paths=nl.paths + (7,)), "invalid path name 7"),
-        (lambda nl: _rename_f1(nl, None), "line 12: invalid element name None"),
-        (lambda nl: _outcome_a(nl, label=7), "invalid outcome label 7"),
-        (lambda nl: replace(nl, measure_after=2.5), "measurement position must be an integer, got 2.5"),
-        (lambda nl: replace(nl, ports=replace(nl.ports, target_out="T_OUT")),
-         "ports target_out must be a tuple of paths, got 'T_OUT'"),
-        (lambda nl: _outcome_a(nl, correct="PLM"),
-         "outcome 'A': correct must be an ElementSpec, got 'PLM'"),
-        (lambda nl: replace(nl, paths=nl.paths + (["x"],)), "invalid path name ['x']"),
-        (lambda nl: _rename_f1(nl, ["F1"]), "line 12: invalid element name ['F1']"),
-        (lambda nl: _outcome_a(nl, label=["A"]), "invalid outcome label ['A']"),
-        (lambda nl: _first_path(nl, ["t_in"]), "line 11: PBS1: undeclared path ['t_in']"),
-        (lambda nl: replace(nl, measurement=replace(nl.measurement, path=["d"])),
-         "measurement on undeclared path ['d']"),
-        (lambda nl: replace(nl, ports=replace(nl.ports, control_out=["C_OUT"])),
-         "ports reference undeclared path ['C_OUT']"),
-        (lambda nl: replace(nl, ports=replace(nl.ports, target_in=["t_in"])),
-         "ports reference undeclared path ['t_in']"),
+        ("netlist", "paths", ("t_in", 7), "invalid path name 7"),
+        ("F1", "name", None, "line 12: invalid element name None"),
+        ("A", "label", 7, "invalid outcome label 7"),
+        ("netlist", "measure_after", 2.5, "measurement position must be an integer, got 2.5"),
+        ("ports", "target_out", "T_OUT", "ports target_out must be a tuple of paths, got 'T_OUT'"),
+        ("A", "correct", "PLM", "outcome 'A': correct must be an ElementSpec, got 'PLM'"),
+        ("netlist", "paths", ("t_in", ["x"]), "invalid path name ['x']"),
+        ("F1", "name", ["F1"], "line 12: invalid element name ['F1']"),
+        ("A", "label", ["A"], "invalid outcome label ['A']"),
+        ("PBS1", "paths", (["t_in"], "t_in2", "t_up", "t_low"),
+         "line 11: PBS1: undeclared path ['t_in']"),
+        ("measurement", "path", ["d"], "measurement on undeclared path ['d']"),
+        ("ports", "control_out", ["C_OUT"], "ports reference undeclared path ['C_OUT']"),
+        ("ports", "target_in", ["t_in"], "ports reference undeclared path ['t_in']"),
+        ("ports", "control_out", 7, "ports reference undeclared path 7"),
     ],
     ids=["path-name", "element-name", "outcome-label", "measure-after", "target-out", "correct",
          "path-name-list", "element-name-list", "outcome-label-list", "stage-path-list",
-         "measure-path-list", "control-out-list", "target-in-list"],
+         "measure-path-list", "control-out-list", "target-in-list", "control-out-int"],
 )
-def test_validate_reports_a_value_of_the_wrong_type_once(change, diagnostic):
-    bad = change(builtin_variant("ff"))
-    assert validate(bad) == [diagnostic]
-    with pytest.raises(NetlistValidationError) as caught:
-        CompiledCircuit(bad)
-    assert caught.value.diagnostics == [diagnostic]
+def test_validate_reports_a_value_of_the_wrong_type_once(record, field, value, diagnostic):
+    # refused where the record is built, with validate's wording, so neither
+    # validate nor render ever sees the value
+    assert_refused_where_built(_records(builtin_variant("ff"))[record], field, value, diagnostic)
 
 
-def test_render_refuses_a_correct_that_validate_lists():
-    bad = _outcome_a(builtin_variant("ff"), correct="PLM")
-    message = "outcome 'A': correct must be an ElementSpec, got 'PLM'"
-    assert validate(bad) == [message]
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        render(bad)
+@pytest.mark.parametrize("record, field, value, message", [
+    ("netlist", "stages", None, "stages must be a tuple, got None"),
+    ("netlist", "stages", [], "stages must be a tuple, got []"),
+    ("netlist", "stages", ("HWPX",), "stage must be an ElementSpec, got 'HWPX'"),
+    ("netlist", "paths", ["t_in"], "paths must be a tuple, got ['t_in']"),
+    ("netlist", "measurement", "d", "measurement must be a MeasurementRule, got 'd'"),
+    ("netlist", "ports", "x", "ports must be a Ports, got 'x'"),
+    ("measurement", "outcomes", ["A"], "measurement outcomes must be a tuple, got ['A']"),
+    ("measurement", "outcomes", ("A",),
+     "measurement outcome must be a MeasurementOutcome, got 'A'"),
+    ("PBS1", "paths", ["t_in"], "line 11: PBS1: paths must be a tuple, got ['t_in']"),
+    ("PBS1", "params", None, "line 11: PBS1: params must be a tuple, got None"),
+    ("PBS1", "kind", ["pbs"], "line 11: PBS1: unknown element kind ['pbs']"),
+], ids=["stages-none", "stages-list", "stage-str", "paths-list", "measurement-str", "ports-str",
+        "outcomes-list", "outcome-str", "element-paths-list", "element-params-none",
+        "element-kind-list"])
+def test_a_container_or_record_of_the_wrong_type_is_refused_where_built(
+        record, field, value, message):
+    assert_refused_where_built(_records(builtin_variant("ff"))[record], field, value, message)
+
+
+@pytest.mark.parametrize("after_last", [False, True], ids=["before-the-first", "after-the-last"])
+def test_a_measurement_position_outside_the_stage_list_is_refused_where_built(after_last):
+    nl = builtin_variant("ff")
+    at = len(nl.stages) + 1 if after_last else -1
+    message = "measurement position outside the stage list"
+    assert_refused_where_built(nl, "measure_after", at, message)
+    for edge in (0, len(nl.stages)):
+        assert parse(render(replace(nl, measure_after=edge))).measure_after == edge
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda nl: replace(nl, ports=replace(nl.ports, control_out=["C_OUT"])),
-     "ports reference undeclared path ['C_OUT']"),
-    (lambda nl: replace(nl, ports=replace(nl.ports, control_out=7)),
-     "ports reference undeclared path 7"),
-    (lambda nl: replace(nl, measurement=replace(nl.measurement, path=["d"])),
-     "measurement on undeclared path ['d']"),
-], ids=["control_out-list", "control_out-int", "measurement-list"])
+    (lambda nl: replace(nl, ports=replace(nl.ports, control_out="ghost")),
+     "ports reference undeclared path 'ghost'"),
+    (lambda nl: replace(nl, measurement=replace(nl.measurement, path="ghost")),
+     "measurement on undeclared path 'ghost'"),
+], ids=["control_out-ghost", "measurement-ghost"])
 def test_render_refuses_a_reference_that_validate_lists(edit, message):
     bad = edit(builtin_variant("ff"))
     assert message in validate(bad)
@@ -457,14 +481,9 @@ def test_parse_reports_the_photon_budget_before_the_kets():
 
 
 def test_an_empty_target_out_is_a_validation_error():
-    nl = builtin_variant("basic")
-    bad = replace(nl, ports=replace(nl.ports, target_out=()))
-    assert validate(bad) == ["ports target_out names no path"]
-    with pytest.raises(NetlistValidationError) as caught:
-        CompiledCircuit(bad)
-    assert caught.value.diagnostics == ["ports target_out names no path"]
-    with pytest.raises(ValueError, match="^ports target_out names no path$"):
-        render(bad)
+    # refused where the ports are built, so no netlist has one
+    ports = builtin_variant("basic").ports
+    assert_refused_where_built(ports, "target_out", (), "ports target_out names no path")
 
 
 #: (kind, name of its first element in full.lopc) of each kind with a numeric field.

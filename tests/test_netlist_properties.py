@@ -1,4 +1,5 @@
-"""Property tests of the netlist text form over random element chains.
+"""Property tests of the netlist text form over random element chains, and of
+the netlist records' type checks over the shipped netlists.
 
 Every element kind of ``lopcsim.elements.KINDS`` appears in each generated
 netlist, so a kind added to the table is covered without touching this file.
@@ -6,14 +7,22 @@ netlist, so a kind added to the table is covered without touching this file.
 
 import math
 import re
+from contextlib import suppress
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lopcsim import NetlistError, parse, render
+from lopcsim import NetlistError, builtin_variant, parse, render, validate
 from lopcsim.elements import KINDS, ElementSpec
-from lopcsim.netlist import CircuitNetlist, MeasurementOutcome, MeasurementRule, Ports
+from lopcsim.netlist import (
+    VARIANTS,
+    CircuitNetlist,
+    MeasurementOutcome,
+    MeasurementRule,
+    Ports,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 _FIRST = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
@@ -152,3 +161,71 @@ def test_corrupted_token_is_located_in_respaced_text(nl, data):
     token, offset = where
     match = list(re.finditer(r"\S+", text.split("\n")[line - 1]))[token]
     assert (err.value.line, err.value.col) == (line, match.start() + 1 + offset)
+
+
+def _set(items, i, value):
+    """``items`` with its ``i``-th entry, counted round, set to ``value``."""
+    i %= len(items)
+    return (*items[:i], value, *items[i + 1:])
+
+
+def _stage(nl, i, **change):
+    return replace(nl, stages=_set(nl.stages, i, replace(nl.stages[i % len(nl.stages)], **change)))
+
+
+def _outcome(nl, i, **change):
+    rule = nl.measurement
+    outcome = replace(rule.outcomes[i % len(rule.outcomes)], **change)
+    return replace(nl, measurement=replace(rule, outcomes=_set(rule.outcomes, i, outcome)))
+
+
+_SINGLE_PORTS = ("target_in", "control_in", "program_in", "control_out")
+
+#: Per record field: the type it takes, and ``edit(nl, i, value)``, the shipped
+#: netlist ``nl`` with that field (of its ``i``-th path, stage, outcome or single
+#: ``ports`` entry, counted round) set to ``value`` through ``dataclasses.replace``.
+FIELDS = {
+    "path name": (str, lambda nl, i, v: replace(nl, paths=_set(nl.paths, i, v))),
+    "paths": (tuple, lambda nl, i, v: replace(nl, paths=v)),
+    "element name": (str, lambda nl, i, v: _stage(nl, i, name=v)),
+    "element kind": (str, lambda nl, i, v: _stage(nl, i, kind=v)),
+    "element params": (tuple, lambda nl, i, v: _stage(nl, i, params=v)),
+    "element path": (str, lambda nl, i, v: _stage(
+        nl, i, paths=_set(nl.stages[i % len(nl.stages)].paths, 0, v))),
+    "element paths": (tuple, lambda nl, i, v: _stage(nl, i, paths=v)),
+    "stage": (ElementSpec, lambda nl, i, v: replace(nl, stages=_set(nl.stages, i, v))),
+    "stages": (tuple, lambda nl, i, v: replace(nl, stages=v)),
+    "measurement path": (str, lambda nl, i, v: replace(
+        nl, measurement=replace(nl.measurement, path=v))),
+    "label": (str, lambda nl, i, v: _outcome(nl, i, label=v)),
+    "correct": ((ElementSpec, type(None)), lambda nl, i, v: _outcome(nl, i, correct=v)),
+    "outcome": (MeasurementOutcome, lambda nl, i, v: replace(nl, measurement=replace(
+        nl.measurement, outcomes=_set(nl.measurement.outcomes, i, v)))),
+    "measure_after": (int, lambda nl, i, v: replace(nl, measure_after=v)),
+    "ports entry": (str, lambda nl, i, v: replace(
+        nl, ports=replace(nl.ports, **{_SINGLE_PORTS[i % 4]: v}))),
+    "target_out": (tuple, lambda nl, i, v: replace(nl, ports=replace(nl.ports, target_out=v))),
+}
+#: None, an int, a float, a list of str or a str: of a wrong type for most fields,
+#: and of the right one for some (a str name, an int position, no correction).
+VALUES = st.one_of(st.none(), st.integers(-2, 14), st.floats(), st.lists(NAMES, max_size=2), NAMES)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(VARIANTS), st.sampled_from(sorted(FIELDS)), st.integers(0, 11), VALUES)
+def test_a_field_of_the_wrong_type_is_refused_where_the_record_is_built(variant, name, i, value):
+    """A value of a type the field does not take raises ValueError when the record
+    is built, never another exception; a netlist that is built is listed by
+    ``validate`` and written by ``render``, or refused by it with ValueError."""
+    takes, edit = FIELDS[name]
+    if not isinstance(value, takes):
+        with pytest.raises(ValueError):
+            edit(builtin_variant(variant), i, value)
+        return
+    try:
+        changed = edit(builtin_variant(variant), i, value)
+    except ValueError:  # well typed, but refused: a position outside the stage list
+        return
+    assert isinstance(validate(changed), list)
+    with suppress(ValueError):
+        render(changed)
