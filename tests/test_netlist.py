@@ -315,14 +315,41 @@ def test_a_measurement_position_outside_the_stage_list_is_refused_where_built(af
         assert parse(render(replace(nl, measure_after=edge))).measure_after == edge
 
 
-@pytest.mark.parametrize("edit, message", [
+def test_render_refuses_a_correct_that_validate_lists():
+    nl = builtin_variant("ff")
+    d, a = nl.measurement.outcomes
+    # a correct that is not an ElementSpec is refused, with validate's text,
+    # where the outcome is built
+    message = "outcome 'A': correct must be an ElementSpec, got 'PLM'"
+    assert_refused_where_built(a, "correct", "PLM", message)
+    # a correction spec that validate lists is refused by render
+    correct = replace(a.correct, params=(1.0,))
+    bad = replace(nl, measurement=replace(nl.measurement, outcomes=(d, replace(a, correct=correct))))
+    message = "phaseflip takes 0 parameters, got 1"
+    assert validate(bad) == [f"line 18: PLM: {message}"]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        render(bad)
+
+
+@pytest.mark.parametrize("edit, message, refused_where_built", [
+    (lambda nl: replace(nl, ports=replace(nl.ports, control_out=["C_OUT"])),
+     "ports reference undeclared path ['C_OUT']", True),
+    (lambda nl: replace(nl, measurement=replace(nl.measurement, path=["d"])),
+     "measurement on undeclared path ['d']", True),
     (lambda nl: replace(nl, ports=replace(nl.ports, control_out="ghost")),
-     "ports reference undeclared path 'ghost'"),
+     "ports reference undeclared path 'ghost'", False),
     (lambda nl: replace(nl, measurement=replace(nl.measurement, path="ghost")),
-     "measurement on undeclared path 'ghost'"),
-], ids=["control_out-ghost", "measurement-ghost"])
-def test_render_refuses_a_reference_that_validate_lists(edit, message):
-    bad = edit(builtin_variant("ff"))
+     "measurement on undeclared path 'ghost'", False),
+], ids=["control_out-list", "measurement-list", "control_out-ghost", "measurement-ghost"])
+def test_render_refuses_a_reference_that_validate_lists(edit, message, refused_where_built):
+    nl = builtin_variant("ff")
+    if refused_where_built:
+        # a path that is not a string never reaches validate or render: its
+        # record refuses it with the same text
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            edit(nl)
+        return
+    bad = edit(nl)
     assert message in validate(bad)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         render(bad)
