@@ -76,11 +76,19 @@ import tempfile
 from pathlib import Path
 
 VARIANTS = ("basic", "ff", "dual", "full")
+#: Phase grids, each run through ``verify`` and ``sweep`` of every variant.
+#: Besides the default lengths, the emitter's edges: 4 points, where a
+#: ``full`` sweep's per-row columns hold exactly ``cli.SHORTEST_DEDUPED``
+#: cells; 16 points, where the per-phase columns do; and a constant grid,
+#: where every phase repeats.
 GRIDS = (
     *(["--steps", str(n)] for n in (1, 7, 33, 401)),
     ["--phi", "0.5"],
     ["--from=-90", "--to", "270", "--steps", "33", "--degrees"],
     ["--from=-7", "--to", "20", "--steps", "33"],
+    ["--steps", "4"],
+    ["--steps", "16"],
+    ["--from=0.7", "--to=0.7", "--steps", "17"],
 )
 #: Failing and rejected runs: a 1e-16 tolerance fails some phases (exit 1), a
 #: netlist checked against another variant's oracle, a grid whose span
