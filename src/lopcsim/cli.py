@@ -154,66 +154,96 @@ def _meta_pairs(args, command: str) -> list[tuple[str, str]]:
 
 
 def _emit(args, command: str, header: list[str], columns, repeats=()) -> None:
-    """Write equal-length columns as rows, one column per header field.
+    """Write columns as rows, one column per header field.
 
     Each column (floats or bools that numpy reads, or str) becomes its cells
     through ``_cells``; ``repeats[i]``, if given, writes each cell of column i
-    on that many consecutive rows.  CSV prints floats as ``%.17g`` and JSON
-    equals ``json.dumps(rows, indent=2, sort_keys=True, allow_nan=False)`` of
-    the row dicts, byte for byte.  A table whose every column ``_cells``
-    leaves as float values (a ``hom`` scan) is one ``%`` of its row template
-    repeated once per row, over the values row by row; any other table joins
-    its cells, each float formatted on its own.
+    on that many consecutive rows, and a column that then holds fewer cells
+    than the table has rows is written whole, again and again, until it fills
+    them.  CSV prints floats as ``%.17g`` and JSON equals ``json.dumps(rows,
+    indent=2, sort_keys=True, allow_nan=False)`` of the row dicts, byte for
+    byte.
+
+    Each output column has a fixed prefix, the text before each of its cells:
+    a newline or a comma in CSV; in JSON its quoted key, after the previous
+    row's close for the first key in sorted order.  The first row's first
+    prefix gives way to the lead (the meta and header lines, or the opening
+    of the list), and the tail (the closing and the final newline) follows
+    the last row, so that the whole text is built at once.  A table whose
+    every column ``_cells`` leaves as float values (a ``hom`` scan) is one
+    ``%`` of its row template repeated once per row, over the values row by
+    row.  Any other table places each column's cells, prefixes included, by
+    slice into one list that is joined once.  Columns next to each other in
+    output order that repeat alike (a ``sweep``'s phase, ``p_success`` and
+    ``fidelity``) are joined once per repeated cell, and a column written
+    again and again (a ``sweep``'s branch labels) is formatted once.
+    ``--out`` gets the UTF-8 bytes of the text through one unbuffered file,
+    written until every byte is.
     """
     as_json = args.format == "json"
-    cells = [_cells(column, as_json) for column in columns]
-    floats = all(isinstance(column, np.ndarray) for column in cells)
-    if not floats:
-        text = float.__repr__ if as_json else "%.17g".__mod__
-        cells = [list(map(text, c.tolist())) if isinstance(c, np.ndarray) else c for c in cells]
-    for i, n in enumerate(repeats):
-        cells[i] = np.repeat(np.array(cells[i], dtype=object), n).tolist()
     meta = _meta_pairs(args, command) if args.meta else []
     order = sorted(range(len(header)), key=header.__getitem__) if as_json else range(len(header))
-    rows = len(cells[0])
-    if floats:
-        values = tuple(np.column_stack([cells[i] for i in order]).ravel().tolist())
     if as_json:
         pad = "    " if meta else "  "
-        # each cell after its key and, for the first key, after the previous
-        # row's close
         fields = [f"\n{pad}  {_quote(header[i])}: " for i in order]
         prefixes = [f"\n{pad}}},\n{pad}{{{fields[0]}", *(f",{field}" for field in fields[1:])]
-        if floats:
-            body = "".join(p.replace("%", "%%") + "%r" for p in prefixes) * rows % values
-        else:
-            stride = 2 * len(order)
-            parts = [""] * (rows * stride)
-            for j, i in enumerate(order):
-                parts[2 * j::stride] = [prefixes[j]] * rows
-                parts[2 * j + 1::stride] = cells[i]
-            body = "".join(parts)
-        # the first row opens the list where each other row closes the one before
-        head = f"[\n{pad}{{{fields[0]}"
-        text = f"{head}{body[len(prefixes[0]):]}\n{pad}}}\n{pad[2:]}]" if rows else "[]"
+        opening = closing = ""
         if meta:
             pairs = ",\n".join(f"    {_quote(k)}: {_quote(v)}" for k, v in sorted(meta))
-            text = f'{{\n  "meta": {{\n{pairs}\n  }},\n  "rows": {text}\n}}'
+            opening, closing = f'{{\n  "meta": {{\n{pairs}\n  }},\n  "rows": ', "\n}"
+        # the first row opens the list where each other row closes the one before
+        lead = f"{opening}[\n{pad}{{{fields[0]}"
+        tail, empty = f"\n{pad}}}\n{pad[2:]}]{closing}\n", f"{opening}[]{closing}\n"
     else:
-        lines = [*(f"# {key}={value}" for key, value in meta), ",".join(header)]
-        if floats:
-            text = "\n".join(lines) + ("\n" + ",".join(["%.17g"] * len(cells))) * rows % values
-        else:
-            text = "\n".join(lines + list(map(",".join, zip(*cells))))
+        prefixes = ["\n", *[","] * (len(header) - 1)]
+        lead = "\n".join([*(f"# {key}={value}" for key, value in meta), ",".join(header)]) + "\n"
+        tail, empty = "\n", lead
+    before = dict(zip(order, prefixes))
+    cells = [_cells(column, as_json, before[i]) for i, column in enumerate(columns)]
+    number = "%r" if as_json else "%.17g"
+    formats = {i: prefix.replace("%", "%%") + number for i, prefix in before.items()}
+    times = [*repeats, *[1] * (len(cells) - len(repeats))]
+    rows = max(len(column) * n for column, n in zip(cells, times))
+    if not rows:
+        text = empty
+    elif all(isinstance(column, np.ndarray) and len(column) == rows for column in cells):
+        values = tuple(np.column_stack([cells[i] for i in order]).ravel().tolist())
+        row = "".join(formats[i] for i in order)
+        first = lead.replace("%", "%%") + row[len(formats[order[0]]) - len(number):]
+        text = (first + row * (rows - 1) + tail.replace("%", "%%")) % values
+    else:
+        runs = []  # (repeats, length, columns) of each run of neighbours that repeat alike
+        for i in order:
+            if isinstance(cells[i], np.ndarray):
+                cells[i] = list(map(formats[i].__mod__, cells[i].tolist()))
+            key = (times[i], len(cells[i]))
+            if key[0] > 1 and runs and runs[-1][:2] == key:
+                runs[-1][2].append(cells[i])
+            else:
+                runs.append((*key, [cells[i]]))
+        stride = len(runs)
+        parts = [""] * (rows * stride)
+        for j, (n, length, run) in enumerate(runs):
+            pieces = run[0] if len(run) == 1 else list(map("".join, zip(*run)))
+            if length * n < rows:
+                pieces = pieces * (rows // (length * n))
+            for k in range(n):
+                parts[j + k * stride::n * stride] = pieces
+        parts[0] = lead + parts[0][len(prefixes[0]):]
+        parts.append(tail)
+        text = "".join(parts)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        with open(args.out, "wb", buffering=0) as file:
+            data = memoryview(text.encode())
+            while data:
+                data = data[file.write(data):]
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
 
 
-def _cells(column, as_json: bool) -> list[str] | np.ndarray:
-    """The text of each cell of one column, or its float64 values where each is
-    to be formatted on its own.
+def _cells(column, as_json: bool, prefix: str) -> list[str] | np.ndarray:
+    """The text of each cell of one column, each after ``prefix``, or its
+    float64 values where each is to be formatted on its own.
 
     Floats are told apart by their bit pattern, so ``0.0`` and ``-0.0`` print
     apart.  One sort of the bit patterns shows whether any value repeats; a
@@ -222,13 +252,12 @@ def _cells(column, as_json: bool) -> list[str] | np.ndarray:
     value formatted once.  JSON refuses a non-finite float.
     """
     if len(column) and isinstance(column[0], str):
-        if not as_json:
-            return list(column)
-        quoted = {label: _quote(label) for label in set(column)}
-        return list(map(quoted.__getitem__, column))
+        quote = _quote if as_json else str
+        texts = {label: prefix + quote(label) for label in set(column)}
+        return list(map(texts.__getitem__, column))
     values = np.asarray(column)
     if values.dtype == bool:
-        return np.where(values, "true", "false").tolist()
+        return np.where(values, prefix + "true", prefix + "false").tolist()
     values = values.astype(np.float64, copy=False)
     bad = values[~np.isfinite(values)] if as_json else ()
     if len(bad):
@@ -238,9 +267,10 @@ def _cells(column, as_json: bool) -> list[str] | np.ndarray:
         keys = np.sort(bits)
         changes = keys[1:] != keys[:-1]
         if np.count_nonzero(changes) + 1 < len(keys):
-            text = float.__repr__ if as_json else "%.17g".__mod__
+            number = prefix.replace("%", "%%") + ("%r" if as_json else "%.17g")
             distinct = keys[np.concatenate(([True], changes))]
-            cells = np.array(list(map(text, distinct.view(np.float64).tolist())), dtype=object)
+            cells = np.array(list(map(number.__mod__, distinct.view(np.float64).tolist())),
+                             dtype=object)
             return cells[np.searchsorted(distinct, bits)].tolist()
     return values
 
@@ -292,7 +322,7 @@ def cmd_sweep(args) -> int:
     phis = np.sort(_grid(args, 0.0, math.pi), kind="stable")
     grid = CompiledCircuit(_load_netlist(args)).evaluate(phis)
     labels, order = zip(*sorted((f"{o}:{p}", b) for b, (o, p) in enumerate(grid.branch_keys)))
-    columns = [grid.phis, grid.p_success, grid.fidelity, list(labels) * len(grid.phis)]
+    columns = [grid.phis, grid.p_success, grid.fidelity, labels]
     _emit(args, "sweep", ["phi_rad", "p_success", "fidelity", "branch", "branch_prob"],
           columns + [grid.probabilities[:, order].ravel()], repeats=[len(order)] * 3)
     return 0

@@ -1,6 +1,9 @@
 import argparse
+import builtins
 import json
 import math
+import os
+import stat
 import warnings
 
 import numpy as np
@@ -8,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lopcsim import builtin_variant, cli, render
+from lopcsim import __version__, builtin_variant, cli, render
 from lopcsim.cli import _emit, main
+from lopcsim.gates import CompiledCircuit
 
 from .test_compiled import DEAD_CASES, MERGED_CASES
 from .test_netlist import shipped, with_postselect
@@ -424,3 +428,153 @@ def test_a_postselect_without_the_detector_is_one_located_error(tmp_path, capsys
         "error: line 25:0: postselect must require exactly one photon on the measurement path\n"
     )
     assert not out.exists()
+
+
+#: One run of each command; ``verify`` and ``sweep`` read their netlist from a
+#: file whose name is not ASCII, so that ``--meta`` carries it.
+OUT_RUNS = {
+    "verify": ["verify", "--variant", "full", "--steps", "3"],
+    "sweep": ["sweep", "--variant", "full", "--steps", "17"],
+    "hom": ["hom", "--steps", "41"],
+}
+
+
+def out_run(tmp_path, command, fmt, meta):
+    argv = [*OUT_RUNS[command], "--format", fmt, *(["--meta"] * meta)]
+    if command != "hom":
+        netlist = tmp_path / "réseau ☃ 𝄞.lopc"
+        netlist.write_bytes(shipped("full"))
+        argv += ["--netlist", str(netlist)]
+    return argv
+
+
+@pytest.mark.parametrize("meta", [False, True])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", sorted(OUT_RUNS))
+def test_out_holds_the_utf8_bytes_of_stdout(tmp_path, capsys, command, fmt, meta):
+    argv = out_run(tmp_path, command, fmt, meta)
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert printed.endswith("\n")
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode("utf-8")
+    if meta and command != "hom" and fmt == "csv":
+        assert "réseau ☃ 𝄞.lopc" in out.read_text(encoding="utf-8")
+
+
+def test_out_truncates_a_longer_file(tmp_path, capsys):
+    argv = out_run(tmp_path, "sweep", "csv", False)
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.encode("utf-8")
+    out = tmp_path / "out"
+    out.write_bytes(b"x" * (3 * len(printed)))
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == printed
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o000])
+def test_a_new_out_file_gets_the_mode_the_umask_leaves(tmp_path, umask):
+    out = tmp_path / "out"
+    old = os.umask(umask)
+    try:
+        assert main(["hom", "--steps", "3", "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
+
+def test_out_is_complete_when_each_write_takes_a_few_bytes(tmp_path, capsys, monkeypatch):
+    argv = out_run(tmp_path, "sweep", "json", True)
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.encode("utf-8")
+    writes = []
+
+    class Trickle:
+        def __init__(self, file):
+            self.file = file
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.file.close()
+
+        def write(self, data):
+            writes.append(len(data))
+            return self.file.write(data[:5])
+
+    def trickling_open(path, mode, buffering):
+        assert (mode, buffering) == ("wb", 0)
+        return Trickle(builtins.open(path, mode, buffering=buffering))
+
+    monkeypatch.setattr(cli, "open", trickling_open, raising=False)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == printed
+    assert writes == list(range(len(printed), 0, -5))
+
+
+@pytest.mark.parametrize("command", sorted(OUT_RUNS))
+def test_an_out_path_that_cannot_be_written_exits_2(tmp_path, capsys, command):
+    missing = tmp_path / "missing" / "out.csv"
+    assert main([*OUT_RUNS[command], "--out", str(missing)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    )
+    assert not missing.parent.exists()
+    assert main([*OUT_RUNS[command], "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
+
+
+#: Sweep grids as (argv, (start, stop, steps, degrees)): ascending, of 4
+#: points (a ``full`` table of 16 rows), descending, constant, through zero in
+#: degrees, and the one point -0.0.
+SWEEP_GRIDS = [
+    (["--from", "0.1", "--to", "3", "--steps", "33"], (0.1, 3.0, 33, False)),
+    (["--steps", "4"], (0.0, math.pi, 4, False)),
+    (["--from", "3", "--to=-1", "--steps", "16"], (3.0, -1.0, 16, False)),
+    (["--from", "0.7", "--to", "0.7", "--steps", "17"], (0.7, 0.7, 17, False)),
+    (["--from=-90", "--to", "90", "--steps", "33", "--degrees"], (-90.0, 90.0, 33, True)),
+    (["--phi=-0.0"], (-0.0, -0.0, 1, False)),
+]
+
+
+def sweep_rows(variant, start, stop, steps, degrees):
+    """The sweep table, row by row, from ``evaluate``'s arrays."""
+    if steps == 1:
+        phis = np.array([start])
+    else:
+        phis = start + np.arange(steps) * (stop - start) / (steps - 1)
+    phis = np.sort(np.radians(phis) if degrees else phis, kind="stable")
+    grid = CompiledCircuit(builtin_variant(variant)).evaluate(phis)
+    labels = sorted((f"{outcome}:{port}", b) for b, (outcome, port) in enumerate(grid.branch_keys))
+    return [
+        {"phi_rad": float(phi), "p_success": float(grid.p_success[i]),
+         "fidelity": float(grid.fidelity[i]), "branch": label,
+         "branch_prob": float(grid.probabilities[i, b])}
+        for i, phi in enumerate(grid.phis) for label, b in labels
+    ]
+
+
+@pytest.mark.parametrize("meta", [False, True])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("grid, ends", SWEEP_GRIDS, ids=[
+    "ascending", "4pt", "descending", "constant", "through-0-degrees", "minus-0"])
+@pytest.mark.parametrize("variant", ["basic", "ff", "dual", "full"])
+def test_sweep_prints_evaluate_row_by_row(capsys, variant, grid, ends, fmt, meta):
+    assert main(["sweep", "--variant", variant, *grid, "--format", fmt, *(["--meta"] * meta)]) == 0
+    rows = sweep_rows(variant, *ends)
+    pairs = {"tool": f"lopcsim {__version__}", "command": "sweep", "variant": variant}
+    if fmt == "json":
+        payload = {"meta": pairs, "rows": rows} if meta else rows
+        expected = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    else:
+        header = ["phi_rad", "p_success", "fidelity", "branch", "branch_prob"]
+        lines = [f"# {key}={value}" for key, value in pairs.items()] if meta else []
+        lines.append(",".join(header))
+        lines += [",".join(row[key] if key == "branch" else "%.17g" % row[key] for key in header)
+                  for row in rows]
+        expected = "\n".join(lines)
+    assert capsys.readouterr().out == expected + "\n"

@@ -1,12 +1,12 @@
 """Differential property tests of the CLI's column emitter.
 
-``cli._emit`` formats each distinct value of a column once and joins rows
-from a fixed template, or, for a table of distinct floats only, fills one
-``%`` row template repeated once per row.  Its output must equal, byte for
-byte, what the row-wise rules give: ``json.dumps`` of the row dicts (indent
-2, sorted keys, no NaN) for JSON, and for CSV ``%.17g`` floats,
-``true``/``false`` bools and strings as they are.  Pooled columns draw from
-a few values, so values repeat, and values that compare equal but print
+``cli._emit`` formats each distinct value of a column once and places the
+cells after their fixed prefixes into one list joined once, or, for a table
+of distinct floats only, fills one ``%`` row template repeated once per
+row.  Its output must equal, byte for byte, what the row-wise rules give:
+``json.dumps`` of the row dicts (indent 2, sorted keys, no NaN) for JSON,
+and for CSV ``%.17g`` floats, ``true``/``false`` bools and strings as
+they are.  Pooled columns draw from a few values, so values repeat, and values that compare equal but print
 apart (``0.0`` and ``-0.0``) meet in one column.  Float-only tables, whose
 keys hold ``%``, are drawn on their own so that both paths run every time.
 """
@@ -147,18 +147,23 @@ def test_json_rejects_non_finite_floats(values, bad, data):
 
 
 @SETTINGS
-@given(table(), st.integers(1, 4), st.sampled_from(["csv", "json"]), st.data())
-def test_repeated_cells_equal_repeated_values(data, k, fmt, draw):
-    """Columns given with ``repeats`` print as the same columns repeated."""
+@given(table(), st.integers(1, 4), st.sampled_from(["csv", "json"]), st.booleans(), st.data())
+def test_repeated_cells_equal_repeated_values(data, k, fmt, tile, draw):
+    """Columns given with ``repeats`` print as the same columns repeated, and
+    the columns after them, given once, as the same columns written k times."""
     header, columns, _ = data
     m = draw.draw(st.integers(0, len(columns)))
     repeated = [
         np.repeat(c, k) if isinstance(c, np.ndarray) else [v for v in c for _ in range(k)]
         for c in columns
     ]
+    rest = [repeated[m:], repeated[m:]]
+    if tile and m:
+        rest = [columns[m:], [np.tile(c, k) if isinstance(c, np.ndarray) else c * k
+                              for c in columns[m:]]]
     args = argparse.Namespace(format=fmt, meta=False, out=None)
     texts = []
-    for given_columns, repeats in ((columns[:m] + repeated[m:], [k] * m), (repeated, ())):
+    for given_columns, repeats in ((columns[:m] + rest[0], [k] * m), (repeated[:m] + rest[1], ())):
         with contextlib.redirect_stdout(io.StringIO()) as out:
             cli._emit(args, "sweep", header, given_columns, repeats)
         texts.append(out.getvalue())

@@ -155,3 +155,20 @@ def test_the_chains_are_built_once_per_branch_and_input(variant, monkeypatch):
         calls.clear()
         table = branch_table(phis, variant)
         assert len(calls) == 4 * len(table)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_fixed_factor_of_a_chain_is_real(variant):
+    """Multiplying a chain's phase column in numpy gives Python's bits only if
+    every factor but the programmed one is real, with a +0.0 imaginary part."""
+    outcomes, ports, feedforward, dual = oracle._variant_structure(variant)
+    for outcome in outcomes:
+        for port in ports:
+            for t in (0, 1):
+                for c in (0, 1):
+                    steps, _ = oracle._chain(t, c, outcome, port, feedforward, dual)
+                    factors = [factor for _, factor in steps if factor is not None]
+                    assert len(factors) >= len(steps) - 1
+                    for factor in factors:
+                        assert type(factor) is complex
+                        assert factor.imag == 0.0 and math.copysign(1.0, factor.imag) == 1.0
