@@ -209,7 +209,7 @@ def _emit(args, command: str, header: list[str], columns, repeats=()) -> None:
     elif all(isinstance(column, np.ndarray) and len(column) == rows for column in cells):
         values = tuple(np.column_stack([cells[i] for i in order]).ravel().tolist())
         row = "".join(formats[i] for i in order)
-        first = lead.replace("%", "%%") + row[len(formats[order[0]]) - len(number):]
+        first = lead.replace("%", "%%") + row[len(prefixes[0].replace("%", "%%")):]
         text = (first + row * (rows - 1) + tail.replace("%", "%%")) % values
     else:
         runs = []  # (repeats, length, columns) of each run of neighbours that repeat alike
