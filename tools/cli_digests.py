@@ -17,8 +17,11 @@ the one holding this script).  Commands run in-process from the checkout
 root, so the ``--netlist`` paths in the argv, and in ``--meta`` output, are
 the same relative paths for every checkout.
 
-After the fixed matrix comes a 33-point ``sweep`` of ``full.lopc`` with two
-plates turned (``DETUNED``), written to the temporary directory and
+After the fixed matrix come argparse's own outputs (``ARGV``): each argv is
+run as it stands, without ``--out``, and its digest takes standard output in
+place of the output file, so that help, the version and every usage error
+are pinned byte for byte.  Help is wrapped at ``COLUMNS=80``.  Then comes a
+33-point ``sweep`` of ``full.lopc`` with two plates turned (``DETUNED``), written to the temporary directory and
 labelled in its line, so that the fidelity column changes from phase to
 phase.  Then come the shipped layouts with all of one input's light
 filtered out (``DEAD``), each run through ``sweep`` and ``verify
@@ -115,6 +118,31 @@ HOM = (
     ["hom", "--from=-0.0", "--to", "1", "--steps", "3"],
     ["hom", "--steps", "17", "--tv", "1e-12"],
     ["hom", "--steps", "17", "--tv", "0.9999999999999999"],
+)
+#: argv run without ``--out``: help and the version, each command's help, an
+#: unknown command, an option before the command, words that a command does not
+#: take, abbreviations, ``--``, bad values, a negative value as its own word,
+#: and ``--=x``, an abbreviation of both ``--help`` and ``--version``, which
+#: the top-level parser refuses before any command parses it.
+ARGV = (
+    [],
+    ["-h"],
+    ["--version"],
+    *([command, "-h"] for command in ("verify", "sweep", "hom")),
+    ["verif"],
+    ["--format", "csv", "verify"],
+    ["verify", "--bogus"],
+    ["hom", "--variant", "full"],
+    ["sweep", "--tol", "1"],
+    ["verify", "--version"],
+    ["verify", "--phi=1", "extra"],
+    ["verify", "--var", "full", "--form", "json"],
+    ["verify", "--", "--phi", "1"],
+    ["verify", "--steps", "x"],
+    ["hom", "--tv"],
+    ["verify", "--from", "-1", "--steps", "3"],
+    ["verify", "--=x"],
+    ["verify", "--", "--=x"],
 )
 MALFORMED_VARIANTS = ("basic", "full")
 MALFORMED_VALUES = ("", "ghost", "nan", "1,2,3,4,5")
@@ -296,22 +324,29 @@ def main(argv: list[str]) -> int:
     if args.against:
         return against(args.against, root)
     os.chdir(root)
+    os.environ["COLUMNS"] = "80"
     sys.path.insert(0, str(root / "src"))
     from lopcsim.cli import main as lopcsim
 
     with tempfile.TemporaryDirectory() as tmp:
         out, netlist = Path(tmp) / "out", Path(tmp) / "malformed.lopc"
 
-        def digest(args: list[str]) -> str:
+        def digest(args: list[str], to_file: bool = True) -> str:
             out.unlink(missing_ok=True)
-            with contextlib.redirect_stderr(io.StringIO()) as err:
-                code = lopcsim([*args, "--out", str(out)])
+            with contextlib.redirect_stderr(io.StringIO()) as err, \
+                    contextlib.redirect_stdout(io.StringIO()) as printed:
+                code = lopcsim([*args, "--out", str(out)] if to_file else args)
             h = hashlib.blake2b(f"{code}\n{err.getvalue()}\0".encode(), digest_size=16)
-            h.update(out.read_bytes() if out.exists() else b"")
+            if to_file:
+                h.update(out.read_bytes() if out.exists() else b"")
+            else:
+                h.update(printed.getvalue().encode())
             return h.hexdigest()
 
         for args in commands():
             print(f"{digest(args)}  {' '.join(args)}")
+        for args in ARGV:
+            print(f"{digest(args, to_file=False)}  (stdout) {' '.join(args)}")
         label, edits = DETUNED
         netlist.write_text(edited("full", edits), encoding="utf-8")
         args = ["sweep", "--variant", "full", "--netlist"]
