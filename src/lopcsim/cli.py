@@ -75,6 +75,8 @@ def _add_common(sub: argparse.ArgumentParser, phase_grid: bool) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``lopcsim`` parser; its ``commands`` maps each command word to the
+    parser of that command's options."""
     parser = argparse.ArgumentParser(
         prog="lopcsim",
         description="Simulate and verify the programmable-phase photonic two-qubit gate.",
@@ -98,6 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(hom, phase_grid=False)
     hom.add_argument("--tv", type=_finite, default=_DEFAULT_TV, help="splitter transmissivity")
+    parser.commands = commands.choices
     return parser
 
 
@@ -106,6 +109,30 @@ def _parser() -> argparse.ArgumentParser:
     """The process's one ``build_parser()``: it depends on no input, and parsing
     leaves it as it was."""
     return build_parser()
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, with the options after a command word
+    parsed once, by that command's parser.
+
+    The top-level parser hands every word after the command to the command's
+    parser, so scanning them itself only classifies them, with one exception:
+    it refuses a word before any ``--`` that abbreviates both ``--help`` and
+    ``--version`` (``--=x``).  Such an argv, and any that does not start with a
+    command word, goes through the top-level parser.  Words the command does
+    not take are refused by the top-level parser, in its words.
+    """
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    words = argv[1:]
+    scanned = words[:words.index("--")] if "--" in words else words
+    if command is None or any(word.startswith("--=") for word in scanned):
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(words, argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _grid(args, lo: float, hi: float) -> np.ndarray:
@@ -336,7 +363,7 @@ def cmd_hom(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:  # looked up on each call, so a replaced ``cmd_*`` is the one that runs

@@ -1,5 +1,7 @@
 import argparse
 import builtins
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lopcsim import __version__, builtin_variant, cli, render
@@ -352,7 +354,9 @@ def test_single_phi_rejects_grid_flags(grid, tmp_path, capsys):
     assert main(["verify", "--phi", "0.5", "--degrees", "--out", str(out)]) == 0
 
 
-#: A run of each command, a usage error, --version and -h, with their exit codes.
+#: A run of each command, usage errors (a bad value, words a command does not
+#: take, an unknown command, no command), --version, -h and a command's -h,
+#: with their exit codes.
 REPEATED = [
     (["verify", "--variant", "full", "--steps", "3", "--format", "json"], 0),
     (["sweep", "--variant", "ff", "--phi", "0.5", "--meta"], 0),
@@ -360,6 +364,11 @@ REPEATED = [
     (["verify", "--steps", "x"], 2),
     (["--version"], 0),
     (["-h"], 0),
+    (["verify", "--bogus"], 2),
+    (["hom", "--variant", "full"], 2),
+    (["verif"], 2),
+    ([], 2),
+    (["verify", "-h"], 0),
 ]
 
 
@@ -373,7 +382,8 @@ def test_repeated_and_interleaved_calls_match_the_first(capsys):
     first = [run(argv) for argv, _ in REPEATED]
     assert [code for code, _, _ in first] == [code for _, code in REPEATED]
     assert all(out or err for _, out, err in first)
-    for order in (range(len(REPEATED)), reversed(range(len(REPEATED))), [5, 0, 3, 1, 4, 2, 0]):
+    interleaved = [5, 0, 3, 9, 1, 6, 4, 10, 2, 8, 7, 0]
+    for order in (range(len(REPEATED)), reversed(range(len(REPEATED))), interleaved):
         for i in order:
             assert run(REPEATED[i][0]) == first[i]
 
@@ -394,6 +404,53 @@ def test_main_builds_the_parser_once_per_process(monkeypatch, capsys):
         cli._parser.cache_clear()
     capsys.readouterr()
     assert len(calls) == 1
+
+
+COMMANDS = sorted(cli._parser().commands)
+#: Every option string of the commands, and each long one cut to each shorter
+#: prefix, so that some abbreviate one option and some several.
+OPTIONS = sorted({
+    option[:end]
+    for command in COMMANDS
+    for option in cli._parser().commands[command]._option_string_actions
+    for end in range(3 if option.startswith("--") else 2, len(option) + 1)
+})
+VALUES = ["x", "-1", "0.5", "3", "-0.0", "1e309", "", "json", "full", "--", "-", *COMMANDS]
+WORD = st.one_of(
+    st.sampled_from([*OPTIONS, "--version", "--vers", *VALUES]),
+    st.builds("{}={}".format, st.sampled_from([*OPTIONS, "--", "-", "--version"]),
+              st.sampled_from(VALUES)),
+)
+#: Words that some command takes, so that some draws parse.
+TAKEN = [["--format", "json"], ["--out", "x"], ["--meta"], ["--from=-1"], ["--to", "0.5"],
+         ["--steps", "3"], ["--variant", "full"], ["--netlist", "x"], ["--phi", "-1"],
+         ["--degrees"], ["--tol", "0.5"], ["--tv", "0.5"], ["--st", "3"], ["--form=csv"], ["--"]]
+WORDS = st.lists(st.one_of(st.sampled_from(TAKEN), st.lists(WORD, min_size=1, max_size=2)),
+                 max_size=5).map(lambda chunks: [word for chunk in chunks for word in chunk])
+#: Most argvs start with a command word; the rest go through the top-level parser.
+ARGV = st.builds(lambda first, rest: [*first, *rest],
+                 st.sampled_from([*([command] for command in COMMANDS * 2), [], ["verif"]]), WORDS)
+
+
+def parsed(parse, argv):
+    """``vars()`` of ``parse(argv)``'s namespace, or its ``SystemExit`` code,
+    with what it printed to stdout and stderr."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@example(["verify", "--=x"])
+@example(["verify", "--", "--=x"])
+@example(["verify", "--phi=1", "extra"])
+@given(ARGV)
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+def test_parsing_after_the_command_word_matches_the_top_level_parser(argv):
+    assert parsed(cli._parse_args, argv) == parsed(cli._parser().parse_args, argv)
 
 
 def test_main_runs_the_cmd_function_the_module_holds(monkeypatch):

@@ -2,10 +2,13 @@
 
     python3 tools/bench_pairs.py --parent HEAD --pairs 10 > BENCH_8.json
 
-``git archive`` of ``--parent`` is unpacked into a temporary directory.
-Then, for each pair and each workload of ``BENCHMARK.json``, the
-benchmark's own runner ``perfbench/run.py --trace 0`` runs once in the
-parent and once in the working tree for ``run_seconds``, with the same
+``git archive`` of ``--parent`` is unpacked into a temporary directory,
+and the working tree's tracked files (as they are on disk, staged or not;
+untracked files are left out) are copied next to it, so that both sides
+run from a fresh directory under the same temporary root.  Then, for each
+pair and each workload of ``BENCHMARK.json``, the benchmark's own runner
+``perfbench/run.py --trace 0`` runs once in the parent and once in the
+working tree's copy for ``run_seconds``, with the same
 seed (the pair's number) and alternating which side goes first.  Each run
 is a fresh interpreter of its own checkout, one after another; progress
 goes to standard error.
@@ -31,6 +34,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -116,9 +120,16 @@ def main(argv: list[str]) -> int:
                                  capture_output=True, check=True).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(parent, filter="data")
+        change = Path(tmp) / "change"
+        tracked = subprocess.run(["git", "ls-files", "-z"], cwd=ROOT,
+                                 capture_output=True, check=True).stdout.decode()
+        for name in filter(None, tracked.split("\0")):
+            if (ROOT / name).is_file():  # a tracked file deleted from the tree is left out
+                (change / name).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy(ROOT / name, change / name)
         for pair in range(args.pairs):
             for workload in workloads:
-                order = [("parent", parent), ("change", ROOT)]
+                order = [("parent", parent), ("change", change)]
                 for side, checkout in order if pair % 2 == 0 else order[::-1]:
                     result = run_once(checkout, workload, pair + 1, spec["run_seconds"])
                     results[workload][side].append(result)
