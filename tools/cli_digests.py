@@ -17,6 +17,10 @@ the one holding this script).  Commands run in-process from the checkout
 root, so the ``--netlist`` paths in the argv, and in ``--meta`` output, are
 the same relative paths for every checkout.
 
+The fixed matrix ends with the long grids (``LONG``): ``verify`` and ``sweep``
+of each built-in variant at 1001 and 10001 points, in CSV and JSON.  In all,
+the listing has 2485 lines.
+
 After the fixed matrix come argparse's own outputs (``ARGV``): each argv is
 run as it stands, without ``--out``, and its digest takes standard output in
 place of the output file, so that help, the version and every usage error
@@ -119,6 +123,10 @@ HOM = (
     ["hom", "--steps", "17", "--tv", "1e-12"],
     ["hom", "--steps", "17", "--tv", "0.9999999999999999"],
 )
+#: Long grids, each run through ``verify`` and ``sweep`` of every built-in
+#: variant in CSV and JSON: the grid lengths where the per-phase arrays, not the
+#: fixed per-call costs, set the time and the memory.
+LONG = tuple(["--steps", str(n)] for n in (1001, 10001))
 #: argv run without ``--out``: help and the version, each command's help, an
 #: unknown command, an option before the command, words that a command does not
 #: take, abbreviations, ``--``, bad values, a negative value as its own word,
@@ -256,6 +264,10 @@ def commands():
         yield [*argv, *(["--meta"] * meta), "--format", fmt]
     for argv, meta, fmt in itertools.product(HOM, (False, True), ("csv", "json")):
         yield [*argv, *(["--meta"] * meta), "--format", fmt]
+    for command, variant, grid, fmt in itertools.product(
+        ("verify", "sweep"), VARIANTS, LONG, ("csv", "json")
+    ):
+        yield [command, "--variant", variant, *grid, "--format", fmt]
 
 
 def malformed():
