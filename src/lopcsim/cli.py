@@ -138,8 +138,10 @@ def _parse_args(argv) -> argparse.Namespace:
 def _grid(args, lo: float, hi: float) -> np.ndarray:
     """The float64 grid of --phi or --from/--to/--steps, in radians.
 
-    Point i is ``start + i * (stop - start) / (steps - 1)``, bit for bit.  A
-    point past the float range is inf, left to the command to reject.
+    Point i is ``start + i * (stop - start) / (steps - 1)``, bit for bit,
+    except where ``i * (stop - start)`` overflows: there it is
+    ``start + i * ((stop - start) / (steps - 1))``.  A point that rounds past
+    the float range is inf, left to the command to reject.
     """
     single = getattr(args, "phi", None)
     if single is not None:
@@ -157,8 +159,13 @@ def _grid(args, lo: float, hi: float) -> np.ndarray:
         elif not math.isfinite(stop - start):
             raise ValueError(f"--from={start!r} to --to={stop!r} spans more than a float holds")
         else:
+            span, last = stop - start, steps - 1
             with np.errstate(over="ignore"):
-                values = start + np.arange(steps) * (stop - start) / (steps - 1)
+                offsets = np.arange(steps) * span / last
+                if not math.isfinite(last * span):  # the largest product overflows
+                    over = np.isinf(offsets)
+                    offsets[over] = np.flatnonzero(over) * (span / last)
+                values = start + offsets
     if getattr(args, "degrees", False):
         values = np.radians(values)
     return values
@@ -324,22 +331,30 @@ def _check_oracle_shape(circuit: CompiledCircuit, variant: str, table: dict) -> 
     )
 
 
+def _amplitude_error(ops: np.ndarray, oracle: np.ndarray) -> np.ndarray:
+    """Per phase, the largest modulus of an entry of ``ops`` (P, B, 4, 4) less
+    the diagonal operators whose diagonals ``oracle`` (B, P, 4) holds."""
+    diagonal = np.arange(4)
+    err = np.abs(ops)
+    err[..., diagonal, diagonal] = np.abs(ops.diagonal(0, 2, 3) - oracle.transpose(1, 0, 2))
+    return err.max(axis=(1, 2, 3))
+
+
 def cmd_verify(args) -> int:
     circuit = CompiledCircuit(_load_netlist(args))
     phis = _grid(args, 0.0, math.pi)
     table = branch_table(phis, args.variant)
     _check_oracle_shape(circuit, args.variant, table)
     tol = float(args.tol)
-    grid = circuit.evaluate(phis)
-    oracle = np.stack([table[key] for key in grid.branch_keys], axis=1)  # diagonal, (P, B, 4)
-    diagonal = np.arange(4)
-    err = np.abs(grid.ops)
-    err[..., diagonal, diagonal] = np.abs(grid.ops[..., diagonal, diagonal] - oracle)
     nominal = len(table) / 48.0
-    err = err.max(axis=(1, 2, 3))
+    grid = circuit.evaluate(phis)
+    # popped, so that each branch's oracle array is freed once it is stacked
+    err = _amplitude_error(grid.ops, np.array([table.pop(key) for key in grid.branch_keys]))
     ok = (err <= tol) & (abs(grid.p_success - nominal) <= tol) & (abs(grid.fidelity - 1.0) <= tol)
     header = ["phi_rad", "p_success", "fidelity", "max_amp_err", "ok"]
-    _emit(args, "verify", header, [phis, grid.p_success, grid.fidelity, err, ok])
+    columns = [phis, grid.p_success, grid.fidelity, err, ok]
+    del grid  # and its operators, which are not printed, before the text is built
+    _emit(args, "verify", header, columns)
     status = "PASS" if ok.all() else "FAIL"
     print(f"verify {args.variant}: {status} over {len(phis)} phase values", file=sys.stderr)
     return 0 if ok.all() else 1

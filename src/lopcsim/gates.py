@@ -49,10 +49,14 @@ def ideal_cphase(phi) -> np.ndarray:
 
     An array of phases gives a stack of operators, shape (..., 4, 4).
     """
-    phi = np.asarray(phi, dtype=float)
-    ops = np.zeros(phi.shape + (4, 4), dtype=complex)
+    return _ideal(np.exp(1j * np.asarray(phi, dtype=float)))
+
+
+def _ideal(factors) -> np.ndarray:
+    """``ideal_cphase`` of the phases whose e^{i phi} are ``factors``."""
+    ops = np.zeros(factors.shape + (4, 4), dtype=complex)
     ops[..., _UNIT, _UNIT] = 1.0
-    ops[..., 3, 3] = np.exp(1j * phi)
+    ops[..., 3, 3] = factors
     return ops
 
 
@@ -63,22 +67,39 @@ class GateGrid:
     ``ops`` is (phases, branches, 4, 4): the conditional operator of each
     branch, in ``branch_keys`` order, whose column 2t+c is what
     ``CompiledCircuit.run`` gives for the basis input |tc> with the program
-    photon (|H> - e^{i phi}|V>)/sqrt(2).  The primary branch is the first,
-    the first declared outcome on the first target output port;
-    ``fidelity`` scores its operator against the ideal operation.
-    ``probabilities`` (phases, branches) is each branch's probability for
-    the input |00> (its operator's first column), and ``p_success`` their
-    sum.  ``phis`` and the scores hold one entry per phase.  No command asks
-    whether the branches agree or are diagonal, so no field says; ``ops``
-    answers both.
+    photon (|H> - e^{i phi}|V>)/sqrt(2).  It is formed on first read, as
+    (G_H - e^{i phi} G_V)/sqrt(2) from ``program_operators`` (G_H, G_V) and
+    ``phase_factors`` (e^{i phi}, one per phase), and then kept on the record.
+    The primary branch is the first, the first declared outcome on the first
+    target output port; ``fidelity`` scores its operator against the ideal
+    operation.  ``probabilities`` (phases, branches) is each branch's
+    probability for the input |00> (its operator's first column), and
+    ``p_success`` their sum.  ``phis`` and the scores hold one entry per
+    phase.  No command asks whether the branches agree or are diagonal, so no
+    field says; ``ops`` answers both.
     """
 
     phis: np.ndarray
-    ops: np.ndarray
     probabilities: np.ndarray
     p_success: np.ndarray
     fidelity: np.ndarray
     branch_keys: tuple[tuple[str, str], ...]
+    program_operators: np.ndarray
+    phase_factors: np.ndarray
+
+    @cached_property
+    def ops(self) -> np.ndarray:
+        return _at_phases(*self.program_operators, self.phase_factors[:, None, None, None])
+
+
+def _at_phases(g_h: np.ndarray, g_v: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """(g_h - factors * g_v) / sqrt(2), broadcast, in one array: the
+    operators of a program photon (|H> - e^{i phi}|V>)/sqrt(2) with
+    ``factors`` e^{i phi}."""
+    out = factors * g_v
+    np.subtract(g_h, out, out=out)
+    out /= _SQ2
+    return out
 
 
 def _check_phases(phis) -> np.ndarray:
@@ -238,22 +259,37 @@ class CompiledCircuit:
         eight inputs in one batch.  Everything after the program photon is
         prepared is linear in it, so the operator of every branch at phase
         phi is (G_H - e^{i phi} G_V)/sqrt(2).
+
+        Taking them also lays out ``_read``, the entries the scores read, in
+        (2, 4, branches + 3): row k holds output k of the |00> column of
+        branches B-1, ..., 1, then row k of the primary branch's operator.
+        So ``[..., B-1:]`` is the primary operator and ``[..., B-1::-1]`` the
+        |00> column of every branch in branch order, both views.
         """
         # rows[..., _COLUMNS] is (branches, 4, 3, 8, 3): move the input axis out
         amplitudes = permanents(self.rows[..., _COLUMNS].transpose(0, 1, 3, 2, 4))
-        return amplitudes.reshape(len(self.branch_keys), 4, 2, 4).transpose(2, 0, 1, 3)
+        operators = amplitudes.reshape(len(self.branch_keys), 4, 2, 4).transpose(2, 0, 1, 3)
+        self._read = np.concatenate(
+            (operators[:, :0:-1, :, 0].transpose(0, 2, 1), operators[:, 0]), axis=2)
+        return operators
 
     def evaluate(self, phi_grid: Sequence[float]) -> GateGrid:
-        """Assemble and score the conditional gate at every phase of the grid,
-        as arrays from one broadcast over ``program_operators``; the scores
-        are those documented on ``GateGrid``."""
+        """Score the conditional gate at every phase of the grid, as arrays
+        from one broadcast over the entries the scores read: per phase, the
+        primary branch's operator and the |00> column of every other branch
+        (see ``program_operators``).  The scores are those documented on
+        ``GateGrid``, whose ``ops`` is formed only when read."""
         phis = _check_phases(phi_grid)
-        g_h, g_v = self.program_operators
-        ops = (g_h - np.exp(1j * phis)[:, None, None, None] * g_v) / _SQ2
-        probs = (np.abs(ops[..., 0]) ** 2).sum(axis=-1)  # |00> column, (phase, branch)
+        operators = self.program_operators  # lays out self._read on first use
+        g_h, g_v = self._read
+        factors = np.exp(1j * phis)
+        read = _at_phases(g_h, g_v, factors[:, None, None])  # (phase, 4, branches + 3)
+        last = len(self.branch_keys) - 1
+        scores = _fidelity(read[:, :, last:], factors)  # first, while no other score is held
+        probs = (np.abs(read[:, :, last::-1]) ** 2).sum(axis=1)  # |00> columns, (phase, branch)
         return GateGrid(
-            phis=phis, ops=ops, probabilities=probs, p_success=probs.sum(axis=1),
-            fidelity=fidelity(ops[:, 0], phis), branch_keys=self.branch_keys,
+            phis=phis, probabilities=probs, p_success=probs.sum(axis=1), fidelity=scores,
+            branch_keys=self.branch_keys, program_operators=operators, phase_factors=factors,
         )
 
 
@@ -263,11 +299,16 @@ def fidelity(gate: np.ndarray, phi):
     Equals 1 exactly when G is proportional to the ideal operation.  A stack
     of gates (..., 4, 4) with matching phases gives an array of overlaps.
     """
+    return _fidelity(gate, np.exp(1j * np.asarray(phi, dtype=float)))
+
+
+def _fidelity(gate, factors):
+    """``fidelity`` against the phases whose e^{i phi} are ``factors``."""
     g = np.asarray(gate, dtype=complex)
     denom = (np.abs(g) ** 2).sum(axis=(-2, -1))
     if (denom == 0.0).any():
         raise ValueError("fidelity of the zero operator is undefined")
-    overlap = (g.conj() * ideal_cphase(phi)).sum(axis=(-2, -1))
+    overlap = (g.conj() * _ideal(factors)).sum(axis=(-2, -1))
     result = np.abs(overlap) ** 2 / (4.0 * denom)
     return float(result) if result.ndim == 0 else result
 

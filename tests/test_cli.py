@@ -224,15 +224,31 @@ def test_overflowing_grid_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["verify", "sweep", "hom"])
 def test_a_grid_point_past_the_float_range_is_the_commands_to_reject(command, tmp_path, capsys):
-    # the span 1.5e308 is finite, but twice it is not: the last point is inf
+    # every point lies in the float range, but 3 * (max / 3) rounds past it: the last is inf
     out = tmp_path / "out.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main([command, "--to=1.5e308", "--steps", "3", "--out", str(out)]) == 2
-    expected = "overlap must lie in [0, 1], got 7.5e+307" if command == "hom" else (
+        assert main([command, "--to=1.7976931348623157e308", "--steps", "4",
+                     "--out", str(out)]) == 2
+    expected = "overlap must lie in [0, 1], got 5.992310449541053e+307" if command == "hom" else (
         "phase must be a finite number, got inf")
     assert capsys.readouterr().err == f"error: {expected}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, start, stop, phases", [
+    ("verify", "0", "1e308", ["0", "5.0000000000000001e+307", "1e+308"]),
+    ("sweep", "0", "1.5e308", ["0", "7.5000000000000001e+307", "1.5e+308"]),
+])
+def test_a_grid_whose_span_times_steps_overflows_keeps_its_points(command, start, stop, phases,
+                                                                  tmp_path):
+    # (steps - 1) * span overflows, though every point lies in the float range
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, f"--from={start}", f"--to={stop}", "--steps", str(len(phases)),
+                     "--out", str(out)]) == 0
+    assert list(dict.fromkeys(row["phi_rad"] for row in read_csv(out))) == phases
 
 
 GRID_ENDS = st.one_of(st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False))
@@ -248,8 +264,10 @@ def test_grid_equals_the_list_formula_bit_for_bit(start, stop, steps, degrees):
             cli._grid(args, 0.0, 1.0)
         return
     expected = [start]
-    if steps > 1:
-        expected = [start + i * (stop - start) / (steps - 1) for i in range(steps)]
+    if steps > 1:  # i * (stop - start) / (steps - 1), or where the product overflows, its ratio
+        span, last = stop - start, steps - 1
+        expected = [start + (i * span / last if math.isfinite(i * span) else i * (span / last))
+                    for i in range(steps)]
     expected = [math.radians(v) for v in expected] if degrees else expected
     grid = cli._grid(args, 0.0, 1.0)
     assert grid.dtype == np.float64

@@ -6,15 +6,24 @@ inputs with the program photon (|H> - e^{i phi}|V>)/sqrt(2) through
 operators with plain loops.  The
 compiled circuit must agree with it on every operator to 1e-12 and on
 every flag exactly.
+
+``evaluate`` forms only the entries its scores read.  Its scores, and the
+``ops`` it forms on first read, must equal bit for bit the same expressions
+on the whole operator grid (G_H - e^{i phi} G_V)/sqrt(2); ``sweep`` must
+never read ``ops``, and ``verify`` must form it once.
 """
 
 import math
+import tracemalloc
 from collections.abc import Sequence
 from dataclasses import replace
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lopcsim.fock
 import lopcsim.gates
@@ -23,6 +32,7 @@ from lopcsim import (
     GateGrid,
     NetlistValidationError,
     builtin_variant,
+    fidelity,
     parse,
     validate,
 )
@@ -340,3 +350,122 @@ def test_input_ports_must_be_distinct():
     clash = replace(nl, ports=replace(nl.ports, program_in=nl.ports.control_in))
     assert any("three distinct paths" in d for d in validate(clash))
     assert not any("three distinct paths" in d for d in validate(nl))
+
+
+def bits(values) -> list[int]:
+    """The int64 patterns of an array's float64 (or complex128 parts') values."""
+    return np.ascontiguousarray(values).view(np.int64).ravel().tolist()
+
+
+def drawn_netlists():
+    """``tests/test_compose.py``'s random compilable layouts (that module imports this one)."""
+    from .test_compose import gate_netlists
+
+    return gate_netlists()
+
+
+#: Every grid starts with 0.0, -0.0 and pi, then up to 60 phases of |phi| <= 1e3.
+PHASE_GRIDS = st.lists(st.floats(-1e3, 1e3), max_size=60).map(lambda drawn: [0.0, -0.0, math.pi,
+                                                                              *drawn])
+
+
+def assert_scores_and_ops_equal_the_whole_grid(circuit, phis):
+    g_h, g_v = circuit.program_operators
+    ops = (g_h - np.exp(1j * np.array(phis))[:, None, None, None] * g_v) / math.sqrt(2.0)
+    probabilities = (np.abs(ops[..., 0]) ** 2).sum(-1)
+    try:
+        scores = fidelity(ops[:, 0], phis)
+    except ValueError:  # a primary operator that is zero at some phase
+        with pytest.raises(ValueError, match="zero operator"):
+            circuit.evaluate(phis)
+        return
+    grid = circuit.evaluate(phis)
+    assert bits(grid.probabilities) == bits(probabilities)
+    assert bits(grid.p_success) == bits(probabilities.sum(axis=1))
+    assert bits(grid.fidelity) == bits(scores)
+    assert grid.ops.shape == ops.shape and bits(grid.ops) == bits(ops)
+    assert grid.ops is grid.ops  # formed once, then kept
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.sampled_from(["basic", "ff", "dual", "full"]).map(builtin_variant),
+                 st.deferred(drawn_netlists)), PHASE_GRIDS)
+def test_the_scores_and_ops_equal_the_whole_operator_grid_bit_for_bit(netlist, phis):
+    try:
+        circuit = CompiledCircuit(netlist)
+    except NetlistValidationError:  # a drawn netlist that merges light or leaves an input dead
+        return
+    assert_scores_and_ops_equal_the_whole_grid(circuit, phis)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["basic", "ff", "dual", "full"]), st.integers(0, 2**32 - 1), PHASE_GRIDS)
+def test_the_scores_and_ops_equal_the_whole_grid_on_dense_operators(variant, seed, phis):
+    # the layouts' operators are diagonal and few entries of a drawn netlist's are not
+    # zero; random rows make every entry count, and so the order of every sum
+    circuit = CompiledCircuit(builtin_variant(variant))
+    rng = np.random.default_rng(seed)
+    circuit.rows = rng.normal(size=circuit.rows.shape) + 1j * rng.normal(size=circuit.rows.shape)
+    assert_scores_and_ops_equal_the_whole_grid(circuit, phis)
+
+
+SWEEPS = [[*grid, "--format", fmt] for grid in (["--steps", "33"], ["--phi=-0.0"],
+                                                  ["--from=-7", "--to=20", "--steps", "401"])
+          for fmt in ("csv", "json")]
+
+
+@pytest.mark.parametrize("variant", ["basic", "ff", "dual", "full"])
+def test_sweep_prints_the_same_bytes_without_reading_ops(variant, monkeypatch, tmp_path):
+    expected, out = tmp_path / "expected", tmp_path / "out"
+    runs = [["sweep", "--variant", variant, *grid, "--meta"] for grid in SWEEPS]
+    printed = []
+    for argv in runs:
+        assert cli.main([*argv, "--out", str(expected)]) == 0
+        printed.append(expected.read_bytes())
+
+    def unread(grid):
+        raise AssertionError("sweep read GateGrid.ops")
+
+    monkeypatch.setattr(GateGrid, "ops", property(unread))
+    for argv, text in zip(runs, printed):
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == text
+
+
+@pytest.mark.parametrize("variant", ["basic", "full"])
+def test_verify_forms_the_operator_grid_once(variant, monkeypatch, tmp_path):
+    formed = []
+    form = GateGrid.__dict__["ops"].func
+
+    def counted(grid):
+        formed.append(grid)
+        return form(grid)
+
+    ops = cached_property(counted)
+    ops.__set_name__(GateGrid, "ops")
+    monkeypatch.setattr(GateGrid, "ops", ops)
+    assert cli.main(["verify", "--variant", variant, "--steps", "9",
+                     "--out", str(tmp_path / "o.csv")]) == 0
+    assert len(formed) == 1
+
+
+#: tracemalloc peaks, in bytes, of a 20000-point ``sweep`` run in process when
+#: ``evaluate`` formed the whole operator grid (numpy 2.4.6, Python 3.11.7).
+WHOLE_GRID_PEAK = {"full": 42_760_715, "basic": 16_644_434}
+
+
+def sweep_peak(variant: str, steps: int, out) -> int:
+    argv = ["sweep", "--variant", variant, "--out", str(out)]
+    assert cli.main([*argv, "--steps", "3"]) == 0  # the parser and the shipped layout, once
+    tracemalloc.start()
+    try:
+        assert cli.main([*argv, "--steps", str(steps)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_long_sweep_peaks_below_the_whole_operator_grid(tmp_path):
+    # measured: full 22.6 MB, basic 16.3 MB, where the grid arrays dominate
+    assert sweep_peak("full", 20_000, tmp_path / "o.csv") < 0.75 * WHOLE_GRID_PEAK["full"]
+    assert sweep_peak("basic", 20_000, tmp_path / "o.csv") <= WHOLE_GRID_PEAK["basic"]
