@@ -19,15 +19,18 @@ the same relative paths for every checkout.
 
 The fixed matrix ends with the long grids (``LONG``): ``verify`` and ``sweep``
 of each built-in variant at 1001 and 10001 points, in CSV and JSON.  In all,
-the listing has 2485 lines.
+the listing has 2523 lines.
 
 After the fixed matrix come argparse's own outputs (``ARGV``): each argv is
 run as it stands, without ``--out``, and its digest takes standard output in
 place of the output file, so that help, the version and every usage error
-are pinned byte for byte.  Help is wrapped at ``COLUMNS=80``.  Then comes a
-33-point ``sweep`` of ``full.lopc`` with two plates turned (``DETUNED``), written to the temporary directory and
-labelled in its line, so that the fidelity column changes from phase to
-phase.  Then come the shipped layouts with all of one input's light
+are pinned byte for byte.  Help is wrapped at ``COLUMNS=80``.  Then come the
+shipped layouts detuned (``DETUNED``): each with a plate turned and a ``jones``
+element given complex entries, and ``full.lopc`` with two plates turned, each
+written to the temporary directory, labelled in its line, and run through
+``sweep`` and ``verify --netlist`` at 33 and 1001 points in CSV and JSON, so
+that the fidelity column departs from 1 and changes from phase to phase.
+Then come the shipped layouts with all of one input's light
 filtered out (``DEAD``), each run through ``sweep`` and ``verify
 --netlist``: compiling rejects them, naming the dead input per outcome.
 Then ``basic.lopc`` with each ranged element kind at and just past the
@@ -155,14 +158,6 @@ ARGV = (
 MALFORMED_VARIANTS = ("basic", "full")
 MALFORMED_VALUES = ("", "ghost", "nan", "1,2,3,4,5")
 RESPACED = (("tab", "\t"), ("2sp", "  "), ("nbsp", "\u00a0"))
-#: ``full.lopc`` with two plates turned, as (label, ((statement, replacement),
-#: ...)).  HWP2 makes the fidelity change from phase to phase, with repeats;
-#: HWP5 acts on T_OUT2 after the last splitter, which no printed column sees,
-#: and ``p_success`` stays 1/12 under either.
-DETUNED = ("full.lopc(HWP2=32.5,HWP5=30)", (
-    ("hwp HWP2 path=t_low angle=22.5", "hwp HWP2 path=t_low angle=32.5"),
-    ("hwp HWP5 path=T_OUT2 angle=45.0", "hwp HWP5 path=T_OUT2 angle=30"),
-))
 F2 = "filter F2 path=C_OUT th=0.5773502691896258 tv=1.0"
 PBS1 = "pbs PBS1 in=t_in,t_in2 out=t_up,t_low"
 #: Shipped layouts that leave an input dead, as (label, variant, ((statement,
@@ -199,6 +194,21 @@ RANGE = (
     ("HWP2:angle=1e6", HWP2, HWP2.replace("22.5", "1e6")),
     ("HWP1:m*(1+0.5e-12)", HWP1, _scaled(HWP1, 1.0 + 0.5e-12)),
     ("HWP1:m*(1+2e-12)", HWP1, _scaled(HWP1, 1.0 + 2e-12)),
+)
+
+TURNED = ("hwp HWP2 path=t_low angle=22.5", "hwp HWP2 path=t_low angle=32.5")
+#: Shipped layouts detuned, as (label, variant, edits).  HWP2 turned makes the
+#: fidelity change from phase to phase, with repeats.  HWP1 with complex entries
+#: (still unitary) gives the operators complex entries off the real axis.  HWP5
+#: acts on T_OUT2 after the last splitter, which no printed column sees, and
+#: ``p_success`` stays 1/12 under it.
+DETUNED = (
+    *((f"{variant}.lopc(HWP2=32.5,HWP1=complex)", variant, (
+        TURNED,
+        (HWP1, "jones HWP1 path=t_low m=-0.8660254037844386,0.5j,0.5,0.8660254037844386j"),
+    )) for variant in VARIANTS),
+    ("full.lopc(HWP2=32.5,HWP5=30)", "full", (
+        TURNED, ("hwp HWP5 path=T_OUT2 angle=45.0", "hwp HWP5 path=T_OUT2 angle=30"))),
 )
 
 POSTSELECT_LINE = "postselect T_OUT=1 C_OUT=1 d=1"
@@ -359,12 +369,14 @@ def main(argv: list[str]) -> int:
             print(f"{digest(args)}  {' '.join(args)}")
         for args in ARGV:
             print(f"{digest(args, to_file=False)}  (stdout) {' '.join(args)}")
-        label, edits = DETUNED
-        netlist.write_text(edited("full", edits), encoding="utf-8")
-        args = ["sweep", "--variant", "full", "--netlist"]
-        for fmt in ("csv", "json"):
-            grid = ["--steps", "33", "--format", fmt]
-            print(f"{digest([*args, str(netlist), *grid])}  {' '.join([*args, label, *grid])}")
+        for label, variant, edits in DETUNED:
+            netlist.write_text(edited(variant, edits), encoding="utf-8")
+            for command, steps, fmt in itertools.product(
+                ("sweep", "verify"), ("33", "1001"), ("csv", "json")
+            ):
+                args = [command, "--variant", variant, "--netlist"]
+                grid = ["--steps", steps, "--format", fmt]
+                print(f"{digest([*args, str(netlist), *grid])}  {' '.join([*args, label, *grid])}")
         for label, variant, edits in DEAD:
             netlist.write_text(edited(variant, edits), encoding="utf-8")
             for command in ("sweep", "verify"):
