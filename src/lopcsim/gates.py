@@ -41,7 +41,16 @@ DARK_TOL = 1e-12
 #: A permanent's floating-point sum depends on its column order; port order sums
 #: every netlist alike, whatever its path order, as the rows are picked by port too.
 _COLUMNS = np.array([(t, 2 + c, 4 + p) for p in (0, 1) for t in (0, 1) for c in (0, 1)])
-_UNIT = np.arange(3)  # the diagonal entries of the ideal operation that are 1
+
+
+def _real(values, what: str) -> np.ndarray:
+    """``values`` as floats; ValueError on a non-zero imaginary part, which a cast drops."""
+    values = np.asarray(values)
+    if values.dtype.kind == "c":
+        if (values.imag != 0).any():
+            raise ValueError(f"{what} must be real, got {complex(values[values.imag != 0][0])}")
+        values = values.real
+    return np.asarray(values, dtype=float)
 
 
 def ideal_cphase(phi) -> np.ndarray:
@@ -49,13 +58,9 @@ def ideal_cphase(phi) -> np.ndarray:
 
     An array of phases gives a stack of operators, shape (..., 4, 4).
     """
-    return _ideal(np.exp(1j * np.asarray(phi, dtype=float)))
-
-
-def _ideal(factors) -> np.ndarray:
-    """``ideal_cphase`` of the phases whose e^{i phi} are ``factors``."""
+    factors = np.exp(1j * _real(phi, "phase"))
     ops = np.zeros(factors.shape + (4, 4), dtype=complex)
-    ops[..., _UNIT, _UNIT] = 1.0
+    ops[..., range(3), range(3)] = 1.0
     ops[..., 3, 3] = factors
     return ops
 
@@ -69,7 +74,7 @@ class GateGrid:
     ``CompiledCircuit.run`` gives for the basis input |tc> with the program
     photon (|H> - e^{i phi}|V>)/sqrt(2).  It is formed on first read, as
     (G_H - e^{i phi} G_V)/sqrt(2) from ``program_operators`` (G_H, G_V) and
-    ``phase_factors`` (e^{i phi}, one per phase), and then kept on the record.
+    ``phis``, and then kept on the record.
     The primary branch is the first, the first declared outcome on the first
     target output port; ``fidelity`` scores its operator against the ideal
     operation.  ``probabilities`` (phases, branches) is each branch's
@@ -85,11 +90,10 @@ class GateGrid:
     fidelity: np.ndarray
     branch_keys: tuple[tuple[str, str], ...]
     program_operators: np.ndarray
-    phase_factors: np.ndarray
 
     @cached_property
     def ops(self) -> np.ndarray:
-        return _at_phases(*self.program_operators, self.phase_factors[:, None, None, None])
+        return _at_phases(*self.program_operators, np.exp(1j * self.phis)[:, None, None, None])
 
 
 def _at_phases(g_h: np.ndarray, g_v: np.ndarray, factors: np.ndarray) -> np.ndarray:
@@ -103,7 +107,7 @@ def _at_phases(g_h: np.ndarray, g_v: np.ndarray, factors: np.ndarray) -> np.ndar
 
 
 def _check_phases(phis) -> np.ndarray:
-    values = np.asarray(phis, dtype=float).reshape(-1)
+    values = _real(phis, "phase").reshape(-1)
     if values.size == 0:
         raise ValueError("phase grid must not be empty")
     bad = values[~np.isfinite(values)]
@@ -259,37 +263,37 @@ class CompiledCircuit:
         eight inputs in one batch.  Everything after the program photon is
         prepared is linear in it, so the operator of every branch at phase
         phi is (G_H - e^{i phi} G_V)/sqrt(2).
-
-        Taking them also lays out ``_read``, the entries the scores read, in
-        (2, 4, branches + 3): row k holds output k of the |00> column of
-        branches B-1, ..., 1, then row k of the primary branch's operator.
-        So ``[..., B-1:]`` is the primary operator and ``[..., B-1::-1]`` the
-        |00> column of every branch in branch order, both views.
         """
         # rows[..., _COLUMNS] is (branches, 4, 3, 8, 3): move the input axis out
         amplitudes = permanents(self.rows[..., _COLUMNS].transpose(0, 1, 3, 2, 4))
-        operators = amplitudes.reshape(len(self.branch_keys), 4, 2, 4).transpose(2, 0, 1, 3)
-        self._read = np.concatenate(
+        return amplitudes.reshape(len(self.branch_keys), 4, 2, 4).transpose(2, 0, 1, 3)
+
+    @cached_property
+    def _read(self) -> np.ndarray:
+        """The entries of ``program_operators`` that the scores read, in
+        (2, 4, branches + 3): row k holds output k of the |00> column of
+        branches B-1, ..., 1, then row k of the primary branch's operator.
+        So ``[..., B-1:]`` is the primary operator and ``[..., B-1::-1]`` the
+        |00> column of every branch in branch order, both views."""
+        operators = self.program_operators
+        return np.concatenate(
             (operators[:, :0:-1, :, 0].transpose(0, 2, 1), operators[:, 0]), axis=2)
-        return operators
 
     def evaluate(self, phi_grid: Sequence[float]) -> GateGrid:
         """Score the conditional gate at every phase of the grid, as arrays
-        from one broadcast over the entries the scores read: per phase, the
-        primary branch's operator and the |00> column of every other branch
-        (see ``program_operators``).  The scores are those documented on
+        from one broadcast over the entries the scores read (``_read``): per
+        phase, the primary branch's operator, which ``fidelity`` scores, and
+        the |00> column of every branch.  The scores are those documented on
         ``GateGrid``, whose ``ops`` is formed only when read."""
         phis = _check_phases(phi_grid)
-        operators = self.program_operators  # lays out self._read on first use
         g_h, g_v = self._read
-        factors = np.exp(1j * phis)
-        read = _at_phases(g_h, g_v, factors[:, None, None])  # (phase, 4, branches + 3)
+        read = _at_phases(g_h, g_v, np.exp(1j * phis)[:, None, None])  # (phase, 4, branches + 3)
         last = len(self.branch_keys) - 1
-        scores = _fidelity(read[:, :, last:], factors)  # first, while no other score is held
+        scores = fidelity(read[:, :, last:], phis)  # first, while no other score is held
         probs = (np.abs(read[:, :, last::-1]) ** 2).sum(axis=1)  # |00> columns, (phase, branch)
         return GateGrid(
             phis=phis, probabilities=probs, p_success=probs.sum(axis=1), fidelity=scores,
-            branch_keys=self.branch_keys, program_operators=operators, phase_factors=factors,
+            branch_keys=self.branch_keys, program_operators=self.program_operators,
         )
 
 
@@ -298,17 +302,22 @@ def fidelity(gate: np.ndarray, phi):
 
     Equals 1 exactly when G is proportional to the ideal operation.  A stack
     of gates (..., 4, 4) with matching phases gives an array of overlaps.
+    U is diagonal, so Tr(G† U) = (g00* + g11*) + (g22* + g33* e^{i phi}) reads
+    four entries of each gate, added as numpy adds all 16 products G* U of a
+    gate whose entries lie together in memory.  ValueError on a gate that is
+    not 4x4, a phase with an imaginary part, or a zero operator.
     """
-    return _fidelity(gate, np.exp(1j * np.asarray(phi, dtype=float)))
-
-
-def _fidelity(gate, factors):
-    """``fidelity`` against the phases whose e^{i phi} are ``factors``."""
     g = np.asarray(gate, dtype=complex)
+    if g.shape[-2:] != (4, 4):
+        raise ValueError(f"gate must be 4x4 in its last two axes, got shape {g.shape}")
+    d = np.conj(g.diagonal(0, -2, -1))
+    # named, so numpy never writes the product into it: a product formed in place
+    # from a strided operand rounds otherwise, on stacks of 16384 gates or more
+    factors = np.exp(1j * _real(phi, "phase"))
+    overlap = (d[..., 0] + d[..., 1]) + (d[..., 2] + d[..., 3] * factors)
     denom = (np.abs(g) ** 2).sum(axis=(-2, -1))
     if (denom == 0.0).any():
         raise ValueError("fidelity of the zero operator is undefined")
-    overlap = (g.conj() * _ideal(factors)).sum(axis=(-2, -1))
     result = np.abs(overlap) ** 2 / (4.0 * denom)
     return float(result) if result.ndim == 0 else result
 
@@ -325,7 +334,7 @@ def hom_scan(t_v: float, overlap_grid: Sequence[float]) -> np.ndarray:
     """
     if not 0.0 < t_v < 1.0:
         raise ValueError(f"transmissivity must lie in (0, 1), got {t_v}")
-    grid = np.asarray(overlap_grid, dtype=float)
+    grid = _real(overlap_grid, "overlap")
     outside = grid[~((0.0 <= grid) & (grid <= 1.0))]
     if outside.size:
         raise ValueError(f"overlap must lie in [0, 1], got {float(outside[0])}")

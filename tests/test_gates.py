@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -185,6 +186,43 @@ def test_fidelity_examples():
     assert abs(fidelity(half, math.pi) - 0.625) < 1e-12
     with pytest.raises(ValueError):
         fidelity(np.zeros((4, 4)), 0.0)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (4, 1), (1, 4), (2, 4, 1), (4,)])
+def test_fidelity_refuses_a_gate_that_is_not_4x4(shape):
+    # numpy would broadcast these against the 4x4 ideal and score them
+    with pytest.raises(ValueError, match=rf"^gate must be 4x4 in its last two axes, got shape "
+                                         rf"{re.escape(str(shape))}$"):
+        fidelity(np.ones(shape), 0.3)
+
+
+COMPLEX_PHASES = [np.array([0.1 + 0.5j]), [0.1 + 0.5j], [0.0, 1e-300j], 0.1 + 0.5j]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("phi", COMPLEX_PHASES)
+def test_a_complex_phase_is_refused_not_truncated(phi):
+    bad = complex(np.asarray(phi).ravel()[-1])
+    message = rf"^phase must be real, got {re.escape(str(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        CompiledCircuit(builtin_variant("basic")).evaluate(phi)
+    with pytest.raises(ValueError, match=message):
+        fidelity(np.eye(4), phi)
+    with pytest.raises(ValueError, match=message):
+        ideal_cphase(phi)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_complex_phase_with_no_imaginary_part_is_its_real_part():
+    phis = [0.0, -0.0, 0.7, math.pi]
+    circuit = CompiledCircuit(builtin_variant("full"))
+    real, as_complex = circuit.evaluate(phis), circuit.evaluate(np.array(phis, dtype=complex))
+    assert real.phis.dtype == as_complex.phis.dtype == np.float64
+    for name in ("phis", "probabilities", "p_success", "fidelity"):
+        np.testing.assert_array_equal(getattr(as_complex, name), getattr(real, name))
+    assert np.signbit(as_complex.phis[1])
+    np.testing.assert_array_equal(ideal_cphase(np.array(phis, dtype=complex)), ideal_cphase(phis))
+    assert fidelity(np.eye(4), 0.7 + 0j) == fidelity(np.eye(4), 0.7)
 
 
 @pytest.mark.parametrize(

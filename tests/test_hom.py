@@ -99,3 +99,17 @@ def test_bad_overlap_anywhere_is_rejected_before_any_evolution(splitters, bad, a
     with pytest.raises(ValueError, match=rf"^overlap must lie in \[0, 1\], got {bad}$"):
         hom_scan(0.5, grid)
     assert splitters == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("grid", [np.array([0.5, 0.25 + 0.5j]), [0.5, 0.25 + 0.5j]])
+def test_a_complex_overlap_is_refused_not_truncated(splitters, grid):
+    with pytest.raises(ValueError, match=r"^overlap must be real, got \(0\.25\+0\.5j\)$"):
+        hom_scan(0.5, grid)
+    assert splitters == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_complex_overlap_with_no_imaginary_part_is_its_real_part():
+    grid = [0.0, 0.25, 1.0]
+    np.testing.assert_array_equal(hom_scan(0.5, np.array(grid, dtype=complex)), hom_scan(0.5, grid))
