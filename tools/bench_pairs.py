@@ -17,7 +17,9 @@ The JSON on standard output gives, for each workload and end-to-end metric, the 
 values of both sides, their medians and quartiles, the median change and
 the number of pairs the working tree wins (is better in the metric's
 direction), plus the attempted and failed op counts, the core count and
-the Python and numpy versions.  It holds no timestamps.
+the Python and numpy versions.  It holds no timestamps.  ``program_lines``
+gives the number of lines of ``src/lopcsim/*.py`` in each checkout, so a
+change's net line count stands next to its benchmark delta.
 
 Each workload also gets ``by_label``: for each cost class of its ops (grid
 length on sweep-long and hom-scan, variant and points on verify-short,
@@ -60,6 +62,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     by_label = json.loads(record.read_text(encoding="utf-8"))["summary"]["by_label"]
     result["by_label"] = {label: row["median_ms"] for label, row in by_label.items()}
     return result
+
+
+def program_lines(checkout: Path) -> int:
+    """Lines of the program's modules, ``src/lopcsim/*.py``, in ``checkout``."""
+    return sum(len(path.read_bytes().splitlines())
+               for path in (checkout / "src" / "lopcsim").glob("*.py"))
 
 
 def spread(values: list[float]) -> dict:
@@ -135,12 +143,14 @@ def main(argv: list[str]) -> int:
                     results[workload][side].append(result)
                     print(f"pair {pair + 1}/{args.pairs} {workload} {side}: "
                           f"{json.dumps(result['metrics'])}", file=sys.stderr)
+        lines = {"parent": program_lines(parent), "change": program_lines(change)}
 
     report = {
         "parent": commit,
         "change": "working tree",
         "pairs": args.pairs,
         "seconds": spec["run_seconds"],
+        "program_lines": lines,
         "environment": {"nproc": len(os.sched_getaffinity(0)),
                         "python": platform.python_version(), "numpy": numpy.__version__},
         "workloads": summarize(spec, results),
