@@ -69,19 +69,13 @@ def ideal_cphase(phi) -> np.ndarray:
 class GateGrid:
     """The conditional gate scored over a phase grid, one array per field.
 
-    ``ops`` is (phases, branches, 4, 4): the conditional operator of each
-    branch, in ``branch_keys`` order, whose column 2t+c is what
-    ``CompiledCircuit.run`` gives for the basis input |tc> with the program
-    photon (|H> - e^{i phi}|V>)/sqrt(2).  It is formed on first read, as
-    (G_H - e^{i phi} G_V)/sqrt(2) from ``program_operators`` (G_H, G_V) and
-    ``phis``, and then kept on the record.
-    The primary branch is the first, the first declared outcome on the first
-    target output port; ``fidelity`` scores its operator against the ideal
-    operation.  ``probabilities`` (phases, branches) is each branch's
-    probability for the input |00> (its operator's first column), and
-    ``p_success`` their sum.  ``phis`` and the scores hold one entry per
-    phase.  No command asks whether the branches agree or are diagonal, so no
-    field says; ``ops`` answers both.
+    ``phis`` is the checked grid, a copy of the caller's, and the scores hold
+    one entry per phase.  The primary branch is the first in ``branch_keys``,
+    the first declared outcome on the first target output port; ``fidelity``
+    scores its operator against the ideal operation.  ``probabilities``
+    (phases, branches) is each branch's probability for the input |00> (its
+    operator's first column), and ``p_success`` their sum.  The operators
+    themselves are not kept: ``CompiledCircuit.operators(phis)`` forms them.
     """
 
     phis: np.ndarray
@@ -89,11 +83,6 @@ class GateGrid:
     p_success: np.ndarray
     fidelity: np.ndarray
     branch_keys: tuple[tuple[str, str], ...]
-    program_operators: np.ndarray
-
-    @cached_property
-    def ops(self) -> np.ndarray:
-        return _at_phases(*self.program_operators, np.exp(1j * self.phis)[:, None, None, None])
 
 
 def _at_phases(g_h: np.ndarray, g_v: np.ndarray, factors: np.ndarray) -> np.ndarray:
@@ -268,33 +257,29 @@ class CompiledCircuit:
         amplitudes = permanents(self.rows[..., _COLUMNS].transpose(0, 1, 3, 2, 4))
         return amplitudes.reshape(len(self.branch_keys), 4, 2, 4).transpose(2, 0, 1, 3)
 
-    @cached_property
-    def _read(self) -> np.ndarray:
-        """The entries of ``program_operators`` that the scores read, in
-        (2, 4, branches + 3): row k holds output k of the |00> column of
-        branches B-1, ..., 1, then row k of the primary branch's operator.
-        So ``[..., B-1:]`` is the primary operator and ``[..., B-1::-1]`` the
-        |00> column of every branch in branch order, both views."""
-        operators = self.program_operators
-        return np.concatenate(
-            (operators[:, :0:-1, :, 0].transpose(0, 2, 1), operators[:, 0]), axis=2)
-
     def evaluate(self, phi_grid: Sequence[float]) -> GateGrid:
-        """Score the conditional gate at every phase of the grid, as arrays
-        from one broadcast over the entries the scores read (``_read``): per
-        phase, the primary branch's operator, which ``fidelity`` scores, and
-        the |00> column of every branch.  The scores are those documented on
-        ``GateGrid``, whose ``ops`` is formed only when read."""
+        """Score the conditional gate at every phase of the grid (see
+        ``GateGrid``), from two slices of ``program_operators``: the primary
+        branch's operators, which ``fidelity`` scores, and the |00> column of
+        every branch.  Neither the operator grid nor the caller's array is kept."""
         phis = _check_phases(phi_grid)
-        g_h, g_v = self._read
-        read = _at_phases(g_h, g_v, np.exp(1j * phis)[:, None, None])  # (phase, 4, branches + 3)
-        last = len(self.branch_keys) - 1
-        scores = fidelity(read[:, :, last:], phis)  # first, while no other score is held
-        probs = (np.abs(read[:, :, last::-1]) ** 2).sum(axis=1)  # |00> columns, (phase, branch)
-        return GateGrid(
-            phis=phis, probabilities=probs, p_success=probs.sum(axis=1), fidelity=scores,
-            branch_keys=self.branch_keys, program_operators=self.program_operators,
-        )
+        factors = np.exp(1j * phis)[:, None, None]
+        g_h, g_v = self.program_operators
+        scores = fidelity(_at_phases(g_h[0], g_v[0], factors), phis)  # first: no score is held
+        probs = (np.abs(_at_phases(g_h[..., 0], g_v[..., 0], factors)) ** 2).sum(axis=2)
+        # the grid's own copy of the phases, taken once the broadcasts are freed
+        return GateGrid(phis=phis.copy(), probabilities=probs, p_success=probs.sum(axis=1),
+                        fidelity=scores, branch_keys=self.branch_keys)
+
+    def operators(self, phi_grid: Sequence[float]) -> np.ndarray:
+        """The (phases, branches, 4, 4) operator grid, (G_H - e^{i phi} G_V)/sqrt(2)
+        from the whole ``program_operators``: branch b's operator at phase k, in
+        ``branch_keys`` order, whose column 2t+c is what ``run`` gives for the
+        basis input |tc>.  The phases are checked as ``evaluate`` checks them.
+        Each 4x4 block is stored column by column, as ``program_operators`` is,
+        so a ``reshape`` across its last two axes copies the whole grid."""
+        factors = np.exp(1j * _check_phases(phi_grid))[:, None, None, None]
+        return _at_phases(*self.program_operators, factors)
 
 
 def fidelity(gate: np.ndarray, phi):

@@ -16,7 +16,7 @@ DIAG_TOL = 1e-12
 
 
 def branch_scores(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(consistent, diagonal) of ``GateGrid.ops`` (phases, branches, 4, 4), one
+    """(consistent, diagonal) of ``CompiledCircuit.operators`` (phases, branches, 4, 4), one
     bool per phase each.  ``consistent``: every branch equals the primary one
     up to a global phase within ``BRANCH_TOL``; the dual-output layouts fail
     this by design, because the second port carries an extra pi on |11>.

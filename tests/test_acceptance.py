@@ -45,8 +45,9 @@ def random_ket(rng):
 
 def test_criterion_1_gate_correctness():
     worst_offdiag = worst_mag = worst_phase = worst_fid = 0.0
-    grid = CompiledCircuit(builtin_variant("basic")).evaluate(PHI_GRID)
-    for phi, g, fid in zip(PHI_GRID, grid.ops[:, 0], grid.fidelity):
+    circuit = CompiledCircuit(builtin_variant("basic"))
+    grid = circuit.evaluate(PHI_GRID)
+    for phi, g, fid in zip(PHI_GRID, circuit.operators(PHI_GRID)[:, 0], grid.fidelity):
         off = g - np.diag(np.diag(g))
         worst_offdiag = max(worst_offdiag, float(np.max(np.abs(off))))
         worst_mag = max(worst_mag, float(np.max(np.abs(np.abs(np.diag(g)) - K))))
@@ -150,15 +151,15 @@ def test_criterion_6_linearity():
 def test_criterion_7_feed_forward_branches():
     nl = builtin_variant("ff")
     worst = 0.0
-    grid = CompiledCircuit(nl).evaluate(PHI_GRID)
-    for branch_ops in grid.ops:
-        ops = {outcome: op for (outcome, _), op in zip(grid.branch_keys, branch_ops)}
+    circuit = CompiledCircuit(nl)
+    for branch_ops in circuit.operators(PHI_GRID):
+        ops = {outcome: op for (outcome, _), op in zip(circuit.branch_keys, branch_ops)}
         ref = ops["D"][0, 0]
         phase = ops["A"][0, 0] / ref
         phase /= abs(phase)
         worst = max(worst, float(np.max(np.abs(ops["A"] - phase * ops["D"]))))
-    uncorrected = CompiledCircuit(strip_corrections(nl)).evaluate([0.0])
-    a_op = dict(zip(uncorrected.branch_keys, uncorrected.ops[0]))["A", "T_OUT"]
+    uncorrected = CompiledCircuit(strip_corrections(nl))
+    a_op = dict(zip(uncorrected.branch_keys, uncorrected.operators([0.0])[0]))["A", "T_OUT"]
     fid_err = abs(fidelity(a_op, 0.0) - 0.25)
     ok = worst <= 1e-10 and fid_err <= 1e-12
     report(7, ok, f"feed-forward branch equality (max deviation {worst:.2e}); "

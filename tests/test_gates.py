@@ -133,46 +133,50 @@ def test_run_rejects_invalid_netlist():
 def test_ff_branches_agree_after_correction():
     phi = 0.5
     nl = builtin_variant("ff")
-    grid = CompiledCircuit(nl).evaluate([phi])
+    circuit = CompiledCircuit(nl)
+    grid, ops = circuit.evaluate([phi]), circuit.operators([phi])
     assert len(grid.branch_keys) == 2
-    d_op, a_op = grid.ops[0]
+    d_op, a_op = ops[0]
     assert np.max(np.abs(d_op - a_op)) < 1e-12
     for probability in grid.probabilities[0]:
         assert abs(probability - 1.0 / 48.0) < 1e-12
-    assert branch_scores(grid.ops)[0][0]
+    assert branch_scores(ops)[0][0]
 
 
 def test_uncorrected_a_branch_differs():
     nl = strip_corrections(builtin_variant("ff"))
-    grid = CompiledCircuit(nl).evaluate([0.0])
-    a_op = dict(zip(grid.branch_keys, grid.ops[0]))["A", "T_OUT"]
+    circuit = CompiledCircuit(nl)
+    ops = circuit.operators([0.0])
+    a_op = dict(zip(circuit.branch_keys, ops[0]))["A", "T_OUT"]
     assert abs(fidelity(a_op, 0.0) - 0.25) < 1e-12
-    assert not branch_scores(grid.ops)[0][0]
+    assert not branch_scores(ops)[0][0]
 
 
 def test_full_variant_branch_structure():
-    grid = CompiledCircuit(builtin_variant("full")).evaluate([1.1])
+    circuit = CompiledCircuit(builtin_variant("full"))
+    grid, grid_ops = circuit.evaluate([1.1]), circuit.operators([1.1])
     assert len(grid.branch_keys) == 4
     for probability in grid.probabilities[0]:
         assert abs(probability - 1.0 / 48.0) < 1e-12
     assert abs(grid.p_success[0] - 1.0 / 12.0) < 1e-12
     # Branches on the primary port agree; the swap port carries an extra pi
     # on |11>, so cross-port consistency fails by design.
-    ops = dict(zip(grid.branch_keys, grid.ops[0]))
+    ops = dict(zip(grid.branch_keys, grid_ops[0]))
     assert np.max(np.abs(ops[("D", "T_OUT")] - ops[("A", "T_OUT")])) < 1e-12
     assert np.max(np.abs(ops[("D", "T_OUT2")] - ops[("A", "T_OUT2")])) < 1e-12
     ratio = ops[("D", "T_OUT2")][3, 3] / ops[("D", "T_OUT")][3, 3]
     assert abs(ratio + 1.0) < 1e-12
-    assert not branch_scores(grid.ops)[0][0]
+    assert not branch_scores(grid_ops)[0][0]
 
 
 def test_basic_gate_matches_ideal():
     phis = (0.0, 0.9, math.pi)
-    grid = CompiledCircuit(builtin_variant("basic")).evaluate(phis)
-    consistent, diagonal = branch_scores(grid.ops)
+    circuit = CompiledCircuit(builtin_variant("basic"))
+    grid, ops = circuit.evaluate(phis), circuit.operators(phis)
+    consistent, diagonal = branch_scores(ops)
     for k, phi in enumerate(phis):
         expected = K * ideal_cphase(phi)
-        assert np.max(np.abs(grid.ops[k, 0] - expected)) < 1e-12
+        assert np.max(np.abs(ops[k, 0] - expected)) < 1e-12
         assert abs(grid.fidelity[k] - 1.0) < 1e-12
         assert diagonal[k] and consistent[k]
 
@@ -204,8 +208,10 @@ COMPLEX_PHASES = [np.array([0.1 + 0.5j]), [0.1 + 0.5j], [0.0, 1e-300j], 0.1 + 0.
 def test_a_complex_phase_is_refused_not_truncated(phi):
     bad = complex(np.asarray(phi).ravel()[-1])
     message = rf"^phase must be real, got {re.escape(str(bad))}$"
-    with pytest.raises(ValueError, match=message):
-        CompiledCircuit(builtin_variant("basic")).evaluate(phi)
+    circuit = CompiledCircuit(builtin_variant("basic"))
+    for method in (circuit.evaluate, circuit.operators):  # operators checks as evaluate does
+        with pytest.raises(ValueError, match=message):
+            method(phi)
     with pytest.raises(ValueError, match=message):
         fidelity(np.eye(4), phi)
     with pytest.raises(ValueError, match=message):
@@ -265,8 +271,9 @@ def test_amplitude_linearity():
 
 
 def test_phase_law_and_diagonality():
-    grid = CompiledCircuit(builtin_variant("full")).evaluate(np.linspace(0.0, math.pi, 7))
-    for phi, gate, diagonal in zip(grid.phis, grid.ops[:, 0], branch_scores(grid.ops)[1]):
+    phis = np.linspace(0.0, math.pi, 7)
+    ops = CompiledCircuit(builtin_variant("full")).operators(phis)
+    for phi, gate, diagonal in zip(phis, ops[:, 0], branch_scores(ops)[1]):
         assert diagonal
         measured = cmath.phase(gate[3, 3] * gate[0, 0].conjugate())
         assert abs(cmath.exp(1j * measured) - cmath.exp(1j * phi)) < 1e-10

@@ -676,8 +676,8 @@ def test_disjoint_stages_commute():
     swapped = replace(nl, stages=tuple(stages))
     assert validate(swapped) == []
     phi = 0.9
-    a = CompiledCircuit(nl).evaluate([phi]).ops[0, 0]
-    b = CompiledCircuit(swapped).evaluate([phi]).ops[0, 0]
+    a = CompiledCircuit(nl).operators([phi])[0, 0]
+    b = CompiledCircuit(swapped).operators([phi])[0, 0]
     assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -689,7 +689,7 @@ def test_measure_at_end_round_trips():
     assert validate(moved) == []
     assert parse(render(moved)) == moved
     phi = 0.6
-    gate, moved_gate = (CompiledCircuit(n).evaluate([phi]).ops[0, 0] for n in (nl, moved))
+    gate, moved_gate = (CompiledCircuit(n).operators([phi])[0, 0] for n in (nl, moved))
     assert np.max(np.abs(gate - moved_gate)) < 1e-12
 
 
@@ -700,10 +700,10 @@ def test_correction_position_matters():
     nl = builtin_variant("ff")
     late = replace(nl, measure_after=len(nl.stages))
     assert validate(late) == []
-    good = CompiledCircuit(nl).evaluate([0.9])
-    bad = CompiledCircuit(late).evaluate([0.9])
-    assert branch_scores(good.ops)[0][0]
-    assert not branch_scores(bad.ops)[0][0]
+    good = CompiledCircuit(nl).operators([0.9])
+    bad = CompiledCircuit(late).operators([0.9])
+    assert branch_scores(good)[0][0]
+    assert not branch_scores(bad)[0][0]
 
 
 def plm_last(text: str) -> str:
