@@ -207,9 +207,7 @@ def _emit(args, command: str, header: list[str], columns, repeats=()) -> None:
     every column ``_cells`` leaves as float values (a ``hom`` scan) is one
     ``%`` of its row template repeated once per row, over the values row by
     row.  Any other table places each column's cells, prefixes included, by
-    slice into one list that is joined once.  Columns next to each other in
-    output order that repeat alike (a ``sweep``'s phase, ``p_success`` and
-    ``fidelity``) are joined once per repeated cell, and a column written
+    strided slices into one list that is joined once, and a column written
     again and again (a ``sweep``'s branch labels) is formatted once.
     ``--out`` gets the UTF-8 bytes of the text through one unbuffered file,
     written until every byte is.
@@ -246,21 +244,14 @@ def _emit(args, command: str, header: list[str], columns, repeats=()) -> None:
         first = lead.replace("%", "%%") + row[len(prefixes[0].replace("%", "%%")):]
         text = (first + row * (rows - 1) + tail.replace("%", "%%")) % values
     else:
-        runs = []  # (repeats, length, columns) of each run of neighbours that repeat alike
-        for i in order:
-            if isinstance(cells[i], np.ndarray):
-                cells[i] = list(map(formats[i].__mod__, cells[i].tolist()))
-            key = (times[i], len(cells[i]))
-            if key[0] > 1 and runs and runs[-1][:2] == key:
-                runs[-1][2].append(cells[i])
-            else:
-                runs.append((*key, [cells[i]]))
-        stride = len(runs)
+        stride = len(cells)
         parts = [""] * (rows * stride)
-        for j, (n, length, run) in enumerate(runs):
-            pieces = run[0] if len(run) == 1 else list(map("".join, zip(*run)))
-            if length * n < rows:
-                pieces = pieces * (rows // (length * n))
+        for j, i in enumerate(order):
+            pieces, n = cells[i], times[i]
+            if isinstance(pieces, np.ndarray):
+                pieces = list(map(formats[i].__mod__, pieces.tolist()))
+            if len(pieces) * n < rows:
+                pieces = pieces * (rows // (len(pieces) * n))
             for k in range(n):
                 parts[j + k * stride::n * stride] = pieces
         parts[0] = lead + parts[0][len(prefixes[0]):]
@@ -287,8 +278,7 @@ def _cells(column, as_json: bool, prefix: str) -> list[str] | np.ndarray:
     """
     if len(column) and isinstance(column[0], str):
         quote = _quote if as_json else str
-        texts = {label: prefix + quote(label) for label in set(column)}
-        return list(map(texts.__getitem__, column))
+        return [prefix + quote(label) for label in column]
     values = np.asarray(column)
     if values.dtype == bool:
         return np.where(values, prefix + "true", prefix + "false").tolist()
@@ -363,6 +353,7 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     phis = np.sort(_grid(args, 0.0, math.pi), kind="stable")
     grid = CompiledCircuit(_load_netlist(args)).evaluate(phis)
+    del phis  # grid.phis is evaluate's own copy
     labels, order = zip(*sorted((f"{o}:{p}", b) for b, (o, p) in enumerate(grid.branch_keys)))
     columns = [grid.phis, grid.p_success, grid.fidelity, labels]
     _emit(args, "sweep", ["phi_rad", "p_success", "fidelity", "branch", "branch_prob"],

@@ -286,13 +286,6 @@ class _Parser:
             return parts
         if kind is str:
             return parts
-        try:
-            values = [kind(part) for part in parts]
-            if cmath.isfinite(sum(values)):  # a non-finite entry makes the sum non-finite
-                return values
-        except ValueError:
-            pass
-        # only a fault, or an overflowing sum, gets here: the leftmost fault is reported
         return [_literal(kind, part, line, at) for part in parts]
 
     # -- statement handlers -------------------------------------------------
@@ -442,9 +435,7 @@ def parse(text: str) -> CircuitNetlist:
     are whitespace between tokens.
 
     A fault is found at ``k`` characters into the line's ``i``-th token; only a
-    rejected line has its tokens found in the raw text, for the column.  A literal
-    field is converted and tested for finiteness whole, and read again entry by
-    entry, for its leftmost fault, only when that fails.
+    rejected line has its tokens found in the raw text, for the column.
     """
     parser = _Parser()
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")

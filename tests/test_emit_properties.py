@@ -1,7 +1,7 @@
 """Differential property tests of the CLI's column emitter.
 
-``cli._emit`` formats each distinct value of a column once and places the
-cells after their fixed prefixes into one list joined once, or, for a table
+``cli._emit`` formats each distinct value of a float column once and places
+the cells after their fixed prefixes into one list joined once, or, for a table
 of distinct floats only, fills one ``%`` row template repeated once per
 row.  Its output must equal, byte for byte, what the row-wise rules give:
 ``json.dumps`` of the row dicts (indent 2, sorted keys, no NaN) for JSON,
@@ -147,25 +147,30 @@ def test_json_rejects_non_finite_floats(values, bad, data):
 
 
 @SETTINGS
-@given(table(), st.integers(1, 4), st.sampled_from(["csv", "json"]), st.booleans(), st.data())
-def test_repeated_cells_equal_repeated_values(data, k, fmt, tile, draw):
-    """Columns given with ``repeats`` print as the same columns repeated, and
-    the columns after them, given once, as the same columns written k times."""
+@given(table(), st.integers(1, 4), st.sampled_from(["csv", "json"]), st.data())
+def test_repeated_cells_equal_repeated_values(data, k, fmt, draw):
+    """Each column, in any order, is given once with ``repeats`` k, given once
+    without (so, shorter than the table, it is written again and again), or
+    given whole; each prints as the same column written out in full.  The
+    ``repeats`` list ends at the last repeated column."""
     header, columns, _ = data
-    m = draw.draw(st.integers(0, len(columns)))
-    repeated = [
-        np.repeat(c, k) if isinstance(c, np.ndarray) else [v for v in c for _ in range(k)]
-        for c in columns
-    ]
-    rest = [repeated[m:], repeated[m:]]
-    if tile and m:
-        rest = [columns[m:], [np.tile(c, k) if isinstance(c, np.ndarray) else c * k
-                              for c in columns[m:]]]
+    treatments = draw.draw(st.lists(st.sampled_from(["repeat", "tile", "whole"]),
+                                    min_size=len(columns), max_size=len(columns)))
+    times = k if set(treatments) - {"tile"} else 1  # a table of tiled columns only is one pass
+    given, written, repeats = [], [], []
+    for c, treatment in zip(columns, treatments):
+        array = isinstance(c, np.ndarray)
+        repeated = np.repeat(c, k) if array else [v for v in c for _ in range(k)]
+        tiled = np.tile(c, times) if array else c * times
+        given.append(repeated if treatment == "whole" else c)
+        written.append(tiled if treatment == "tile" else repeated)
+        repeats.append(k if treatment == "repeat" else 1)
+    repeats = repeats[:max((i + 1 for i, t in enumerate(treatments) if t == "repeat"), default=0)]
     args = argparse.Namespace(format=fmt, meta=False, out=None)
     texts = []
-    for given_columns, repeats in ((columns[:m] + rest[0], [k] * m), (repeated[:m] + rest[1], ())):
+    for given_columns, given_repeats in ((given, repeats), (written, ())):
         with contextlib.redirect_stdout(io.StringIO()) as out:
-            cli._emit(args, "sweep", header, given_columns, repeats)
+            cli._emit(args, "sweep", header, given_columns, given_repeats)
         texts.append(out.getvalue())
     assert texts[0] == texts[1]
 
