@@ -50,33 +50,41 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _add_common(sub: argparse.ArgumentParser, phase_grid: bool) -> None:
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
-    sub.add_argument("--meta", action="store_true", help="include run configuration metadata")
-    sub.add_argument(
-        "--from", dest="grid_from", type=_finite, default=None, metavar="X",
-        help="grid start; write a negative value as --from=-1e-3",
-    )
-    sub.add_argument(
-        "--to", dest="grid_to", type=_finite, default=None, metavar="X",
-        help="grid end; write a negative value as --to=-1e-3",
-    )
-    sub.add_argument(
-        "--steps", type=int, default=None, metavar="N", help=f"grid points, 1 to {MAX_STEPS}"
-    )
-    if phase_grid:
-        sub.add_argument("--variant", choices=VARIANTS, default="basic")
-        sub.add_argument("--netlist", metavar="FILE", help="run this netlist file instead")
-        sub.add_argument("--phi", type=_finite, help="single phase, instead of --from/--to/--steps")
+def _add_common(sub: argparse.ArgumentParser, phase_grid: bool) -> list[argparse.Action]:
+    """Add the options ``verify``, ``sweep`` and ``hom`` share; return their actions."""
+    actions = [
+        sub.add_argument("--format", choices=("csv", "json"), default="csv"),
+        sub.add_argument("--out", metavar="FILE", help="write output here instead of stdout"),
+        sub.add_argument("--meta", action="store_true", help="include run configuration metadata"),
         sub.add_argument(
-            "--degrees", action="store_true", help="interpret --phi/--from/--to in degrees"
-        )
+            "--from", dest="grid_from", type=_finite, default=None, metavar="X",
+            help="grid start; write a negative value as --from=-1e-3",
+        ),
+        sub.add_argument(
+            "--to", dest="grid_to", type=_finite, default=None, metavar="X",
+            help="grid end; write a negative value as --to=-1e-3",
+        ),
+        sub.add_argument(
+            "--steps", type=int, default=None, metavar="N", help=f"grid points, 1 to {MAX_STEPS}"
+        ),
+    ]
+    if phase_grid:
+        actions += [
+            sub.add_argument("--variant", choices=VARIANTS, default="basic"),
+            sub.add_argument("--netlist", metavar="FILE", help="run this netlist file instead"),
+            sub.add_argument(
+                "--phi", type=_finite, help="single phase, instead of --from/--to/--steps"
+            ),
+            sub.add_argument(
+                "--degrees", action="store_true", help="interpret --phi/--from/--to in degrees"
+            ),
+        ]
+    return actions
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ``lopcsim`` parser; its ``commands`` maps each command word to the
-    parser of that command's options."""
+    """The ``lopcsim`` parser; its ``options`` maps each command word to the
+    actions of that command's options, by option string."""
     parser = argparse.ArgumentParser(
         prog="lopcsim",
         description="Simulate and verify the programmable-phase photonic two-qubit gate.",
@@ -87,20 +95,24 @@ def build_parser() -> argparse.ArgumentParser:
     verify = commands.add_parser(
         "verify", help="check the gate against the scalar oracle over a phase grid"
     )
-    _add_common(verify, phase_grid=True)
-    verify.add_argument(
+    verify_actions = [*_add_common(verify, phase_grid=True), verify.add_argument(
         "--tol", type=_tolerance, default=1e-10, help="pass/fail tolerance, at least 0"
-    )
+    )]
 
     sweep = commands.add_parser("sweep", help="tabulate probabilities over a phase grid")
-    _add_common(sweep, phase_grid=True)
+    sweep_actions = _add_common(sweep, phase_grid=True)
 
     hom = commands.add_parser(
         "hom", help="two-photon interference scan against wavepacket overlap"
     )
-    _add_common(hom, phase_grid=False)
-    hom.add_argument("--tv", type=_finite, default=_DEFAULT_TV, help="splitter transmissivity")
-    parser.commands = commands.choices
+    hom_actions = [*_add_common(hom, phase_grid=False), hom.add_argument(
+        "--tv", type=_finite, default=_DEFAULT_TV, help="splitter transmissivity"
+    )]
+    parser.options = {
+        word: {option: action for action in actions for option in action.option_strings}
+        for word, actions in [("verify", verify_actions), ("sweep", sweep_actions),
+                              ("hom", hom_actions)]
+    }
     return parser
 
 
@@ -112,27 +124,53 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """``_parser().parse_args(argv)``, with the options after a command word
-    parsed once, by that command's parser.
+    """``_parser().parse_args(argv)``, read in one scan where it can be.
 
-    The top-level parser hands every word after the command to the command's
-    parser, so scanning them itself only classifies them, with one exception:
-    it refuses a word before any ``--`` that abbreviates both ``--help`` and
-    ``--version`` (``--=x``).  Such an argv, and any that does not start with a
-    command word, goes through the top-level parser.  Words the command does
-    not take are refused by the top-level parser, in its words.
+    The scan takes an argv whose first word is a command and whose every
+    other word is an exact option string of that command: a flag alone, or
+    a value option with its value after ``=`` (not empty, not ``--``) or in
+    the next word (not empty, not led by ``-``), a value that the option's
+    ``type`` converts and its ``choices`` hold.  Each option the argv leaves
+    out keeps its default, and a repeated option its last value.  Any other
+    argv goes through the parser, which writes every usage, help, version
+    and error text.
     """
     parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = parser.commands.get(argv[0]) if argv else None
-    words = argv[1:]
-    scanned = words[:words.index("--")] if "--" in words else words
-    if command is None or any(word.startswith("--=") for word in scanned):
+    options = parser.options.get(argv[0]) if argv else None
+    values = None if options is None else _scan(options, argv[1:])
+    if values is None:
         return parser.parse_args(argv)
-    args, extras = command.parse_known_args(words, argparse.Namespace(command=argv[0]))
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    return argparse.Namespace(command=argv[0], **values)
+
+
+def _scan(options: dict, words: list[str]) -> dict | None:
+    """Each option's value after ``words``, by ``dest``, or None where the scan
+    of ``_parse_args`` does not take them."""
+    values = {action.dest: action.default for action in options.values()}
+    words = iter(words)
+    for word in words:
+        option, equals, value = word.partition("=")
+        action = options.get(option)
+        if action is not None and action.nargs == 0 and not equals:
+            values[action.dest] = action.const
+            continue
+        if action is None or action.nargs == 0:
+            return None
+        if not equals:
+            value = next(words, "")
+            if value.startswith("-"):
+                return None
+        if value in ("", "--"):  # argparse reads ``--out=--`` as an empty list
+            return None
+        try:
+            value = value if action.type is None else action.type(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    return values
 
 
 def _grid(args, lo: float, hi: float) -> np.ndarray:

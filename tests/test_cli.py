@@ -424,13 +424,13 @@ def test_main_builds_the_parser_once_per_process(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-COMMANDS = sorted(cli._parser().commands)
-#: Every option string of the commands, and each long one cut to each shorter
-#: prefix, so that some abbreviate one option and some several.
+COMMANDS = sorted(cli._parser().options)
+#: Every option string of the commands, help included, and each long one cut
+#: to each shorter prefix, so that some abbreviate one option and some several.
 OPTIONS = sorted({
     option[:end]
     for command in COMMANDS
-    for option in cli._parser().commands[command]._option_string_actions
+    for option in [*cli._parser().options[command], "-h", "--help"]
     for end in range(3 if option.startswith("--") else 2, len(option) + 1)
 })
 VALUES = ["x", "-1", "0.5", "3", "-0.0", "1e309", "", "json", "full", "--", "-", *COMMANDS]
@@ -465,10 +465,51 @@ def parsed(parse, argv):
 @example(["verify", "--=x"])
 @example(["verify", "--", "--=x"])
 @example(["verify", "--phi=1", "extra"])
+# where the scan takes an argv and where it hands one to the parser
+@example(["verify", "--phi", "-1"])
+@example(["verify", "--phi=-1"])
+@example(["verify", "--phi="])
+@example(["verify", "--out=--"])
+@example(["verify", "--out=-"])
+@example(["verify", "--meta=1"])
+@example(["verify", "--format=json=x"])
+@example(["sweep", "--steps", "3.0"])
+@example(["sweep", "--variant", "nope"])
+@example(["sweep", "--steps", "3", "--out"])
+@example(["hom", "--steps", "3", "--steps", "5"])
+@example(["hom", "--steps", "3", "-h"])
+@example(["hom", "--st", "3"])
 @given(ARGV)
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
 def test_parsing_after_the_command_word_matches_the_top_level_parser(argv):
     assert parsed(cli._parse_args, argv) == parsed(cli._parser().parse_args, argv)
+
+
+#: The argv shapes of the benchmark's workloads and of README's examples.
+TRAFFIC = [
+    ["sweep", "--variant", "full", "--from=0.25", "--to=-1.5", "--steps", "5", "--format", "json"],
+    ["sweep", "--variant", "dual", "--steps", "21", "--format", "json"],
+    ["verify", "--variant", "ff", "--format", "csv", "--phi=-1.25"],
+    ["verify", "--variant", "dual", "--format", "json", "--from=-90.5", "--to=270.25",
+     "--steps", "4", "--degrees", "--netlist", "CIRCUIT"],
+    ["verify", "--variant", "full"],
+    ["verify", "--netlist", "CIRCUIT"],
+    ["hom", "--tv=0.3", "--from=0.1", "--to=0.9", "--steps", "11", "--format", "csv"],
+    ["hom", "--tv", "0.7071067811865476", "--steps", "41"],
+]
+
+
+@pytest.mark.parametrize("argv", TRAFFIC, ids=" ".join)
+def test_the_workload_and_readme_argvs_parse_in_one_scan(tmp_path, monkeypatch, argv):
+    netlist = tmp_path / "circuit.lopc"
+    netlist.write_bytes(shipped("dual" if "dual" in argv else "basic"))
+    argv = [str(netlist) if word == "CIRCUIT" else word for word in argv]
+
+    def refuse(args=None, namespace=None):
+        raise AssertionError(f"the parser was asked to read {args}")
+
+    monkeypatch.setattr(cli._parser(), "parse_args", refuse)
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_main_runs_the_cmd_function_the_module_holds(monkeypatch):

@@ -21,6 +21,14 @@ the Python and numpy versions.  It holds no timestamps.  ``program_lines``
 gives the number of lines of ``src/lopcsim/*.py`` in each checkout, so a
 change's net line count stands next to its benchmark delta.
 
+``one_shot_s`` gives, per side, the median and quartiles of the wall time
+of one fixed ``verify``, ``sweep`` and ``hom`` command (``ONE_SHOT``), each
+a fresh interpreter that imports ``lopcsim`` from the checkout's ``src``
+and writes its table to the null device: the time a user who runs the
+command once waits for.  Each command runs once per side after each
+pair's workloads, the side that goes first alternating, after one untimed
+run per side that writes the bytecode.
+
 Each workload also gets ``by_label``: for each cost class of its ops (grid
 length on sweep-long and hom-scan, variant and points on verify-short,
 input kind on netlist-corpus), the median over the runs of each side of
@@ -43,10 +51,18 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+from time import perf_counter
 
 import numpy
 
 ROOT = Path(__file__).resolve().parents[1]
+#: The commands whose fresh-interpreter wall time each side reports.
+ONE_SHOT = {
+    "verify": ["verify", "--variant", "full", "--steps", "3"],
+    "sweep": ["sweep", "--variant", "full", "--steps", "101"],
+    "hom": ["hom", "--steps", "601"],
+}
+LAUNCH = "import sys; from lopcsim.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -62,6 +78,16 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     by_label = json.loads(record.read_text(encoding="utf-8"))["summary"]["by_label"]
     result["by_label"] = {label: row["median_ms"] for label, row in by_label.items()}
     return result
+
+
+def one_shot(checkout: Path, argv: list[str]) -> float:
+    """Wall seconds of one fresh interpreter that runs ``lopcsim`` with ``argv``
+    from ``checkout``'s ``src``, its table written to the null device."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    start = perf_counter()
+    subprocess.run([sys.executable, "-c", LAUNCH, *argv, "--out", os.devnull], cwd=checkout,
+                   env=env, stderr=subprocess.DEVNULL, check=True)
+    return perf_counter() - start
 
 
 def program_lines(checkout: Path) -> int:
@@ -122,6 +148,7 @@ def main(argv: list[str]) -> int:
                             cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
 
     results = {w: {"parent": [], "change": []} for w in workloads}
+    waits = {name: {"parent": [], "change": []} for name in ONE_SHOT}
     with tempfile.TemporaryDirectory() as tmp:
         parent = Path(tmp) / "parent"
         archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT,
@@ -135,14 +162,21 @@ def main(argv: list[str]) -> int:
             if (ROOT / name).is_file():  # a tracked file deleted from the tree is left out
                 (change / name).parent.mkdir(parents=True, exist_ok=True)
                 shutil.copy(ROOT / name, change / name)
+        sides = [("parent", parent), ("change", change)]
+        for _, checkout in sides:
+            for argv in ONE_SHOT.values():
+                one_shot(checkout, argv)
         for pair in range(args.pairs):
+            order = sides if pair % 2 == 0 else sides[::-1]
             for workload in workloads:
-                order = [("parent", parent), ("change", change)]
-                for side, checkout in order if pair % 2 == 0 else order[::-1]:
+                for side, checkout in order:
                     result = run_once(checkout, workload, pair + 1, spec["run_seconds"])
                     results[workload][side].append(result)
                     print(f"pair {pair + 1}/{args.pairs} {workload} {side}: "
                           f"{json.dumps(result['metrics'])}", file=sys.stderr)
+            for name, argv in ONE_SHOT.items():
+                for side, checkout in order:
+                    waits[name][side].append(one_shot(checkout, argv))
         lines = {"parent": program_lines(parent), "change": program_lines(change)}
 
     report = {
@@ -154,6 +188,13 @@ def main(argv: list[str]) -> int:
         "environment": {"nproc": len(os.sched_getaffinity(0)),
                         "python": platform.python_version(), "numpy": numpy.__version__},
         "workloads": summarize(spec, results),
+        "one_shot_s": {
+            name: {"argv": ONE_SHOT[name], "parent": spread(times["parent"]),
+                   "change": spread(times["change"]),
+                   "median_change": (statistics.median(times["change"])
+                                     / statistics.median(times["parent"]) - 1.0)}
+            for name, times in waits.items()
+        },
     }
     sys.stdout.write(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0
